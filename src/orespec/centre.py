@@ -22,14 +22,15 @@ from .finring import (
     bits,
     centre_mask,
     is_commutative,
-    make_product,
-    mask_of,
+    product_hom,
     regular_mask,
 )
 from .ideals import (
+    LEFT,
     TWO_SIDED,
     Ideal,
     classify_ideal,
+    ideal_closure_mask,
     is_semiprime_ring,
     min_prime_masks_over,
     prime_masks,
@@ -38,7 +39,6 @@ from .localization import (
     Localization,
     MultSet,
     classify_set,
-    left_ideal_closure,
     localize,
     localize_left_ideal,
     two_sided_span,
@@ -54,11 +54,7 @@ class CentreData:
 
     def restrict_mask(self, ambient_mask: Mask) -> Mask:
         """Intersection with the centre, re-indexed into the centre ring."""
-        out = 0
-        for z in range(self.centre.order):
-            if ambient_mask >> self.embedding(z) & 1:
-                out |= 1 << z
-        return out
+        return self.embedding.preimage_mask(ambient_mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,7 +126,7 @@ def check_rho_criteria(r: RingTable) -> RhoCriteria:
     if not is_semiprime_ring(r):
         return RhoCriteria(False, None, None, None, None, None)
     cd = centre_ring(r)
-    central_regulars = mask_of(cd.embedding(z) for z in bits(regular_mask(cd.centre)))
+    central_regulars = cd.embedding.push_mask(regular_mask(cd.centre))
     c1 = central_regulars & ~regular_mask(r) == 0
     c2 = all(central_regulars & pm == 0 for pm in min_prime_masks_over(r, 1 << r.zero))
     rm = rho(r)
@@ -159,8 +155,7 @@ def central_mult_set(r: RingTable, q: Ideal) -> MultSet:
     cd = centre_ring(r)
     if q.ring is not cd.centre:
         raise RingError("expected a prime of the centre ring")
-    lift = mask_of(cd.embedding(z) for z in range(cd.centre.order) if z not in q)
-    s = MultSet(r, lift)
+    s = MultSet(r, cd.embedding.push_mask(cd.centre.full_mask() & ~q.mask))
     cls = classify_set(s)
     if not (cls.left_den and cls.right_den):
         raise EngineInvariantError(f"{r.label}: central set fails the denominator check")
@@ -178,8 +173,8 @@ def central_localize(r: RingTable, q: Ideal) -> CentralLocReport:
     t = loc.target
 
     in_image = any(cd.restrict_mask(pm) == q.mask for pm in prime_masks(r))
-    q_lift = mask_of(cd.embedding(z) for z in bits(q.mask))
-    extension = two_sided_span(t, left_ideal_closure(t, loc.sigma.push_mask(q_lift)))
+    q_lift = cd.embedding.push_mask(q.mask)
+    extension = two_sided_span(t, ideal_closure_mask(t, loc.sigma.push_mask(q_lift), LEFT))
     extension_proper = extension != t.full_mask()
 
     fiber_source = tuple(pm for pm in prime_masks(r) if cd.restrict_mask(pm) == q.mask)
@@ -230,27 +225,14 @@ def check_pierce(r: RingTable) -> PierceReport:
     centres_match = True
     for q, loc in zip(qs, locs):
         t = loc.target
-        image_of_centre = mask_of(loc.sigma(cd.embedding(z)) for z in range(cd.centre.order))
-        if image_of_centre != centre_mask(t):
+        if loc.sigma.push_mask(centre_mask(r)) != centre_mask(t):
             centres_match = False
         # kernel of Z(R) -> R_q must equal the kernel of Z(R) -> Z(R)_q
-        zloc = localize(cd.centre, MultSet(cd.centre, mask_of(
-            z for z in range(cd.centre.order) if z not in q)))
-        kernel_via_r = mask_of(
-            z for z in range(cd.centre.order) if loc.ass.mask >> cd.embedding(z) & 1
-        )
-        if kernel_via_r != zloc.ass.mask:
+        zloc = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~q.mask))
+        if cd.restrict_mask(loc.ass.mask) != zloc.ass.mask:
             centres_match = False
 
-    prod = locs[0].target
-    maps = [[loc.sigma(x) for x in r.elements()] for loc in locs]
-    combined = maps[0]
-    for k in range(1, len(locs)):
-        nxt = locs[k].target
-        prod_new = make_product(prod, nxt, cap=None)
-        combined = [combined[x] * nxt.order + maps[k][x] for x in r.elements()]
-        prod = prod_new
-    hom = RingHom(r, prod, tuple(combined))
+    hom = product_hom([loc.sigma for loc in locs])
     embedding_ok = not hom.verify() and hom.is_injective()
     iso = None
     if is_commutative(r):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import monomial as mono
 from .centre import (
     central_localize,
+    central_mult_set,
     centre_ring,
     check_pierce,
     check_rho_criteria,
@@ -29,46 +30,49 @@ from .finring import (
     bits,
     inverse_table,
     is_commutative,
-    make_product,
     make_quotient,
     mask_of,
     normal_mask,
-    popcount,
+    product_hom,
+    sub,
     units_mask,
 )
 from .ideals import (
+    LEFT,
     Ideal,
     additive_closure,
     all_ideal_masks,
+    ideal_closure_mask,
+    is_irredundant_masks,
     is_nilpotent_ideal,
     is_prime_rich,
     is_semiprime_ring,
     min_prime_masks_over,
+    prime_flags,
     prime_masks,
     prime_radical_mask,
-    _classify_mask as _prime_flags,
     _products_reach,
 )
 from .localization import (
     Localization,
     MultSet,
-    ass_l_raw_mask,
     ass_l_realizable_masks,
-    ass_r_raw_mask,
     check_A11_equivalence,
     check_epimorphic_den_b14,
     check_epimorphic_den_c14,
     classify_set,
+    closure_with_witness,
     largest_regular_set,
     largest_set_assoc,
     left_denominator_sets,
-    left_ideal_closure,
     localize,
     localize_left_ideal,
     localize_normal,
     min_RS,
+    pair_closure_masks,
     respects_prime_structure,
     t_l,
+    vanishing_masks,
 )
 
 
@@ -102,12 +106,7 @@ def _dens(r: RingTable, cfg) -> list[MultSet]:
 
 
 def _two_sided_dens(r: RingTable, cfg) -> list[MultSet]:
-    out = []
-    for s in _dens(r, cfg):
-        cls = classify_set(s)
-        if cls.right_den:
-            out.append(s)
-    return out
+    return [s for s in _dens(r, cfg) if classify_set(s).right_den]
 
 
 def _zero_dens(r: RingTable, cfg) -> list[MultSet]:
@@ -117,24 +116,12 @@ def _zero_dens(r: RingTable, cfg) -> list[MultSet]:
 @functools.lru_cache(maxsize=None)
 def _normal_set_masks(r: RingTable) -> tuple[Mask, ...]:
     """Closures of singletons and pairs of nonzero normal elements."""
-    from .localization import _closure_with_witness
-
-    normals = [x for x in bits(normal_mask(r)) if x != r.zero]
-    seeds = [0] + [1 << x for x in normals]
-    seeds += [(1 << a) | (1 << b) for i, a in enumerate(normals) for b in normals[i + 1:]]
-    found = set()
-    for gens in seeds:
-        m, witness = _closure_with_witness(r, gens)
-        if witness is None:
-            found.add(m)
-    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+    return pair_closure_masks(r, [x for x in bits(normal_mask(r)) if x != r.zero])
 
 
 def _generated_by_normals(s: MultSet) -> bool:
-    from .localization import _closure_with_witness
-
     gens = s.mask & normal_mask(s.ring)
-    m, witness = _closure_with_witness(s.ring, gens)
+    m, witness = closure_with_witness(s.ring, gens)
     return witness is None and m == s.mask
 
 
@@ -163,7 +150,7 @@ def _min_masks(r: RingTable) -> tuple[Mask, ...]:
 
 
 def _is_prime_ring(r: RingTable) -> bool:
-    return _prime_flags(r, 1 << r.zero)[0]
+    return prime_flags(r, 1 << r.zero)[0]
 
 
 def _spec_subset_budget(r: RingTable) -> bool:
@@ -213,7 +200,7 @@ def check_a11_vacuity(r: RingTable, cfg) -> Outcome:
                 chain = li.mask
                 shift = li.mask
                 for _ in range(order_u):
-                    shift = left_ideal_closure(t, mask_of(t.mul[x][u] for x in bits(shift)))
+                    shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
                     chain = additive_closure(t, chain | shift)
                 if li.two_sided and chain != li.mask:
                     failures.append(("a two-sided image absorbs its chain",
@@ -251,14 +238,14 @@ def check_prime_localized_iff_ideal(r: RingTable, cfg) -> Outcome:
             branches = []
             if contracted == pmask:
                 branches.append(pmask)
-            if contracted != r.full_mask() and _prime_flags(r, contracted)[0]:
+            if contracted != r.full_mask() and prime_flags(r, contracted)[0]:
                 branches.append(contracted)
             for _ in branches:
                 cases += 1
                 spec_member = (
                     li.two_sided
                     and li.mask != loc.target.full_mask()
-                    and _prime_flags(loc.target, li.mask)[0]
+                    and prime_flags(loc.target, li.mask)[0]
                 )
                 if spec_member != li.two_sided:
                     failures.append(("prime localization iff two-sided",
@@ -289,7 +276,7 @@ def check_prime_vanishing_target(r: RingTable, cfg) -> Outcome:
     failures = []
     for s in _dens(r, cfg):
         cls = classify_set(s)
-        if cls.ass_l_mask == r.full_mask() or not _prime_flags(r, cls.ass_l_mask)[0]:
+        if cls.ass_l_mask == r.full_mask() or not prime_flags(r, cls.ass_l_mask)[0]:
             continue
         cases += 1
         loc = localize(r, s)
@@ -409,7 +396,7 @@ def check_min_primes_prime_rich(r: RingTable, cfg) -> Outcome:
         mrs = [p.mask for p in min_RS(r, s)]
         family = _localized_min_family(loc, mrs)
         all_prime_downstairs = all(
-            fm != loc.target.full_mask() and _prime_flags(loc.target, fm)[0]
+            fm != loc.target.full_mask() and prime_flags(loc.target, fm)[0]
             for fm in family
         )
         if not all_prime_downstairs:
@@ -463,32 +450,15 @@ def check_irredundant_characterization(r: RingTable, cfg) -> Outcome:
         return Outcome("na")
     failures = []
     minset = set(_min_masks(r))
-    zero = 1 << r.zero
     primes = prime_masks(r)
     cases = 1
-
-    def irredundant(members) -> bool:
-        total = r.full_mask()
-        for m in members:
-            total &= m
-        if total != zero:
-            return False
-        for skip in range(len(members)):
-            rest = r.full_mask()
-            for j, m in enumerate(members):
-                if j != skip:
-                    rest &= m
-            if rest == zero:
-                return False
-        return True
-
-    if not irredundant(sorted(minset)):
+    if not is_irredundant_masks(r, sorted(minset)):
         failures.append(("minimal primes form an irredundant family", r.label))
         return _verdict(cases, failures)
     for size in range(1, len(primes) + 1):
         for combo in itertools.combinations(primes, size):
             cases += 1
-            if irredundant(list(combo)) and set(combo) != minset:
+            if is_irredundant_masks(r, combo) and set(combo) != minset:
                 failures.append(("only the minimal primes are irredundant",
                                  f"family={[list(bits(m)) for m in combo]}"))
                 return _verdict(cases, failures)
@@ -565,7 +535,7 @@ def check_semiprime_vanishing_bijection(r: RingTable, cfg) -> Outcome:
     for s in _dens(r, cfg):
         cls = classify_set(s)
         amask = cls.ass_l_mask
-        if amask == r.full_mask() or not _prime_flags(r, amask)[2]:
+        if amask == r.full_mask() or not prime_flags(r, amask)[2]:
             continue  # vanishing ideal must be semiprime
         cases += 1
         loc = localize(r, s)
@@ -595,12 +565,7 @@ def check_largest_sets_and_embedding(r: RingTable, cfg) -> Outcome:
                 failures.append(("largest regular sets restrict along factors",
                                  f"p={list(bits(pmask))}"))
                 return _verdict(cases, failures)
-    prod, combined = quots[0][0], list(quots[0][1].map)
-    for q, hom in quots[1:]:
-        prod_new = make_product(prod, q, cap=None)
-        combined = [combined[x] * q.order + hom(x) for x in r.elements()]
-        prod = prod_new
-    hom = RingHom(r, prod, tuple(combined))
+    hom = product_hom([hom for _, hom in quots])
     if hom.verify():
         failures.append(("canonical map into the product is a homomorphism", r.label))
     elif hom.is_injective() != is_semiprime_ring(r):
@@ -646,16 +611,14 @@ def check_prime_preimage_sets(r: RingTable, cfg) -> Outcome:
         cases += 1
         p = Ideal(r, pmask)
         tset = t_l(r, p)
-        al = ass_l_raw_mask(r, tset.mask)
-        ar = ass_r_raw_mask(r, tset.mask)
-        inter_l &= al | 1 << r.zero
-        inter_r &= ar | 1 << r.zero
-        if (al | 1 << r.zero) & ~pmask or (ar | 1 << r.zero) & ~pmask:
+        alz, arz = vanishing_masks(r, tset.mask)
+        inter_l &= alz
+        inter_r &= arz
+        if alz & ~pmask or arz & ~pmask:
             failures.append(("vanishing sets stay inside the prime", f"p={list(bits(pmask))}"))
             return _verdict(cases, failures)
         cls = classify_set(tset)
         members = tset.members()
-        alz = al | 1 << r.zero
         criterion = True
         for s in members:
             for x in r.elements():
@@ -663,7 +626,7 @@ def check_prime_preimage_sets(r: RingTable, cfg) -> Outcome:
                 for sp in members:
                     spx = r.mul[sp][x]
                     for xp in r.elements():
-                        if alz >> r.add[spx][_neg(r, r.mul[xp][s])] & 1:
+                        if alz >> sub(r, spx, r.mul[xp][s]) & 1:
                             found = True
                             break
                     if found:
@@ -700,16 +663,6 @@ def check_prime_preimage_sets(r: RingTable, cfg) -> Outcome:
     return _verdict(cases, failures)
 
 
-def _neg(r: RingTable, x: int) -> int:
-    from .finring import neg_table
-
-    return neg_table(r)[x]
-
-
-def _min_RS_masks(r: RingTable, s: MultSet) -> list[Mask]:
-    return [m for m in _min_masks(r) if m & s.mask == 0]
-
-
 def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r):
         return Outcome("na")
@@ -719,7 +672,7 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
         cases += 1
         loc = localize(r, s)
         t = loc.target
-        mrs = _min_RS_masks(r, s)
+        mrs = [p.mask for p in min_RS(r, s)]
         if not mrs:
             failures.append(("min(R,S) non-empty on a semiprime ring", f"S={s.members()}"))
             return _verdict(cases, failures)
@@ -728,7 +681,7 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
         st2 = True
         for pmask, fm in zip(mrs, family):
             li_two_sided = localize_left_ideal(loc, Ideal(r, pmask)).two_sided
-            factor_prime = fm != t.full_mask() and _prime_flags(t, fm)[0]
+            factor_prime = fm != t.full_mask() and prime_flags(t, fm)[0]
             if not (li_two_sided and factor_prime):
                 st2 = False
                 break
@@ -737,7 +690,6 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
             return _verdict(cases, failures)
         if st1:
             by_normal = _generated_by_normals(s)
-            cls = classify_set(s)
             ts_normal = all(
                 any(normal_mask(r) >> r.mul[tt][ss] & 1 for tt in s.members())
                 for ss in s.members()
@@ -758,7 +710,7 @@ def check_commutative_corollary(r: RingTable, cfg) -> Outcome:
         cases += 1
         loc = localize(r, s)
         t = loc.target
-        mrs = _min_RS_masks(r, s)
+        mrs = [p.mask for p in min_RS(r, s)]
         family = _localized_min_family(loc, mrs)
         if not (is_semiprime_ring(t) and set(_min_masks(t)) == set(family)
                 and len(set(family)) == len(mrs)):
@@ -774,11 +726,11 @@ def check_completely_prime_corollary(r: RingTable, cfg) -> Outcome:
     cases = 0
     failures = []
     for s in _two_sided_dens(r, cfg):
-        mrs = _min_RS_masks(r, s)
+        mrs = [p.mask for p in min_RS(r, s)]
         loc = localize(r, s)
         t = loc.target
         hyp = all(
-            _prime_flags(r, m)[1] and localize_left_ideal(loc, Ideal(r, m)).two_sided
+            prime_flags(r, m)[1] and localize_left_ideal(loc, Ideal(r, m)).two_sided
             for m in mrs
         )
         if not hyp:
@@ -788,7 +740,7 @@ def check_completely_prime_corollary(r: RingTable, cfg) -> Outcome:
         ok = is_semiprime_ring(t) and set(_min_masks(t)) == set(family)
         ok = ok and len(set(family)) == len(mrs)
         ok = ok and all(
-            fm == t.full_mask() or _prime_flags(t, fm)[1] for fm in family
+            fm == t.full_mask() or prime_flags(t, fm)[1] for fm in family
         )
         if not ok:
             failures.append(("completely prime minimal primes descend", f"S={s.members()}"))
@@ -912,10 +864,7 @@ def check_normal_subset_variant(obj, cfg) -> Outcome:
                 any(nm >> r.mul[tt][ss] & 1 for tt in members) for ss in members
             ):
                 continue
-            sub = s.mask & nm
-            from .localization import _closure_with_witness
-
-            closed, witness = _closure_with_witness(r, sub)
+            closed, witness = closure_with_witness(r, s.mask & nm)
             if witness is not None:
                 failures.append(("normal subset is multiplicative", f"S={members}"))
                 return _verdict(cases + 1, failures)
@@ -1012,8 +961,6 @@ def check_centre_decomposition(r: RingTable, cfg) -> Outcome:
         failures.append(("centres localize along the decomposition", r.label))
     else:
         cd = centre_ring(r)
-        from .centre import central_mult_set
-
         for qmask in min_prime_masks_over(cd.centre, 1 << cd.centre.zero):
             loc = localize(r, central_mult_set(r, Ideal(cd.centre, qmask)))
             t = loc.target
@@ -1136,8 +1083,6 @@ def check_largest_quotient_track(obj, cfg) -> Outcome:
 
 # ---------------------------------------------------------------------------
 # registry
-
-CheckFn = object
 
 REGISTRY: dict[str, tuple[TheoremCheck, object]] = {}
 

@@ -136,13 +136,17 @@ def cmd_multsets(args) -> int:
     return EXIT_CLEAN
 
 
-def _gens_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _gens_list(text: str, r: RingTable) -> list[int]:
+    gens = [int(x) for x in text.split(",") if x.strip() != ""]
+    for g in gens:
+        if not 0 <= g < r.order:
+            raise RingError(f"element id {g} is out of range for {r.label} of order {r.order}")
+    return gens
 
 
 def cmd_classify_set(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    s = close_multiplicative(r, _gens_list(args.gens))
+    s = close_multiplicative(r, _gens_list(args.gens, r))
     cls = classify_set(s)
     print(f"set:        {s.members()}")
     print(f"left ore:   {cls.left_ore}\nright ore:  {cls.right_ore}")
@@ -154,7 +158,7 @@ def cmd_classify_set(args) -> int:
 
 def cmd_localize(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    s = close_multiplicative(r, _gens_list(args.gens))
+    s = close_multiplicative(r, _gens_list(args.gens, r))
     loc = localize(r, s)
     print(f"set:           {s.members()}")
     print(f"ass ideal:     {_ideal_str(r, loc.ass.mask)}")
@@ -200,6 +204,9 @@ def cmd_mono(args) -> int:
             print("(" + ",".join(f"v{i + 1}" for i in sorted(cover)) + ")")
         return EXIT_CLEAN
     variables = [int(v) - 1 for v in args.invert.split(",") if v.strip()]
+    for v in variables:
+        if not 0 <= v < obj.nvars:
+            raise RingError(f"--invert index {v + 1} is outside 1..{obj.nvars}")
     rep = localize_monomial(obj, variables)
     print(f"saturation:    {[render_monomial(g) for g in rep.saturation.gens]}")
     print(f"regular case:  {rep.regular_case}")

@@ -7,7 +7,7 @@
     value    := integer | "[" [item ("," item)*] "]"
     item     := integer | monomial
     monomial := factor ("*" factor)*
-    factor   := name index ("^" integer)?      -- e.g. v1, v2^3
+    factor   := name index ("^" integer)?      -- e.g. v1, v2^3; exponent >= 1
 
 Whitespace-insensitive; parse errors carry (line, column) into the source.
 Rendering produces a canonical text that reparses to an equal expression.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .finring import (
     DEFAULT_ORDER_CAP,
+    RingError,
     RingTable,
     make_gf,
     make_matrix_ring,
@@ -29,7 +30,7 @@ from .finring import (
     mask_of,
 )
 from .ideals import ideal_closure_mask
-from .monomial import an_build, default_degree_bound, make_monomial_ring
+from .monomial import an_build, default_degree_bound, make_monomial_ring, render_monomial
 
 
 class ParseError(Exception):
@@ -199,7 +200,10 @@ class _Parser:
             exp = 1
             if self.at("^"):
                 self.take(text="^")
-                exp = int(self.take("int").text)
+                etok = self.take("int")
+                exp = int(etok.text)
+                if exp == 0:
+                    raise ParseError("exponents must be at least 1", etok.line, etok.column)
             powers[idx] = powers.get(idx, 0) + exp
             if self.at("*"):
                 self.take(text="*")
@@ -269,11 +273,6 @@ def parse_ring_expr(text: str) -> RingExpr:
     return expr
 
 
-def _render_exp(exp: tuple[int, ...]) -> str:
-    parts = [f"v{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e]
-    return "*".join(parts)
-
-
 def render(expr: RingExpr) -> str:
     k = expr.kind
     if k in ("zmod", "gf"):
@@ -285,7 +284,7 @@ def render(expr: RingExpr) -> str:
     if k == "quot":
         return f"quot({render(expr.subs[0])}, gens=[{', '.join(map(str, expr.gens))}])"
     if k == "mono":
-        return f"mono(vars={expr.ints[0]}, gens=[{', '.join(_render_exp(g) for g in expr.gens)}])"
+        return f"mono(vars={expr.ints[0]}, gens=[{', '.join(render_monomial(g) for g in expr.gens)}])"
     if k == "an":
         return f"an(n={expr.ints[0]})"
     raise ValueError(f"cannot render {expr}")
@@ -308,6 +307,10 @@ def evaluate(expr: RingExpr, cap: int | None = DEFAULT_ORDER_CAP):
         base = evaluate(expr.subs[0], cap)
         if not isinstance(base, RingTable):
             raise ValueError("quot applies to finite rings")
+        for g in expr.gens:
+            if not 0 <= g < base.order:
+                raise RingError(f"quot: element id {g} is out of range for {base.label}"
+                                f" of order {base.order}")
         mask = ideal_closure_mask(base, mask_of(expr.gens))
         return make_quotient(base, mask)[0]
     if k == "mono":

@@ -162,17 +162,6 @@ class RingHom:
         return self.is_injective() and self.source.order == self.target.order
 
 
-def compose(g: RingHom, f: RingHom) -> RingHom:
-    """g after f."""
-    if f.target is not g.source:
-        raise RingError("homomorphisms are not composable")
-    return RingHom(f.source, g.target, tuple(g.map[f.map[i]] for i in range(f.source.order)))
-
-
-def identity_hom(r: RingTable) -> RingHom:
-    return RingHom(r, r, tuple(range(r.order)))
-
-
 # ---------------------------------------------------------------------------
 # axiom audit
 
@@ -296,57 +285,22 @@ def _undigits(digits, base: int) -> int:
     return idx
 
 
-def make_matrix_ring(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
-    """Full k x k matrix ring over a commutative base, row-major encoding."""
+def _make_slot_ring(
+    tag: str, noun: str, k: int, base: RingTable, slots: list[tuple[int, int]], cap: int | None
+) -> RingTable:
+    """k x k matrices over a commutative base with entries only at the given
+    (row, column) slots; an element's digits are its slot entries in order."""
     if centre_mask(base) != base.full_mask():
-        raise RingError("matrix rings are only built over commutative bases")
-    order = base.order ** (k * k)
-    if cap is not None and order > cap:
-        raise SizeLimitError(f"mat({k}, {base.label}) has order {order} > cap {cap}")
-    slots = k * k
-    mats = [_digits(i, base.order, slots) for i in range(order)]
-
-    def at(m, i, j):
-        return m[i * k + j]
-
-    def addm(a, b):
-        return _undigits([base.add[x][y] for x, y in zip(a, b)], base.order)
-
-    def mulm(a, b):
-        out = []
-        for i in range(k):
-            for j in range(k):
-                acc = base.zero
-                for t in range(k):
-                    acc = base.add[acc][base.mul[at(a, i, t)][at(b, t, j)]]
-                out.append(acc)
-        return _undigits(out, base.order)
-
-    add = tuple(tuple(addm(a, b) for b in mats) for a in mats)
-    mul = tuple(tuple(mulm(a, b) for b in mats) for a in mats)
-    one = _undigits([base.one if i == j else base.zero for i in range(k) for j in range(k)], base.order)
-    names = tuple(
-        "[" + ";".join(",".join(base.name(at(m, i, j)) for j in range(k)) for i in range(k)) + "]"
-        for m in mats
-    )
-    return _checked(RingTable(order, add, mul, 0, one, f"mat({k}, {base.label})", names))
-
-
-def make_upper_triangular(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
-    """Upper-triangular k x k matrices over a commutative base."""
-    if centre_mask(base) != base.full_mask():
-        raise RingError("triangular rings are only built over commutative bases")
-    slots = [(i, j) for i in range(k) for j in range(k) if i <= j]
+        raise RingError(f"{noun} rings are only built over commutative bases")
     order = base.order ** len(slots)
     if cap is not None and order > cap:
-        raise SizeLimitError(f"tri({k}, {base.label}) has order {order} > cap {cap}")
+        raise SizeLimitError(f"{tag}({k}, {base.label}) has order {order} > cap {cap}")
     pos = {ij: s for s, ij in enumerate(slots)}
     mats = [_digits(i, base.order, len(slots)) for i in range(order)]
 
     def at(m, i, j):
-        if i > j:
-            return base.zero
-        return m[pos[(i, j)]]
+        s = pos.get((i, j))
+        return base.zero if s is None else m[s]
 
     def addm(a, b):
         return _undigits([base.add[x][y] for x, y in zip(a, b)], base.order)
@@ -355,7 +309,7 @@ def make_upper_triangular(k: int, base: RingTable, cap: int | None = DEFAULT_ORD
         out = []
         for (i, j) in slots:
             acc = base.zero
-            for t in range(i, j + 1):
+            for t in range(k):
                 acc = base.add[acc][base.mul[at(a, i, t)][at(b, t, j)]]
             out.append(acc)
         return _undigits(out, base.order)
@@ -364,10 +318,25 @@ def make_upper_triangular(k: int, base: RingTable, cap: int | None = DEFAULT_ORD
     mul = tuple(tuple(mulm(a, b) for b in mats) for a in mats)
     one = _undigits([base.one if i == j else base.zero for (i, j) in slots], base.order)
     names = tuple(
-        "[" + ";".join(",".join(base.name(at(m, i, j)) if i <= j else "." for j in range(k)) for i in range(k)) + "]"
+        "[" + ";".join(
+            ",".join(base.name(at(m, i, j)) if (i, j) in pos else "." for j in range(k))
+            for i in range(k)
+        ) + "]"
         for m in mats
     )
-    return _checked(RingTable(order, add, mul, 0, one, f"tri({k}, {base.label})", names))
+    return _checked(RingTable(order, add, mul, 0, one, f"{tag}({k}, {base.label})", names))
+
+
+def make_matrix_ring(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
+    """Full k x k matrix ring over a commutative base, row-major encoding."""
+    slots = [(i, j) for i in range(k) for j in range(k)]
+    return _make_slot_ring("mat", "matrix", k, base, slots, cap)
+
+
+def make_upper_triangular(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
+    """Upper-triangular k x k matrices over a commutative base."""
+    slots = [(i, j) for i in range(k) for j in range(k) if i <= j]
+    return _make_slot_ring("tri", "triangular", k, base, slots, cap)
 
 
 def make_product(a: RingTable, b: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
@@ -390,6 +359,17 @@ def make_product(a: RingTable, b: RingTable, cap: int | None = DEFAULT_ORDER_CAP
     one = enc(a.one, b.one)
     names = tuple(f"({a.name(x)},{b.name(y)})" for x in a.elements() for y in b.elements())
     return _checked(RingTable(order, add, mul, 0, one, f"prod({a.label}, {b.label})", names))
+
+
+def product_hom(homs: list[RingHom]) -> RingHom:
+    """The map x -> (f(x))_f from the common source into the product of the
+    targets, folded left as prod(prod(t1, t2), t3) with no order cap."""
+    first = homs[0]
+    prod, combined = first.target, first.map
+    for h in homs[1:]:
+        prod = make_product(prod, h.target, cap=None)
+        combined = tuple(combined[x] * h.target.order + h(x) for x in first.source.elements())
+    return RingHom(first.source, prod, combined)
 
 
 def is_two_sided_ideal_mask(r: RingTable, mask: Mask) -> bool:

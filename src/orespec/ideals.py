@@ -16,7 +16,6 @@ from .finring import (
     ImproperIdealError,
     Mask,
     RingError,
-    RingHom,
     RingTable,
     SidednessError,
     bits,
@@ -70,9 +69,6 @@ class IdealLattice:
     ring: RingTable
     ideals: tuple[Ideal, ...]
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.ideals[i].mask & ~self.ideals[j].mask == 0
-
     def masks(self) -> list[Mask]:
         return [i.mask for i in self.ideals]
 
@@ -121,10 +117,6 @@ def ideal_generated_by(r: RingTable, gens, sidedness: str = TWO_SIDED) -> Ideal:
 
 def zero_ideal(r: RingTable) -> Ideal:
     return Ideal(r, 1 << r.zero, TWO_SIDED)
-
-
-def full_ideal(r: RingTable) -> Ideal:
-    return Ideal(r, r.full_mask(), TWO_SIDED)
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,11 +175,6 @@ def ideal_sum_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
     return additive_closure(r, a | b)
 
 
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    _require_same_ring(a, b)
-    return Ideal(a.ring, ideal_sum_mask(a.ring, a.mask, b.mask))
-
-
 def left_ann(r: RingTable, tset) -> Ideal:
     """Left annihilator {x : xT = 0} of a non-empty subset; a left ideal."""
     tmask = tset if isinstance(tset, int) else tset.mask
@@ -209,7 +196,8 @@ def right_ann(r: RingTable, tset) -> Ideal:
 # primality
 
 @functools.lru_cache(maxsize=None)
-def _classify_mask(r: RingTable, mask: Mask) -> tuple[bool, bool, bool]:
+def prime_flags(r: RingTable, mask: Mask) -> tuple[bool, bool, bool]:
+    """(prime, completely prime, semiprime) for a proper two-sided ideal mask."""
     outside = [x for x in r.elements() if not mask >> x & 1]
     completely = True
     prime = True
@@ -234,7 +222,7 @@ def classify_ideal(p: Ideal) -> PrimeReport:
         raise SidednessError("classification requires a two-sided ideal")
     if p.is_full():
         raise ImproperIdealError("cannot classify the whole ring")
-    prime, completely, semi = _classify_mask(p.ring, p.mask)
+    prime, completely, semi = prime_flags(p.ring, p.mask)
     return PrimeReport(p, prime, completely, semi)
 
 
@@ -255,7 +243,7 @@ def is_prime_lattice_test(p: Ideal) -> bool:
 @functools.lru_cache(maxsize=None)
 def prime_masks(r: RingTable) -> tuple[Mask, ...]:
     full = r.full_mask()
-    return tuple(m for m in all_ideal_masks(r) if m != full and _classify_mask(r, m)[0])
+    return tuple(m for m in all_ideal_masks(r) if m != full and prime_flags(r, m)[0])
 
 
 def spec_ideals(r: RingTable) -> list[Ideal]:
@@ -436,29 +424,27 @@ def is_prime_rich(r: RingTable) -> PrimeRichReport:
     return PrimeRichReport(r, rich, agree, tuple(evidence))
 
 
-def is_irredundant(ideals: list[Ideal]) -> bool:
+def is_irredundant_masks(r: RingTable, masks) -> bool:
     """Zero intersection, and dropping any one member makes it nonzero."""
-    if not ideals:
-        raise RingError("irredundancy of an empty family")
-    r = ideals[0].ring
-    for i in ideals:
-        _require_same_ring(ideals[0], i)
+    zero = 1 << r.zero
     total = r.full_mask()
-    for i in ideals:
-        total &= i.mask
-    if total != 1 << r.zero:
+    for m in masks:
+        total &= m
+    if total != zero:
         return False
-    for skip in range(len(ideals)):
+    for skip in range(len(masks)):
         rest = r.full_mask()
-        for j, i in enumerate(ideals):
+        for j, m in enumerate(masks):
             if j != skip:
-                rest &= i.mask
-        if rest == 1 << r.zero:
+                rest &= m
+        if rest == zero:
             return False
     return True
 
 
-def quotient_ring(r: RingTable, a: Ideal) -> tuple[RingTable, RingHom]:
-    if a.sidedness != TWO_SIDED:
-        raise SidednessError("quotients require a two-sided ideal")
-    return make_quotient(r, a.mask)
+def is_irredundant(ideals: list[Ideal]) -> bool:
+    if not ideals:
+        raise RingError("irredundancy of an empty family")
+    for i in ideals:
+        _require_same_ring(ideals[0], i)
+    return is_irredundant_masks(ideals[0].ring, [i.mask for i in ideals])

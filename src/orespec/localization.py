@@ -35,6 +35,7 @@ from .ideals import (
     Ideal,
     additive_closure,
     classify_ideal,
+    ideal_closure_mask,
     ideal_sum_mask,
     min_prime_masks_over,
     spec_ideals,
@@ -117,9 +118,6 @@ class Localization:
     sigma: RingHom
     unit_witness: tuple[tuple[int, int], ...]  # (sigma(s), inverse) pairs
 
-    def inv_image(self, s: int) -> int:
-        return inverse_table(self.target)[self.sigma(s)]
-
 
 @dataclass(frozen=True)
 class LocalizedLeftIdeal:
@@ -129,7 +127,9 @@ class LocalizedLeftIdeal:
     two_sided: bool
 
 
-def _closure_with_witness(r: RingTable, gens: Mask):
+def closure_with_witness(r: RingTable, gens: Mask):
+    """Multiplicative closure of gens plus 1, and the first (a, b) with a*b = 0
+    (or None when the closure avoids zero)."""
     mask = gens | 1 << r.one
     if mask >> r.zero & 1:
         return mask, (r.zero, r.zero)
@@ -151,7 +151,7 @@ def _closure_with_witness(r: RingTable, gens: Mask):
 def close_multiplicative(r: RingTable, gens) -> MultSet:
     """Multiplicative closure of gens plus 1; error if zero is absorbed."""
     gmask = gens if isinstance(gens, int) else mask_of(gens)
-    mask, witness = _closure_with_witness(r, gmask)
+    mask, witness = closure_with_witness(r, gmask)
     if witness is not None:
         raise ZeroAbsorbedError(r, witness)
     return MultSet(r, mask)
@@ -166,28 +166,36 @@ def mult_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) 
     it, only closures of singletons and pairs are produced.
     """
     nonzero = [x for x in r.elements() if x != r.zero]
+    if r.order > exhaustive_order:
+        return pair_closure_masks(r, nonzero)
+    seeds = []
+    for code in range(1 << len(nonzero)):
+        gens = 0
+        c = code
+        i = 0
+        while c:
+            if c & 1:
+                gens |= 1 << nonzero[i]
+            c >>= 1
+            i += 1
+        seeds.append(gens)
+    return _zero_free_closures(r, seeds)
+
+
+def pair_closure_masks(r: RingTable, elems: list[int]) -> tuple[Mask, ...]:
+    """Zero-free multiplicative closures of the empty set, the singletons and
+    the pairs drawn from elems."""
+    seeds = [0] + [1 << x for x in elems]
+    seeds += [(1 << a) | (1 << b) for i, a in enumerate(elems) for b in elems[i + 1:]]
+    return _zero_free_closures(r, seeds)
+
+
+def _zero_free_closures(r: RingTable, seeds) -> tuple[Mask, ...]:
     found = set()
-    if r.order <= exhaustive_order:
-        subsets = range(1 << len(nonzero))
-        for code in subsets:
-            gens = 0
-            c = code
-            i = 0
-            while c:
-                if c & 1:
-                    gens |= 1 << nonzero[i]
-                c >>= 1
-                i += 1
-            mask, witness = _closure_with_witness(r, gens)
-            if witness is None:
-                found.add(mask)
-    else:
-        seeds = [0] + [1 << x for x in nonzero]
-        seeds += [(1 << a) | (1 << b) for i, a in enumerate(nonzero) for b in nonzero[i + 1:]]
-        for gens in seeds:
-            mask, witness = _closure_with_witness(r, gens)
-            if witness is None:
-                found.add(mask)
+    for gens in seeds:
+        mask, witness = closure_with_witness(r, gens)
+        if witness is None:
+            found.add(mask)
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
@@ -195,13 +203,28 @@ def enumerate_mult_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_OR
     return [MultSet(r, m) for m in mult_set_masks(r, exhaustive_order)]
 
 
+def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
+    """(ass_l, ass_r): zero together with the x that some s in S kills from the
+    left (sx = 0), respectively from the right (xs = 0)."""
+    zero = r.zero
+    ass_l = ass_r = 1 << zero
+    for s in bits(smask):
+        row = r.mul[s]
+        for x in r.elements():
+            if row[x] == zero:
+                ass_l |= 1 << x
+            if r.mul[x][s] == zero:
+                ass_r |= 1 << x
+    return ass_l, ass_r
+
+
 @functools.lru_cache(maxsize=None)
-def _classify_mask(r: RingTable, smask: Mask):
+def ore_flags(r: RingTable, smask: Mask):
+    """(left Ore, right Ore, left den, right den, ass_l, ass_r, first violation)."""
     mul = r.mul
     zero = r.zero
     members = list(bits(smask))
-    ass_l = mask_of(x for x in r.elements() if any(mul[s][x] == zero for s in members))
-    ass_r = mask_of(x for x in r.elements() if any(mul[x][s] == zero for s in members))
+    ass_l, ass_r = vanishing_masks(r, smask)
     violation = None
 
     left_ore = True
@@ -241,21 +264,21 @@ def _classify_mask(r: RingTable, smask: Mask):
                 violation = violation or ("right-denominator", x)
                 break
 
-    if left_ore and not is_two_sided_ideal_mask(r, ass_l | 1 << zero):
+    if left_ore and not is_two_sided_ideal_mask(r, ass_l):
         raise EngineInvariantError(f"{r.label}: ass_l of a left Ore set is not a two-sided ideal")
-    if right_ore and not is_two_sided_ideal_mask(r, ass_r | 1 << zero):
+    if right_ore and not is_two_sided_ideal_mask(r, ass_r):
         raise EngineInvariantError(f"{r.label}: ass_r of a right Ore set is not a two-sided ideal")
-    return left_ore, right_ore, left_den, right_den, ass_l | 1 << zero, ass_r | 1 << zero, violation
+    return left_ore, right_ore, left_den, right_den, ass_l, ass_r, violation
 
 
 def classify_set(s: MultSet) -> OreClass:
-    return OreClass(s, *_classify_mask(s.ring, s.mask))
+    return OreClass(s, *ore_flags(s.ring, s.mask))
 
 
 @functools.lru_cache(maxsize=None)
 def left_denominator_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     return tuple(
-        m for m in mult_set_masks(r, exhaustive_order) if _classify_mask(r, m)[2]
+        m for m in mult_set_masks(r, exhaustive_order) if ore_flags(r, m)[2]
     )
 
 
@@ -265,7 +288,7 @@ def left_denominator_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_
 
 @functools.lru_cache(maxsize=None)
 def _localize_mask(r: RingTable, smask: Mask) -> Localization:
-    cls = _classify_mask(r, smask)
+    cls = ore_flags(r, smask)
     if not cls[2]:
         raise NotDenominatorError(r, cls[6][0] if cls[6] else "left-denominator", cls[6][1] if cls[6] else None)
     ass = Ideal(r, cls[4], TWO_SIDED)
@@ -289,19 +312,6 @@ def localize(r: RingTable, s: MultSet) -> Localization:
     return _localize_mask(r, s.mask)
 
 
-@functools.lru_cache(maxsize=None)
-def left_ideal_closure(r: RingTable, gens: Mask) -> Mask:
-    mask = gens | 1 << r.zero
-    while True:
-        new = additive_closure(r, mask)
-        for a in list(bits(new)):
-            for t in r.elements():
-                new |= 1 << r.mul[t][a]
-        if new == mask:
-            return mask
-        mask = new
-
-
 def _right_absorbed(r: RingTable, mask: Mask) -> bool:
     return all(mask >> r.mul[a][t] & 1 for a in bits(mask) for t in r.elements())
 
@@ -309,7 +319,7 @@ def _right_absorbed(r: RingTable, mask: Mask) -> bool:
 @functools.lru_cache(maxsize=None)
 def _localize_left_mask(loc: Localization, source_mask: Mask) -> tuple[Mask, bool]:
     t = loc.target
-    mask = left_ideal_closure(t, loc.sigma.push_mask(source_mask))
+    mask = ideal_closure_mask(t, loc.sigma.push_mask(source_mask), LEFT)
     contracted = loc.sigma.preimage_mask(mask)
     if source_mask & ~contracted:
         raise EngineInvariantError("localized ideal does not contain the source image")
@@ -323,10 +333,6 @@ def localize_left_ideal(loc: Localization, i: Ideal) -> LocalizedLeftIdeal:
     return LocalizedLeftIdeal(loc, i, mask, two_sided)
 
 
-def sigma_preimage(loc: Localization, target_mask: Mask) -> Mask:
-    return loc.sigma.preimage_mask(target_mask)
-
-
 def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
     """The two-sided ideal J*R generated by a left ideal J."""
     gens = 0
@@ -334,7 +340,7 @@ def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
         row = r.mul[a]
         for t in r.elements():
             gens |= 1 << row[t]
-    return left_ideal_closure(r, additive_closure(r, gens | left_mask))
+    return ideal_closure_mask(r, additive_closure(r, gens | left_mask), LEFT)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +403,7 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> A11Verdict:
         c5 = True
     else:
         q, hom = make_quotient(r, ab)
-        s_img = sorted({hom(s) for s in smembers})
-        tor_r = mask_of(x for x in q.elements() if any(q.mul[x][u] == q.zero for u in s_img))
-        tor_l = mask_of(x for x in q.elements() if any(q.mul[u][x] == q.zero for u in s_img))
+        tor_l, tor_r = vanishing_masks(q, hom.push_mask(loc.mult_set.mask))
         c5 = tor_r & ~tor_l == 0
 
     conds = (c1, c2, c3, c4, c5)
@@ -487,7 +491,7 @@ def largest_regular_set(r: RingTable) -> MultSet:
 def ass_l_realizable_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     """All ideals arising as ass_l of an enumerated left denominator set."""
     return tuple(sorted({
-        _classify_mask(r, m)[4] for m in left_denominator_masks(r, exhaustive_order)
+        ore_flags(r, m)[4] for m in left_denominator_masks(r, exhaustive_order)
     }))
 
 
@@ -512,16 +516,6 @@ def t_l(r: RingTable, p: Ideal) -> MultSet:
     return MultSet(r, hom.preimage_mask(units_mask(target)))
 
 
-def ass_l_raw_mask(r: RingTable, smask: Mask) -> Mask:
-    members = list(bits(smask))
-    return mask_of(x for x in r.elements() if any(r.mul[s][x] == r.zero for s in members))
-
-
-def ass_r_raw_mask(r: RingTable, smask: Mask) -> Mask:
-    members = list(bits(smask))
-    return mask_of(x for x in r.elements() if any(r.mul[x][s] == r.zero for s in members))
-
-
 # ---------------------------------------------------------------------------
 # epimorphic images of denominator sets
 
@@ -544,7 +538,7 @@ def check_epimorphic_den_b14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
         return EpimorphicDenVerdict(True, False, False, True)
     q, hom = make_quotient(r, b.mask)
     s_img = mask_of(hom(s) for s in loc.mult_set.members())
-    cls = _classify_mask(q, s_img)
+    cls = ore_flags(q, s_img)
     lhs = cls[2] and cls[4] == 1 << q.zero
     rhs = s_img & ~regular_mask(q) == 0
     return EpimorphicDenVerdict(True, lhs, rhs, lhs == rhs)
@@ -560,14 +554,14 @@ def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
         return EpimorphicDenVerdict(False, None, None, None)
     q, hom = make_quotient(r, ab)
     s_img_members = sorted({hom(s) for s in loc.mult_set.members()})
-    cbar = ass_l_raw_mask(q, mask_of(s_img_members)) | 1 << q.zero
+    cbar = vanishing_masks(q, mask_of(s_img_members))[0]
     if not is_two_sided_ideal_mask(q, cbar):
         raise EngineInvariantError(f"{r.label}: intermediate vanishing set is not an ideal")
     if cbar == q.full_mask():
         return EpimorphicDenVerdict(False, None, None, None)
     q2, hom2 = make_quotient(q, cbar)
     s2 = mask_of(hom2(s) for s in s_img_members)
-    cls = _classify_mask(q2, s2)
+    cls = ore_flags(q2, s2)
     lhs = cls[2] and cls[4] == 1 << q2.zero
     rhs = all(
         cbar >> x & 1

@@ -1,7 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
 import functools
+import hashlib
 import itertools
+import json
+import pathlib
 import time
 
 import pytest
@@ -237,6 +240,10 @@ def test_criterion_9():
     second = render_machine(run_suite(build_corpus(CFG), None, CFG, jobs=1))
     assert first == second
     assert '"clean": true' in first
+    # the serial report is pinned byte for byte by the benchmark's expectations
+    pinned = pathlib.Path(__file__).parents[1] / "perfbench" / "expected.json"
+    expected = json.loads(pinned.read_text())
+    assert hashlib.sha256(first.encode()).hexdigest() == expected["reports"]["all"]["sha256"]
 
     for text in FIXED_EXPRESSIONS:
         assert parse_ring_expr(render(parse_ring_expr(text))) == parse_ring_expr(text)

@@ -132,6 +132,39 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_zero_exponent_is_a_parse_error(capsys):
+    with pytest.raises(ParseError) as exc:
+        parse_ring_expr("mono(vars=2, gens=[v1^0, v2])")
+    assert exc.value.column == 23
+    assert main(["mono", "minprimes", "mono(vars=2, gens=[v1^0, v2])"]) == 2
+    capsys.readouterr()
+    # every parsed monomial has a positive exponent, so render reparses
+    text = "mono(vars=2, gens=[v1^2*v2, v2^3])"
+    assert render(parse_ring_expr(text)) == text
+
+
+def test_cli_quot_id_out_of_range(capsys):
+    assert main(["describe", "quot(zmod(4), gens=[99])"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_cli_classify_set_id_out_of_range(capsys):
+    assert main(["classify-set", "zmod(6)", "--gens", "9"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_cli_localize_id_out_of_range(capsys):
+    assert main(["localize", "zmod(6)", "--gens", "1,6"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_cli_mono_invert_out_of_range(capsys):
+    assert main(["mono", "localize", "mono(vars=2, gens=[v1*v2])", "--invert", "7"]) == 2
+    assert "outside 1..2" in capsys.readouterr().err
+    assert main(["mono", "localize", "mono(vars=2, gens=[v1*v2])", "--invert", "0"]) == 2
+    assert "outside 1..2" in capsys.readouterr().err
+
+
 def test_cli_verify_machine_format_fields(capsys):
     code = main(["verify", "--suite", "A11Sep23", "--format", "machine", "--max-order", "6"])
     out = capsys.readouterr().out
