@@ -9,7 +9,6 @@ and compared, never assumed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .finring import (
@@ -22,6 +21,7 @@ from .finring import (
     bits,
     centre_mask,
     is_commutative,
+    memo,
     product_hom,
     regular_mask,
 )
@@ -57,7 +57,7 @@ class CentreData:
         return self.embedding.preimage_mask(ambient_mask)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def centre_ring(r: RingTable) -> CentreData:
     zmask = centre_mask(r)
     elems = list(bits(zmask))
@@ -95,7 +95,7 @@ class RestrictionMap:
     surjective_onto_min: bool                 # every minimal central prime is hit
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def rho(r: RingTable) -> RestrictionMap:
     cd = centre_ring(r)
     table = []

@@ -9,7 +9,6 @@ stable registry keys used by reports and the command line.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .finring import (
     is_commutative,
     make_quotient,
     mask_of,
+    memo,
     normal_mask,
     product_hom,
     sub,
@@ -113,7 +113,7 @@ def _zero_dens(r: RingTable, cfg) -> list[MultSet]:
     return [s for s in _dens(r, cfg) if classify_set(s).ass_l_mask == 1 << r.zero]
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _normal_set_masks(r: RingTable) -> tuple[Mask, ...]:
     """Closures of singletons and pairs of nonzero normal elements."""
     return pair_closure_masks(r, [x for x in bits(normal_mask(r)) if x != r.zero])

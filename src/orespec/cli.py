@@ -269,6 +269,13 @@ def cmd_verify(args) -> int:
     return EXIT_CLEAN if clean else EXIT_COUNTEREXAMPLE
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="orespec",
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="all | finite | monomial | comma-separated check ids")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one table cell first (self-test)")

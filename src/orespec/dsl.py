@@ -21,6 +21,7 @@ from .finring import (
     DEFAULT_ORDER_CAP,
     RingError,
     RingTable,
+    SizeLimitError,
     make_gf,
     make_matrix_ring,
     make_product,
@@ -294,7 +295,10 @@ def evaluate(expr: RingExpr, cap: int | None = DEFAULT_ORDER_CAP):
     """Evaluate to a RingTable, CommMonomialRing, or AnAlgebra."""
     k = expr.kind
     if k == "zmod":
-        return make_zmod(expr.ints[0])
+        n = expr.ints[0]
+        if cap is not None and n > cap:
+            raise SizeLimitError(f"zmod({n}) has order {n} > cap {cap}")
+        return make_zmod(n)
     if k == "gf":
         return make_gf(expr.ints[0])
     if k == "mat":

@@ -66,6 +66,24 @@ def popcount(mask: Mask) -> int:
     return mask.bit_count()
 
 
+def memo(fn):
+    """Memoise fn(owner, *args) in owner.memo, keyed by (fn, *args).
+
+    Derived data lives in a dict owned by the object it is derived from, so it
+    is freed together with that object instead of in a process-global cache.
+    The memoised function takes its arguments by position only.
+    """
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        key = (fn, *args)
+        try:
+            return owner.memo[key]
+        except KeyError:
+            value = owner.memo[key] = fn(owner, *args)
+            return value
+    return cached
+
+
 @dataclass(frozen=True, eq=False)
 class RingTable:
     """A finite unital ring given by explicit addition/multiplication tables."""
@@ -77,6 +95,7 @@ class RingTable:
     one: int
     label: str
     names: tuple[str, ...] = field(repr=False, default=())
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.names:
@@ -222,7 +241,7 @@ def _checked(r: RingTable) -> RingTable:
     return r
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def neg_table(r: RingTable) -> tuple[int, ...]:
     out = [0] * r.order
     for a in r.elements():
@@ -385,12 +404,12 @@ def is_two_sided_ideal_mask(r: RingTable, mask: Mask) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def make_quotient(r: RingTable, ideal_mask: Mask) -> tuple[RingTable, RingHom]:
     """Quotient by a proper two-sided ideal, plus the canonical surjection.
 
-    Coset representatives are the least element id in each coset.  Cached, so
-    repeated quotients by the same ideal share one table object.
+    Coset representatives are the least element id in each coset.  Memoised on
+    r, so repeated quotients by the same ideal share one table object.
     """
     if not is_two_sided_ideal_mask(r, ideal_mask):
         raise SidednessError("quotient requires a two-sided ideal")
@@ -428,7 +447,7 @@ def same_tables(a: RingTable, b: RingTable) -> bool:
 # ---------------------------------------------------------------------------
 # distinguished element sets
 
-@functools.lru_cache(maxsize=None)
+@memo
 def units_mask(r: RingTable) -> Mask:
     out = 0
     for x in r.elements():
@@ -439,7 +458,7 @@ def units_mask(r: RingTable) -> Mask:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def inverse_table(r: RingTable) -> dict[int, int]:
     inv = {}
     for x in bits(units_mask(r)):
@@ -450,7 +469,7 @@ def inverse_table(r: RingTable) -> dict[int, int]:
     return inv
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def regular_mask(r: RingTable) -> Mask:
     """Elements that are neither left nor right zero divisors."""
     out = 0
@@ -464,7 +483,7 @@ def regular_mask(r: RingTable) -> Mask:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def centre_mask(r: RingTable) -> Mask:
     out = 0
     for x in r.elements():
@@ -473,7 +492,7 @@ def centre_mask(r: RingTable) -> Mask:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def normal_mask(r: RingTable) -> Mask:
     """Elements x with Rx = xR."""
     out = 0

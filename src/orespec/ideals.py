@@ -8,7 +8,6 @@ is kept as an independent oracle for small orders.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .finring import (
@@ -22,6 +21,7 @@ from .finring import (
     is_two_sided_ideal_mask,
     make_quotient,
     mask_of,
+    memo,
     popcount,
 )
 
@@ -76,7 +76,7 @@ class IdealLattice:
         return len(self.ideals)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def additive_closure(r: RingTable, mask: Mask) -> Mask:
     mask |= 1 << r.zero
     while True:
@@ -91,7 +91,7 @@ def additive_closure(r: RingTable, mask: Mask) -> Mask:
         mask = new
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def ideal_closure_mask(r: RingTable, gens: Mask, sidedness: str = TWO_SIDED) -> Mask:
     """Least ideal of the given sidedness containing gens (fixpoint closure)."""
     mask = gens | 1 << r.zero
@@ -119,7 +119,7 @@ def zero_ideal(r: RingTable) -> Ideal:
     return Ideal(r, 1 << r.zero, TWO_SIDED)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def all_ideal_masks(r: RingTable) -> tuple[Mask, ...]:
     principal = {ideal_closure_mask(r, 1 << x) for x in r.elements()}
     seen = set(principal)
@@ -151,7 +151,7 @@ def _require_same_ring(a: Ideal, b: Ideal):
         raise RingError("ideals live in different rings")
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def ideal_product_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
     gens = 0
     for x in bits(a):
@@ -195,7 +195,7 @@ def right_ann(r: RingTable, tset) -> Ideal:
 # ---------------------------------------------------------------------------
 # primality
 
-@functools.lru_cache(maxsize=None)
+@memo
 def prime_flags(r: RingTable, mask: Mask) -> tuple[bool, bool, bool]:
     """(prime, completely prime, semiprime) for a proper two-sided ideal mask."""
     outside = [x for x in r.elements() if not mask >> x & 1]
@@ -240,7 +240,7 @@ def is_prime_lattice_test(p: Ideal) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def prime_masks(r: RingTable) -> tuple[Mask, ...]:
     full = r.full_mask()
     return tuple(m for m in all_ideal_masks(r) if m != full and prime_flags(r, m)[0])
@@ -255,7 +255,7 @@ def _minimal_over(masks, floor: Mask) -> list[Mask]:
     return [m for m in over if not any(o != m and o & ~m == 0 for o in over)]
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def min_prime_masks_over(r: RingTable, floor: Mask) -> tuple[Mask, ...]:
     direct = _minimal_over(prime_masks(r), floor)
     if floor != 1 << r.zero:
@@ -284,7 +284,6 @@ def min_primes(r: RingTable) -> list[Ideal]:
 # ---------------------------------------------------------------------------
 # prime radical, two ways
 
-@functools.lru_cache(maxsize=None)
 def strongly_nilpotent_mask(r: RingTable) -> Mask:
     """Elements all of whose a_{i+1} in a_i R a_i sequences die at zero.
 
@@ -318,7 +317,7 @@ def strongly_nilpotent_mask(r: RingTable) -> Mask:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def prime_radical_mask(r: RingTable) -> Mask:
     inter = r.full_mask()
     for m in min_prime_masks_over(r, 1 << r.zero):

@@ -10,8 +10,7 @@ that ker(sigma) equals the vanishing ideal.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .finring import (
     EngineInvariantError,
@@ -24,6 +23,7 @@ from .finring import (
     is_two_sided_ideal_mask,
     make_quotient,
     mask_of,
+    memo,
     normal_mask,
     popcount,
     regular_mask,
@@ -117,6 +117,7 @@ class Localization:
     target: RingTable
     sigma: RingHom
     unit_witness: tuple[tuple[int, int], ...]  # (sigma(s), inverse) pairs
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def close_multiplicative(r: RingTable, gens) -> MultSet:
     return MultSet(r, mask)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def mult_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     """All multiplicative submonoids (without 0) up to the exhaustive order.
 
@@ -218,7 +219,7 @@ def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
     return ass_l, ass_r
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def ore_flags(r: RingTable, smask: Mask):
     """(left Ore, right Ore, left den, right den, ass_l, ass_r, first violation)."""
     mul = r.mul
@@ -275,7 +276,7 @@ def classify_set(s: MultSet) -> OreClass:
     return OreClass(s, *ore_flags(s.ring, s.mask))
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def left_denominator_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     return tuple(
         m for m in mult_set_masks(r, exhaustive_order) if ore_flags(r, m)[2]
@@ -286,7 +287,7 @@ def left_denominator_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_
     return [MultSet(r, m) for m in left_denominator_masks(r, exhaustive_order)]
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _localize_mask(r: RingTable, smask: Mask) -> Localization:
     cls = ore_flags(r, smask)
     if not cls[2]:
@@ -316,7 +317,7 @@ def _right_absorbed(r: RingTable, mask: Mask) -> bool:
     return all(mask >> r.mul[a][t] & 1 for a in bits(mask) for t in r.elements())
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _localize_left_mask(loc: Localization, source_mask: Mask) -> tuple[Mask, bool]:
     t = loc.target
     mask = ideal_closure_mask(t, loc.sigma.push_mask(source_mask), LEFT)
@@ -417,7 +418,6 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> A11Verdict:
 # ---------------------------------------------------------------------------
 # prime structure under localization
 
-@functools.lru_cache(maxsize=None)
 def respects_prime_structure(loc: Localization) -> bool:
     return all(localize_left_ideal(loc, p).two_sided for p in spec_ideals(loc.ring))
 

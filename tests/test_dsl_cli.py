@@ -185,3 +185,20 @@ def test_cli_verify_fault_injection_exit(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "counterexamples: 1" in out
+
+
+def test_cli_zmod_honours_the_order_cap(capsys, monkeypatch):
+    def no_table(n, label=None):
+        raise AssertionError(f"zmod({n}) table built despite the cap")
+
+    monkeypatch.setattr("orespec.dsl.make_zmod", no_table)
+    assert main(["describe", "zmod(40)", "--max-order", "16"]) == 3
+    assert "zmod(40) has order 40 > cap 16" in capsys.readouterr().err
+    assert main(["describe", "quot(zmod(40), gens=[20])", "--max-order", "16"]) == 3
+    assert "zmod(40) has order 40 > cap 16" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        assert main(["verify", "--suite", "A11Sep23", "--max-order", "6", "--jobs", jobs]) == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err

@@ -1,0 +1,44 @@
+"""Derived data is memoised on the object it derives from, never globally."""
+
+import gc
+import pathlib
+import re
+import weakref
+
+from orespec.centre import rho
+from orespec.finring import make_zmod
+from orespec.ideals import Ideal, min_prime_masks_over, prime_radical_mask
+from orespec.localization import left_denominator_sets, localize, localize_left_ideal
+
+SRC = pathlib.Path(__file__).parents[1] / "src" / "orespec"
+
+
+def test_ring_and_its_derived_data_are_freed_together():
+    r = make_zmod(12)
+    mins = min_prime_masks_over(r, 1 << r.zero)
+    dens = left_denominator_sets(r)
+    assert len(dens) > 1
+    for s in dens:
+        loc = localize(r, s)
+        for m in mins:
+            localize_left_ideal(loc, Ideal(r, m))
+    assert prime_radical_mask(r) == 0b1000001  # {0, 6}
+    assert len(rho(r).min_table) == 2
+
+    ref = weakref.ref(r)
+    del r, dens, s, loc
+    gc.collect()
+    assert ref() is None
+
+
+def test_no_process_global_caches_in_the_engine():
+    global_cache = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|from functools import .*\bcache\b")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if global_cache.search(line)
+    ]
+    assert offenders == []
+    definitions = [path.name for path in SRC.glob("*.py") if "\ndef memo(" in path.read_text()]
+    assert definitions == ["finring.py"]
