@@ -1,10 +1,12 @@
 """Executable checks, one per verified claim.
 
-Each check runs on one corpus instance and reports pass / fail / not
-applicable together with the number of hypothesis-satisfying cases it
-evaluated.  Instances whose hypotheses never fire count as not applicable,
-never as passed, so an all-green suite cannot be vacuous.  Check ids are the
-stable registry keys used by reports and the command line.
+A claim registers one function per instance kind.  Each function runs on one
+corpus instance and returns its Outcome where it decides it: fail at the
+first clause that breaks, with the cases evaluated so far, and otherwise pass
+together with the number of hypothesis-satisfying cases it evaluated.
+Instances whose hypotheses never fire count as not applicable, never as
+passed, so an all-green suite cannot be vacuous.  Check ids are the stable
+registry keys used by reports and the command line.
 """
 
 from __future__ import annotations
@@ -92,13 +94,15 @@ class TheoremCheck:
     note: str = ""
 
 
-def _verdict(cases: int, failures: list[tuple[str, str]]) -> Outcome:
-    if failures:
-        clause, detail = failures[0]
-        return Outcome("fail", cases, clause, detail)
-    if cases == 0:
-        return Outcome("na", 0)
-    return Outcome("pass", cases)
+def _verdict(cases: int) -> Outcome:
+    """The verdict of a check that reached its end: pass if some case was
+    evaluated, not applicable otherwise."""
+    return Outcome("pass", cases) if cases else Outcome("na")
+
+
+def _na(obj, cfg) -> Outcome:
+    """A kind on which the claim is vacuous: considered, never applicable."""
+    return Outcome("na")
 
 
 def _dens(r: RingTable, cfg) -> list[MultSet]:
@@ -163,23 +167,20 @@ def _spec_subset_budget(r: RingTable) -> bool:
 
 def check_a11(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         loc = localize(r, s)
         for m in all_ideal_masks(r):
             cases += 1
             v = check_A11_equivalence(loc, Ideal(r, m))
             if not v.agree:
-                failures.append(("five-way agreement", v.witness or ""))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "five-way agreement", v.witness or "")
+    return _verdict(cases)
 
 
 def check_a11_vacuity(r: RingTable, cfg) -> Outcome:
     """Every localized-ideal chain sum(J * u^-j) cycles with the unit's order,
     so it stabilizes mechanically and the localized ideal must be two-sided."""
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         loc = localize(r, s)
         t = loc.target
@@ -203,33 +204,28 @@ def check_a11_vacuity(r: RingTable, cfg) -> Outcome:
                     shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
                     chain = additive_closure(t, chain | shift)
                 if li.two_sided and chain != li.mask:
-                    failures.append(("a two-sided image absorbs its chain",
-                                     f"s={sm} b={list(bits(m))}"))
-                    return _verdict(cases, failures)
+                    return Outcome("fail", cases, "a two-sided image absorbs its chain",
+                                   f"s={sm} b={list(bits(m))}")
             if not li.two_sided:
-                failures.append(("stabilized chains force a two-sided image",
-                                 f"b={list(bits(m))} S={s.members()}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "stabilized chains force a two-sided image",
+                               f"b={list(bits(m))} S={s.members()}")
+    return _verdict(cases)
 
 
 def check_prime_target_regular(r: RingTable, cfg) -> Outcome:
     if not _is_prime_ring(r):
         return Outcome("na")
     cases = 0
-    failures = []
     for s in _zero_dens(r, cfg):
         cases += 1
         loc = localize(r, s)
         if not _is_prime_ring(loc.target):
-            failures.append(("localized ring prime", f"S={s.members()}"))
-            break
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "localized ring prime", f"S={s.members()}")
+    return _verdict(cases)
 
 
 def check_prime_localized_iff_ideal(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _zero_dens(r, cfg):
         loc = localize(r, s)
         for pmask in prime_masks(r):
@@ -248,15 +244,13 @@ def check_prime_localized_iff_ideal(r: RingTable, cfg) -> Outcome:
                     and prime_flags(loc.target, li.mask)[0]
                 )
                 if spec_member != li.two_sided:
-                    failures.append(("prime localization iff two-sided",
-                                     f"S={s.members()} p={list(bits(pmask))}"))
-                    return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                    return Outcome("fail", cases, "prime localization iff two-sided",
+                                   f"S={s.members()} p={list(bits(pmask))}")
+    return _verdict(cases)
 
 
 def check_contraction_recovers_prime(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         loc = localize(r, s)
         for pmask in prime_masks(r):
@@ -265,15 +259,13 @@ def check_contraction_recovers_prime(r: RingTable, cfg) -> Outcome:
             cases += 1
             li = localize_left_ideal(loc, Ideal(r, pmask))
             if loc.sigma.preimage_mask(li.mask) != pmask:
-                failures.append(("contraction returns the prime",
-                                 f"S={s.members()} p={list(bits(pmask))}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "contraction returns the prime",
+                               f"S={s.members()} p={list(bits(pmask))}")
+    return _verdict(cases)
 
 
 def check_prime_vanishing_target(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         cls = classify_set(s)
         if cls.ass_l_mask == r.full_mask() or not prime_flags(r, cls.ass_l_mask)[0]:
@@ -281,15 +273,13 @@ def check_prime_vanishing_target(r: RingTable, cfg) -> Outcome:
         cases += 1
         loc = localize(r, s)
         if not _is_prime_ring(loc.target):
-            failures.append(("prime vanishing ideal forces a prime localization",
-                             f"S={s.members()}"))
-            break
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "prime vanishing ideal forces a prime localization",
+                           f"S={s.members()}")
+    return _verdict(cases)
 
 
 def check_image_den_regular(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         loc = localize(r, s)
         for m in all_ideal_masks(r):
@@ -300,15 +290,13 @@ def check_image_den_regular(r: RingTable, cfg) -> Outcome:
                 continue
             cases += 1
             if not v.agree:
-                failures.append(("image denominator iff regular image",
-                                 f"S={s.members()} b={list(bits(m))}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "image denominator iff regular image",
+                               f"S={s.members()} b={list(bits(m))}")
+    return _verdict(cases)
 
 
 def check_image_den_torsion(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         loc = localize(r, s)
         for m in all_ideal_masks(r):
@@ -319,10 +307,9 @@ def check_image_den_torsion(r: RingTable, cfg) -> Outcome:
                 continue
             cases += 1
             if not v.agree:
-                failures.append(("two-step image criterion",
-                                 f"S={s.members()} b={list(bits(m))}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "two-step image criterion",
+                               f"S={s.members()} b={list(bits(m))}")
+    return _verdict(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +320,6 @@ def check_zero_products_bound_minimals(r: RingTable, cfg) -> Outcome:
     if not _spec_subset_budget(r):
         return Outcome("na")
     cases = 0
-    failures = []
     primes = prime_masks(r)
     minset = set(_min_masks(r))
     zero = 1 << r.zero
@@ -344,41 +330,35 @@ def check_zero_products_bound_minimals(r: RingTable, cfg) -> Outcome:
                 continue
             cases += 1
             if not minset <= set(combo):
-                failures.append(("zero product bounds the minimal primes",
-                                 f"factors={[list(bits(m)) for m in combo]}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "zero product bounds the minimal primes",
+                               f"factors={[list(bits(m)) for m in combo]}")
+    return _verdict(cases)
 
 
 def check_prime_rich_equivalence(r: RingTable, cfg) -> Outcome:
     rep = is_prime_rich(r)
     cases = len(rep.evidence)
-    failures = []
     if not rep.agree:
-        failures.append(("three-way prime-rich agreement", r.label))
-    elif not rep.rich:
-        failures.append(("finite rings are prime rich", r.label))
-    else:
-        for ev in rep.evidence:
-            if ev.exponent is None or ev.exponent > r.order:
-                failures.append(("minimal-prime product exponent within order",
-                                 f"ideal={list(bits(ev.ideal_mask))}"))
-                break
-    return _verdict(cases, failures)
+        return Outcome("fail", cases, "three-way prime-rich agreement", r.label)
+    if not rep.rich:
+        return Outcome("fail", cases, "finite rings are prime rich", r.label)
+    for ev in rep.evidence:
+        if ev.exponent is None or ev.exponent > r.order:
+            return Outcome("fail", cases, "minimal-prime product exponent within order",
+                           f"ideal={list(bits(ev.ideal_mask))}")
+    return _verdict(cases)
 
 
 def check_ideal_preservation(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         loc = localize(r, s)
         for m in all_ideal_masks(r):
             cases += 1
             if not localize_left_ideal(loc, Ideal(r, m)).two_sided:
-                failures.append(("every localized ideal stays two-sided",
-                                 f"S={s.members()} b={list(bits(m))}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "every localized ideal stays two-sided",
+                               f"S={s.members()} b={list(bits(m))}")
+    return _verdict(cases)
 
 
 def _localized_min_family(loc: Localization, pmasks) -> list[Mask]:
@@ -387,7 +367,6 @@ def _localized_min_family(loc: Localization, pmasks) -> list[Mask]:
 
 def check_min_primes_prime_rich(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     rich = is_prime_rich(r).rich
     for s in _dens(r, cfg):
         loc = localize(r, s)
@@ -406,28 +385,25 @@ def check_min_primes_prime_rich(r: RingTable, cfg) -> Outcome:
         fam_set = set(family)
         minimal_members = {m for m in fam_set if not any(o != m and o & ~m == 0 for o in fam_set)}
         if not (1 <= len(mrs) <= len(_min_masks(r))):
-            failures.append(("1 <= |min(R,S)| <= |min(R)|", f"S={s.members()}"))
-        elif minmask != minimal_members:
-            failures.append(("localized minimal primes are the minimal localized family",
-                             f"S={s.members()}"))
-        else:
-            incomparable = all(
-                a == b or (a & ~b and b & ~a) for a in fam_set for b in fam_set
-            )
-            if (minmask == fam_set) != incomparable:
-                failures.append(("set equality iff incomparable", f"S={s.members()}"))
-            elif minmask != fam_set:
-                # right modules of a finite ring are finitely generated
-                failures.append(("finitely-generated contraction forces equality",
-                                 f"S={s.members()}"))
-        if failures:
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "1 <= |min(R,S)| <= |min(R)|", f"S={s.members()}")
+        if minmask != minimal_members:
+            return Outcome("fail", cases,
+                           "localized minimal primes are the minimal localized family",
+                           f"S={s.members()}")
+        incomparable = all(
+            a == b or (a & ~b and b & ~a) for a in fam_set for b in fam_set
+        )
+        if (minmask == fam_set) != incomparable:
+            return Outcome("fail", cases, "set equality iff incomparable", f"S={s.members()}")
+        if minmask != fam_set:
+            # right modules of a finite ring are finitely generated
+            return Outcome("fail", cases, "finitely-generated contraction forces equality",
+                           f"S={s.members()}")
+    return _verdict(cases)
 
 
 def check_min_primes_noetherian(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _two_sided_dens(r, cfg):
         cls = classify_set(s)
         if cls.ass_l_mask != 1 << r.zero or cls.ass_r_mask != 1 << r.zero:
@@ -437,101 +413,90 @@ def check_min_primes_noetherian(r: RingTable, cfg) -> Outcome:
         mrs = [p.mask for p in min_RS(r, s)]
         family = set(_localized_min_family(loc, mrs))
         if not mrs:
-            failures.append(("min(R,S) non-empty", f"S={s.members()}"))
-        elif set(_min_masks(loc.target)) != family:
-            failures.append(("localized minimal primes from min(R,S)", f"S={s.members()}"))
-        if failures:
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "min(R,S) non-empty", f"S={s.members()}")
+        if set(_min_masks(loc.target)) != family:
+            return Outcome("fail", cases, "localized minimal primes from min(R,S)",
+                           f"S={s.members()}")
+    return _verdict(cases)
 
 
 def check_irredundant_characterization(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r) or not _spec_subset_budget(r):
         return Outcome("na")
-    failures = []
     minset = set(_min_masks(r))
     primes = prime_masks(r)
     cases = 1
     if not is_irredundant_masks(r, sorted(minset)):
-        failures.append(("minimal primes form an irredundant family", r.label))
-        return _verdict(cases, failures)
+        return Outcome("fail", cases, "minimal primes form an irredundant family", r.label)
     for size in range(1, len(primes) + 1):
         for combo in itertools.combinations(primes, size):
             cases += 1
             if is_irredundant_masks(r, combo) and set(combo) != minset:
-                failures.append(("only the minimal primes are irredundant",
-                                 f"family={[list(bits(m)) for m in combo]}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "only the minimal primes are irredundant",
+                               f"family={[list(bits(m)) for m in combo]}")
+    return _verdict(cases)
 
 
 # ---------------------------------------------------------------------------
 # minimal primes of localizations of semiprime rings
 
 
-def _check_regular_den_bijection(r: RingTable, s: MultSet, failures) -> bool:
+def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | None:
+    """The first failed (clause, detail) for one regular denominator set."""
     loc = localize(r, s)
     t = loc.target
     if not is_semiprime_ring(t):
-        failures.append(("localized ring semiprime", f"S={s.members()}"))
-        return False
+        return "localized ring semiprime", f"S={s.members()}"
     mins = _min_masks(r)
     family = _localized_min_family(loc, mins)
     if len(set(family)) != len(mins) or set(_min_masks(t)) != set(family):
-        failures.append(("minimal primes biject under localization", f"S={s.members()}"))
-        return False
+        return "minimal primes biject under localization", f"S={s.members()}"
     for pmask in mins:
         q, hom = make_quotient(r, pmask)
         s_img = mask_of(hom(x) for x in s.members())
         cls = classify_set(MultSet(q, s_img))
         if not (cls.left_den and cls.ass_l_mask == 1 << q.zero):
-            failures.append(("image is a zero-vanishing denominator set of the factor",
-                             f"S={s.members()} p={list(bits(pmask))}"))
-            return False
+            return ("image is a zero-vanishing denominator set of the factor",
+                    f"S={s.members()} p={list(bits(pmask))}")
         jmask = localize_left_ideal(loc, Ideal(r, pmask)).mask
         tq, thom = make_quotient(t, jmask)
         through_target = RingHom(r, tq, tuple(thom(loc.sigma(x)) for x in r.elements()))
         if not _quotients_isomorphic(hom, through_target):
-            failures.append(("factor of the localization matches the localized factor",
-                             f"S={s.members()} p={list(bits(pmask))}"))
-            return False
-    return True
+            return ("factor of the localization matches the localized factor",
+                    f"S={s.members()} p={list(bits(pmask))}")
+    return None
 
 
 def check_semiprime_regular_bijection(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r):
         return Outcome("na")
     cases = 0
-    failures = []
     for s in _zero_dens(r, cfg):
         cases += 1
-        if not _check_regular_den_bijection(r, s, failures):
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+        failed = _check_regular_den_bijection(r, s)
+        if failed:
+            return Outcome("fail", cases, *failed)
+    return _verdict(cases)
 
 
 def check_largest_quotient_minimals(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r):
         return Outcome("na")
-    failures = []
     s = largest_regular_set(r)
-    cases = 1
-    if not _check_regular_den_bijection(r, s, failures):
-        return _verdict(cases, failures)
-    loc = localize(r, s)
+    failed = _check_regular_den_bijection(r, s)
+    if failed:
+        return Outcome("fail", 1, *failed)
     for pmask in _min_masks(r):
         q, hom = make_quotient(r, pmask)
         image = mask_of(hom(x) for x in s.members())
         if image & ~units_mask(q):
-            failures.append(("image of the largest regular set stays in the factor's",
-                             f"p={list(bits(pmask))}"))
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", 1, "image of the largest regular set stays in the factor's",
+                           f"p={list(bits(pmask))}")
+    return _verdict(1)
 
 
 def check_semiprime_vanishing_bijection(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         cls = classify_set(s)
         amask = cls.ass_l_mask
@@ -541,70 +506,61 @@ def check_semiprime_vanishing_bijection(r: RingTable, cfg) -> Outcome:
         loc = localize(r, s)
         t = loc.target
         if not is_semiprime_ring(t):
-            failures.append(("localization at a semiprime vanishing ideal is semiprime",
-                             f"S={s.members()}"))
-            return _verdict(cases, failures)
+            return Outcome("fail", cases,
+                           "localization at a semiprime vanishing ideal is semiprime",
+                           f"S={s.members()}")
         over = min_prime_masks_over(r, amask)
         family = _localized_min_family(loc, over)
         if len(set(family)) != len(over) or set(_min_masks(t)) != set(family):
-            failures.append(("minimal primes over the vanishing ideal biject",
-                             f"S={s.members()}"))
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "minimal primes over the vanishing ideal biject",
+                           f"S={s.members()}")
+    return _verdict(cases)
 
 
 def check_largest_sets_and_embedding(r: RingTable, cfg) -> Outcome:
-    cases = 1
-    failures = []
     mins = _min_masks(r)
     quots = [make_quotient(r, m) for m in mins]
     if is_semiprime_ring(r):
         u = units_mask(r)
         for (q, hom), pmask in zip(quots, mins):
             if mask_of(hom(x) for x in bits(u)) & ~units_mask(q):
-                failures.append(("largest regular sets restrict along factors",
-                                 f"p={list(bits(pmask))}"))
-                return _verdict(cases, failures)
+                return Outcome("fail", 1, "largest regular sets restrict along factors",
+                               f"p={list(bits(pmask))}")
     hom = product_hom([hom for _, hom in quots])
     if hom.verify():
-        failures.append(("canonical map into the product is a homomorphism", r.label))
-    elif hom.is_injective() != is_semiprime_ring(r):
-        failures.append(("injective into the factor product iff semiprime", r.label))
-    return _verdict(cases, failures)
+        return Outcome("fail", 1, "canonical map into the product is a homomorphism", r.label)
+    if hom.is_injective() != is_semiprime_ring(r):
+        return Outcome("fail", 1, "injective into the factor product iff semiprime", r.label)
+    return _verdict(1)
 
 
 def check_largest_set_preimage(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for amask in ass_l_realizable_masks(r, cfg.exhaustive_mult_order):
         cases += 1
         a = Ideal(r, amask)
         smax = largest_set_assoc(r, a, cfg.exhaustive_mult_order)
         q, hom = make_quotient(r, amask)
         if mask_of(hom(x) for x in smax.members()) != units_mask(q):
-            failures.append(("preimage maps onto the factor's largest regular set",
-                             f"a={list(bits(amask))}"))
-            return _verdict(cases, failures)
+            return Outcome("fail", cases, "preimage maps onto the factor's largest regular set",
+                           f"a={list(bits(amask))}")
         for s in _dens(r, cfg):
             if classify_set(s).ass_l_mask == amask and s.mask & ~smax.mask:
-                failures.append(("maximality of the unit preimage",
-                                 f"a={list(bits(amask))} S={s.members()}"))
-                return _verdict(cases, failures)
+                return Outcome("fail", cases, "maximality of the unit preimage",
+                               f"a={list(bits(amask))} S={s.members()}")
         loc_max = localize(r, smax)
         qloc = localize(q, MultSet(q, units_mask(q)))
         through = RingHom(r, qloc.target, tuple(qloc.sigma(hom(x)) for x in r.elements()))
         if not _quotients_isomorphic(loc_max.sigma, through):
-            failures.append(("largest quotient ring matches the factor's",
-                             f"a={list(bits(amask))}"))
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "largest quotient ring matches the factor's",
+                           f"a={list(bits(amask))}")
+    return _verdict(cases)
 
 
 def check_prime_preimage_sets(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r):
         return Outcome("na")
     cases = 0
-    failures = []
     inter_l = r.full_mask()
     inter_r = r.full_mask()
     for pmask in _min_masks(r):
@@ -615,67 +571,53 @@ def check_prime_preimage_sets(r: RingTable, cfg) -> Outcome:
         inter_l &= alz
         inter_r &= arz
         if alz & ~pmask or arz & ~pmask:
-            failures.append(("vanishing sets stay inside the prime", f"p={list(bits(pmask))}"))
-            return _verdict(cases, failures)
+            return Outcome("fail", cases, "vanishing sets stay inside the prime",
+                           f"p={list(bits(pmask))}")
         cls = classify_set(tset)
         members = tset.members()
-        criterion = True
-        for s in members:
-            for x in r.elements():
-                found = False
-                for sp in members:
-                    spx = r.mul[sp][x]
-                    for xp in r.elements():
-                        if alz >> sub(r, spx, r.mul[xp][s]) & 1:
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    criterion = False
-                    break
-            if not criterion:
-                break
+        criterion = all(
+            any(alz >> sub(r, r.mul[sp][x], r.mul[xp][s]) & 1
+                for sp in members for xp in r.elements())
+            for s in members for x in r.elements()
+        )
         if cls.left_ore != criterion:
-            failures.append(("left Ore iff the difference criterion", f"p={list(bits(pmask))}"))
-            return _verdict(cases, failures)
+            return Outcome("fail", cases, "left Ore iff the difference criterion",
+                           f"p={list(bits(pmask))}")
         if cls.left_den:
             loc = localize(r, tset)
             li = localize_left_ideal(loc, p)
             if not li.two_sided:
-                failures.append(("localized prime is two-sided", f"p={list(bits(pmask))}"))
-                return _verdict(cases, failures)
+                return Outcome("fail", cases, "localized prime is two-sided",
+                               f"p={list(bits(pmask))}")
             q, hom = make_quotient(r, pmask)
             tq, thom = make_quotient(loc.target, li.mask)
             through = RingHom(r, tq, tuple(thom(loc.sigma(x)) for x in r.elements()))
             if not _quotients_isomorphic(hom, through):
-                failures.append(("factor of the prime localization is the prime factor",
-                                 f"p={list(bits(pmask))}"))
-                return _verdict(cases, failures)
+                return Outcome("fail", cases,
+                               "factor of the prime localization is the prime factor",
+                               f"p={list(bits(pmask))}")
             if alz == pmask:
                 smax = largest_set_assoc(r, p, cfg.exhaustive_mult_order)
                 if smax.mask != tset.mask:
-                    failures.append(("unit preimage is the largest set at its prime",
-                                     f"p={list(bits(pmask))}"))
-                    return _verdict(cases, failures)
+                    return Outcome("fail", cases, "unit preimage is the largest set at its prime",
+                                   f"p={list(bits(pmask))}")
     if inter_l != 1 << r.zero or inter_r != 1 << r.zero:
-        failures.append(("vanishing sets intersect to zero", r.label))
-    return _verdict(cases, failures)
+        return Outcome("fail", cases, "vanishing sets intersect to zero", r.label)
+    return _verdict(cases)
 
 
 def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r):
         return Outcome("na")
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         cases += 1
         loc = localize(r, s)
         t = loc.target
         mrs = [p.mask for p in min_RS(r, s)]
         if not mrs:
-            failures.append(("min(R,S) non-empty on a semiprime ring", f"S={s.members()}"))
-            return _verdict(cases, failures)
+            return Outcome("fail", cases, "min(R,S) non-empty on a semiprime ring",
+                           f"S={s.members()}")
         family = _localized_min_family(loc, mrs)
         st1 = is_semiprime_ring(t) and set(_min_masks(t)) == set(family)
         st2 = True
@@ -686,8 +628,8 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
                 st2 = False
                 break
         if st1 != st2:
-            failures.append(("semiprime description iff prime factors", f"S={s.members()}"))
-            return _verdict(cases, failures)
+            return Outcome("fail", cases, "semiprime description iff prime factors",
+                           f"S={s.members()}")
         if st1:
             by_normal = _generated_by_normals(s)
             ts_normal = all(
@@ -695,17 +637,15 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
                 for ss in s.members()
             )
             if (by_normal or ts_normal) and len(set(family)) != len(mrs):
-                failures.append(("normal generation forces distinct localized primes",
-                                 f"S={s.members()}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "normal generation forces distinct localized primes",
+                               f"S={s.members()}")
+    return _verdict(cases)
 
 
 def check_commutative_corollary(r: RingTable, cfg) -> Outcome:
     if not (is_semiprime_ring(r) and is_commutative(r)):
         return Outcome("na")
     cases = 0
-    failures = []
     for s in _dens(r, cfg):
         cases += 1
         loc = localize(r, s)
@@ -714,17 +654,15 @@ def check_commutative_corollary(r: RingTable, cfg) -> Outcome:
         family = _localized_min_family(loc, mrs)
         if not (is_semiprime_ring(t) and set(_min_masks(t)) == set(family)
                 and len(set(family)) == len(mrs)):
-            failures.append(("commutative localization preserves the minimal primes",
-                             f"S={s.members()}"))
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "commutative localization preserves the minimal primes",
+                           f"S={s.members()}")
+    return _verdict(cases)
 
 
 def check_completely_prime_corollary(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r):
         return Outcome("na")
     cases = 0
-    failures = []
     for s in _two_sided_dens(r, cfg):
         mrs = [p.mask for p in min_RS(r, s)]
         loc = localize(r, s)
@@ -743,9 +681,9 @@ def check_completely_prime_corollary(r: RingTable, cfg) -> Outcome:
             fm == t.full_mask() or prime_flags(t, fm)[1] for fm in family
         )
         if not ok:
-            failures.append(("completely prime minimal primes descend", f"S={s.members()}"))
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "completely prime minimal primes descend",
+                           f"S={s.members()}")
+    return _verdict(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +692,6 @@ def check_completely_prime_corollary(r: RingTable, cfg) -> Outcome:
 
 def check_normal_set_localizes(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
     for smask in _normal_set_masks(r):
         cases += 1
         loc = localize_normal(r, smask)
@@ -763,135 +700,119 @@ def check_normal_set_localizes(r: RingTable, cfg) -> Outcome:
         cls = classify_set(MultSet(t, s_img))
         if not (cls.left_den and cls.right_den and cls.ass_l_mask == 1 << t.zero
                 and cls.ass_r_mask == 1 << t.zero):
-            failures.append(("image is a two-sided zero-vanishing denominator set",
-                             f"S={sorted(bits(smask))}"))
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "image is a two-sided zero-vanishing denominator set",
+                           f"S={sorted(bits(smask))}")
+    return _verdict(cases)
 
 
-def _a2oct_finite(r: RingTable, smask: Mask, failures) -> bool:
+def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
+    """The first failed (clause, detail) for one normal multiplicative set."""
     loc = localize_normal(r, smask)
     amask = loc.ass.mask
     mins = min_prime_masks_over(r, amask) if amask != r.full_mask() else ()
     rbar = loc.target
     pushes = [loc.sigma.push_mask(m) for m in mins]
     if len(set(pushes)) != len(mins):
-        failures.append(("minimal primes inject into the localized spectrum",
-                         f"S={sorted(bits(smask))}"))
-        return False
+        return ("minimal primes inject into the localized spectrum",
+                f"S={sorted(bits(smask))}")
     nbar = prime_radical_mask(rbar)
     rtilde, tpi = make_quotient(rbar, nbar)
     s_tilde = mask_of(tpi(loc.sigma(x)) for x in bits(smask)) | 1 << rtilde.one
     cls = classify_set(MultSet(rtilde, s_tilde))
     if not (cls.left_den and cls.right_den and cls.ass_l_mask == 1 << rtilde.zero):
-        failures.append(("reduced image is a zero-vanishing denominator set",
-                         f"S={sorted(bits(smask))}"))
-        return False
+        return ("reduced image is a zero-vanishing denominator set",
+                f"S={sorted(bits(smask))}")
     tilde_pushes = [tpi.push_mask(p) for p in pushes]
     if len(set(tilde_pushes)) != len(mins) or set(_min_masks(rtilde)) != set(tilde_pushes):
-        failures.append(("reduced minimal primes biject", f"S={sorted(bits(smask))}"))
-        return False
+        return "reduced minimal primes biject", f"S={sorted(bits(smask))}"
     for pmask, push in zip(mins, pushes):
         q, hom = make_quotient(r, pmask)
         s_img = mask_of(hom(x) for x in bits(smask)) | 1 << q.one
         qcls = classify_set(MultSet(q, s_img))
         if not (qcls.left_den and qcls.right_den and qcls.ass_l_mask == 1 << q.zero):
-            failures.append(("factor image is a denominator set", f"p={list(bits(pmask))}"))
-            return False
+            return "factor image is a denominator set", f"p={list(bits(pmask))}"
         tq, thom = make_quotient(rbar, push)
         through = RingHom(r, tq, tuple(thom(loc.sigma(x)) for x in r.elements()))
         if not _quotients_isomorphic(hom, through):
-            failures.append(("factor rings of the localization agree",
-                             f"p={list(bits(pmask))}"))
-            return False
+            return "factor rings of the localization agree", f"p={list(bits(pmask))}"
     if not is_nilpotent_ideal(Ideal(rbar, nbar)):
-        failures.append(("radical of the image ring is nilpotent", f"S={sorted(bits(smask))}"))
-        return False
+        return "radical of the image ring is nilpotent", f"S={sorted(bits(smask))}"
     if set(_min_masks(rbar)) != set(pushes):
-        failures.append(("minimal primes over the vanishing ideal biject",
-                         f"S={sorted(bits(smask))}"))
-        return False
-    return True
+        return ("minimal primes over the vanishing ideal biject",
+                f"S={sorted(bits(smask))}")
+    return None
 
 
-def check_normal_localization_minimals(obj, cfg) -> Outcome:
-    if isinstance(obj, RingTable):
-        cases = 0
-        failures = []
-        for smask in _normal_set_masks(obj):
-            cases += 1
-            if not _a2oct_finite(obj, smask, failures):
-                return _verdict(cases, failures)
-        return _verdict(cases, failures)
-    if isinstance(obj, mono.CommMonomialRing):
-        cases = 0
-        failures = []
-        for size in range(1, obj.nvars + 1):
-            for combo in itertools.combinations(range(obj.nvars), size):
-                try:
-                    rep = mono.localize_monomial(obj, combo)
-                except mono.CollapsedLocalizationError:
-                    continue
-                cases += 1
-                if not (rep.bijection_ok and rep.saturation_oracle_ok):
-                    failures.append(("monomial localization bijection", f"V={sorted(combo)}"))
-                    return _verdict(cases, failures)
-        return _verdict(cases, failures)
-    # pairing algebra
-    a = obj
+def check_normal_localization_minimals(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
+    for smask in _normal_set_masks(r):
+        cases += 1
+        failed = _a2oct_finite(r, smask)
+        if failed:
+            return Outcome("fail", cases, *failed)
+    return _verdict(cases)
+
+
+def check_monomial_localization_bijection(r: mono.CommMonomialRing, cfg) -> Outcome:
+    cases = 0
+    for size in range(1, r.nvars + 1):
+        for combo in itertools.combinations(range(r.nvars), size):
+            try:
+                rep = mono.localize_monomial(r, combo)
+            except mono.CollapsedLocalizationError:
+                continue
+            cases += 1
+            if not (rep.bijection_ok and rep.saturation_oracle_ok):
+                return Outcome("fail", cases, "monomial localization bijection",
+                               f"V={sorted(combo)}")
+    return _verdict(cases)
+
+
+def check_an_localization_bijection(a: mono.AnAlgebra, cfg) -> Outcome:
+    cases = 0
     for size in range(1, a.pairs + 1):
         for combo in itertools.combinations(range(1, a.pairs + 1), size):
             cases += 1
             rep = mono.an_localize_normal(a, combo)
             if not rep.ok:
-                failures.append(("pairing-algebra localization bijection",
-                                 f"V={sorted(combo)}: {rep.failures[:1]}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases, "pairing-algebra localization bijection",
+                               f"V={sorted(combo)}: {rep.failures[:1]}")
+    return _verdict(cases)
 
 
-def check_normal_subset_variant(obj, cfg) -> Outcome:
-    if isinstance(obj, RingTable):
-        r = obj
-        cases = 0
-        failures = []
-        nm = normal_mask(r)
-        for s in _dens(r, cfg):
-            members = s.members()
-            if not all(
-                any(nm >> r.mul[tt][ss] & 1 for tt in members) for ss in members
-            ):
-                continue
-            closed, witness = closure_with_witness(r, s.mask & nm)
-            if witness is not None:
-                failures.append(("normal subset is multiplicative", f"S={members}"))
-                return _verdict(cases + 1, failures)
-            cases += 1
-            cls_full = classify_set(s)
-            cls_sub = classify_set(MultSet(r, closed))
-            if not cls_sub.left_den or cls_sub.ass_l_mask != cls_full.ass_l_mask:
-                failures.append(("normal subset has the same vanishing ideal",
-                                 f"S={members}"))
-                return _verdict(cases, failures)
-            if localize(r, s).target is not localize(r, MultSet(r, closed)).target:
-                failures.append(("normal subset gives the same localization",
-                                 f"S={members}"))
-                return _verdict(cases, failures)
-        return _verdict(cases, failures)
-    if isinstance(obj, mono.CommMonomialRing):
-        return Outcome("na")
-    a = obj
+def check_normal_subset_variant(r: RingTable, cfg) -> Outcome:
     cases = 0
-    failures = []
+    nm = normal_mask(r)
+    for s in _dens(r, cfg):
+        members = s.members()
+        if not all(
+            any(nm >> r.mul[tt][ss] & 1 for tt in members) for ss in members
+        ):
+            continue
+        closed, witness = closure_with_witness(r, s.mask & nm)
+        if witness is not None:
+            return Outcome("fail", cases + 1, "normal subset is multiplicative", f"S={members}")
+        cases += 1
+        cls_full = classify_set(s)
+        cls_sub = classify_set(MultSet(r, closed))
+        if not cls_sub.left_den or cls_sub.ass_l_mask != cls_full.ass_l_mask:
+            return Outcome("fail", cases, "normal subset has the same vanishing ideal",
+                           f"S={members}")
+        if localize(r, s).target is not localize(r, MultSet(r, closed)).target:
+            return Outcome("fail", cases, "normal subset gives the same localization",
+                           f"S={members}")
+    return _verdict(cases)
+
+
+def check_an_central_variant(a: mono.AnAlgebra, cfg) -> Outcome:
+    cases = 0
     for v in range(1, a.pairs + 1):
         cases += 1
         rep = mono.an_normal_variant(a, {v})
         if not rep.ok:
-            failures.append(("central variant gives the same vanishing ideal", f"V={{{v}}}"))
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "central variant gives the same vanishing ideal",
+                           f"V={{{v}}}")
+    return _verdict(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -901,117 +822,107 @@ def check_normal_subset_variant(obj, cfg) -> Outcome:
 def check_central_fibers(r: RingTable, cfg) -> Outcome:
     cd = centre_ring(r)
     cases = 0
-    failures = []
     for qmask in prime_masks(cd.centre):
         cases += 1
         rep = central_localize(r, Ideal(cd.centre, qmask))
         if rep.in_image != rep.extension_proper:
-            failures.append(("prime is hit iff the extension is proper",
-                             f"q={list(bits(qmask))}"))
-        elif not rep.bijection_ok:
-            failures.append(("fiber bijection", f"q={list(bits(qmask))}"))
-        elif rep.in_image and not rep.min_prime_in_fiber:
-            failures.append(("a minimal prime lies in every hit fiber",
-                             f"q={list(bits(qmask))}"))
-        if failures:
-            return _verdict(cases, failures)
-    return _verdict(cases, failures)
+            return Outcome("fail", cases, "prime is hit iff the extension is proper",
+                           f"q={list(bits(qmask))}")
+        if not rep.bijection_ok:
+            return Outcome("fail", cases, "fiber bijection", f"q={list(bits(qmask))}")
+        if rep.in_image and not rep.min_prime_in_fiber:
+            return Outcome("fail", cases, "a minimal prime lies in every hit fiber",
+                           f"q={list(bits(qmask))}")
+    return _verdict(cases)
 
 
 def check_restriction_well_defined(r: RingTable, cfg) -> Outcome:
     crit = check_rho_criteria(r)
     if not crit.applicable:
         return Outcome("na")
-    ok = crit.regular_inclusion == crit.min_disjoint == crit.well_defined
-    return _verdict(1, [] if ok else [("three-way centre criterion", r.label)])
+    if not (crit.regular_inclusion == crit.min_disjoint == crit.well_defined):
+        return Outcome("fail", 1, "three-way centre criterion", r.label)
+    return _verdict(1)
 
 
 def check_restriction_surjective(r: RingTable, cfg) -> Outcome:
     crit = check_rho_criteria(r)
     if not crit.applicable:
         return Outcome("na")
-    return _verdict(1, [] if crit.agree else [("four-way centre criterion", r.label)])
+    if not crit.agree:
+        return Outcome("fail", 1, "four-way centre criterion", r.label)
+    return _verdict(1)
 
 
 def check_centre_semiprime(r: RingTable, cfg) -> Outcome:
     if not is_semiprime_ring(r):
         return Outcome("na")
     cd = centre_ring(r)
-    failures = []
     if not is_semiprime_ring(cd.centre):
-        failures.append(("centre of a semiprime ring is semiprime", r.label))
-    else:
-        hit = {rho(r).centre_data.restrict_mask(pm) for pm in prime_masks(r)}
-        image_minimals = set(_min_masks(cd.centre)) & hit
-        if len(image_minimals) > len(_min_masks(r)):
-            failures.append(("hit central minimal primes within the bound", r.label))
-    return _verdict(1, failures)
+        return Outcome("fail", 1, "centre of a semiprime ring is semiprime", r.label)
+    hit = {rho(r).centre_data.restrict_mask(pm) for pm in prime_masks(r)}
+    image_minimals = set(_min_masks(cd.centre)) & hit
+    if len(image_minimals) > len(_min_masks(r)):
+        return Outcome("fail", 1, "hit central minimal primes within the bound", r.label)
+    return _verdict(1)
 
 
 def check_centre_decomposition(r: RingTable, cfg) -> Outcome:
     rep = check_pierce(r)
     if not rep.applicable:
         return Outcome("na")
-    failures = []
     if not rep.embedding_ok:
-        failures.append(("embedding into the central factors", r.label))
-    elif rep.iso_if_commutative is False:
-        failures.append(("commutative decomposition is exact", r.label))
-    elif not rep.centres_match:
-        failures.append(("centres localize along the decomposition", r.label))
-    else:
-        cd = centre_ring(r)
-        for qmask in min_prime_masks_over(cd.centre, 1 << cd.centre.zero):
-            loc = localize(r, central_mult_set(r, Ideal(cd.centre, qmask)))
-            t = loc.target
-            # primes meeting the central complement blow up to the whole ring,
-            # so only the disjoint minimal primes can appear downstairs
-            survivors = [m for m in _min_masks(r) if m & loc.mult_set.mask == 0]
-            family = set(_localized_min_family(loc, survivors))
-            if (not is_semiprime_ring(t) or set(_min_masks(t)) != family
-                    or len(family) > len(_min_masks(r))):
-                failures.append(("central factors are semiprime with localized minimals",
-                                 f"q={list(bits(qmask))}"))
-                break
-    return _verdict(1, failures)
-
-
-def check_unit_group_of_quotient(obj, cfg) -> Outcome:
-    if isinstance(obj, RingTable):
-        r = obj
-        failures = []
-        s = largest_regular_set(r)
-        loc = localize(r, s)
+        return Outcome("fail", 1, "embedding into the central factors", r.label)
+    if rep.iso_if_commutative is False:
+        return Outcome("fail", 1, "commutative decomposition is exact", r.label)
+    if not rep.centres_match:
+        return Outcome("fail", 1, "centres localize along the decomposition", r.label)
+    cd = centre_ring(r)
+    for qmask in min_prime_masks_over(cd.centre, 1 << cd.centre.zero):
+        loc = localize(r, central_mult_set(r, Ideal(cd.centre, qmask)))
         t = loc.target
-        if loc.sigma.preimage_mask(units_mask(t)) != units_mask(r):
-            failures.append(("largest set of the quotient contracts to the source's", r.label))
-        inv = inverse_table(t)
-        gens = {loc.sigma(x) for x in s.members()}
-        gens |= {inv[g] for g in gens}
-        group = {t.one}
-        frontier = [t.one]
-        while frontier:
-            g = frontier.pop()
-            for h in gens:
-                for prod in (t.mul[g][h], t.mul[h][g]):
-                    if prod not in group:
-                        group.add(prod)
-                        frontier.append(prod)
-        if group != set(bits(units_mask(t))):
-            failures.append(("units generated by the set and its inverses", r.label))
-        fractions = {t.mul[inv[loc.sigma(a)]][loc.sigma(b)] for a in s.members() for b in s.members()}
-        if fractions != set(bits(units_mask(t))):
-            failures.append(("units are the one-sided fractions of the set", r.label))
-        again = localize(t, largest_regular_set(t))
-        if not (again.sigma.is_bijective() and not again.sigma.verify()):
-            failures.append(("localizing twice changes nothing", r.label))
-        return _verdict(1, failures)
-    if isinstance(obj, mono.AnAlgebra):
-        return Outcome("na")
-    r = obj
-    failures = []
+        # primes meeting the central complement blow up to the whole ring,
+        # so only the disjoint minimal primes can appear downstairs
+        survivors = [m for m in _min_masks(r) if m & loc.mult_set.mask == 0]
+        family = set(_localized_min_family(loc, survivors))
+        if (not is_semiprime_ring(t) or set(_min_masks(t)) != family
+                or len(family) > len(_min_masks(r))):
+            return Outcome("fail", 1, "central factors are semiprime with localized minimals",
+                           f"q={list(bits(qmask))}")
+    return _verdict(1)
+
+
+def check_unit_group_of_quotient(r: RingTable, cfg) -> Outcome:
+    s = largest_regular_set(r)
+    loc = localize(r, s)
+    t = loc.target
+    if loc.sigma.preimage_mask(units_mask(t)) != units_mask(r):
+        return Outcome("fail", 1, "largest set of the quotient contracts to the source's", r.label)
+    inv = inverse_table(t)
+    gens = {loc.sigma(x) for x in s.members()}
+    gens |= {inv[g] for g in gens}
+    group = {t.one}
+    frontier = [t.one]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            for prod in (t.mul[g][h], t.mul[h][g]):
+                if prod not in group:
+                    group.add(prod)
+                    frontier.append(prod)
+    if group != set(bits(units_mask(t))):
+        return Outcome("fail", 1, "units generated by the set and its inverses", r.label)
+    fractions = {t.mul[inv[loc.sigma(a)]][loc.sigma(b)] for a in s.members() for b in s.members()}
+    if fractions != set(bits(units_mask(t))):
+        return Outcome("fail", 1, "units are the one-sided fractions of the set", r.label)
+    again = localize(t, largest_regular_set(t))
+    if not (again.sigma.is_bijective() and not again.sigma.verify()):
+        return Outcome("fail", 1, "localizing twice changes nothing", r.label)
+    return _verdict(1)
+
+
+def check_laurent_units(r: mono.CommMonomialRing, cfg) -> Outcome:
     regs = frozenset(mono.regular_variables(r))
-    cases = 1
     bound = 2
     ranges = [range(-bound, bound + 1) if i in regs else range(0, bound + 1)
               for i in range(r.nvars)]
@@ -1030,175 +941,175 @@ def check_unit_group_of_quotient(obj, cfg) -> Outcome:
         # route two: Laurent monomials in the inverted variables, s^-1 t form
         laurent = all(e == 0 for i, e in enumerate(exps) if i not in regs)
         if invertible != laurent:
-            failures.append(("localized monomial units are the inverted-variable fractions",
-                             f"exp={exps}"))
-            break
-    return _verdict(cases, failures)
+            return Outcome("fail", 1,
+                           "localized monomial units are the inverted-variable fractions",
+                           f"exp={exps}")
+    return _verdict(1)
 
 
 # ---------------------------------------------------------------------------
 # the pairing-algebra track
 
 
-def check_pairing_algebra(a, cfg) -> Outcome:
+def check_pairing_algebra(a: mono.AnAlgebra, cfg) -> Outcome:
     rep = mono.an_verify(a)
-    failures = [] if rep.ok else [("pairing-algebra verification", "; ".join(rep.failures[:2]))]
-    return _verdict(1, failures)
+    if not rep.ok:
+        return Outcome("fail", 1, "pairing-algebra verification", "; ".join(rep.failures[:2]))
+    return _verdict(1)
 
 
-def check_regular_var_bijection(obj, cfg) -> Outcome:
-    if isinstance(obj, RingTable):
-        return check_semiprime_regular_bijection(obj, cfg)
-    if isinstance(obj, mono.AnAlgebra):
-        return Outcome("na")
-    r = obj
+def check_regular_var_bijection(r: mono.CommMonomialRing, cfg) -> Outcome:
     if not mono.is_squarefree(r):
         return Outcome("na")
     regs = sorted(mono.regular_variables(r))
     cases = 0
-    failures = []
     for size in range(len(regs) + 1):
         for combo in itertools.combinations(regs, size):
             cases += 1
             rep = mono.localize_monomial(r, combo)
             if not (rep.regular_case and rep.bijection_ok and rep.saturation_oracle_ok
                     and len(rep.min_localized) == len(rep.min_source)):
-                failures.append(("regular-variable localization preserves minimal primes",
-                                 f"V={sorted(combo)}"))
-                return _verdict(cases, failures)
-    return _verdict(cases, failures)
+                return Outcome("fail", cases,
+                               "regular-variable localization preserves minimal primes",
+                               f"V={sorted(combo)}")
+    return _verdict(cases)
 
 
-def check_largest_quotient_track(obj, cfg) -> Outcome:
-    if isinstance(obj, RingTable):
-        return check_largest_quotient_minimals(obj, cfg)
-    if isinstance(obj, mono.AnAlgebra):
-        return Outcome("na")
-    r = obj
+def check_all_regular_var_localization(r: mono.CommMonomialRing, cfg) -> Outcome:
     regs = sorted(mono.regular_variables(r))
     rep = mono.localize_monomial(r, regs)
-    ok = rep.regular_case and rep.bijection_ok and len(rep.min_localized) == len(rep.min_source)
-    return _verdict(1, [] if ok else [("all-regular-variable localization", f"V={regs}")])
+    if not (rep.regular_case and rep.bijection_ok
+            and len(rep.min_localized) == len(rep.min_source)):
+        return Outcome("fail", 1, "all-regular-variable localization", f"V={regs}")
+    return _verdict(1)
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: each entry maps an instance kind to the function that checks the
+# claim on it; the harness runs a check only on the kinds it lists
 
-REGISTRY: dict[str, tuple[TheoremCheck, object]] = {}
-
-
-def _register(id_, kinds, description, fn, note=""):
-    REGISTRY[id_] = (TheoremCheck(id_, tuple(kinds), description, note), fn)
+REGISTRY: dict[str, tuple[TheoremCheck, dict[str, object]]] = {}
 
 
-_FIN = ("finite",)
-_ALL = ("finite", "monomial", "an")
+def _register(id_, description, note="", **by_kind):
+    REGISTRY[id_] = (TheoremCheck(id_, tuple(by_kind), description, note), by_kind)
 
-_register("A11Sep23", _FIN,
+
+_register("A11Sep23",
           "five equivalent forms of 'the localized left ideal is two-sided' agree",
-          check_a11)
-_register("aA11Sep23", _FIN,
+          finite=check_a11)
+_register("aA11Sep23",
           "localized-ideal chains stabilize, so every localized ideal is two-sided",
-          check_a11_vacuity,
+          finite=check_a11_vacuity,
           note="the strictly-increasing alternative needs non-Noetherian rings; vacuous here")
-_register("a10Sep23", _FIN,
+_register("a10Sep23",
           "localizing a prime ring at a regular denominator set stays prime",
-          check_prime_target_regular)
-_register("a6Oct23", _FIN,
+          finite=check_prime_target_regular)
+_register("a6Oct23",
           "a localized prime is prime exactly when it stays two-sided",
-          check_prime_localized_iff_ideal)
-_register("Aa6Oct23", _FIN,
+          finite=check_prime_localized_iff_ideal)
+_register("Aa6Oct23",
           "contraction recovers primes disjoint from the denominator set",
-          check_contraction_recovers_prime)
-_register("Xa10Sep23", _FIN,
+          finite=check_contraction_recovers_prime)
+_register("Xa10Sep23",
           "a prime vanishing ideal forces a prime localization",
-          check_prime_vanishing_target)
-_register("b14Oct23", _FIN,
+          finite=check_prime_vanishing_target)
+_register("b14Oct23",
           "the image of a denominator set is one iff it consists of regular elements",
-          check_image_den_regular)
-_register("c14Oct23", _FIN,
+          finite=check_image_den_regular)
+_register("c14Oct23",
           "two-step image criterion through the image's own vanishing ideal",
-          check_image_den_torsion)
-_register("A29Sep23", _FIN,
+          finite=check_image_den_torsion)
+_register("A29Sep23",
           "a zero product of primes bounds the set of minimal primes",
-          check_zero_products_bound_minimals)
-_register("aA29Sep23", _FIN,
+          finite=check_zero_products_bound_minimals)
+_register("aA29Sep23",
           "three equivalent characterizations of prime-rich rings agree",
-          check_prime_rich_equivalence)
-_register("B29Sep23", _FIN,
+          finite=check_prime_rich_equivalence)
+_register("B29Sep23",
           "with a Noetherian localization every denominator set preserves ideals",
-          check_ideal_preservation)
-_register("29Sep23", _FIN,
+          finite=check_ideal_preservation)
+_register("29Sep23",
           "minimal primes of a localization of a prime-rich ring",
-          check_min_primes_prime_rich)
-_register("a29Sep23", _FIN,
+          finite=check_min_primes_prime_rich)
+_register("a29Sep23",
           "Noetherian two-sided regular localization preserves minimal primes",
-          check_min_primes_noetherian,
+          finite=check_min_primes_noetherian,
           note="on finite rings this coincides with the regular-set bijection; kept for coverage")
-_register("b10Sep23", _FIN,
+_register("b10Sep23",
           "the minimal primes are the only irredundant family of primes",
-          check_irredundant_characterization)
-_register("A10Sep23", _ALL,
+          finite=check_irredundant_characterization)
+_register("A10Sep23",
           "regular localization of a semiprime ring preserves the minimal primes",
-          check_regular_var_bijection,
+          finite=check_semiprime_regular_bijection,
+          monomial=check_regular_var_bijection,
+          an=_na,
           note="finite regular sets are units; the monomial track carries the substance")
-_register("c10Sep23", _ALL,
+_register("c10Sep23",
           "the largest regular quotient ring keeps the minimal primes",
-          check_largest_quotient_track,
+          finite=check_largest_quotient_minimals,
+          monomial=check_all_regular_var_localization,
+          an=_na,
           note="finite instantiation is the identity; monomial track inverts all regular variables")
-_register("aA10Sep23", _FIN,
+_register("aA10Sep23",
           "localization at a semiprime vanishing ideal stays semiprime with the same minimals",
-          check_semiprime_vanishing_bijection)
-_register("A15Sep23", _FIN,
+          finite=check_semiprime_vanishing_bijection)
+_register("A15Sep23",
           "largest regular sets restrict along minimal factors; the factor product embeds",
-          check_largest_sets_and_embedding)
-_register("a20Sep23", _FIN,
+          finite=check_largest_sets_and_embedding)
+_register("a20Sep23",
           "the largest set at a vanishing ideal is the unit preimage from the factor",
-          check_largest_set_preimage)
-_register("19Sep23", _FIN,
+          finite=check_largest_set_preimage)
+_register("19Sep23",
           "unit preimages at minimal primes: vanishing bounds, Ore criterion, factors",
-          check_prime_preimage_sets)
-_register("28Sep23", _FIN,
+          finite=check_prime_preimage_sets)
+_register("28Sep23",
           "zero-divisor denominator sets: semiprime description iff prime factors",
-          check_zero_divisor_den_equivalence)
-_register("a28Sep23", _FIN,
+          finite=check_zero_divisor_den_equivalence)
+_register("a28Sep23",
           "commutative semiprime localizations keep their minimal primes distinct",
-          check_commutative_corollary)
-_register("b28Sep23", _FIN,
+          finite=check_commutative_corollary)
+_register("b28Sep23",
           "completely prime minimal primes descend to the localization",
-          check_completely_prime_corollary)
-_register("10Jan19", _FIN,
+          finite=check_completely_prime_corollary)
+_register("10Jan19",
           "normal multiplicative sets localize: the vanishing ideal is two-sided and proper",
-          check_normal_set_localizes)
-_register("A2Oct23", _ALL,
+          finite=check_normal_set_localizes)
+_register("A2Oct23",
           "normal-element localization: minimal primes over the vanishing ideal biject",
-          check_normal_localization_minimals)
-_register("a5Oct23", _ALL,
+          finite=check_normal_localization_minimals,
+          monomial=check_monomial_localization_bijection,
+          an=check_an_localization_bijection)
+_register("a5Oct23",
           "sets whose elements have normal multiples localize through their normal part",
-          check_normal_subset_variant)
-_register("A25Sep23", _FIN,
+          finite=check_normal_subset_variant,
+          monomial=_na,
+          an=check_an_central_variant)
+_register("A25Sep23",
           "central fibers: hit primes, proper extensions, and the fiber bijection",
-          check_central_fibers)
-_register("aB25Sep23", _FIN,
+          finite=check_central_fibers)
+_register("aB25Sep23",
           "well-definedness criterion for restricting minimal primes to the centre",
-          check_restriction_well_defined,
+          finite=check_restriction_well_defined,
           note="the negated form is the same computation; one registry entry covers both")
-_register("B25Sep23", _FIN,
+_register("B25Sep23",
           "surjectivity criterion for restricting minimal primes to the centre",
-          check_restriction_surjective)
-_register("a25Sep23", _FIN,
+          finite=check_restriction_surjective)
+_register("a25Sep23",
           "the centre of a semiprime ring is semiprime",
-          check_centre_semiprime)
-_register("aC25Sep23", _FIN,
+          finite=check_centre_semiprime)
+_register("aC25Sep23",
           "decomposition along the minimal primes of the centre",
-          check_centre_decomposition)
-_register("4Jul10", _ALL,
+          finite=check_centre_decomposition)
+_register("4Jul10",
           "units of the largest quotient ring are the one-sided fractions of the set",
-          check_unit_group_of_quotient,
+          finite=check_unit_group_of_quotient,
+          monomial=check_laurent_units,
+          an=_na,
           note="finite instantiation is the unit group; monomial track checks Laurent units")
-_register("b29Sep23", ("an",),
+_register("b29Sep23",
           "the pairing algebra: minimal primes, domain quotients, centre, restrictions",
-          check_pairing_algebra)
+          an=check_pairing_algebra)
 
 
 COVERAGE = (

@@ -73,6 +73,18 @@ def _eval_ring(text: str, cap: int) -> RingTable:
     return obj
 
 
+# The exhaustive enumeration costs 2^(N-1) closures per ring of order N: it is
+# quick at N = 16 and does not finish at N = 32.
+MAX_EXHAUSTIVE_ORDER = 16
+
+
+def _check_sweep_budget(args) -> None:
+    n = min(args.exhaustive_order, args.max_order)
+    if n > MAX_EXHAUSTIVE_ORDER:
+        raise SizeLimitError(f"exhaustive multiplicative-set sweep up to order {n}"
+                             f" > {MAX_EXHAUSTIVE_ORDER}")
+
+
 def _ideal_str(r: RingTable, mask) -> str:
     return "{" + ",".join(r.name(i) for i in bits(mask)) + "}"
 
@@ -120,6 +132,7 @@ def cmd_minprimes(args) -> int:
 
 
 def cmd_multsets(args) -> int:
+    _check_sweep_budget(args)
     r = _eval_ring(args.expr, args.max_order)
     sets = enumerate_mult_sets(r, args.exhaustive_order)
     print(f"{len(sets)} multiplicative sets of {r.label}:")
@@ -240,6 +253,7 @@ def cmd_an(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_sweep_budget(args)
     cfg = CorpusConfig(
         order_cap=args.max_order,
         exhaustive_mult_order=args.exhaustive_order,
@@ -284,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
                         help="order cap for finite constructions")
-    common.add_argument("--exhaustive-order", type=int, default=12,
+    common.add_argument("--exhaustive-order", type=positive_int, default=12,
                         help="largest order with exhaustive multiplicative-set enumeration")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 

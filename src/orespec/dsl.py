@@ -291,6 +291,14 @@ def render(expr: RingExpr) -> str:
     raise ValueError(f"cannot render {expr}")
 
 
+def _finite_operand(kind: str, expr: RingExpr, cap: int | None) -> RingTable:
+    """Evaluate an operand of a finite constructor, which must be a finite ring."""
+    r = evaluate(expr, cap)
+    if not isinstance(r, RingTable):
+        raise RingError(f"{kind} applies to finite rings, not {render(expr)}")
+    return r
+
+
 def evaluate(expr: RingExpr, cap: int | None = DEFAULT_ORDER_CAP):
     """Evaluate to a RingTable, CommMonomialRing, or AnAlgebra."""
     k = expr.kind
@@ -302,15 +310,14 @@ def evaluate(expr: RingExpr, cap: int | None = DEFAULT_ORDER_CAP):
     if k == "gf":
         return make_gf(expr.ints[0])
     if k == "mat":
-        return make_matrix_ring(expr.ints[0], evaluate(expr.subs[0], cap), cap)
+        return make_matrix_ring(expr.ints[0], _finite_operand(k, expr.subs[0], cap), cap)
     if k == "tri":
-        return make_upper_triangular(expr.ints[0], evaluate(expr.subs[0], cap), cap)
+        return make_upper_triangular(expr.ints[0], _finite_operand(k, expr.subs[0], cap), cap)
     if k == "prod":
-        return make_product(evaluate(expr.subs[0], cap), evaluate(expr.subs[1], cap), cap)
+        return make_product(_finite_operand(k, expr.subs[0], cap),
+                            _finite_operand(k, expr.subs[1], cap), cap)
     if k == "quot":
-        base = evaluate(expr.subs[0], cap)
-        if not isinstance(base, RingTable):
-            raise ValueError("quot applies to finite rings")
+        base = _finite_operand(k, expr.subs[0], cap)
         for g in expr.gens:
             if not 0 <= g < base.order:
                 raise RingError(f"quot: element id {g} is out of range for {base.label}"

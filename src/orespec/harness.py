@@ -27,12 +27,13 @@ class CorpusConfig:
     order_cap: int = 16
     exhaustive_mult_order: int = 12
     seed: int = 0
-    max_modular: int = 16
-    monomial_vars: int = 3
-    pairing_n: int = 3
-    constructors: tuple[str, ...] = (
-        "zmod", "gf", "mat", "tri", "prod", "quot", "mono", "an",
-    )
+
+
+# corpus extent beyond the order cap: zmod(n) for n <= 16, squarefree monomial
+# ideals in up to 3 variables, the pairing algebras an(n=1..3)
+MAX_MODULAR = 16
+MONOMIAL_VARS = 3
+PAIRING_N = 3
 
 
 @dataclass
@@ -49,42 +50,36 @@ class Instance:
 
 
 def _finite_base_exprs(cfg: CorpusConfig) -> list[RingExpr]:
-    out = []
-    if "zmod" in cfg.constructors:
-        out += [RingExpr("zmod", (n,)) for n in range(2, min(cfg.max_modular, cfg.order_cap) + 1)]
-    if "gf" in cfg.constructors:
-        out += [RingExpr("gf", (q,)) for q in (2, 3, 4) if q <= cfg.order_cap]
-    if "mat" in cfg.constructors and 16 <= cfg.order_cap:
+    out = [RingExpr("zmod", (n,)) for n in range(2, min(MAX_MODULAR, cfg.order_cap) + 1)]
+    out += [RingExpr("gf", (q,)) for q in (2, 3, 4) if q <= cfg.order_cap]
+    if 16 <= cfg.order_cap:
         out.append(RingExpr("mat", (2,), (RingExpr("gf", (2,)),)))
-    if "tri" in cfg.constructors:
-        if 8 <= cfg.order_cap:
-            out.append(RingExpr("tri", (2,), (RingExpr("gf", (2,)),)))
-        if 27 <= cfg.order_cap:
-            out.append(RingExpr("tri", (2,), (RingExpr("gf", (3,)),)))
+    if 8 <= cfg.order_cap:
+        out.append(RingExpr("tri", (2,), (RingExpr("gf", (2,)),)))
+    if 27 <= cfg.order_cap:
+        out.append(RingExpr("tri", (2,), (RingExpr("gf", (3,)),)))
     return out
 
 
 def build_corpus(cfg: CorpusConfig) -> list[Instance]:
     """The deterministic default corpus; instances keyed by their provenance."""
     exprs: list[RingExpr] = list(_finite_base_exprs(cfg))
-    if "prod" in cfg.constructors:
-        base = list(exprs)
-        orders = [evaluate(e, cfg.order_cap).order for e in base]
-        for i, a in enumerate(base):
-            for j in range(i, len(base)):
-                if orders[i] * orders[j] <= cfg.order_cap:
-                    exprs.append(RingExpr("prod", (), (a, base[j])))
-    if "quot" in cfg.constructors:
-        from .ideals import all_ideal_masks
-        from .finring import bits
+    base = list(exprs)
+    orders = [evaluate(e, cfg.order_cap).order for e in base]
+    for i, a in enumerate(base):
+        for j in range(i, len(base)):
+            if orders[i] * orders[j] <= cfg.order_cap:
+                exprs.append(RingExpr("prod", (), (a, base[j])))
+    from .ideals import all_ideal_masks
+    from .finring import bits
 
-        quots = []
-        for e in list(exprs):
-            ring = evaluate(e, cfg.order_cap)
-            masks = all_ideal_masks(ring)
-            for m in masks[1:-1]:  # proper nonzero, canonical order
-                quots.append(RingExpr("quot", (), (e,), tuple(bits(m))))
-        exprs += quots
+    quots = []
+    for e in list(exprs):
+        ring = evaluate(e, cfg.order_cap)
+        masks = all_ideal_masks(ring)
+        for m in masks[1:-1]:  # proper nonzero, canonical order
+            quots.append(RingExpr("quot", (), (e,), tuple(bits(m))))
+    exprs += quots
 
     seen = set()
     instances = []
@@ -95,21 +90,19 @@ def build_corpus(cfg: CorpusConfig) -> list[Instance]:
         seen.add(text)
         instances.append(Instance("finite", text, e))
 
-    if "mono" in cfg.constructors:
-        for n in range(1, cfg.monomial_vars + 1):
-            for gens in all_squarefree_ideals(n):
-                expr = RingExpr("mono", (n,), (), gens)
-                text = render(expr)
-                if text not in seen:
-                    seen.add(text)
-                    instances.append(Instance("monomial", text, expr))
-    if "an" in cfg.constructors:
-        for n in range(1, cfg.pairing_n + 1):
-            expr = RingExpr("an", (n,))
+    for n in range(1, MONOMIAL_VARS + 1):
+        for gens in all_squarefree_ideals(n):
+            expr = RingExpr("mono", (n,), (), gens)
             text = render(expr)
             if text not in seen:
                 seen.add(text)
-                instances.append(Instance("an", text, expr))
+                instances.append(Instance("monomial", text, expr))
+    for n in range(1, PAIRING_N + 1):
+        expr = RingExpr("an", (n,))
+        text = render(expr)
+        if text not in seen:
+            seen.add(text)
+            instances.append(Instance("an", text, expr))
     return instances
 
 
@@ -191,8 +184,8 @@ def _run_checks_on_instance(inst: Instance, ids: tuple[str, ...], cfg: CorpusCon
     payload = inst.build(cfg.order_cap)
     out = []
     for cid in ids:
-        check, fn = REGISTRY[cid]
-        if inst.kind not in check.kinds:
+        fn = REGISTRY[cid][1].get(inst.kind)
+        if fn is None:
             continue
         t0 = time.perf_counter()
         try:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -83,6 +85,13 @@ def test_round_trip_on_generated_expressions(expr):
     assert parse_ring_expr(render(expr)) == expr
 
 
+@given(_exprs(2))
+def test_cli_describe_exits_with_a_documented_code(expr):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["describe", render(expr)])
+    assert code in (0, 2, 3)
+
+
 def test_cli_minprimes(capsys):
     assert main(["minprimes", "zmod(12)"]) == 0
     out = capsys.readouterr().out
@@ -148,6 +157,16 @@ def test_cli_quot_id_out_of_range(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "prod(an(n=1), zmod(2))",
+    "mat(2, mono(vars=1, gens=[v1]))",
+    "prod(zmod(2), mono(vars=1, gens=[v1]))",
+])
+def test_cli_finite_constructor_needs_finite_operands(text, capsys):
+    assert main(["describe", text]) == 2
+    assert "applies to finite rings" in capsys.readouterr().err
+
+
 def test_cli_classify_set_id_out_of_range(capsys):
     assert main(["classify-set", "zmod(6)", "--gens", "9"]) == 2
     assert "out of range" in capsys.readouterr().err
@@ -202,3 +221,27 @@ def test_cli_verify_rejects_jobs_below_one(capsys):
     for jobs in ("0", "-1"):
         assert main(["verify", "--suite", "A11Sep23", "--max-order", "6", "--jobs", jobs]) == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_exhaustive_order_below_one(capsys):
+    for value in ("0", "-1"):
+        assert main(["multsets", "zmod(6)", "--exhaustive-order", value]) == 2
+        assert "--exhaustive-order: must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_exhaustive_sweep_budget_is_checked_before_any_ring(capsys, monkeypatch):
+    def no_ring(*args):
+        raise AssertionError("a ring was built despite the sweep budget")
+
+    monkeypatch.setattr("orespec.cli.evaluate", no_ring)
+    monkeypatch.setattr("orespec.cli.build_corpus", no_ring)
+    assert main(["multsets", "zmod(6)", "--max-order", "32", "--exhaustive-order", "17"]) == 3
+    assert "sweep up to order 17 > 16" in capsys.readouterr().err
+    assert main(["verify", "--max-order", "17", "--exhaustive-order", "20"]) == 3
+    assert "sweep up to order 17 > 16" in capsys.readouterr().err
+
+
+def test_cli_exhaustive_order_is_bounded_by_the_order_cap(capsys):
+    # the sweep never exceeds --max-order, so a large --exhaustive-order alone passes
+    assert main(["multsets", "zmod(6)", "--exhaustive-order", "40"]) == 0
+    assert "7 multiplicative sets of zmod(6)" in capsys.readouterr().out

@@ -64,18 +64,16 @@ def test_localizing_away_the_matrix_factor(big_ring):
 
 def test_a_false_claim_is_reported_not_swallowed(monkeypatch):
     def bogus(r, cfg):
-        if not hasattr(r, "order"):
-            return Outcome("na")
         ok = is_semiprime_ring(r)
         return Outcome("pass" if ok else "fail", 1, "every ring is semiprime", r.label)
 
     monkeypatch.setitem(
         REGISTRY, "bogus",
-        (TheoremCheck("bogus", ("finite",), "deliberately false claim"), bogus),
+        (TheoremCheck("bogus", ("finite",), "deliberately false claim"), {"finite": bogus}),
     )
     monkeypatch.setattr("orespec.checks.COVERAGE", COVERAGE + ("bogus",))
     monkeypatch.setattr("orespec.harness.COVERAGE", COVERAGE + ("bogus",))
-    small = CorpusConfig(order_cap=6, max_modular=6)
+    small = CorpusConfig(order_cap=6)
     reports = run_suite(build_corpus(small), ("bogus",), small)
     bogus_report = reports[1]
     assert bogus_report.counterexamples, "the harness must surface real failures"

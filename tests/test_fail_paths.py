@@ -1,0 +1,133 @@
+"""Every check can fail.
+
+Each case below makes one engine function lie and runs the suite on a few
+small instances.  Every check it names must then report a counterexample
+with one of its own clauses, not an engine error, so no claim passes by
+construction.  Together the cases name all registered checks.
+"""
+
+import dataclasses
+
+import pytest
+
+from orespec import checks
+from orespec import monomial as mono
+from orespec.checks import COVERAGE
+from orespec.dsl import parse_ring_expr
+from orespec.finring import make_zmod
+from orespec.harness import CorpusConfig, Instance, run_suite
+
+CFG = CorpusConfig()
+INSTANCES = (
+    ("finite", "gf(2)"),
+    ("finite", "zmod(4)"),
+    ("finite", "zmod(6)"),
+    ("finite", "tri(2, gf(2))"),
+    ("monomial", "mono(vars=2, gens=[v1])"),
+    ("monomial", "mono(vars=2, gens=[v1*v2])"),
+    ("an", "an(n=1)"),
+)
+
+
+def _corpus():
+    # fresh instances, so no ring memo keeps a value computed under a lie
+    return [Instance(kind, text, parse_ring_expr(text)) for kind, text in INSTANCES]
+
+
+def _negate(fn):
+    return lambda *args: not fn(*args)
+
+
+def _flip(field):
+    def wrap(fn):
+        def lying(*args):
+            rep = fn(*args)
+            return dataclasses.replace(rep, **{field: not getattr(rep, field)})
+        return lying
+    return wrap
+
+
+def _set(**changes):
+    return lambda fn: lambda *args: dataclasses.replace(fn(*args), **changes)
+
+
+LIES = [
+    pytest.param([(checks, "is_semiprime_ring", _negate)],
+                 ("28Sep23", "A15Sep23", "a25Sep23", "aA10Sep23", "aC25Sep23", "b10Sep23"),
+                 id="is_semiprime_ring"),
+    pytest.param([(checks, "localize_left_ideal", _flip("two_sided"))],
+                 ("19Sep23", "28Sep23", "B29Sep23", "aA11Sep23"),
+                 id="two_sided"),
+    pytest.param([(checks, "localize_left_ideal",
+                   lambda fn: lambda loc, i: dataclasses.replace(fn(loc, i),
+                                                                 mask=loc.target.full_mask()))],
+                 ("A10Sep23", "Aa6Oct23", "a28Sep23", "a29Sep23", "aA10Sep23", "b28Sep23",
+                  "c10Sep23"),
+                 id="localized_ideal_is_everything"),
+    pytest.param([(checks, "localize",
+                   lambda fn: lambda r, s: dataclasses.replace(fn(r, s), target=make_zmod(4)))],
+                 ("a10Sep23", "Xa10Sep23"),
+                 id="localization_not_prime"),
+    pytest.param([(checks, "check_A11_equivalence", _set(agree=False))],
+                 ("A11Sep23",),
+                 id="check_A11_equivalence"),
+    pytest.param([(checks, "check_rho_criteria", _flip("well_defined"))],
+                 ("aB25Sep23",),
+                 id="rho_well_defined"),
+    pytest.param([(checks, "check_rho_criteria", _set(agree=False))],
+                 ("B25Sep23",),
+                 id="rho_criteria_agree"),
+    pytest.param([(checks, "is_prime_rich", _set(agree=False))],
+                 ("aA29Sep23",),
+                 id="is_prime_rich"),
+    pytest.param([(checks, "check_epimorphic_den_b14", _flip("agree")),
+                  (checks, "check_epimorphic_den_c14", _flip("agree"))],
+                 ("b14Oct23", "c14Oct23"),
+                 id="epimorphic_den"),
+    pytest.param([(checks, "central_localize", _set(bijection_ok=False)),
+                  (checks, "check_pierce", _set(centres_match=False))],
+                 ("A25Sep23", "aC25Sep23"),
+                 id="central_localize"),
+    pytest.param([(checks, "_products_reach", lambda fn: lambda r, ms: fn(r, ms) | {1 << r.zero}),
+                  (checks, "is_irredundant_masks", _negate)],
+                 ("A29Sep23", "b10Sep23"),
+                 id="prime_products"),
+    pytest.param([(checks, "prime_flags",
+                   lambda fn: lambda r, m: (not fn(r, m)[0],) + fn(r, m)[1:])],
+                 ("a6Oct23",),
+                 id="prime_flags"),
+    pytest.param([(checks, "classify_set", _flip("left_den"))],
+                 ("10Jan19", "A10Sep23", "A2Oct23", "a5Oct23", "c10Sep23"),
+                 id="classify_set"),
+    pytest.param([(checks, "units_mask", lambda fn: lambda r: 1 << r.one)],
+                 ("4Jul10", "a20Sep23", "c10Sep23"),
+                 id="units_mask"),
+    pytest.param([(checks, "min_RS", lambda fn: lambda r, s: [])],
+                 ("28Sep23", "29Sep23", "a28Sep23", "a29Sep23", "b28Sep23"),
+                 id="min_RS"),
+    pytest.param([(checks, "vanishing_masks",
+                   lambda fn: lambda r, m: (r.full_mask(), fn(r, m)[1]))],
+                 ("19Sep23",),
+                 id="vanishing_masks"),
+    pytest.param([(mono, "localize_monomial", _set(bijection_ok=False))],
+                 ("A10Sep23", "A2Oct23", "c10Sep23"),
+                 id="localize_monomial"),
+    pytest.param([(mono, "an_verify", _set(failures=("lie",))),
+                  (mono, "an_localize_normal", _set(failures=("lie",))),
+                  (mono, "an_normal_variant", _set(same_vanishing=False))],
+                 ("A2Oct23", "a5Oct23", "b29Sep23"),
+                 id="pairing_algebra"),
+]
+
+
+@pytest.mark.parametrize("lies, ids", LIES)
+def test_a_lying_engine_fails_the_check(monkeypatch, lies, ids):
+    for module, name, wrap in lies:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    for rep in run_suite(_corpus(), ids, CFG)[1:]:
+        clauses = {cx.clause for cx in rep.counterexamples}
+        assert clauses - {"engine-error"}, f"{rep.theorem_id} never failed: {clauses}"
+
+
+def test_the_lies_reach_every_check():
+    assert {cid for case in LIES for cid in case.values[1]} == set(COVERAGE)

@@ -14,7 +14,7 @@ from orespec.harness import (
     run_suite,
 )
 
-SMALL = CorpusConfig(order_cap=6, max_modular=6)
+SMALL = CorpusConfig(order_cap=6)
 FAST_IDS = ("A11Sep23", "b10Sep23", "A10Sep23", "aB25Sep23", "b29Sep23")
 
 
@@ -41,10 +41,6 @@ def test_cap_six_corpus_contents(small_corpus):
     for inst in small_corpus:
         if inst.kind == "finite":
             assert inst.build(SMALL.order_cap).order <= 6
-
-
-def test_empty_allow_list_gives_empty_corpus():
-    assert build_corpus(CorpusConfig(constructors=())) == []
 
 
 def test_instances_rebuild_from_provenance_alone(small_corpus):
