@@ -9,12 +9,13 @@ import pathlib
 import sys
 import time
 
+from orespec.cli import positive_int
 from orespec.harness import CorpusConfig, build_corpus, render_machine, render_text, run_suite
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=positive_int, default=1)
     ap.add_argument("--max-order", type=int, default=16)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="reports")

@@ -50,7 +50,6 @@ class CentreData:
     ring: RingTable
     centre: RingTable          # induced table on the central elements
     embedding: RingHom         # centre -> ring
-    index_of: tuple[int, ...]  # ambient id -> centre id (-1 off the centre)
 
     def restrict_mask(self, ambient_mask: Mask) -> Mask:
         """Intersection with the centre, re-indexed into the centre ring."""
@@ -71,8 +70,7 @@ def centre_ring(r: RingTable) -> CentreData:
     if bad or not is_commutative(centre):
         raise EngineInvariantError(f"{r.label}: induced centre table is defective: {bad[:1]}")
     emb = RingHom(centre, r, tuple(elems))
-    lookup = tuple(index.get(x, -1) for x in r.elements())
-    return CentreData(r, centre, emb, lookup)
+    return CentreData(r, centre, emb)
 
 
 def restrict_prime(cd: CentreData, p: Ideal) -> Ideal:

@@ -129,28 +129,55 @@ def _generated_by_normals(s: MultSet) -> bool:
     return witness is None and m == s.mask
 
 
-def _induced_hom(f: RingHom, g: RingHom) -> RingHom | None:
-    """The map target(f) -> target(g) factoring g through the surjection f."""
+def _quotients_isomorphic(f: RingHom, g: RingHom) -> bool:
+    """Both targets are factor rings of one source with equal kernels: the map
+    target(f) -> target(g) factoring g through the surjection f is a bijective
+    homomorphism."""
     if f.source is not g.source or f.image_mask() != f.target.full_mask():
-        return None
+        return False
     table = [-1] * f.target.order
     for x in f.source.elements():
         y = f(x)
         if table[y] == -1:
             table[y] = g(x)
         elif table[y] != g(x):
-            return None
-    return RingHom(f.target, g.target, tuple(table))
-
-
-def _quotients_isomorphic(f: RingHom, g: RingHom) -> bool:
-    """Both targets are factor rings of one source with equal kernels."""
-    h = _induced_hom(f, g)
-    return h is not None and h.is_bijective() and not h.verify()
+            return False
+    h = RingHom(f.target, g.target, tuple(table))
+    return h.is_bijective() and not h.verify()
 
 
 def _min_masks(r: RingTable) -> tuple[Mask, ...]:
     return min_prime_masks_over(r, 1 << r.zero)
+
+
+def _localized(r: RingTable, dens, masks):
+    """(s, loc, m) for every set s of dens, its localization, and every mask."""
+    for s in dens:
+        loc = localize(r, s)
+        for m in masks:
+            yield s, loc, m
+
+
+def _image_class(hom: RingHom, smask: Mask):
+    """The Ore classification of the image of a set under hom."""
+    return classify_set(MultSet(hom.target, hom.push_mask(smask)))
+
+
+def _factor_matches(hom: RingHom, loc: Localization, jmask: Mask) -> bool:
+    """R/p matches S^-1 R/J through sigma, where hom is the factor map R -> R/p."""
+    tq, thom = make_quotient(loc.target, jmask)
+    through = RingHom(loc.ring, tq, tuple(thom(loc.sigma(x)) for x in loc.ring.elements()))
+    return _quotients_isomorphic(hom, through)
+
+
+def _localized_min_family(loc: Localization, pmasks) -> list[Mask]:
+    return [localize_left_ideal(loc, Ideal(loc.ring, m)).mask for m in pmasks]
+
+
+def _minimals_biject(loc: Localization, pmasks) -> bool:
+    """The localized primes are distinct and are exactly min(S^-1 R)."""
+    family = _localized_min_family(loc, pmasks)
+    return len(set(family)) == len(pmasks) and set(_min_masks(loc.target)) == set(family)
 
 
 def _is_prime_ring(r: RingTable) -> bool:
@@ -167,13 +194,11 @@ def _spec_subset_budget(r: RingTable) -> bool:
 
 def check_a11(r: RingTable, cfg) -> Outcome:
     cases = 0
-    for s in _dens(r, cfg):
-        loc = localize(r, s)
-        for m in all_ideal_masks(r):
-            cases += 1
-            v = check_A11_equivalence(loc, Ideal(r, m))
-            if not v.agree:
-                return Outcome("fail", cases, "five-way agreement", v.witness or "")
+    for _, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        cases += 1
+        v = check_A11_equivalence(loc, Ideal(r, m))
+        if not v.agree:
+            return Outcome("fail", cases, "five-way agreement", v.witness or "")
     return _verdict(cases)
 
 
@@ -181,34 +206,32 @@ def check_a11_vacuity(r: RingTable, cfg) -> Outcome:
     """Every localized-ideal chain sum(J * u^-j) cycles with the unit's order,
     so it stabilizes mechanically and the localized ideal must be two-sided."""
     cases = 0
-    for s in _dens(r, cfg):
-        loc = localize(r, s)
+    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        if m == r.full_mask():
+            continue
         t = loc.target
         inv = inverse_table(t)
-        for m in all_ideal_masks(r):
-            if m == r.full_mask():
-                continue
-            cases += 1
-            li = localize_left_ideal(loc, Ideal(r, m))
-            for sm in s.members():
-                u = inv[loc.sigma(sm)]
-                order_u, power = 1, u
-                while power != t.one:
-                    power = t.mul[power][u]
-                    order_u += 1
-                # shifts J*u^j repeat after the unit's order, so the union over
-                # one period is the limit of the ascending chain
-                chain = li.mask
-                shift = li.mask
-                for _ in range(order_u):
-                    shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
-                    chain = additive_closure(t, chain | shift)
-                if li.two_sided and chain != li.mask:
-                    return Outcome("fail", cases, "a two-sided image absorbs its chain",
-                                   f"s={sm} b={list(bits(m))}")
-            if not li.two_sided:
-                return Outcome("fail", cases, "stabilized chains force a two-sided image",
-                               f"b={list(bits(m))} S={s.members()}")
+        cases += 1
+        li = localize_left_ideal(loc, Ideal(r, m))
+        for sm in s.members():
+            u = inv[loc.sigma(sm)]
+            order_u, power = 1, u
+            while power != t.one:
+                power = t.mul[power][u]
+                order_u += 1
+            # shifts J*u^j repeat after the unit's order, so the union over
+            # one period is the limit of the ascending chain
+            chain = li.mask
+            shift = li.mask
+            for _ in range(order_u):
+                shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
+                chain = additive_closure(t, chain | shift)
+            if li.two_sided and chain != li.mask:
+                return Outcome("fail", cases, "a two-sided image absorbs its chain",
+                               f"s={sm} b={list(bits(m))}")
+        if not li.two_sided:
+            return Outcome("fail", cases, "stabilized chains force a two-sided image",
+                           f"b={list(bits(m))} S={s.members()}")
     return _verdict(cases)
 
 
@@ -226,41 +249,37 @@ def check_prime_target_regular(r: RingTable, cfg) -> Outcome:
 
 def check_prime_localized_iff_ideal(r: RingTable, cfg) -> Outcome:
     cases = 0
-    for s in _zero_dens(r, cfg):
-        loc = localize(r, s)
-        for pmask in prime_masks(r):
-            li = localize_left_ideal(loc, Ideal(r, pmask))
-            contracted = loc.sigma.preimage_mask(li.mask)
-            branches = []
-            if contracted == pmask:
-                branches.append(pmask)
-            if contracted != r.full_mask() and prime_flags(r, contracted)[0]:
-                branches.append(contracted)
-            for _ in branches:
-                cases += 1
-                spec_member = (
-                    li.two_sided
-                    and li.mask != loc.target.full_mask()
-                    and prime_flags(loc.target, li.mask)[0]
-                )
-                if spec_member != li.two_sided:
-                    return Outcome("fail", cases, "prime localization iff two-sided",
-                                   f"S={s.members()} p={list(bits(pmask))}")
+    for s, loc, pmask in _localized(r, _zero_dens(r, cfg), prime_masks(r)):
+        li = localize_left_ideal(loc, Ideal(r, pmask))
+        contracted = loc.sigma.preimage_mask(li.mask)
+        branches = []
+        if contracted == pmask:
+            branches.append(pmask)
+        if contracted != r.full_mask() and prime_flags(r, contracted)[0]:
+            branches.append(contracted)
+        for _ in branches:
+            cases += 1
+            spec_member = (
+                li.two_sided
+                and li.mask != loc.target.full_mask()
+                and prime_flags(loc.target, li.mask)[0]
+            )
+            if spec_member != li.two_sided:
+                return Outcome("fail", cases, "prime localization iff two-sided",
+                               f"S={s.members()} p={list(bits(pmask))}")
     return _verdict(cases)
 
 
 def check_contraction_recovers_prime(r: RingTable, cfg) -> Outcome:
     cases = 0
-    for s in _dens(r, cfg):
-        loc = localize(r, s)
-        for pmask in prime_masks(r):
-            if pmask & s.mask:
-                continue
-            cases += 1
-            li = localize_left_ideal(loc, Ideal(r, pmask))
-            if loc.sigma.preimage_mask(li.mask) != pmask:
-                return Outcome("fail", cases, "contraction returns the prime",
-                               f"S={s.members()} p={list(bits(pmask))}")
+    for s, loc, pmask in _localized(r, _dens(r, cfg), prime_masks(r)):
+        if pmask & s.mask:
+            continue
+        cases += 1
+        li = localize_left_ideal(loc, Ideal(r, pmask))
+        if loc.sigma.preimage_mask(li.mask) != pmask:
+            return Outcome("fail", cases, "contraction returns the prime",
+                           f"S={s.members()} p={list(bits(pmask))}")
     return _verdict(cases)
 
 
@@ -280,35 +299,31 @@ def check_prime_vanishing_target(r: RingTable, cfg) -> Outcome:
 
 def check_image_den_regular(r: RingTable, cfg) -> Outcome:
     cases = 0
-    for s in _dens(r, cfg):
-        loc = localize(r, s)
-        for m in all_ideal_masks(r):
-            if m == r.full_mask():
-                continue
-            v = check_epimorphic_den_b14(loc, Ideal(r, m))
-            if not v.applicable:
-                continue
-            cases += 1
-            if not v.agree:
-                return Outcome("fail", cases, "image denominator iff regular image",
-                               f"S={s.members()} b={list(bits(m))}")
+    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        if m == r.full_mask():
+            continue
+        v = check_epimorphic_den_b14(loc, Ideal(r, m))
+        if not v.applicable:
+            continue
+        cases += 1
+        if not v.agree:
+            return Outcome("fail", cases, "image denominator iff regular image",
+                           f"S={s.members()} b={list(bits(m))}")
     return _verdict(cases)
 
 
 def check_image_den_torsion(r: RingTable, cfg) -> Outcome:
     cases = 0
-    for s in _dens(r, cfg):
-        loc = localize(r, s)
-        for m in all_ideal_masks(r):
-            if m == r.full_mask():
-                continue
-            v = check_epimorphic_den_c14(loc, Ideal(r, m))
-            if not v.applicable:
-                continue
-            cases += 1
-            if not v.agree:
-                return Outcome("fail", cases, "two-step image criterion",
-                               f"S={s.members()} b={list(bits(m))}")
+    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        if m == r.full_mask():
+            continue
+        v = check_epimorphic_den_c14(loc, Ideal(r, m))
+        if not v.applicable:
+            continue
+        cases += 1
+        if not v.agree:
+            return Outcome("fail", cases, "two-step image criterion",
+                           f"S={s.members()} b={list(bits(m))}")
     return _verdict(cases)
 
 
@@ -351,18 +366,12 @@ def check_prime_rich_equivalence(r: RingTable, cfg) -> Outcome:
 
 def check_ideal_preservation(r: RingTable, cfg) -> Outcome:
     cases = 0
-    for s in _dens(r, cfg):
-        loc = localize(r, s)
-        for m in all_ideal_masks(r):
-            cases += 1
-            if not localize_left_ideal(loc, Ideal(r, m)).two_sided:
-                return Outcome("fail", cases, "every localized ideal stays two-sided",
-                               f"S={s.members()} b={list(bits(m))}")
+    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        cases += 1
+        if not localize_left_ideal(loc, Ideal(r, m)).two_sided:
+            return Outcome("fail", cases, "every localized ideal stays two-sided",
+                           f"S={s.members()} b={list(bits(m))}")
     return _verdict(cases)
-
-
-def _localized_min_family(loc: Localization, pmasks) -> list[Mask]:
-    return [localize_left_ideal(loc, Ideal(loc.ring, m)).mask for m in pmasks]
 
 
 def check_min_primes_prime_rich(r: RingTable, cfg) -> Outcome:
@@ -448,20 +457,16 @@ def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | 
     if not is_semiprime_ring(t):
         return "localized ring semiprime", f"S={s.members()}"
     mins = _min_masks(r)
-    family = _localized_min_family(loc, mins)
-    if len(set(family)) != len(mins) or set(_min_masks(t)) != set(family):
+    if not _minimals_biject(loc, mins):
         return "minimal primes biject under localization", f"S={s.members()}"
     for pmask in mins:
         q, hom = make_quotient(r, pmask)
-        s_img = mask_of(hom(x) for x in s.members())
-        cls = classify_set(MultSet(q, s_img))
+        cls = _image_class(hom, s.mask)
         if not (cls.left_den and cls.ass_l_mask == 1 << q.zero):
             return ("image is a zero-vanishing denominator set of the factor",
                     f"S={s.members()} p={list(bits(pmask))}")
         jmask = localize_left_ideal(loc, Ideal(r, pmask)).mask
-        tq, thom = make_quotient(t, jmask)
-        through_target = RingHom(r, tq, tuple(thom(loc.sigma(x)) for x in r.elements()))
-        if not _quotients_isomorphic(hom, through_target):
+        if not _factor_matches(hom, loc, jmask):
             return ("factor of the localization matches the localized factor",
                     f"S={s.members()} p={list(bits(pmask))}")
     return None
@@ -488,8 +493,7 @@ def check_largest_quotient_minimals(r: RingTable, cfg) -> Outcome:
         return Outcome("fail", 1, *failed)
     for pmask in _min_masks(r):
         q, hom = make_quotient(r, pmask)
-        image = mask_of(hom(x) for x in s.members())
-        if image & ~units_mask(q):
+        if hom.push_mask(s.mask) & ~units_mask(q):
             return Outcome("fail", 1, "image of the largest regular set stays in the factor's",
                            f"p={list(bits(pmask))}")
     return _verdict(1)
@@ -509,9 +513,7 @@ def check_semiprime_vanishing_bijection(r: RingTable, cfg) -> Outcome:
             return Outcome("fail", cases,
                            "localization at a semiprime vanishing ideal is semiprime",
                            f"S={s.members()}")
-        over = min_prime_masks_over(r, amask)
-        family = _localized_min_family(loc, over)
-        if len(set(family)) != len(over) or set(_min_masks(t)) != set(family):
+        if not _minimals_biject(loc, min_prime_masks_over(r, amask)):
             return Outcome("fail", cases, "minimal primes over the vanishing ideal biject",
                            f"S={s.members()}")
     return _verdict(cases)
@@ -523,7 +525,7 @@ def check_largest_sets_and_embedding(r: RingTable, cfg) -> Outcome:
     if is_semiprime_ring(r):
         u = units_mask(r)
         for (q, hom), pmask in zip(quots, mins):
-            if mask_of(hom(x) for x in bits(u)) & ~units_mask(q):
+            if hom.push_mask(u) & ~units_mask(q):
                 return Outcome("fail", 1, "largest regular sets restrict along factors",
                                f"p={list(bits(pmask))}")
     hom = product_hom([hom for _, hom in quots])
@@ -541,7 +543,7 @@ def check_largest_set_preimage(r: RingTable, cfg) -> Outcome:
         a = Ideal(r, amask)
         smax = largest_set_assoc(r, a, cfg.exhaustive_mult_order)
         q, hom = make_quotient(r, amask)
-        if mask_of(hom(x) for x in smax.members()) != units_mask(q):
+        if hom.push_mask(smax.mask) != units_mask(q):
             return Outcome("fail", cases, "preimage maps onto the factor's largest regular set",
                            f"a={list(bits(amask))}")
         for s in _dens(r, cfg):
@@ -590,9 +592,7 @@ def check_prime_preimage_sets(r: RingTable, cfg) -> Outcome:
                 return Outcome("fail", cases, "localized prime is two-sided",
                                f"p={list(bits(pmask))}")
             q, hom = make_quotient(r, pmask)
-            tq, thom = make_quotient(loc.target, li.mask)
-            through = RingHom(r, tq, tuple(thom(loc.sigma(x)) for x in r.elements()))
-            if not _quotients_isomorphic(hom, through):
+            if not _factor_matches(hom, loc, li.mask):
                 return Outcome("fail", cases,
                                "factor of the prime localization is the prime factor",
                                f"p={list(bits(pmask))}")
@@ -649,11 +649,8 @@ def check_commutative_corollary(r: RingTable, cfg) -> Outcome:
     for s in _dens(r, cfg):
         cases += 1
         loc = localize(r, s)
-        t = loc.target
         mrs = [p.mask for p in min_RS(r, s)]
-        family = _localized_min_family(loc, mrs)
-        if not (is_semiprime_ring(t) and set(_min_masks(t)) == set(family)
-                and len(set(family)) == len(mrs)):
+        if not (_minimals_biject(loc, mrs) and is_semiprime_ring(loc.target)):
             return Outcome("fail", cases, "commutative localization preserves the minimal primes",
                            f"S={s.members()}")
     return _verdict(cases)
@@ -674,11 +671,9 @@ def check_completely_prime_corollary(r: RingTable, cfg) -> Outcome:
         if not hyp:
             continue
         cases += 1
-        family = _localized_min_family(loc, mrs)
-        ok = is_semiprime_ring(t) and set(_min_masks(t)) == set(family)
-        ok = ok and len(set(family)) == len(mrs)
-        ok = ok and all(
-            fm == t.full_mask() or prime_flags(t, fm)[1] for fm in family
+        ok = _minimals_biject(loc, mrs) and is_semiprime_ring(t) and all(
+            fm == t.full_mask() or prime_flags(t, fm)[1]
+            for fm in _localized_min_family(loc, mrs)
         )
         if not ok:
             return Outcome("fail", cases, "completely prime minimal primes descend",
@@ -696,8 +691,7 @@ def check_normal_set_localizes(r: RingTable, cfg) -> Outcome:
         cases += 1
         loc = localize_normal(r, smask)
         t = loc.target
-        s_img = mask_of(loc.sigma(x) for x in bits(smask))
-        cls = classify_set(MultSet(t, s_img))
+        cls = _image_class(loc.sigma, smask)
         if not (cls.left_den and cls.right_den and cls.ass_l_mask == 1 << t.zero
                 and cls.ass_r_mask == 1 << t.zero):
             return Outcome("fail", cases, "image is a two-sided zero-vanishing denominator set",
@@ -717,8 +711,7 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
                 f"S={sorted(bits(smask))}")
     nbar = prime_radical_mask(rbar)
     rtilde, tpi = make_quotient(rbar, nbar)
-    s_tilde = mask_of(tpi(loc.sigma(x)) for x in bits(smask)) | 1 << rtilde.one
-    cls = classify_set(MultSet(rtilde, s_tilde))
+    cls = _image_class(tpi, loc.sigma.push_mask(smask))
     if not (cls.left_den and cls.right_den and cls.ass_l_mask == 1 << rtilde.zero):
         return ("reduced image is a zero-vanishing denominator set",
                 f"S={sorted(bits(smask))}")
@@ -727,13 +720,10 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
         return "reduced minimal primes biject", f"S={sorted(bits(smask))}"
     for pmask, push in zip(mins, pushes):
         q, hom = make_quotient(r, pmask)
-        s_img = mask_of(hom(x) for x in bits(smask)) | 1 << q.one
-        qcls = classify_set(MultSet(q, s_img))
+        qcls = _image_class(hom, smask)
         if not (qcls.left_den and qcls.right_den and qcls.ass_l_mask == 1 << q.zero):
             return "factor image is a denominator set", f"p={list(bits(pmask))}"
-        tq, thom = make_quotient(rbar, push)
-        through = RingHom(r, tq, tuple(thom(loc.sigma(x)) for x in r.elements()))
-        if not _quotients_isomorphic(hom, through):
+        if not _factor_matches(hom, loc, push):
             return "factor rings of the localization agree", f"p={list(bits(pmask))}"
     if not is_nilpotent_ideal(Ideal(rbar, nbar)):
         return "radical of the image ring is nilpotent", f"S={sorted(bits(smask))}"
@@ -899,7 +889,7 @@ def check_unit_group_of_quotient(r: RingTable, cfg) -> Outcome:
     if loc.sigma.preimage_mask(units_mask(t)) != units_mask(r):
         return Outcome("fail", 1, "largest set of the quotient contracts to the source's", r.label)
     inv = inverse_table(t)
-    gens = {loc.sigma(x) for x in s.members()}
+    gens = set(bits(loc.sigma.push_mask(s.mask)))
     gens |= {inv[g] for g in gens}
     group = {t.one}
     frontier = [t.one]

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 clean, 1 counterexample found, 2 usage or parse error,
-3 size/degree budget exceeded.
+Exit codes: 0 clean, 1 counterexample found, 2 usage or parse error (also when
+the reader closes stdout early), 3 size/degree budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .centre import centre_ring, check_rho_criteria, rho
@@ -38,8 +39,7 @@ from .ideals import (
     prime_radical,
 )
 from .localization import (
-    NotDenominatorError,
-    ZeroAbsorbedError,
+    EXHAUSTIVE_MULT_ORDER,
     classify_set,
     close_multiplicative,
     enumerate_mult_sets,
@@ -48,7 +48,6 @@ from .localization import (
     min_RS_id,
 )
 from .monomial import (
-    CollapsedLocalizationError,
     CommMonomialRing,
     DegreeBudgetError,
     an_build,
@@ -271,6 +270,8 @@ def cmd_verify(args) -> int:
         )
     else:
         ids = tuple(x.strip() for x in suite.split(",") if x.strip())
+        if not ids:
+            raise RingError(f"--suite {suite!r} names no check ids")
     corpus = build_corpus(cfg)
     if args.inject_fault:
         corpus = [inject_table_fault(corpus[0], cfg)] + corpus[1:]
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
                         help="order cap for finite constructions")
-    common.add_argument("--exhaustive-order", type=positive_int, default=12,
+    common.add_argument("--exhaustive-order", type=positive_int, default=EXHAUSTIVE_MULT_ORDER,
                         help="largest order with exhaustive multiplicative-set enumeration")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
@@ -345,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("an", help="verify the noncommutative pairing algebra")
     p.add_argument("verify", choices=["verify"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, default=0)
+    p.add_argument("--degree", type=positive_int, default=None,
+                   help="degree bound (default: the bound for n)")
     p.set_defaults(fn=cmd_an)
 
     p = sub.add_parser("verify", help="run the claim-verification suite")
@@ -367,14 +369,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_CLEAN
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at
+        # interpreter exit does not raise again (Python docs, signal, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SizeLimitError, DegreeBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ZeroAbsorbedError, NotDenominatorError, CollapsedLocalizationError, RingError) as exc:
+    except RingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -18,14 +18,21 @@ from dataclasses import dataclass, field
 
 from .checks import COVERAGE, Outcome, REGISTRY, assert_registry_complete
 from .dsl import RingExpr, evaluate, parse_ring_expr, render
-from .finring import RingError, RingTable, audit_ring
+from .finring import DEFAULT_ORDER_CAP, RingError, RingTable, audit_ring, bits, units_mask
+from .ideals import Ideal, all_ideal_masks, min_prime_masks_over
+from .localization import (
+    EXHAUSTIVE_MULT_ORDER,
+    left_denominator_sets,
+    localize,
+    localize_left_ideal,
+)
 from .monomial import all_squarefree_ideals
 
 
 @dataclass(frozen=True)
 class CorpusConfig:
-    order_cap: int = 16
-    exhaustive_mult_order: int = 12
+    order_cap: int = DEFAULT_ORDER_CAP
+    exhaustive_mult_order: int = EXHAUSTIVE_MULT_ORDER
     seed: int = 0
 
 
@@ -63,46 +70,35 @@ def _finite_base_exprs(cfg: CorpusConfig) -> list[RingExpr]:
 
 def build_corpus(cfg: CorpusConfig) -> list[Instance]:
     """The deterministic default corpus; instances keyed by their provenance."""
-    exprs: list[RingExpr] = list(_finite_base_exprs(cfg))
-    base = list(exprs)
-    orders = [evaluate(e, cfg.order_cap).order for e in base]
-    for i, a in enumerate(base):
-        for j in range(i, len(base)):
-            if orders[i] * orders[j] <= cfg.order_cap:
-                exprs.append(RingExpr("prod", (), (a, base[j])))
-    from .ideals import all_ideal_masks
-    from .finring import bits
+    exprs = _finite_base_exprs(cfg)
+    rings = [evaluate(e, cfg.order_cap) for e in exprs]
+    nbase = len(exprs)
+    for i in range(nbase):
+        for j in range(i, nbase):
+            if rings[i].order * rings[j].order <= cfg.order_cap:
+                exprs.append(RingExpr("prod", (), (exprs[i], exprs[j])))
+    rings += [evaluate(e, cfg.order_cap) for e in exprs[nbase:]]
 
-    quots = []
-    for e in list(exprs):
-        ring = evaluate(e, cfg.order_cap)
-        masks = all_ideal_masks(ring)
-        for m in masks[1:-1]:  # proper nonzero, canonical order
-            quots.append(RingExpr("quot", (), (e,), tuple(bits(m))))
-    exprs += quots
+    pairs = [("finite", e) for e in exprs]
+    pairs += [
+        ("finite", RingExpr("quot", (), (e,), tuple(bits(m))))
+        for e, ring in zip(exprs, rings)
+        for m in all_ideal_masks(ring)[1:-1]  # proper nonzero, canonical order
+    ]
+    pairs += [
+        ("monomial", RingExpr("mono", (n,), (), gens))
+        for n in range(1, MONOMIAL_VARS + 1)
+        for gens in all_squarefree_ideals(n)
+    ]
+    pairs += [("an", RingExpr("an", (n,))) for n in range(1, PAIRING_N + 1)]
 
     seen = set()
     instances = []
-    for e in exprs:
+    for kind, e in pairs:
         text = render(e)
-        if text in seen:
-            continue
-        seen.add(text)
-        instances.append(Instance("finite", text, e))
-
-    for n in range(1, MONOMIAL_VARS + 1):
-        for gens in all_squarefree_ideals(n):
-            expr = RingExpr("mono", (n,), (), gens)
-            text = render(expr)
-            if text not in seen:
-                seen.add(text)
-                instances.append(Instance("monomial", text, expr))
-    for n in range(1, PAIRING_N + 1):
-        expr = RingExpr("an", (n,))
-        text = render(expr)
         if text not in seen:
             seen.add(text)
-            instances.append(Instance("an", text, expr))
+            instances.append(Instance(kind, text, e))
     return instances
 
 
@@ -190,7 +186,7 @@ def _run_checks_on_instance(inst: Instance, ids: tuple[str, ...], cfg: CorpusCon
         t0 = time.perf_counter()
         try:
             outcome = fn(payload, cfg)
-        except RingError as exc:
+        except Exception as exc:  # an engine bug is a counterexample, not an abort
             outcome = Outcome("fail", 1, "engine-error", f"{type(exc).__name__}: {exc}")
         out.append((cid, outcome, (time.perf_counter() - t0) * 1000))
     return out
@@ -303,18 +299,11 @@ def explain(report: CheckReport, index: int, cfg: CorpusConfig | None = None) ->
         if bad:
             lines.append(f"audit:      {bad[0]}")
             return "\n".join(lines)
-        from .finring import bits, units_mask
-        from .ideals import min_prime_masks_over
-        from .localization import left_denominator_sets
-
         lines.append(f"units:      {sorted(bits(units_mask(payload)))}")
         mins = min_prime_masks_over(payload, 1 << payload.zero)
         lines.append(f"min primes: {[sorted(bits(m)) for m in mins]}")
         dens = left_denominator_sets(payload, cfg.exhaustive_mult_order)
         lines.append(f"den sets:   {len(dens)}")
-        from .ideals import Ideal
-        from .localization import localize, localize_left_ideal
-
         for s in dens[: min(len(dens), 6)]:
             loc = localize(payload, s)
             localized = [

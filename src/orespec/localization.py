@@ -91,7 +91,6 @@ class MultSet:
 class OreClass:
     """Classification flags and vanishing sets of a multiplicative set."""
 
-    mult_set: MultSet
     left_ore: bool
     right_ore: bool
     left_den: bool
@@ -99,11 +98,6 @@ class OreClass:
     ass_l_mask: Mask
     ass_r_mask: Mask
     violation: tuple | None = None  # first (reason, data) that broke a flag
-
-    def ass_l(self) -> Ideal:
-        if not self.left_ore:
-            raise RingError("ass_l is only an ideal for left Ore sets")
-        return Ideal(self.mult_set.ring, self.ass_l_mask, TWO_SIDED)
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,6 @@ class Localization:
     ass: Ideal
     target: RingTable
     sigma: RingHom
-    unit_witness: tuple[tuple[int, int], ...]  # (sigma(s), inverse) pairs
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -169,17 +162,9 @@ def mult_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) 
     nonzero = [x for x in r.elements() if x != r.zero]
     if r.order > exhaustive_order:
         return pair_closure_masks(r, nonzero)
-    seeds = []
-    for code in range(1 << len(nonzero)):
-        gens = 0
-        c = code
-        i = 0
-        while c:
-            if c & 1:
-                gens |= 1 << nonzero[i]
-            c >>= 1
-            i += 1
-        seeds.append(gens)
+    seeds = [0]  # every subset of nonzero, as a mask
+    for x in nonzero:
+        seeds += [m | 1 << x for m in seeds]
     return _zero_free_closures(r, seeds)
 
 
@@ -220,8 +205,9 @@ def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
 
 
 @memo
-def ore_flags(r: RingTable, smask: Mask):
-    """(left Ore, right Ore, left den, right den, ass_l, ass_r, first violation)."""
+def ore_flags(r: RingTable, smask: Mask) -> OreClass:
+    """The Ore and denominator flags of the set, its vanishing sets, and the
+    first violation found."""
     mul = r.mul
     zero = r.zero
     members = list(bits(smask))
@@ -269,17 +255,17 @@ def ore_flags(r: RingTable, smask: Mask):
         raise EngineInvariantError(f"{r.label}: ass_l of a left Ore set is not a two-sided ideal")
     if right_ore and not is_two_sided_ideal_mask(r, ass_r):
         raise EngineInvariantError(f"{r.label}: ass_r of a right Ore set is not a two-sided ideal")
-    return left_ore, right_ore, left_den, right_den, ass_l, ass_r, violation
+    return OreClass(left_ore, right_ore, left_den, right_den, ass_l, ass_r, violation)
 
 
 def classify_set(s: MultSet) -> OreClass:
-    return OreClass(s, *ore_flags(s.ring, s.mask))
+    return ore_flags(s.ring, s.mask)
 
 
 @memo
 def left_denominator_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     return tuple(
-        m for m in mult_set_masks(r, exhaustive_order) if ore_flags(r, m)[2]
+        m for m in mult_set_masks(r, exhaustive_order) if ore_flags(r, m).left_den
     )
 
 
@@ -287,25 +273,24 @@ def left_denominator_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_
     return [MultSet(r, m) for m in left_denominator_masks(r, exhaustive_order)]
 
 
+def _factor_localization(r: RingTable, s: MultSet, kind: str, ass: Mask) -> Localization:
+    """S^-1 R realized as R/ass, after checking that ker(sigma) is ass and that
+    every sigma(s) is a unit of the factor."""
+    target, sigma = make_quotient(r, ass)
+    if sigma.kernel_mask() != ass:
+        raise EngineInvariantError(f"{r.label}: localization kernel differs from the vanishing ideal")
+    if sigma.push_mask(s.mask) & ~units_mask(target):
+        raise EngineInvariantError(f"{r.label}: an image of S is not a unit of the localization")
+    return Localization(r, s, kind, Ideal(r, ass, TWO_SIDED), target, sigma)
+
+
 @memo
 def _localize_mask(r: RingTable, smask: Mask) -> Localization:
     cls = ore_flags(r, smask)
-    if not cls[2]:
-        raise NotDenominatorError(r, cls[6][0] if cls[6] else "left-denominator", cls[6][1] if cls[6] else None)
-    ass = Ideal(r, cls[4], TWO_SIDED)
-    target, sigma = make_quotient(r, ass.mask)
-    if sigma.kernel_mask() != ass.mask:
-        raise EngineInvariantError(f"{r.label}: localization kernel differs from the vanishing ideal")
-    inv = inverse_table(target)
-    witness = []
-    for s in bits(smask):
-        im = sigma(s)
-        if im not in inv:
-            raise EngineInvariantError(
-                f"{r.label}: image of {r.name(s)} is not a unit of the localization"
-            )
-        witness.append((im, inv[im]))
-    return Localization(r, MultSet(r, smask), "denominator", ass, target, sigma, tuple(witness))
+    if not cls.left_den:
+        reason, witness = cls.violation or ("left-denominator", None)
+        raise NotDenominatorError(r, reason, witness)
+    return _factor_localization(r, MultSet(r, smask), "denominator", cls.ass_l_mask)
 
 
 def localize(r: RingTable, s: MultSet) -> Localization:
@@ -465,15 +450,7 @@ def localize_normal(r: RingTable, gens) -> Localization:
         raise EngineInvariantError(f"{r.label}: normal-set vanishing ideal is not two-sided")
     if ass == r.full_mask():
         raise ZeroAbsorbedError(r, (r.one, r.one))
-    target, sigma = make_quotient(r, ass)
-    inv = inverse_table(target)
-    witness = []
-    for u in members:
-        im = sigma(u)
-        if im not in inv:
-            raise EngineInvariantError(f"{r.label}: normal localization image {u} is not a unit")
-        witness.append((im, inv[im]))
-    return Localization(r, s, "normal-localizable", Ideal(r, ass, TWO_SIDED), target, sigma, tuple(witness))
+    return _factor_localization(r, s, "normal-localizable", ass)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +468,7 @@ def largest_regular_set(r: RingTable) -> MultSet:
 def ass_l_realizable_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     """All ideals arising as ass_l of an enumerated left denominator set."""
     return tuple(sorted({
-        ore_flags(r, m)[4] for m in left_denominator_masks(r, exhaustive_order)
+        ore_flags(r, m).ass_l_mask for m in left_denominator_masks(r, exhaustive_order)
     }))
 
 
@@ -537,9 +514,9 @@ def check_epimorphic_den_b14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
         # image contains zero; both sides fail by convention
         return EpimorphicDenVerdict(True, False, False, True)
     q, hom = make_quotient(r, b.mask)
-    s_img = mask_of(hom(s) for s in loc.mult_set.members())
+    s_img = hom.push_mask(loc.mult_set.mask)
     cls = ore_flags(q, s_img)
-    lhs = cls[2] and cls[4] == 1 << q.zero
+    lhs = cls.left_den and cls.ass_l_mask == 1 << q.zero
     rhs = s_img & ~regular_mask(q) == 0
     return EpimorphicDenVerdict(True, lhs, rhs, lhs == rhs)
 
@@ -553,19 +530,18 @@ def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
     if ab & loc.mult_set.mask or ab == r.full_mask():
         return EpimorphicDenVerdict(False, None, None, None)
     q, hom = make_quotient(r, ab)
-    s_img_members = sorted({hom(s) for s in loc.mult_set.members()})
-    cbar = vanishing_masks(q, mask_of(s_img_members))[0]
+    s_img = hom.push_mask(loc.mult_set.mask)
+    cbar = vanishing_masks(q, s_img)[0]
     if not is_two_sided_ideal_mask(q, cbar):
         raise EngineInvariantError(f"{r.label}: intermediate vanishing set is not an ideal")
     if cbar == q.full_mask():
         return EpimorphicDenVerdict(False, None, None, None)
     q2, hom2 = make_quotient(q, cbar)
-    s2 = mask_of(hom2(s) for s in s_img_members)
-    cls = ore_flags(q2, s2)
-    lhs = cls[2] and cls[4] == 1 << q2.zero
+    cls = ore_flags(q2, hom2.push_mask(s_img))
+    lhs = cls.left_den and cls.ass_l_mask == 1 << q2.zero
     rhs = all(
         cbar >> x & 1
         for x in q.elements()
-        if any(cbar >> q.mul[x][u] & 1 for u in s_img_members)
+        if any(cbar >> q.mul[x][u] & 1 for u in bits(s_img))
     )
     return EpimorphicDenVerdict(True, lhs, rhs, lhs == rhs)

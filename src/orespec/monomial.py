@@ -191,6 +191,26 @@ class MonomialLocReport:
     saturation_oracle_ok: bool
 
 
+def _min_covers_avoiding(r: CommMonomialRing, vset: frozenset[int]) -> list[frozenset[int]]:
+    """Minimal variable sets that avoid vset and meet every support of the
+    generators of r: the minimal primes of the localization at vset.
+
+    Built one generator at a time (Berge's transversal recursion), so it
+    shares no code path with the subset sweep of min_primes_monomial.
+    """
+    covers = {frozenset()}
+    for g in r.gens:
+        s = support(g)
+        grown = set()
+        for c in covers:
+            if c & s:
+                grown.add(c)
+            else:
+                grown.update(c | {v} for v in s - vset)
+        covers = {c for c in grown if not any(k < c for k in grown)}
+    return sorted(covers, key=lambda c: (len(c), sorted(c)))
+
+
 def localize_monomial(r: CommMonomialRing, variables) -> MonomialLocReport:
     """Invert a set of variables; the vanishing ideal is the saturation and the
     minimal primes over it biject with the minimal primes of the localization."""
@@ -201,9 +221,10 @@ def localize_monomial(r: CommMonomialRing, variables) -> MonomialLocReport:
     # no saturated generator touches an inverted variable, so no minimal cover does
     if any(c & vset for c in min_vanishing):
         raise RingError("cover of the saturated ideal meets the inverted variables")
-    min_localized = min_vanishing
+    min_localized = tuple(_min_covers_avoiding(r, vset))
     regular_case = sat.gens == r.gens
-    bijection_ok = len(set(min_vanishing)) == len(min_vanishing)
+    bijection_ok = (len(set(min_vanishing)) == len(min_vanishing)
+                    and set(min_vanishing) == set(min_localized))
     if regular_case:
         bijection_ok = bijection_ok and set(min_localized) == set(min_source)
     oracle_ok = True
@@ -273,7 +294,9 @@ class NCMonomial:
 
 
 def an_build(n: int, d: int) -> AnAlgebra:
-    if not 0 <= n <= 4:
+    if n < 0 or d < 1:
+        raise RingError(f"the pairing algebra needs n >= 0 and degree >= 1, got n={n}, degree={d}")
+    if n > 4:
         raise DegreeBudgetError("the pairing algebra is built for n <= 4")
     if d > 8:
         raise DegreeBudgetError("degree bound is capped at 8")

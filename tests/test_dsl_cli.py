@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -245,3 +249,47 @@ def test_cli_exhaustive_order_is_bounded_by_the_order_cap(capsys):
     # the sweep never exceeds --max-order, so a large --exhaustive-order alone passes
     assert main(["multsets", "zmod(6)", "--exhaustive-order", "40"]) == 0
     assert "7 multiplicative sets of zmod(6)" in capsys.readouterr().out
+
+
+def test_cli_an_rejects_negative_n_and_degree_below_one(capsys):
+    assert main(["an", "verify", "--n", "2", "--degree", "-1"]) == 2
+    assert "--degree: must be at least 1" in capsys.readouterr().err
+    assert main(["an", "verify", "--n", "2", "--degree", "0"]) == 2
+    capsys.readouterr()
+    assert main(["an", "verify", "--n", "-1"]) == 2
+    assert "n >= 0 and degree >= 1" in capsys.readouterr().err
+    assert main(["an", "verify", "--n", "5"]) == 3
+    assert main(["an", "verify", "--n", "1", "--degree", "9"]) == 3
+    capsys.readouterr()
+
+
+def test_cli_verify_rejects_an_empty_suite(capsys, monkeypatch):
+    def no_corpus(*args):
+        raise AssertionError("the corpus was built for an empty suite")
+
+    monkeypatch.setattr("orespec.cli.build_corpus", no_corpus)
+    for suite in (",", " , "):
+        assert main(["verify", "--suite", suite]) == 2
+        assert "names no check ids" in capsys.readouterr().err
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def test_cli_closed_stdout_ends_quietly():
+    proc = subprocess.Popen([sys.executable, "-m", "orespec.cli", "multsets", "zmod(12)"],
+                            env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read().decode()
+    code = proc.wait(timeout=120)
+    proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert code == 2
+
+
+def test_run_verify_script_rejects_jobs_below_one():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_verify.py"), "--jobs", "0"],
+                          env=ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "--jobs: must be at least 1" in done.stderr

@@ -79,3 +79,27 @@ def test_a_false_claim_is_reported_not_swallowed(monkeypatch):
     assert bogus_report.counterexamples, "the harness must surface real failures"
     assert bogus_report.applicable == bogus_report.passed + len(bogus_report.counterexamples)
     assert any(cx.provenance == "zmod(4)" for cx in bogus_report.counterexamples)
+
+
+def test_an_engine_bug_is_an_engine_error_counterexample(monkeypatch, capsys):
+    from orespec.cli import main
+
+    def buggy(r, cfg):
+        if r.label == "zmod(4)":
+            raise IndexError("engine bug")
+        return Outcome("pass", 1)
+
+    monkeypatch.setitem(
+        REGISTRY, "buggy",
+        (TheoremCheck("buggy", ("finite",), "a check with an engine bug"), {"finite": buggy}),
+    )
+    monkeypatch.setattr("orespec.checks.COVERAGE", COVERAGE + ("buggy",))
+    monkeypatch.setattr("orespec.harness.COVERAGE", COVERAGE + ("buggy",))
+    small = CorpusConfig(order_cap=6)
+    for jobs in (1, 2):
+        cxs = run_suite(build_corpus(small), ("buggy",), small, jobs=jobs)[1].counterexamples
+        assert [(cx.provenance, cx.clause, cx.detail) for cx in cxs] == [
+            ("zmod(4)", "engine-error", "IndexError: engine bug")
+        ]
+    assert main(["verify", "--suite", "buggy", "--max-order", "6"]) == 1
+    assert "engine-error IndexError: engine bug" in capsys.readouterr().out

@@ -112,6 +112,9 @@ LIES = [
     pytest.param([(mono, "localize_monomial", _set(bijection_ok=False))],
                  ("A10Sep23", "A2Oct23", "c10Sep23"),
                  id="localize_monomial"),
+    pytest.param([(mono, "min_primes_monomial", lambda fn: lambda r: fn(r)[:-1])],
+                 ("A10Sep23", "A2Oct23"),
+                 id="min_primes_monomial"),
     pytest.param([(mono, "an_verify", _set(failures=("lie",))),
                   (mono, "an_localize_normal", _set(failures=("lie",))),
                   (mono, "an_normal_variant", _set(same_vanishing=False))],
