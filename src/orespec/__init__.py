@@ -16,7 +16,6 @@ from .finring import (
     make_quotient,
     make_upper_triangular,
     make_zmod,
-    regular_elements,
     same_tables,
     units,
 )

@@ -114,7 +114,6 @@ class RhoCriteria:
     regular_inclusion: bool | None    # regulars of the centre stay regular
     min_disjoint: bool | None         # central regulars avoid every minimal prime
     well_defined: bool | None
-    surjective: bool | None
     agree: bool | None
 
 
@@ -122,7 +121,7 @@ def check_rho_criteria(r: RingTable) -> RhoCriteria:
     """The four equivalent well-definedness/surjectivity criteria, evaluated
     independently on a semiprime ring and compared."""
     if not is_semiprime_ring(r):
-        return RhoCriteria(False, None, None, None, None, None)
+        return RhoCriteria(False, None, None, None, None)
     cd = centre_ring(r)
     central_regulars = cd.embedding.push_mask(regular_mask(cd.centre))
     c1 = central_regulars & ~regular_mask(r) == 0
@@ -130,7 +129,7 @@ def check_rho_criteria(r: RingTable) -> RhoCriteria:
     rm = rho(r)
     c3 = rm.well_defined
     c4 = rm.surjective_onto_min
-    return RhoCriteria(True, c1, c2, c3, c4, c1 == c2 == c3 == c4)
+    return RhoCriteria(True, c1, c2, c3, c1 == c2 == c3 == c4)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,6 @@ class CentralLocReport:
     in_image: bool                 # prime is hit by the restriction map
     extension_proper: bool         # R_q != R_q * q
     fiber_source: tuple[Mask, ...]
-    fiber_target: tuple[Mask, ...]
     bijection_ok: bool
     min_prime_in_fiber: bool | None  # some minimal prime restricts to the prime
 
@@ -193,7 +191,7 @@ def central_localize(r: RingTable, q: Ideal) -> CentralLocReport:
             cd.restrict_mask(pm) == q.mask for pm in min_prime_masks_over(r, 1 << r.zero)
         )
     return CentralLocReport(
-        r, q, loc, in_image, extension_proper, fiber_source, fiber_target, bijection_ok, min_in_fiber
+        r, q, loc, in_image, extension_proper, fiber_source, bijection_ok, min_in_fiber
     )
 
 

@@ -181,7 +181,7 @@ def _minimals_biject(loc: Localization, pmasks) -> bool:
 
 
 def _is_prime_ring(r: RingTable) -> bool:
-    return prime_flags(r, 1 << r.zero)[0]
+    return prime_flags(r, 1 << r.zero).is_prime
 
 
 def _spec_subset_budget(r: RingTable) -> bool:
@@ -255,14 +255,14 @@ def check_prime_localized_iff_ideal(r: RingTable, cfg) -> Outcome:
         branches = []
         if contracted == pmask:
             branches.append(pmask)
-        if contracted != r.full_mask() and prime_flags(r, contracted)[0]:
+        if contracted != r.full_mask() and prime_flags(r, contracted).is_prime:
             branches.append(contracted)
         for _ in branches:
             cases += 1
             spec_member = (
                 li.two_sided
                 and li.mask != loc.target.full_mask()
-                and prime_flags(loc.target, li.mask)[0]
+                and prime_flags(loc.target, li.mask).is_prime
             )
             if spec_member != li.two_sided:
                 return Outcome("fail", cases, "prime localization iff two-sided",
@@ -287,7 +287,7 @@ def check_prime_vanishing_target(r: RingTable, cfg) -> Outcome:
     cases = 0
     for s in _dens(r, cfg):
         cls = classify_set(s)
-        if cls.ass_l_mask == r.full_mask() or not prime_flags(r, cls.ass_l_mask)[0]:
+        if cls.ass_l_mask == r.full_mask() or not prime_flags(r, cls.ass_l_mask).is_prime:
             continue
         cases += 1
         loc = localize(r, s)
@@ -384,7 +384,7 @@ def check_min_primes_prime_rich(r: RingTable, cfg) -> Outcome:
         mrs = [p.mask for p in min_RS(r, s)]
         family = _localized_min_family(loc, mrs)
         all_prime_downstairs = all(
-            fm != loc.target.full_mask() and prime_flags(loc.target, fm)[0]
+            fm != loc.target.full_mask() and prime_flags(loc.target, fm).is_prime
             for fm in family
         )
         if not all_prime_downstairs:
@@ -504,7 +504,7 @@ def check_semiprime_vanishing_bijection(r: RingTable, cfg) -> Outcome:
     for s in _dens(r, cfg):
         cls = classify_set(s)
         amask = cls.ass_l_mask
-        if amask == r.full_mask() or not prime_flags(r, amask)[2]:
+        if amask == r.full_mask() or not prime_flags(r, amask).is_semiprime_ideal:
             continue  # vanishing ideal must be semiprime
         cases += 1
         loc = localize(r, s)
@@ -623,7 +623,7 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg) -> Outcome:
         st2 = True
         for pmask, fm in zip(mrs, family):
             li_two_sided = localize_left_ideal(loc, Ideal(r, pmask)).two_sided
-            factor_prime = fm != t.full_mask() and prime_flags(t, fm)[0]
+            factor_prime = fm != t.full_mask() and prime_flags(t, fm).is_prime
             if not (li_two_sided and factor_prime):
                 st2 = False
                 break
@@ -665,14 +665,15 @@ def check_completely_prime_corollary(r: RingTable, cfg) -> Outcome:
         loc = localize(r, s)
         t = loc.target
         hyp = all(
-            prime_flags(r, m)[1] and localize_left_ideal(loc, Ideal(r, m)).two_sided
+            prime_flags(r, m).is_completely_prime
+            and localize_left_ideal(loc, Ideal(r, m)).two_sided
             for m in mrs
         )
         if not hyp:
             continue
         cases += 1
         ok = _minimals_biject(loc, mrs) and is_semiprime_ring(t) and all(
-            fm == t.full_mask() or prime_flags(t, fm)[1]
+            fm == t.full_mask() or prime_flags(t, fm).is_completely_prime
             for fm in _localized_min_family(loc, mrs)
         )
         if not ok:
@@ -763,10 +764,9 @@ def check_an_localization_bijection(a: mono.AnAlgebra, cfg) -> Outcome:
     for size in range(1, a.pairs + 1):
         for combo in itertools.combinations(range(1, a.pairs + 1), size):
             cases += 1
-            rep = mono.an_localize_normal(a, combo)
-            if not rep.ok:
-                return Outcome("fail", cases, "pairing-algebra localization bijection",
-                               f"V={sorted(combo)}: {rep.failures[:1]}")
+            failed = mono.an_localize_normal(a, combo)
+            if failed:
+                return Outcome("fail", cases, *failed)
     return _verdict(cases)
 
 
@@ -798,10 +798,12 @@ def check_an_central_variant(a: mono.AnAlgebra, cfg) -> Outcome:
     cases = 0
     for v in range(1, a.pairs + 1):
         cases += 1
-        rep = mono.an_normal_variant(a, {v})
-        if not rep.ok:
-            return Outcome("fail", cases, "central variant gives the same vanishing ideal",
-                           f"V={{{v}}}")
+        g = mono.noncommuting_generator(a, mono.an_z(a, v))
+        if g:
+            return Outcome("fail", cases, "generator is normal", f"z{v} does not commute with {g}")
+        failed = mono.an_localize_normal(a, {v})
+        if failed:
+            return Outcome("fail", cases, *failed)
     return _verdict(cases)
 
 
@@ -942,9 +944,9 @@ def check_laurent_units(r: mono.CommMonomialRing, cfg) -> Outcome:
 
 
 def check_pairing_algebra(a: mono.AnAlgebra, cfg) -> Outcome:
-    rep = mono.an_verify(a)
-    if not rep.ok:
-        return Outcome("fail", 1, "pairing-algebra verification", "; ".join(rep.failures[:2]))
+    failed = mono.an_verify(a)
+    if failed:
+        return Outcome("fail", 1, *failed)
     return _verdict(1)
 
 

@@ -508,10 +508,6 @@ def units(r: RingTable) -> ElementSet:
     return ElementSet(r, units_mask(r))
 
 
-def regular_elements(r: RingTable) -> ElementSet:
-    return ElementSet(r, regular_mask(r))
-
-
 def centre_set(r: RingTable) -> ElementSet:
     return ElementSet(r, centre_mask(r))
 

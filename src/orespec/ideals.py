@@ -58,7 +58,6 @@ class Ideal:
 
 @dataclass(frozen=True)
 class PrimeReport:
-    ideal: Ideal
     is_prime: bool
     is_completely_prime: bool
     is_semiprime_ideal: bool
@@ -196,8 +195,9 @@ def right_ann(r: RingTable, tset) -> Ideal:
 # primality
 
 @memo
-def prime_flags(r: RingTable, mask: Mask) -> tuple[bool, bool, bool]:
-    """(prime, completely prime, semiprime) for a proper two-sided ideal mask."""
+def prime_flags(r: RingTable, mask: Mask) -> PrimeReport:
+    """Prime / completely prime / semiprime flags of a proper two-sided ideal
+    mask, by the elementwise tests."""
     outside = [x for x in r.elements() if not mask >> x & 1]
     completely = True
     prime = True
@@ -213,17 +213,16 @@ def prime_flags(r: RingTable, mask: Mask) -> tuple[bool, bool, bool]:
                 prime = False
     if (completely and not prime) or (prime and not semi):
         raise EngineInvariantError("prime classification monotonicity violated")
-    return prime, completely, semi
+    return PrimeReport(prime, completely, semi)
 
 
 def classify_ideal(p: Ideal) -> PrimeReport:
-    """Prime / completely prime / semiprime flags by the elementwise tests."""
+    """The prime flags of a proper two-sided ideal."""
     if p.sidedness != TWO_SIDED:
         raise SidednessError("classification requires a two-sided ideal")
     if p.is_full():
         raise ImproperIdealError("cannot classify the whole ring")
-    prime, completely, semi = prime_flags(p.ring, p.mask)
-    return PrimeReport(p, prime, completely, semi)
+    return prime_flags(p.ring, p.mask)
 
 
 def is_prime_lattice_test(p: Ideal) -> bool:
@@ -243,7 +242,7 @@ def is_prime_lattice_test(p: Ideal) -> bool:
 @memo
 def prime_masks(r: RingTable) -> tuple[Mask, ...]:
     full = r.full_mask()
-    return tuple(m for m in all_ideal_masks(r) if m != full and prime_flags(r, m)[0])
+    return tuple(m for m in all_ideal_masks(r) if m != full and prime_flags(r, m).is_prime)
 
 
 def spec_ideals(r: RingTable) -> list[Ideal]:

@@ -334,7 +334,6 @@ def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
 
 @dataclass(frozen=True)
 class A11Verdict:
-    conditions: tuple[bool, bool, bool, bool, bool]
     agree: bool
     holds: bool
     witness: str | None
@@ -355,8 +354,7 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> A11Verdict:
     r = loc.ring
     smembers = loc.mult_set.members()
     if b.is_full():
-        conds = (True,) * 5
-        return A11Verdict(conds, True, True, None)
+        return A11Verdict(True, True, None)
 
     local = localize_left_ideal(loc, b)
     c1 = local.two_sided
@@ -397,7 +395,7 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> A11Verdict:
     witness = None
     if not agree:
         witness = f"conditions disagree: {conds} for S={smembers}, b={b.members()}"
-    return A11Verdict(conds, agree, all(conds), witness)
+    return A11Verdict(agree, all(conds), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +433,11 @@ def localize_normal(r: RingTable, gens) -> Localization:
     The vanishing ideal is {x : s x t = 0 for some s,t in S}; the target is
     the factor ring by it, where every image of S is again a unit.
     """
-    gmask = gens if isinstance(gens, int) else mask_of(gens)
+    return _localize_normal_mask(r, gens if isinstance(gens, int) else mask_of(gens))
+
+
+@memo
+def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
     nm = normal_mask(r)
     for g in bits(gmask):
         if not nm >> g & 1:
@@ -500,7 +502,6 @@ def t_l(r: RingTable, p: Ideal) -> MultSet:
 class EpimorphicDenVerdict:
     applicable: bool
     lhs: bool | None
-    rhs: bool | None
     agree: bool | None
 
 
@@ -509,16 +510,16 @@ def check_epimorphic_den_b14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
     a zero-vanishing denominator set of R/b iff it consists of regular elements."""
     r = loc.ring
     if loc.ass.mask & ~b.mask or b.is_full():
-        return EpimorphicDenVerdict(False, None, None, None)
+        return EpimorphicDenVerdict(False, None, None)
     if b.mask & loc.mult_set.mask:
         # image contains zero; both sides fail by convention
-        return EpimorphicDenVerdict(True, False, False, True)
+        return EpimorphicDenVerdict(True, False, True)
     q, hom = make_quotient(r, b.mask)
     s_img = hom.push_mask(loc.mult_set.mask)
     cls = ore_flags(q, s_img)
     lhs = cls.left_den and cls.ass_l_mask == 1 << q.zero
     rhs = s_img & ~regular_mask(q) == 0
-    return EpimorphicDenVerdict(True, lhs, rhs, lhs == rhs)
+    return EpimorphicDenVerdict(True, lhs, lhs == rhs)
 
 
 def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> EpimorphicDenVerdict:
@@ -528,14 +529,14 @@ def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
     r = loc.ring
     ab = ideal_sum_mask(r, loc.ass.mask, b.mask)
     if ab & loc.mult_set.mask or ab == r.full_mask():
-        return EpimorphicDenVerdict(False, None, None, None)
+        return EpimorphicDenVerdict(False, None, None)
     q, hom = make_quotient(r, ab)
     s_img = hom.push_mask(loc.mult_set.mask)
     cbar = vanishing_masks(q, s_img)[0]
     if not is_two_sided_ideal_mask(q, cbar):
         raise EngineInvariantError(f"{r.label}: intermediate vanishing set is not an ideal")
     if cbar == q.full_mask():
-        return EpimorphicDenVerdict(False, None, None, None)
+        return EpimorphicDenVerdict(False, None, None)
     q2, hom2 = make_quotient(q, cbar)
     cls = ore_flags(q2, hom2.push_mask(s_img))
     lhs = cls.left_den and cls.ass_l_mask == 1 << q2.zero
@@ -544,4 +545,4 @@ def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
         for x in q.elements()
         if any(cbar >> q.mul[x][u] & 1 for u in bits(s_img))
     )
-    return EpimorphicDenVerdict(True, lhs, rhs, lhs == rhs)
+    return EpimorphicDenVerdict(True, lhs, lhs == rhs)

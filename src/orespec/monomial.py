@@ -25,9 +25,9 @@ Everything in this module is checked at a bounded total degree; reports say
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .finring import RingError
+from .finring import RingError, memo
 
 
 class UnitIdealError(RingError):
@@ -264,6 +264,7 @@ class AnAlgebra:
     pairs: int
     degree_bound: int
     letters: int
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"AnAlgebra(pairs={self.pairs}, letters={self.letters}, degree<={self.degree_bound})"
@@ -392,173 +393,102 @@ def an_min_primes(a: AnAlgebra) -> list[AnPrime]:
     return [AnPrime(a, s) for s in subsets]
 
 
-def _commutes_with_generators(a: AnAlgebra, m: NCMonomial) -> tuple[bool, str | None]:
-    """Centrality against all algebra generators, with the first witness."""
+def noncommuting_generator(a: AnAlgebra, m: NCMonomial) -> str | None:
+    """The first algebra generator that does not commute with m, or None."""
     gens = [(an_x(a, i), f"x{i}") for i in range(1, a.letters + 1)]
     gens += [(an_z(a, i), f"z{i}") for i in range(1, a.pairs + 1)]
     for g, gname in gens:
-        left = an_multiply(a, m, g)
-        right = an_multiply(a, g, m)
-        if left != right:
-            return False, gname
-    return True, None
+        if an_multiply(a, m, g) != an_multiply(a, g, m):
+            return gname
+    return None
 
 
-@dataclass(frozen=True)
-class AnVerifyReport:
-    algebra: AnAlgebra
-    domain_quotients_ok: bool
-    incomparable_ok: bool
-    intersection_zero_ok: bool
-    centre_is_z_polynomials: bool
-    central_monomials: tuple[NCMonomial, ...]
-    x_noncentral_witnesses: tuple[tuple[int, str], ...]
-    prime_centre_restriction_ok: bool       # p_I meet Z = (z_j : j outside I)
-    centre_min_is_zero_ideal: bool          # the z-polynomial ring has one minimal prime
-    rho_min_defined_for: tuple[frozenset[int], ...]
-    rho_min_undefined_for: tuple[frozenset[int], ...]
-    criterion_witness: str | None           # central regular that kills an x
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+def _zero_divisor(a: AnAlgebra, p: AnPrime, monos) -> str | None:
+    """The first product of two monomials outside p that lands in p, within
+    the degree bound, or None when the quotient by p is a domain there."""
+    by_degree: dict[int, list[NCMonomial]] = {}
+    for m in monos:
+        if not p.contains(m):
+            by_degree.setdefault(m.degree(), []).append(m)
+    for d1, left in by_degree.items():
+        for d2, right in by_degree.items():
+            if d1 + d2 > a.degree_bound:
+                continue
+            for m1 in left:
+                for m2 in right:
+                    prod = an_multiply(a, m1, m2)
+                    if prod.is_zero or p.contains(prod):
+                        return f"{m1} * {m2}"
+    return None
 
 
-def an_verify(a: AnAlgebra) -> AnVerifyReport:
-    """Degree-bounded verification of the pairing-algebra picture.
+def an_verify(a: AnAlgebra) -> tuple[str, str] | None:
+    """Degree-bounded verification of the pairing-algebra picture: the first
+    broken (clause, detail), or None.
 
     Checks, all at total degree <= the bound: every p_I has a domain quotient;
-    the p_I are pairwise incomparable and intersect to zero; the centre is
-    spanned by z monomials; p_I meets the centre in the z's indexed outside I;
-    and the minimal-prime restriction map is defined exactly at I = full set.
+    the p_I are pairwise incomparable and intersect to zero; the central
+    monomials are exactly the z monomials; p_I meets the centre in the z's
+    indexed outside I; and the minimal-prime restriction map is defined
+    exactly at I = full set.
     """
     d = a.degree_bound
-    failures = []
     primes = an_min_primes(a)
     monos = list(an_monomials(a))
 
-    domain_ok = True
     for p in primes:
-        by_degree: dict[int, list[NCMonomial]] = {}
-        for m in monos:
-            if not p.contains(m):
-                by_degree.setdefault(m.degree(), []).append(m)
-        for d1, left in by_degree.items():
-            for d2, right in by_degree.items():
-                if d1 + d2 > d:
-                    continue
-                for m1 in left:
-                    for m2 in right:
-                        prod = an_multiply(a, m1, m2)
-                        if prod.is_zero or p.contains(prod):
-                            domain_ok = False
-                            failures.append(f"quotient by {p} has zero divisors: {m1} * {m2}")
-                            break
-                    if not domain_ok:
-                        break
-                if not domain_ok:
-                    break
-            if not domain_ok:
-                break
-        if not domain_ok:
-            break
+        witness = _zero_divisor(a, p, monos)
+        if witness:
+            return "domain quotients", f"quotient by {p} has zero divisors: {witness}"
 
-    incomparable = True
     for p in primes:
         for q in primes:
-            if p.I == q.I:
-                continue
-            if not any(p.contains(m) and not q.contains(m) for m in monos):
-                incomparable = False
-                failures.append(f"{p} is contained in {q} at degree <= {d}")
+            if p.I != q.I and not any(p.contains(m) and not q.contains(m) for m in monos):
+                return "incomparable primes", f"{p} is contained in {q} at degree <= {d}"
 
-    inter_zero = all(any(not p.contains(m) for p in primes) for m in monos if m.degree() > 0)
-    if not inter_zero:
-        failures.append("a nonzero monomial lies in every minimal prime")
-
-    central = []
-    x_witnesses = []
     for m in monos:
-        is_central, _ = _commutes_with_generators(a, m)
-        if is_central:
-            central.append(m)
-    centre_z_span = all(not m.word for m in central)
-    if not centre_z_span:
-        bad = next(m for m in central if m.word)
-        failures.append(f"central monomial {bad} is not a z monomial")
-    for i in range(1, a.letters + 1):
-        ok, witness = _commutes_with_generators(a, an_x(a, i))
-        if ok:
-            failures.append(f"x{i} is central")
-            x_witnesses.append((i, "none"))
-        else:
-            x_witnesses.append((i, witness))
+        if m.degree() > 0 and all(p.contains(m) for p in primes):
+            return "zero intersection", f"{m} lies in every minimal prime"
 
-    restriction_ok = True
+    for m in monos:
+        g = noncommuting_generator(a, m)
+        if bool(m.word) == (g is None):
+            return "centre is the z-polynomials", (
+                f"{m} does not commute with {g}" if g else f"{m} is central")
+
     for p in primes:
         ci = p.complement()
         for m in monos:
-            if m.word:
-                continue
-            expected = bool(m.z_support() & ci)
-            if p.contains(m) != expected:
-                restriction_ok = False
-                failures.append(f"{p} meets the centre off (z_j : j in {sorted(ci)}) at {m}")
-                break
+            if not m.word and p.contains(m) != bool(m.z_support() & ci):
+                return "prime meets the centre", (
+                    f"{p} meets the centre off (z_j : j in {sorted(ci)}) at {m}")
 
     zmonos = [m for m in monos if not m.word and m.degree() > 0]
-    centre_domain = all(
-        not an_multiply(a, m1, m2).is_zero
-        for m1 in zmonos for m2 in zmonos if m1.degree() + m2.degree() <= d
-    )
-    if not centre_domain:
-        failures.append("the z-polynomial centre has monomial zero divisors")
+    for m1 in zmonos:
+        for m2 in zmonos:
+            if m1.degree() + m2.degree() <= d and an_multiply(a, m1, m2).is_zero:
+                return "centre is a domain", f"{m1} * {m2} = 0"
 
+    # rho(p) = p meet Z is minimal in the domain Z iff it is zero
     full = frozenset(range(1, a.pairs + 1))
-    defined, undefined = [], []
-    for p in primes:
-        # restriction is minimal in the centre iff it is the zero ideal
-        (defined if not p.complement() else undefined).append(p.I)
-    if set(undefined) != {p.I for p in primes if p.I != full}:
-        failures.append("restriction-map failure set is not exactly the proper index sets")
+    defined = {p.I for p in primes if not any(p.contains(m) for m in zmonos)}
+    if defined != {full}:
+        return "restriction map", (
+            f"defined at {[sorted(i) for i in defined]}, not only at {sorted(full)}")
 
-    witness = None
     if a.pairs >= 1:
         z1, x1 = an_z(a, 1), an_x(a, 1)
         z1_regular = all(
             not an_multiply(a, z1, m).is_zero for m in zmonos if m.degree() + 1 <= d
         )
-        if z1_regular and an_multiply(a, z1, x1).is_zero:
-            witness = "z1 is regular in the centre but z1*x1 = 0"
-        else:
-            failures.append("missing the central-regular zero-divisor witness")
-
-    return AnVerifyReport(
-        a, domain_ok, incomparable, inter_zero, centre_z_span, tuple(central),
-        tuple(x_witnesses), restriction_ok, centre_domain,
-        tuple(defined), tuple(undefined), witness, tuple(failures),
-    )
+        if not (z1_regular and an_multiply(a, z1, x1).is_zero):
+            return "criterion witness", "missing the central-regular zero-divisor witness"
+    return None
 
 
-@dataclass(frozen=True)
-class AnLocReport:
-    algebra: AnAlgebra
-    inverted: frozenset[int]
-    vanishing_ok: bool           # {m : z-powers kill m both sides} = (x_v : v in V)
-    min_over_vanishing: tuple[frozenset[int], ...]
-    expected_count: int
-    localized: AnAlgebra
-    bijection_ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def an_localize_normal(a: AnAlgebra, variables) -> AnLocReport:
-    """Invert the central set generated by z_v, v in V.
+def an_localize_normal(a: AnAlgebra, variables) -> tuple[str, str] | None:
+    """Invert the central set generated by z_v, v in V: the first broken
+    (clause, detail), or None.
 
     The vanishing ideal is generated by the paired x_v; the minimal primes
     over it are the p_I with I containing V, of which there are 2^(n-|V|),
@@ -568,66 +498,32 @@ def an_localize_normal(a: AnAlgebra, variables) -> AnLocReport:
     V = frozenset(variables)
     if not V or not V <= frozenset(range(1, a.pairs + 1)):
         raise RingError("invert a non-empty subset of the paired indices")
-    d = a.degree_bound
-    failures = []
+    return _an_localize_verdict(a, V)
 
+
+@memo
+def _an_localize_verdict(a: AnAlgebra, V: frozenset[int]) -> tuple[str, str] | None:
     # elements with s*m*t = 0 for z-power products s,t are exactly those whose
     # word meets V (choose s,t supported on all of V); zero-ness of a product
     # is decided before any degree truncation, so the full scan is sound
     zfull = NCMonomial((), tuple(1 if (i + 1) in V else 0 for i in range(a.pairs)))
-    vanishing_ok = True
     for m in an_monomials(a):
         killed = an_multiply(a, an_multiply(a, zfull, m), zfull).is_zero
-        expected = bool(m.word_support() & V)
-        if killed != expected:
-            vanishing_ok = False
-            failures.append(f"vanishing-ideal mismatch at {m}")
-            break
+        if killed != bool(m.word_support() & V):
+            return "vanishing ideal", f"V={sorted(V)}: mismatch at {m}"
 
-    primes = an_min_primes(a)
-    over = sorted((p.I for p in primes if V <= p.I), key=sorted)
-    expected_count = 1 << (a.pairs - len(V))
-    if len(over) != expected_count:
-        failures.append(f"expected {expected_count} primes over the vanishing ideal, got {len(over)}")
-
-    survivors = sorted(frozenset(range(1, a.pairs + 1)) - V)
-    relabel = {old: new + 1 for new, old in enumerate(survivors)}
-    localized = AnAlgebra(len(survivors), d, len(survivors) + SPARE_LETTERS)
+    over = [p.I for p in an_min_primes(a) if V <= p.I]
+    expected = 1 << (a.pairs - len(V))
+    if len(over) != expected:
+        return "primes over the vanishing ideal", (
+            f"V={sorted(V)}: expected {expected}, got {len(over)}")
 
     # localized image of p_I (I >= V): generated by the surviving x_i, i in I\V,
     # and the surviving z_j, j outside I -- i.e. the relabeled prime p_{I\V}
-    local_primes = {p.I: p for p in an_min_primes(localized)}
-    images = []
-    for I in over:
-        J = frozenset(relabel[i] for i in I - V)
-        if J not in local_primes:
-            failures.append(f"image of prime at {sorted(I)} is not a localized prime")
-        images.append(J)
-    bijection_ok = len(set(images)) == len(over) and set(images) == set(local_primes)
-    if not bijection_ok:
-        failures.append("prime map to the localized model is not a bijection")
-
-    return AnLocReport(a, V, vanishing_ok, tuple(over), expected_count, localized,
-                       bijection_ok, tuple(failures))
-
-
-@dataclass(frozen=True)
-class AnNormalVariantReport:
-    algebra: AnAlgebra
-    inverted: frozenset[int]
-    same_vanishing: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.same_vanishing
-
-
-def an_normal_variant(a: AnAlgebra, variables) -> AnNormalVariantReport:
-    """The 'some multiple is normal' refinement.  Each generating z_v is checked
-    to commute with every algebra generator, so it is normal, the normal subset
-    is the whole set, and both share the vanishing ideal that the
-    degree-bounded scan of an_localize_normal confirms."""
-    V = frozenset(variables)
-    base = an_localize_normal(a, V)
-    central = all(_commutes_with_generators(a, an_z(a, v))[0] for v in sorted(V))
-    return AnNormalVariantReport(a, V, central and base.vanishing_ok)
+    survivors = sorted(frozenset(range(1, a.pairs + 1)) - V)
+    relabel = {old: new + 1 for new, old in enumerate(survivors)}
+    localized = AnAlgebra(len(survivors), a.degree_bound, len(survivors) + SPARE_LETTERS)
+    images = {frozenset(relabel[i] for i in I - V) for I in over}
+    if len(images) != len(over) or images != {p.I for p in an_min_primes(localized)}:
+        return "prime bijection", f"V={sorted(V)}: prime map to the localized model"
+    return None

@@ -133,6 +133,12 @@ def test_localize_normal_examples(z12, t2f2):
     assert loc_u.ass.is_zero() and loc_u.target.order == t2f2.order
 
 
+def test_localize_normal_is_memoised_per_generator_mask(z12):
+    loc = localize_normal(z12, 1 << 2)
+    assert localize_normal(z12, 1 << 2) is loc
+    assert localize_normal(z12, [2]) is loc
+
+
 def test_localize_normal_rejects_non_normal_generators(t2f2):
     from orespec.finring import RingError
 

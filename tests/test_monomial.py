@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from orespec import monomial as mono
 from orespec.monomial import (
     AnAlgebra,
     CollapsedLocalizationError,
@@ -25,6 +26,7 @@ from orespec.monomial import (
     min_primes_monomial,
     monomial_in_ideal,
     monomials_up_to,
+    noncommuting_generator,
     regular_variables,
     saturate_monomial,
     support,
@@ -198,34 +200,38 @@ def test_prime_membership_rule():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_full_verification_report(n):
     a = an_build(n, default_degree_bound(n))
-    rep = an_verify(a)
-    assert rep.ok, rep.failures
-    assert rep.centre_is_z_polynomials
-    assert all(not m.word for m in rep.central_monomials)
-    assert rep.criterion_witness == "z1 is regular in the centre but z1*x1 = 0"
-    full = frozenset(range(1, n + 1))
-    assert set(rep.rho_min_defined_for) == {full}
-    assert set(rep.rho_min_undefined_for) == {p.I for p in an_min_primes(a)} - {full}
+    assert an_verify(a) is None
+    assert all(noncommuting_generator(a, an_x(a, i)) for i in range(1, a.letters + 1))
+    assert all(noncommuting_generator(a, an_z(a, i)) is None for i in range(1, n + 1))
 
 
 def test_without_spare_letters_the_centre_grows():
     # the spare free letters are load-bearing: with none, a decorated word
     # commutes with every generator and the z-span claim would be false
-    from orespec.monomial import _commutes_with_generators
-
     bare = AnAlgebra(2, 6, 2)
-    assert _commutes_with_generators(bare, NCMonomial((1,), (0, 1)))[0]
+    assert noncommuting_generator(bare, NCMonomial((1,), (0, 1))) is None
+    assert an_verify(bare)[0] == "centre is the z-polynomials"
     padded = an_build(2, 6)
-    assert not _commutes_with_generators(padded, NCMonomial((1,), (0, 1)))[0]
+    assert noncommuting_generator(padded, NCMonomial((1,), (0, 1))) == "x3"
 
 
 @pytest.mark.parametrize("n,v,count", [(1, {1}, 1), (2, {1}, 2), (2, {1, 2}, 1), (3, {2}, 4)])
 def test_localize_at_central_variables(n, v, count):
     a = an_build(n, default_degree_bound(n))
-    rep = an_localize_normal(a, v)
-    assert rep.ok, rep.failures
-    assert rep.expected_count == count == len(rep.min_over_vanishing)
-    assert rep.vanishing_ok and rep.bijection_ok
+    assert an_localize_normal(a, v) is None
+    assert len([p for p in an_min_primes(a) if v <= p.I]) == count
+
+
+def test_localize_at_central_variables_is_memoised_per_set(monkeypatch):
+    a = an_build(2, 6)
+    assert an_localize_normal(a, {1}) is None
+    products = []
+    multiply = mono.an_multiply
+    monkeypatch.setattr(mono, "an_multiply", lambda *args: products.append(1) or multiply(*args))
+    assert an_localize_normal(a, (1,)) is None
+    assert products == []
+    assert an_localize_normal(a, {2}) is None
+    assert products
 
 
 def test_multiplication_is_associative_on_random_triples():
