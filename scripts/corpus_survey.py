@@ -8,6 +8,7 @@ import argparse
 import sys
 from collections import Counter
 
+from orespec.cli import positive_int
 from orespec.finring import RingTable, bits, centre_mask, is_commutative, units_mask
 from orespec.harness import CorpusConfig, build_corpus
 from orespec.ideals import all_ideal_masks, is_semiprime_ring, min_prime_masks_over
@@ -16,7 +17,7 @@ from orespec.localization import left_denominator_sets, mult_set_masks
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-order", type=int, default=16)
+    ap.add_argument("--max-order", type=positive_int, default=16)
     args = ap.parse_args()
 
     cfg = CorpusConfig(order_cap=args.max_order)

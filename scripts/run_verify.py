@@ -16,7 +16,7 @@ from orespec.harness import CorpusConfig, build_corpus, render_machine, render_t
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--jobs", type=positive_int, default=1)
-    ap.add_argument("--max-order", type=int, default=16)
+    ap.add_argument("--max-order", type=positive_int, default=16)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="reports")
     args = ap.parse_args()

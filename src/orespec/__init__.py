@@ -56,7 +56,14 @@ from .localization import (
     respects_prime_structure,
     t_l,
 )
-from .centre import central_localize, centre_ring, check_pierce, check_rho_criteria, rho
+from .centre import (
+    central_localize,
+    central_regulars_miss_min_primes,
+    central_regulars_stay_regular,
+    centre_ring,
+    check_pierce,
+    rho,
+)
 from .monomial import (
     AnAlgebra,
     CommMonomialRing,

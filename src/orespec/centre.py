@@ -3,8 +3,9 @@
 The restriction map carries a prime of the ambient ring to its intersection
 with the centre; it always lands in primes of the centre ring, but its
 restriction to minimal primes may fail to be well-defined or surjective.
-The four equivalent criteria for that failure mode are computed separately
-and compared, never assumed.
+Two of the four equivalent criteria for that failure mode are predicates
+here; the map itself gives the other two, and the checks compare all four,
+never assume they agree.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .ideals import (
     prime_masks,
 )
 from .localization import (
-    Localization,
     MultSet,
     classify_set,
     localize,
@@ -108,44 +108,26 @@ def rho(r: RingTable) -> RestrictionMap:
     return RestrictionMap(r, cd, tuple(table), min_table, well, surj)
 
 
-@dataclass(frozen=True)
-class RhoCriteria:
-    applicable: bool
-    regular_inclusion: bool | None    # regulars of the centre stay regular
-    min_disjoint: bool | None         # central regulars avoid every minimal prime
-    well_defined: bool | None
-    agree: bool | None
-
-
-def check_rho_criteria(r: RingTable) -> RhoCriteria:
-    """The four equivalent well-definedness/surjectivity criteria, evaluated
-    independently on a semiprime ring and compared."""
-    if not is_semiprime_ring(r):
-        return RhoCriteria(False, None, None, None, None)
+def _central_regulars(r: RingTable) -> Mask:
+    """The regular elements of the centre ring, as a mask of the ring."""
     cd = centre_ring(r)
-    central_regulars = cd.embedding.push_mask(regular_mask(cd.centre))
-    c1 = central_regulars & ~regular_mask(r) == 0
-    c2 = all(central_regulars & pm == 0 for pm in min_prime_masks_over(r, 1 << r.zero))
-    rm = rho(r)
-    c3 = rm.well_defined
-    c4 = rm.surjective_onto_min
-    return RhoCriteria(True, c1, c2, c3, c1 == c2 == c3 == c4)
+    return cd.embedding.push_mask(regular_mask(cd.centre))
+
+
+def central_regulars_stay_regular(r: RingTable) -> bool:
+    """Criterion one for rho: every regular element of Z(R) is regular in R."""
+    return _central_regulars(r) & ~regular_mask(r) == 0
+
+
+def central_regulars_miss_min_primes(r: RingTable) -> bool:
+    """Criterion two for rho: no regular element of Z(R) lies in a minimal
+    prime of R."""
+    central = _central_regulars(r)
+    return all(central & pm == 0 for pm in min_prime_masks_over(r, 1 << r.zero))
 
 
 # ---------------------------------------------------------------------------
 # central localization
-
-@dataclass(frozen=True)
-class CentralLocReport:
-    ring: RingTable
-    prime: Ideal                   # prime of the centre ring
-    localization: Localization
-    in_image: bool                 # prime is hit by the restriction map
-    extension_proper: bool         # R_q != R_q * q
-    fiber_source: tuple[Mask, ...]
-    bijection_ok: bool
-    min_prime_in_fiber: bool | None  # some minimal prime restricts to the prime
-
 
 def central_mult_set(r: RingTable, q: Ideal) -> MultSet:
     cd = centre_ring(r)
@@ -158,79 +140,71 @@ def central_mult_set(r: RingTable, q: Ideal) -> MultSet:
     return s
 
 
-def central_localize(r: RingTable, q: Ideal) -> CentralLocReport:
-    """Localize at the central complement of a prime of the centre and verify
-    the image criterion and the fiber bijection onto primes over R_q * q."""
+def central_localize(r: RingTable, q: Ideal) -> tuple[str, str] | None:
+    """Localize at the central complement of a prime q of the centre: the first
+    broken (clause, detail) of the image criterion, the fiber bijection onto
+    the primes over R_q * q, and the minimal prime in a hit fiber, or None."""
     if not classify_ideal(q).is_prime:
         raise RingError("central localization requires a prime of the centre")
     cd = centre_ring(r)
-    s = central_mult_set(r, q)
-    loc = localize(r, s)
+    loc = localize(r, central_mult_set(r, q))
     t = loc.target
+    where = f"q={q.members()}"
 
-    in_image = any(cd.restrict_mask(pm) == q.mask for pm in prime_masks(r))
+    fiber_source = [pm for pm in prime_masks(r) if cd.restrict_mask(pm) == q.mask]
     q_lift = cd.embedding.push_mask(q.mask)
     extension = two_sided_span(t, ideal_closure_mask(t, loc.sigma.push_mask(q_lift), LEFT))
-    extension_proper = extension != t.full_mask()
+    if bool(fiber_source) != (extension != t.full_mask()):
+        return "prime is hit iff the extension is proper", where
 
-    fiber_source = tuple(pm for pm in prime_masks(r) if cd.restrict_mask(pm) == q.mask)
-    fiber_target = tuple(pm for pm in prime_masks(t) if extension & ~pm == 0)
-    images = []
-    ok = True
+    fiber_target = {pm for pm in prime_masks(t) if extension & ~pm == 0}
+    images = set()
     for pm in fiber_source:
         li = localize_left_ideal(loc, Ideal(r, pm))
         if not li.two_sided or li.mask not in fiber_target:
-            ok = False
-            break
-        images.append(li.mask)
-    bijection_ok = ok and len(set(images)) == len(fiber_source) and set(images) == set(fiber_target)
+            return "fiber bijection", where
+        images.add(li.mask)
+    if len(images) != len(fiber_source) or images != fiber_target:
+        return "fiber bijection", where
 
-    min_in_fiber = None
-    if in_image:
-        min_in_fiber = any(
-            cd.restrict_mask(pm) == q.mask for pm in min_prime_masks_over(r, 1 << r.zero)
-        )
-    return CentralLocReport(
-        r, q, loc, in_image, extension_proper, fiber_source, bijection_ok, min_in_fiber
-    )
+    if fiber_source and not any(
+        cd.restrict_mask(pm) == q.mask for pm in min_prime_masks_over(r, 1 << r.zero)
+    ):
+        return "a minimal prime lies in every hit fiber", where
+    return None
 
 
 # ---------------------------------------------------------------------------
 # product decomposition along the minimal primes of the centre
 
-@dataclass(frozen=True)
-class PierceReport:
-    applicable: bool
-    embedding_ok: bool | None          # R -> prod R_q is an injective hom
-    iso_if_commutative: bool | None    # and bijective for commutative R
-    centres_match: bool | None         # sigma(Z(R)) = Z(R_q) with matching kernels
-    factor_count: int | None
-
-
-def check_pierce(r: RingTable) -> PierceReport:
-    """Decompose along the minimal primes of the centre and verify the map."""
-    if not is_semiprime_ring(r):
-        return PierceReport(False, None, None, None, None)
-    crit = check_rho_criteria(r)
-    if not crit.regular_inclusion:
-        return PierceReport(False, None, None, None, None)
+def check_pierce(r: RingTable) -> tuple[str, str] | None:
+    """Decompose a semiprime ring whose central regulars stay regular along the
+    minimal primes q of its centre: the first broken (clause, detail) of the
+    decomposition, or None."""
     cd = centre_ring(r)
-    qs = [Ideal(cd.centre, m) for m in min_prime_masks_over(cd.centre, 1 << cd.centre.zero)]
-    locs = [localize(r, central_mult_set(r, q)) for q in qs]
-
-    centres_match = True
-    for q, loc in zip(qs, locs):
+    mins = min_prime_masks_over(r, 1 << r.zero)
+    locs = []
+    for qmask in min_prime_masks_over(cd.centre, 1 << cd.centre.zero):
+        loc = localize(r, central_mult_set(r, Ideal(cd.centre, qmask)))
+        locs.append(loc)
         t = loc.target
-        if loc.sigma.push_mask(centre_mask(r)) != centre_mask(t):
-            centres_match = False
         # kernel of Z(R) -> R_q must equal the kernel of Z(R) -> Z(R)_q
-        zloc = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~q.mask))
-        if cd.restrict_mask(loc.ass.mask) != zloc.ass.mask:
-            centres_match = False
+        zloc = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~qmask))
+        if (loc.sigma.push_mask(centre_mask(r)) != centre_mask(t)
+                or cd.restrict_mask(loc.ass.mask) != zloc.ass.mask):
+            return "centres localize along the decomposition", r.label
+        # primes meeting the central complement blow up to the whole ring,
+        # so only the disjoint minimal primes can appear downstairs
+        family = {localize_left_ideal(loc, Ideal(r, m)).mask
+                  for m in mins if m & loc.mult_set.mask == 0}
+        tmins = min_prime_masks_over(t, 1 << t.zero)
+        if not is_semiprime_ring(t) or set(tmins) != family or len(family) > len(mins):
+            return ("central factors are semiprime with localized minimals",
+                    f"q={list(bits(qmask))}")
 
     hom = product_hom([loc.sigma for loc in locs])
-    embedding_ok = not hom.verify() and hom.is_injective()
-    iso = None
-    if is_commutative(r):
-        iso = embedding_ok and hom.is_bijective()
-    return PierceReport(True, embedding_ok, iso, centres_match, len(qs))
+    if hom.verify() or not hom.is_injective():
+        return "embedding into the central factors", r.label
+    if is_commutative(r) and not hom.is_bijective():
+        return "commutative decomposition is exact", r.label
+    return None

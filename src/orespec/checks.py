@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from . import monomial as mono
 from .centre import (
     central_localize,
-    central_mult_set,
+    central_regulars_miss_min_primes,
+    central_regulars_stay_regular,
     centre_ring,
     check_pierce,
-    check_rho_criteria,
     rho,
 )
 from .finring import (
@@ -45,6 +45,7 @@ from .ideals import (
     additive_closure,
     all_ideal_masks,
     ideal_closure_mask,
+    ideal_sum_mask,
     is_irredundant_masks,
     is_nilpotent_ideal,
     is_prime_rich,
@@ -53,6 +54,7 @@ from .ideals import (
     prime_flags,
     prime_masks,
     prime_radical_mask,
+    prime_rich_violation,
     _products_reach,
 )
 from .localization import (
@@ -196,9 +198,9 @@ def check_a11(r: RingTable, cfg) -> Outcome:
     cases = 0
     for _, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
         cases += 1
-        v = check_A11_equivalence(loc, Ideal(r, m))
-        if not v.agree:
-            return Outcome("fail", cases, "five-way agreement", v.witness or "")
+        failed = check_A11_equivalence(loc, Ideal(r, m))
+        if failed:
+            return Outcome("fail", cases, *failed)
     return _verdict(cases)
 
 
@@ -300,13 +302,10 @@ def check_prime_vanishing_target(r: RingTable, cfg) -> Outcome:
 def check_image_den_regular(r: RingTable, cfg) -> Outcome:
     cases = 0
     for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        if m == r.full_mask():
-            continue
-        v = check_epimorphic_den_b14(loc, Ideal(r, m))
-        if not v.applicable:
-            continue
+        if loc.ass.mask & ~m or m == r.full_mask():
+            continue  # needs ass(S) <= b < R
         cases += 1
-        if not v.agree:
+        if not check_epimorphic_den_b14(loc, Ideal(r, m)):
             return Outcome("fail", cases, "image denominator iff regular image",
                            f"S={s.members()} b={list(bits(m))}")
     return _verdict(cases)
@@ -315,13 +314,11 @@ def check_image_den_regular(r: RingTable, cfg) -> Outcome:
 def check_image_den_torsion(r: RingTable, cfg) -> Outcome:
     cases = 0
     for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        if m == r.full_mask():
-            continue
-        v = check_epimorphic_den_c14(loc, Ideal(r, m))
-        if not v.applicable:
-            continue
+        ab = ideal_sum_mask(r, loc.ass.mask, m)
+        if ab & s.mask or ab == r.full_mask():
+            continue  # needs ass(S) + b proper and disjoint from S
         cases += 1
-        if not v.agree:
+        if not check_epimorphic_den_c14(loc, Ideal(r, m)):
             return Outcome("fail", cases, "two-step image criterion",
                            f"S={s.members()} b={list(bits(m))}")
     return _verdict(cases)
@@ -351,16 +348,12 @@ def check_zero_products_bound_minimals(r: RingTable, cfg) -> Outcome:
 
 
 def check_prime_rich_equivalence(r: RingTable, cfg) -> Outcome:
-    rep = is_prime_rich(r)
-    cases = len(rep.evidence)
-    if not rep.agree:
-        return Outcome("fail", cases, "three-way prime-rich agreement", r.label)
-    if not rep.rich:
+    cases = len(all_ideal_masks(r)) - 1  # the proper ideals
+    failed = prime_rich_violation(r)
+    if failed:
+        return Outcome("fail", cases, *failed)
+    if not is_prime_rich(r):
         return Outcome("fail", cases, "finite rings are prime rich", r.label)
-    for ev in rep.evidence:
-        if ev.exponent is None or ev.exponent > r.order:
-            return Outcome("fail", cases, "minimal-prime product exponent within order",
-                           f"ideal={list(bits(ev.ideal_mask))}")
     return _verdict(cases)
 
 
@@ -376,7 +369,7 @@ def check_ideal_preservation(r: RingTable, cfg) -> Outcome:
 
 def check_min_primes_prime_rich(r: RingTable, cfg) -> Outcome:
     cases = 0
-    rich = is_prime_rich(r).rich
+    rich = is_prime_rich(r)
     for s in _dens(r, cfg):
         loc = localize(r, s)
         if not (rich and respects_prime_structure(loc)):
@@ -816,32 +809,27 @@ def check_central_fibers(r: RingTable, cfg) -> Outcome:
     cases = 0
     for qmask in prime_masks(cd.centre):
         cases += 1
-        rep = central_localize(r, Ideal(cd.centre, qmask))
-        if rep.in_image != rep.extension_proper:
-            return Outcome("fail", cases, "prime is hit iff the extension is proper",
-                           f"q={list(bits(qmask))}")
-        if not rep.bijection_ok:
-            return Outcome("fail", cases, "fiber bijection", f"q={list(bits(qmask))}")
-        if rep.in_image and not rep.min_prime_in_fiber:
-            return Outcome("fail", cases, "a minimal prime lies in every hit fiber",
-                           f"q={list(bits(qmask))}")
+        failed = central_localize(r, Ideal(cd.centre, qmask))
+        if failed:
+            return Outcome("fail", cases, *failed)
     return _verdict(cases)
 
 
 def check_restriction_well_defined(r: RingTable, cfg) -> Outcome:
-    crit = check_rho_criteria(r)
-    if not crit.applicable:
+    if not is_semiprime_ring(r):
         return Outcome("na")
-    if not (crit.regular_inclusion == crit.min_disjoint == crit.well_defined):
+    if not (central_regulars_stay_regular(r) == central_regulars_miss_min_primes(r)
+            == rho(r).well_defined):
         return Outcome("fail", 1, "three-way centre criterion", r.label)
     return _verdict(1)
 
 
 def check_restriction_surjective(r: RingTable, cfg) -> Outcome:
-    crit = check_rho_criteria(r)
-    if not crit.applicable:
+    if not is_semiprime_ring(r):
         return Outcome("na")
-    if not crit.agree:
+    rm = rho(r)
+    if not (central_regulars_stay_regular(r) == central_regulars_miss_min_primes(r)
+            == rm.well_defined == rm.surjective_onto_min):
         return Outcome("fail", 1, "four-way centre criterion", r.label)
     return _verdict(1)
 
@@ -860,27 +848,11 @@ def check_centre_semiprime(r: RingTable, cfg) -> Outcome:
 
 
 def check_centre_decomposition(r: RingTable, cfg) -> Outcome:
-    rep = check_pierce(r)
-    if not rep.applicable:
+    if not (is_semiprime_ring(r) and central_regulars_stay_regular(r)):
         return Outcome("na")
-    if not rep.embedding_ok:
-        return Outcome("fail", 1, "embedding into the central factors", r.label)
-    if rep.iso_if_commutative is False:
-        return Outcome("fail", 1, "commutative decomposition is exact", r.label)
-    if not rep.centres_match:
-        return Outcome("fail", 1, "centres localize along the decomposition", r.label)
-    cd = centre_ring(r)
-    for qmask in min_prime_masks_over(cd.centre, 1 << cd.centre.zero):
-        loc = localize(r, central_mult_set(r, Ideal(cd.centre, qmask)))
-        t = loc.target
-        # primes meeting the central complement blow up to the whole ring,
-        # so only the disjoint minimal primes can appear downstairs
-        survivors = [m for m in _min_masks(r) if m & loc.mult_set.mask == 0]
-        family = set(_localized_min_family(loc, survivors))
-        if (not is_semiprime_ring(t) or set(_min_masks(t)) != family
-                or len(family) > len(_min_masks(r))):
-            return Outcome("fail", 1, "central factors are semiprime with localized minimals",
-                           f"q={list(bits(qmask))}")
+    failed = check_pierce(r)
+    if failed:
+        return Outcome("fail", 1, *failed)
     return _verdict(1)
 
 

@@ -10,7 +10,12 @@ import argparse
 import os
 import sys
 
-from .centre import centre_ring, check_rho_criteria, rho
+from .centre import (
+    central_regulars_miss_min_primes,
+    central_regulars_stay_regular,
+    centre_ring,
+    rho,
+)
 from .dsl import ParseError, evaluate, parse_ring_expr
 from .finring import (
     DEFAULT_ORDER_CAP,
@@ -201,9 +206,9 @@ def cmd_rho(args) -> int:
         print(f"{_ideal_str(r, pm)} -> {_ideal_str(rm.centre_data.centre, qm)}")
     print(f"well-defined on minimals: {rm.well_defined}")
     print(f"surjective onto minimals: {rm.surjective_onto_min}")
-    crit = check_rho_criteria(r)
-    if crit.applicable:
-        print(f"criteria agree: {crit.agree}")
+    if is_semiprime_ring(r):
+        print(f"central regulars stay regular: {central_regulars_stay_regular(r)}")
+        print(f"central regulars miss min(R):  {central_regulars_miss_min_primes(r)}")
     return EXIT_CLEAN
 
 
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="spectra, centres and localizations of finite rings and monomial algebras",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
+    common.add_argument("--max-order", type=positive_int, default=DEFAULT_ORDER_CAP,
                         help="order cap for finite constructions")
     common.add_argument("--exhaustive-order", type=positive_int, default=EXHAUSTIVE_MULT_ORDER,
                         help="largest order with exhaustive multiplicative-set enumeration")

@@ -359,23 +359,6 @@ def is_nilpotent_ideal(a: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 # prime-rich characterization
 
-@dataclass(frozen=True)
-class PrimeRichEvidence:
-    ideal_mask: Mask
-    has_prime_product: bool       # some product of primes containing a lies in a
-    has_min_prime_product: bool   # same with minimal primes over a only
-    radical_nilpotent: bool       # prime radical of R/a is nilpotent
-    exponent: int | None          # least k with (prod of min primes)^k <= a
-
-
-@dataclass(frozen=True)
-class PrimeRichReport:
-    ring: RingTable
-    rich: bool
-    agree: bool
-    evidence: tuple[PrimeRichEvidence, ...]
-
-
 def _products_reach(r: RingTable, factors: list[Mask]) -> set[Mask]:
     """All ideal products (length >= 1, any order) built from the factors."""
     seen = set(factors)
@@ -390,36 +373,53 @@ def _products_reach(r: RingTable, factors: list[Mask]) -> set[Mask]:
     return seen
 
 
-def is_prime_rich(r: RingTable) -> PrimeRichReport:
-    """Evaluate the three equivalent prime-richness conditions on every ideal."""
-    evidence = []
-    agree = True
-    rich = True
-    for amask in all_ideal_masks(r):
-        if amask == r.full_mask():
-            continue
+def _some_product_within(r: RingTable, amask: Mask, factors) -> bool:
+    return any(m & ~amask == 0 for m in _products_reach(r, factors))
+
+
+def _proper_ideal_masks(r: RingTable) -> list[Mask]:
+    return [m for m in all_ideal_masks(r) if m != r.full_mask()]
+
+
+def is_prime_rich(r: RingTable) -> bool:
+    """Every proper ideal contains a product of primes containing it."""
+    return all(
+        _some_product_within(r, a, [p for p in prime_masks(r) if a & ~p == 0])
+        for a in _proper_ideal_masks(r)
+    )
+
+
+def min_prime_exponent(r: RingTable, amask: Mask) -> int | None:
+    """The least k <= |R| with (product of the minimal primes over a)^k <= a,
+    or None."""
+    mins = min_prime_masks_over(r, amask)
+    if not mins:
+        return None
+    prod = mins[0]
+    for m in mins[1:]:
+        prod = ideal_product_mask(r, prod, m)
+    power = prod
+    for k in range(1, r.order + 1):
+        if power & ~amask == 0:
+            return k
+        power = ideal_product_mask(r, power, prod)
+    return None
+
+
+def prime_rich_violation(r: RingTable) -> tuple[str, str] | None:
+    """The three equivalent prime-richness conditions and the minimal-prime
+    exponent on every proper ideal: the first broken (clause, detail), or None."""
+    for amask in _proper_ideal_masks(r):
         over = [p for p in prime_masks(r) if amask & ~p == 0]
-        c1 = any(m & ~amask == 0 for m in _products_reach(r, over)) if over else False
-        mins = list(min_prime_masks_over(r, amask))
-        c2 = any(m & ~amask == 0 for m in _products_reach(r, mins)) if mins else False
+        c1 = _some_product_within(r, amask, over)
+        c2 = _some_product_within(r, amask, min_prime_masks_over(r, amask))
         q = make_quotient(r, amask)[0] if amask != 1 << r.zero else r
         c3 = is_nilpotent_ideal(prime_radical(q))  # |min(a)| is finite here by fiat
-        k = None
-        if mins:
-            prod = mins[0]
-            for m in mins[1:]:
-                prod = ideal_product_mask(r, prod, m)
-            power = prod
-            for j in range(1, r.order + 1):
-                if power & ~amask == 0:
-                    k = j
-                    break
-                power = ideal_product_mask(r, power, prod)
-        evidence.append(PrimeRichEvidence(amask, c1, c2, c3, k))
         if not (c1 == c2 == c3):
-            agree = False
-        rich = rich and c1
-    return PrimeRichReport(r, rich, agree, tuple(evidence))
+            return "three-way prime-rich agreement", r.label
+        if min_prime_exponent(r, amask) is None:
+            return "minimal-prime product exponent within order", f"ideal={list(bits(amask))}"
+    return None
 
 
 def is_irredundant_masks(r: RingTable, masks) -> bool:

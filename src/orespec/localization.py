@@ -106,7 +106,6 @@ class Localization:
 
     ring: RingTable
     mult_set: MultSet
-    kind: str  # "denominator" | "normal-localizable"
     ass: Ideal
     target: RingTable
     sigma: RingHom
@@ -115,9 +114,7 @@ class Localization:
 
 @dataclass(frozen=True)
 class LocalizedLeftIdeal:
-    localization: Localization
-    source: Ideal
-    mask: Mask  # left ideal of the target generated by sigma(source)
+    mask: Mask  # left ideal of the target generated by the image of the source
     two_sided: bool
 
 
@@ -273,7 +270,7 @@ def left_denominator_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_
     return [MultSet(r, m) for m in left_denominator_masks(r, exhaustive_order)]
 
 
-def _factor_localization(r: RingTable, s: MultSet, kind: str, ass: Mask) -> Localization:
+def _factor_localization(r: RingTable, s: MultSet, ass: Mask) -> Localization:
     """S^-1 R realized as R/ass, after checking that ker(sigma) is ass and that
     every sigma(s) is a unit of the factor."""
     target, sigma = make_quotient(r, ass)
@@ -281,7 +278,7 @@ def _factor_localization(r: RingTable, s: MultSet, kind: str, ass: Mask) -> Loca
         raise EngineInvariantError(f"{r.label}: localization kernel differs from the vanishing ideal")
     if sigma.push_mask(s.mask) & ~units_mask(target):
         raise EngineInvariantError(f"{r.label}: an image of S is not a unit of the localization")
-    return Localization(r, s, kind, Ideal(r, ass, TWO_SIDED), target, sigma)
+    return Localization(r, s, Ideal(r, ass, TWO_SIDED), target, sigma)
 
 
 @memo
@@ -290,7 +287,7 @@ def _localize_mask(r: RingTable, smask: Mask) -> Localization:
     if not cls.left_den:
         reason, witness = cls.violation or ("left-denominator", None)
         raise NotDenominatorError(r, reason, witness)
-    return _factor_localization(r, MultSet(r, smask), "denominator", cls.ass_l_mask)
+    return _factor_localization(r, MultSet(r, smask), cls.ass_l_mask)
 
 
 def localize(r: RingTable, s: MultSet) -> Localization:
@@ -316,7 +313,7 @@ def localize_left_ideal(loc: Localization, i: Ideal) -> LocalizedLeftIdeal:
     if i.sidedness not in (LEFT, TWO_SIDED):
         raise RingError("only left or two-sided ideals can be localized on the left")
     mask, two_sided = _localize_left_mask(loc, i.mask)
-    return LocalizedLeftIdeal(loc, i, mask, two_sided)
+    return LocalizedLeftIdeal(mask, two_sided)
 
 
 def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
@@ -332,15 +329,9 @@ def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
 # ---------------------------------------------------------------------------
 # the five-way localized-ideal criterion
 
-@dataclass(frozen=True)
-class A11Verdict:
-    agree: bool
-    holds: bool
-    witness: str | None
-
-
-def check_A11_equivalence(loc: Localization, b: Ideal) -> A11Verdict:
-    """Five independent evaluations of 'the localized left ideal is two-sided'.
+def check_A11_equivalence(loc: Localization, b: Ideal) -> tuple[str, str] | None:
+    """Five independent evaluations of 'the localized left ideal is two-sided':
+    ("five-way agreement", witness) when they disagree, otherwise None.
 
     (1) direct right-absorption in the target;
     (2) b * sigma(s)^{-1} lands in the localized ideal for every s;
@@ -348,28 +339,22 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> A11Verdict:
     (4) the same with the vanishing ideal added to b;
     (5) right S-torsion of R/(ass + b) is contained in its left S-torsion.
 
-    The whole ring is accepted by convention (all conditions true).  Any
-    disagreement among the five is a fatal engine-bug signal for the caller.
+    The whole ring is accepted by convention (all conditions true).
     """
     r = loc.ring
     smembers = loc.mult_set.members()
     if b.is_full():
-        return A11Verdict(True, True, None)
+        return None
 
     local = localize_left_ideal(loc, b)
     c1 = local.two_sided
 
     t = loc.target
     inv = inverse_table(t)
-    c2 = True
-    for x in bits(b.mask):
-        xi = loc.sigma(x)
-        for s in smembers:
-            if not local.mask >> t.mul[xi][inv[loc.sigma(s)]] & 1:
-                c2 = False
-                break
-        if not c2:
-            break
+    c2 = all(
+        local.mask >> t.mul[loc.sigma(x)][inv[loc.sigma(s)]] & 1
+        for x in bits(b.mask) for s in smembers
+    )
 
     def push_condition(target_mask: Mask) -> bool:
         for x in r.elements():
@@ -381,21 +366,18 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> A11Verdict:
 
     c3 = push_condition(b.mask)
     ab = ideal_sum_mask(r, loc.ass.mask, b.mask)
-    c4 = push_condition(ab) if ab != r.full_mask() else True
-
     if ab == r.full_mask():
-        c5 = True
+        c4 = c5 = True
     else:
+        c4 = push_condition(ab)
         q, hom = make_quotient(r, ab)
         tor_l, tor_r = vanishing_masks(q, hom.push_mask(loc.mult_set.mask))
         c5 = tor_r & ~tor_l == 0
 
     conds = (c1, c2, c3, c4, c5)
-    agree = len(set(conds)) == 1
-    witness = None
-    if not agree:
-        witness = f"conditions disagree: {conds} for S={smembers}, b={b.members()}"
-    return A11Verdict(agree, all(conds), witness)
+    if len(set(conds)) == 1:
+        return None
+    return "five-way agreement", f"conditions disagree: {conds} for S={smembers}, b={b.members()}"
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +434,7 @@ def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
         raise EngineInvariantError(f"{r.label}: normal-set vanishing ideal is not two-sided")
     if ass == r.full_mask():
         raise ZeroAbsorbedError(r, (r.one, r.one))
-    return _factor_localization(r, s, "normal-localizable", ass)
+    return _factor_localization(r, s, ass)
 
 
 # ---------------------------------------------------------------------------
@@ -498,45 +480,32 @@ def t_l(r: RingTable, p: Ideal) -> MultSet:
 # ---------------------------------------------------------------------------
 # epimorphic images of denominator sets
 
-@dataclass(frozen=True)
-class EpimorphicDenVerdict:
-    applicable: bool
-    lhs: bool | None
-    agree: bool | None
+def check_epimorphic_den_b14(loc: Localization, b: Ideal) -> bool:
+    """Image criterion for an ideal b with ass(S) <= b < R: the image of S is
+    a zero-vanishing denominator set of R/b iff it consists of regular
+    elements.  True when the two sides agree.
 
-
-def check_epimorphic_den_b14(loc: Localization, b: Ideal) -> EpimorphicDenVerdict:
-    """Image criterion for ideals above the vanishing ideal: the image of S is
-    a zero-vanishing denominator set of R/b iff it consists of regular elements."""
-    r = loc.ring
-    if loc.ass.mask & ~b.mask or b.is_full():
-        return EpimorphicDenVerdict(False, None, None)
-    if b.mask & loc.mult_set.mask:
-        # image contains zero; both sides fail by convention
-        return EpimorphicDenVerdict(True, False, True)
-    q, hom = make_quotient(r, b.mask)
+    S misses b: sigma(S) consists of units of R/ass, and b/ass is proper."""
+    q, hom = make_quotient(loc.ring, b.mask)
     s_img = hom.push_mask(loc.mult_set.mask)
     cls = ore_flags(q, s_img)
     lhs = cls.left_den and cls.ass_l_mask == 1 << q.zero
     rhs = s_img & ~regular_mask(q) == 0
-    return EpimorphicDenVerdict(True, lhs, lhs == rhs)
+    return lhs == rhs
 
 
-def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> EpimorphicDenVerdict:
-    """Two-step image criterion when S misses ass + b: after factoring by the
-    image's own vanishing ideal, the set is a zero-vanishing denominator set
-    iff the intermediate ring has no right S-torsion."""
+def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> bool:
+    """Two-step image criterion for an ideal b with ass(S) + b proper and
+    disjoint from S: after factoring by the image's own vanishing ideal, the
+    set is a zero-vanishing denominator set iff the intermediate ring has no
+    right S-torsion.  True when the two sides agree."""
     r = loc.ring
-    ab = ideal_sum_mask(r, loc.ass.mask, b.mask)
-    if ab & loc.mult_set.mask or ab == r.full_mask():
-        return EpimorphicDenVerdict(False, None, None)
-    q, hom = make_quotient(r, ab)
+    q, hom = make_quotient(r, ideal_sum_mask(r, loc.ass.mask, b.mask))
     s_img = hom.push_mask(loc.mult_set.mask)
+    # proper: 1 in cbar would need an image of S to vanish in q
     cbar = vanishing_masks(q, s_img)[0]
     if not is_two_sided_ideal_mask(q, cbar):
         raise EngineInvariantError(f"{r.label}: intermediate vanishing set is not an ideal")
-    if cbar == q.full_mask():
-        return EpimorphicDenVerdict(False, None, None)
     q2, hom2 = make_quotient(q, cbar)
     cls = ore_flags(q2, hom2.push_mask(s_img))
     lhs = cls.left_den and cls.ass_l_mask == 1 << q2.zero
@@ -545,4 +514,4 @@ def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> EpimorphicDenVerdic
         for x in q.elements()
         if any(cbar >> q.mul[x][u] & 1 for u in bits(s_img))
     )
-    return EpimorphicDenVerdict(True, lhs, lhs == rhs)
+    return lhs == rhs

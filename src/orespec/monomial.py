@@ -180,8 +180,6 @@ def monomials_up_to(nvars: int, degree: int):
 
 @dataclass(frozen=True)
 class MonomialLocReport:
-    ring: CommMonomialRing
-    inverted: frozenset[int]
     saturation: CommMonomialRing
     regular_case: bool                      # saturation changed nothing
     min_source: tuple[frozenset[int], ...]
@@ -233,8 +231,7 @@ def localize_monomial(r: CommMonomialRing, variables) -> MonomialLocReport:
             oracle_ok = False
             break
     return MonomialLocReport(
-        r, vset, sat, regular_case, min_source, min_vanishing, min_localized,
-        bijection_ok, oracle_ok,
+        sat, regular_case, min_source, min_vanishing, min_localized, bijection_ok, oracle_ok,
     )
 
 
@@ -512,18 +509,23 @@ def _an_localize_verdict(a: AnAlgebra, V: frozenset[int]) -> tuple[str, str] | N
         if killed != bool(m.word_support() & V):
             return "vanishing ideal", f"V={sorted(V)}: mismatch at {m}"
 
-    over = [p.I for p in an_min_primes(a) if V <= p.I]
+    over = [p for p in an_min_primes(a) if all(p.contains(an_x(a, v)) for v in V)]
     expected = 1 << (a.pairs - len(V))
     if len(over) != expected:
         return "primes over the vanishing ideal", (
             f"V={sorted(V)}: expected {expected}, got {len(over)}")
 
-    # localized image of p_I (I >= V): generated by the surviving x_i, i in I\V,
-    # and the surviving z_j, j outside I -- i.e. the relabeled prime p_{I\V}
+    # the localized image of a prime is generated by the surviving x_i and z_j
+    # it contains, relabeled; it is the prime p_I of the localized model when
+    # its z's are exactly those outside I
     survivors = sorted(frozenset(range(1, a.pairs + 1)) - V)
-    relabel = {old: new + 1 for new, old in enumerate(survivors)}
     localized = AnAlgebra(len(survivors), a.degree_bound, len(survivors) + SPARE_LETTERS)
-    images = {frozenset(relabel[i] for i in I - V) for I in over}
-    if len(images) != len(over) or images != {p.I for p in an_min_primes(localized)}:
+
+    def kept(gen, p: AnPrime) -> frozenset[int]:
+        return frozenset(new + 1 for new, old in enumerate(survivors) if p.contains(gen(a, old)))
+
+    images = {(kept(an_x, p), kept(an_z, p)) for p in over}
+    targets = {(q.I, q.complement()) for q in an_min_primes(localized)}
+    if len(images) != len(over) or images != targets:
         return "prime bijection", f"V={sorted(V)}: prime map to the localized model"
     return None

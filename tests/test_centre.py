@@ -2,14 +2,19 @@ import pytest
 
 from orespec.centre import (
     central_localize,
+    central_mult_set,
+    central_regulars_miss_min_primes,
+    central_regulars_stay_regular,
     centre_ring,
     check_pierce,
-    check_rho_criteria,
     restrict_prime,
     rho,
 )
+from orespec.checks import check_centre_decomposition
 from orespec.finring import bits, make_gf, make_product, make_zmod, mask_of, same_tables
+from orespec.harness import CorpusConfig
 from orespec.ideals import Ideal, is_semiprime_ring, min_primes, zero_ideal
+from orespec.localization import localize
 
 
 def test_centre_of_commutative_ring_is_itself(z6):
@@ -48,52 +53,54 @@ def test_rho_tables(z6, m2f2, t2f2):
     assert rm.well_defined and rm.surjective_onto_min
 
 
+def _criteria(r):
+    rm = rho(r)
+    return (central_regulars_stay_regular(r), central_regulars_miss_min_primes(r),
+            rm.well_defined, rm.surjective_onto_min)
+
+
 def test_rho_criteria_agreement(z6, m2f2, sample_rings):
     for r in (z6, m2f2):
-        crit = check_rho_criteria(r)
-        assert crit.applicable and crit.agree and crit.regular_inclusion
+        assert _criteria(r) == (True,) * 4
     for r in sample_rings:
-        crit = check_rho_criteria(r)
-        if crit.applicable:
-            assert crit.agree
+        if is_semiprime_ring(r):
+            assert len(set(_criteria(r))) == 1, r.label
 
 
 def test_central_localization_of_zmod6(z6):
     cd = centre_ring(z6)
     q = Ideal(cd.centre, mask_of([0, 2, 4]))
-    rep = central_localize(z6, q)
-    assert set(rep.localization.mult_set.members()) == {1, 3, 5}
-    assert rep.localization.target.order == 2
-    assert rep.in_image and rep.extension_proper and rep.bijection_ok
-    assert rep.min_prime_in_fiber
+    assert central_localize(z6, q) is None
+    s = central_mult_set(z6, q)
+    assert set(s.members()) == {1, 3, 5}
+    assert localize(z6, s).target.order == 2
+    # q is hit by a minimal prime, so its fiber is non-empty
+    assert q.mask in {qm for _, qm in rho(z6).min_table}
 
 
 def test_central_localization_at_zero_of_a_field():
     f = make_gf(4)
-    rep = central_localize(f, zero_ideal(centre_ring(f).centre))
-    assert rep.localization.target.order == f.order
-    assert rep.in_image and rep.bijection_ok
+    q = zero_ideal(centre_ring(f).centre)
+    assert central_localize(f, q) is None
+    assert localize(f, central_mult_set(f, q)).target.order == f.order
+    assert q.mask in {qm for _, qm in rho(f).table}
 
 
 def test_central_localization_of_matrix_ring(m2f2):
-    rep = central_localize(m2f2, zero_ideal(centre_ring(m2f2).centre))
-    assert rep.localization.target.order == m2f2.order
-    assert rep.fiber_source == (1,)
-    assert rep.bijection_ok
+    q = zero_ideal(centre_ring(m2f2).centre)
+    assert central_localize(m2f2, q) is None
+    assert localize(m2f2, central_mult_set(m2f2, q)).target.order == m2f2.order
+    assert [pm for pm, qm in rho(m2f2).table if qm == q.mask] == [1]
 
 
 def test_pierce_decomposition_examples(z6):
-    rep = check_pierce(z6)
-    assert rep.applicable and rep.embedding_ok and rep.iso_if_commutative
-    assert rep.factor_count == 2 and rep.centres_match
-    p = make_product(make_gf(2), make_gf(3))
-    rep = check_pierce(p)
-    assert rep.applicable and rep.iso_if_commutative and rep.factor_count == 2
-    prime = make_gf(4)
-    rep = check_pierce(prime)
-    assert rep.applicable and rep.factor_count == 1 and rep.iso_if_commutative
+    # commutative rings: None means the decomposition map is bijective
+    for r, factors in ((z6, 2), (make_product(make_gf(2), make_gf(3)), 2), (make_gf(4), 1)):
+        assert is_semiprime_ring(r) and central_regulars_stay_regular(r)
+        assert check_pierce(r) is None
+        assert len(min_primes(centre_ring(r).centre)) == factors
 
 
 def test_pierce_not_applicable_off_semiprime(z12):
     assert not is_semiprime_ring(z12)
-    assert not check_pierce(z12).applicable
+    assert check_centre_decomposition(z12, CorpusConfig()).status == "na"

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orespec.cli import main
 from orespec.dsl import ParseError, RingExpr, evaluate, parse_ring_expr, render
@@ -94,6 +94,37 @@ def test_cli_describe_exits_with_a_documented_code(expr):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["describe", render(expr)])
     assert code in (0, 2, 3)
+
+
+_FLAG_TEXT = st.text(alphabet="0123456789,- ", max_size=6)
+_FLAG_ARGV = st.one_of(
+    _FLAG_TEXT.map(lambda t: ["classify-set", "zmod(6)", "--gens", t]),
+    _FLAG_TEXT.map(lambda t: ["localize", "zmod(6)", "--gens", t]),
+    _FLAG_TEXT.map(lambda t: ["mono", "localize", "mono(vars=2, gens=[v1*v2])", "--invert", t]),
+    st.tuples(st.integers(-2, 5), st.sampled_from([-1, 0, 1, 2, 3, 9])).map(
+        lambda nd: ["an", "verify", "--n", str(nd[0]), "--degree", str(nd[1])]),
+    st.one_of(st.integers(-20, 20).map(str), _FLAG_TEXT).map(
+        lambda t: ["describe", "zmod(4)", "--max-order", t]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FLAG_ARGV)
+def test_cli_flags_exit_with_a_documented_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+
+
+def test_cli_rejects_max_order_below_one(capsys, monkeypatch):
+    def no_corpus(*args):
+        raise AssertionError("the corpus was built despite the order cap")
+
+    monkeypatch.setattr("orespec.cli.build_corpus", no_corpus)
+    assert main(["describe", "zmod(4)", "--max-order", "-3"]) == 2
+    assert "--max-order: must be at least 1" in capsys.readouterr().err
+    assert main(["verify", "--max-order", "0"]) == 2
+    assert "--max-order: must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_minprimes(capsys):
@@ -286,6 +317,14 @@ def test_cli_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert code == 2
+
+
+@pytest.mark.parametrize("script", ["run_verify.py", "corpus_survey.py"])
+def test_scripts_reject_max_order_below_one(script):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--max-order", "0"],
+                          env=ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "--max-order: must be at least 1" in done.stderr
 
 
 def test_run_verify_script_rejects_jobs_below_one():

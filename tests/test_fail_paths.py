@@ -3,7 +3,9 @@
 Each case below makes one engine function lie and runs the suite on a few
 small instances.  Every check it names must then report a counterexample
 with one of its own clauses, not an engine error, so no claim passes by
-construction.  Together the cases name all registered checks.
+construction.  Together the cases name all registered checks.  A lie patches
+a primitive that the evaluators read, never an evaluator that compares
+routes, so a case shows that the routes are computed, not only read.
 """
 
 import dataclasses
@@ -12,7 +14,7 @@ import re
 
 import pytest
 
-from orespec import checks
+from orespec import centre, checks, ideals, localization
 from orespec import monomial as mono
 from orespec.checks import COVERAGE
 from orespec.dsl import parse_ring_expr
@@ -49,8 +51,17 @@ def _flip(field):
     return wrap
 
 
-def _set(**changes):
-    return lambda fn: lambda *args: dataclasses.replace(fn(*args), **changes)
+def _on_rings(test, wrap):
+    """Lie as wrap does on the rings that pass test, tell the truth elsewhere."""
+    return lambda fn: lambda r, *args: (wrap(fn) if test(r) else fn)(r, *args)
+
+
+def _quotient(r):
+    return "/(" in r.label
+
+
+def _centre(r):
+    return r.label.startswith("centre(")
 
 
 def _zero_at_top_degree(fn):
@@ -77,26 +88,26 @@ LIES = [
                    lambda fn: lambda r, s: dataclasses.replace(fn(r, s), target=make_zmod(4)))],
                  ("a10Sep23", "Xa10Sep23"),
                  id="localization_not_prime"),
-    pytest.param([(checks, "check_A11_equivalence", _set(agree=False))],
+    pytest.param([(localization, "_right_absorbed", _negate)],
                  ("A11Sep23",),
                  id="check_A11_equivalence"),
-    pytest.param([(checks, "check_rho_criteria", _flip("well_defined"))],
-                 ("aB25Sep23",),
+    pytest.param([(centre, "regular_mask", _on_rings(_centre, lambda fn: lambda r: r.full_mask()))],
+                 ("aB25Sep23", "B25Sep23"),
                  id="rho_well_defined"),
-    pytest.param([(checks, "check_rho_criteria", _set(agree=False))],
-                 ("B25Sep23",),
-                 id="rho_criteria_agree"),
-    pytest.param([(checks, "is_prime_rich", _set(agree=False))],
+    pytest.param([(ideals, "is_nilpotent_ideal", _negate)],
                  ("aA29Sep23",),
                  id="is_prime_rich"),
-    pytest.param([(checks, "check_epimorphic_den_b14", _flip("agree")),
-                  (checks, "check_epimorphic_den_c14", _flip("agree"))],
+    pytest.param([(localization, "ore_flags", _on_rings(_quotient, _flip("left_den")))],
                  ("b14Oct23", "c14Oct23"),
                  id="epimorphic_den"),
-    pytest.param([(checks, "central_localize", _set(bijection_ok=False)),
-                  (checks, "check_pierce", _set(centres_match=False))],
-                 ("A25Sep23", "aC25Sep23"),
+    pytest.param([(centre, "localize_left_ideal",
+                   lambda fn: lambda loc, i: dataclasses.replace(fn(loc, i), two_sided=False))],
+                 ("A25Sep23",),
                  id="central_localize"),
+    pytest.param([(centre, "centre_mask",
+                   _on_rings(_quotient, lambda fn: lambda r: 1 << r.one))],
+                 ("aC25Sep23",),
+                 id="centre_mask"),
     pytest.param([(checks, "_products_reach", lambda fn: lambda r, ms: fn(r, ms) | {1 << r.zero}),
                   (checks, "is_irredundant_masks", _negate)],
                  ("A29Sep23", "b10Sep23"),
@@ -117,7 +128,7 @@ LIES = [
                    lambda fn: lambda r, m: (r.full_mask(), fn(r, m)[1]))],
                  ("19Sep23",),
                  id="vanishing_masks"),
-    pytest.param([(mono, "localize_monomial", _set(bijection_ok=False))],
+    pytest.param([(mono, "_min_covers_avoiding", lambda fn: lambda r, vset: fn(r, vset)[:-1])],
                  ("A10Sep23", "A2Oct23", "c10Sep23"),
                  id="localize_monomial"),
     pytest.param([(mono, "min_primes_monomial", lambda fn: lambda r: fn(r)[:-1])],
@@ -136,6 +147,18 @@ def test_a_lying_engine_fails_the_check(monkeypatch, lies, ids):
     for rep in run_suite(_corpus(), ids, CFG)[1:]:
         clauses = {cx.clause for cx in rep.counterexamples}
         assert clauses - {"engine-error"}, f"{rep.theorem_id} never failed: {clauses}"
+
+
+EVALUATORS = {
+    "check_A11_equivalence", "check_epimorphic_den_b14", "check_epimorphic_den_c14",
+    "central_localize", "check_pierce", "prime_rich_violation", "is_prime_rich", "rho",
+    "an_verify", "an_localize_normal", "localize_monomial",
+}
+
+
+def test_no_lie_patches_an_evaluator():
+    patched = {name for case in LIES for _, name, _ in case.values[0]}
+    assert not patched & EVALUATORS
 
 
 def test_the_lies_reach_every_check():

@@ -23,10 +23,12 @@ from orespec.ideals import (
     is_semiprime_ring,
     left_ann,
     min_primes,
+    min_prime_exponent,
     min_primes_over,
     nilpotency_index,
     prime_radical,
     prime_radical_mask,
+    prime_rich_violation,
     right_ann,
     strongly_nilpotent_mask,
     zero_ideal,
@@ -155,16 +157,12 @@ def test_semiprime_flags(z6, z12):
 
 
 def test_prime_rich_with_exponent_evidence(z12, sample_rings):
-    rep = is_prime_rich(z12)
-    assert rep.rich and rep.agree
-    by_ideal = {ev.ideal_mask: ev for ev in rep.evidence}
-    assert by_ideal[1].exponent == 2  # (2)(3) = (6), and (6)^2 = 0
+    assert is_prime_rich(z12) and prime_rich_violation(z12) is None
+    assert min_prime_exponent(z12, 1) == 2  # (2)(3) = (6), and (6)^2 = 0
     for r in sample_rings:
-        rep = is_prime_rich(r)
-        assert rep.rich and rep.agree
-        assert all(ev.exponent is not None and ev.exponent <= r.order for ev in rep.evidence)
-    prime = make_gf(4)
-    assert all(ev.exponent == 1 for ev in is_prime_rich(prime).evidence if ev.ideal_mask == 1)
+        # no violation: the three conditions agree and every exponent is at most |R|
+        assert is_prime_rich(r) and prime_rich_violation(r) is None
+    assert min_prime_exponent(make_gf(4), 1) == 1
 
 
 def test_irredundant_families(z6):

@@ -1,6 +1,6 @@
 import pytest
 
-from orespec.finring import bits, make_gf, make_zmod, mask_of, units_mask
+from orespec.finring import bits, make_gf, make_quotient, make_zmod, mask_of, units_mask
 from orespec.ideals import Ideal, all_ideal_masks, ideal_generated_by, zero_ideal
 from orespec.localization import (
     MultSet,
@@ -105,12 +105,12 @@ def test_five_way_criterion_on_commutative_and_triangular(z6, t2f2):
         for s in left_denominator_sets(r):
             loc = localize(r, s)
             for m in all_ideal_masks(r):
-                v = check_A11_equivalence(loc, Ideal(r, m))
-                assert v.agree, v.witness
-    # the whole ring is accepted by convention
+                assert check_A11_equivalence(loc, Ideal(r, m)) is None
+    # the whole ring is accepted by convention, and its localization is two-sided
     loc = localize(z6, close_multiplicative(z6, [2]))
-    v = check_A11_equivalence(loc, Ideal(z6, z6.full_mask()))
-    assert v.holds and v.agree
+    full = Ideal(z6, z6.full_mask())
+    assert check_A11_equivalence(loc, full) is None
+    assert localize_left_ideal(loc, full).two_sided
 
 
 def test_min_RS_and_prime_structure(z6):
@@ -172,5 +172,9 @@ def test_epimorphic_image_criterion(z12):
     s = largest_regular_set(z12)
     loc = localize(z12, s)
     four = ideal_generated_by(z12, [4])
-    v = check_epimorphic_den_b14(loc, four)
-    assert v.applicable and v.agree and v.lhs
+    assert loc.ass.mask & ~four.mask == 0 and not four.is_full()  # ass(S) <= b < R
+    assert check_epimorphic_den_b14(loc, four)
+    # the image of S in R/b is a zero-vanishing denominator set
+    q, hom = make_quotient(z12, four.mask)
+    cls = classify_set(MultSet(q, hom.push_mask(s.mask)))
+    assert cls.left_den and cls.ass_l_mask == 1 << q.zero

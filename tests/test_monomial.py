@@ -6,6 +6,7 @@ import pytest
 from orespec import monomial as mono
 from orespec.monomial import (
     AnAlgebra,
+    AnPrime,
     CollapsedLocalizationError,
     NCMonomial,
     UnitIdealError,
@@ -232,6 +233,20 @@ def test_localize_at_central_variables_is_memoised_per_set(monkeypatch):
     assert products == []
     assert an_localize_normal(a, {2}) is None
     assert products
+
+
+@pytest.mark.parametrize("lie, clause", [
+    # no prime contains an x letter: none lies over the vanishing ideal
+    pytest.param(lambda contains: lambda p, m: not m.word and contains(p, m),
+                 "primes over the vanishing ideal", id="no_x_in_any_prime"),
+    # every prime contains every z: the images miss the localized primes
+    pytest.param(lambda contains: lambda p, m: not m.word or contains(p, m),
+                 "prime bijection", id="every_z_in_every_prime"),
+])
+def test_localize_at_central_variables_reads_prime_membership(monkeypatch, lie, clause):
+    monkeypatch.setattr(AnPrime, "contains", lie(AnPrime.contains))
+    a = an_build(2, 4)  # fresh, so no memoised verdict answers for it
+    assert an_localize_normal(a, {1})[0] == clause
 
 
 def test_multiplication_is_associative_on_random_triples():
