@@ -94,6 +94,10 @@ LIES = [
     pytest.param([(centre, "regular_mask", _on_rings(_centre, lambda fn: lambda r: r.full_mask()))],
                  ("aB25Sep23", "B25Sep23"),
                  id="rho_well_defined"),
+    pytest.param([(centre, "min_prime_masks_over",
+                   _on_rings(_centre, lambda fn: lambda r, floor: fn(r, floor) + (floor,)))],
+                 ("B25Sep23",),
+                 id="rho_criteria_agree"),
     pytest.param([(ideals, "is_nilpotent_ideal", _negate)],
                  ("aA29Sep23",),
                  id="is_prime_rich"),
