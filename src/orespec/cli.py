@@ -34,6 +34,7 @@ from .harness import (
     render_machine,
     render_text,
     run_suite,
+    track_of,
 )
 from .checks import COVERAGE, REGISTRY
 from .ideals import (
@@ -259,13 +260,8 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite == "all":
         ids = COVERAGE
-    elif suite == "finite":
-        ids = tuple(i for i in COVERAGE if "finite" in REGISTRY[i][0].kinds)
-    elif suite == "monomial":
-        ids = tuple(
-            i for i in COVERAGE
-            if {"monomial", "an"} & set(REGISTRY[i][0].kinds)
-        )
+    elif suite in ("finite", "monomial"):
+        ids = tuple(i for i in COVERAGE if track_of(REGISTRY[i][0].kinds) in (suite, "both"))
     else:
         ids = tuple(x.strip() for x in suite.split(",") if x.strip())
         if not ids:

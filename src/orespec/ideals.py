@@ -406,19 +406,18 @@ def min_prime_exponent(r: RingTable, amask: Mask) -> int | None:
     return None
 
 
-def prime_rich_violation(r: RingTable) -> tuple[str, str] | None:
+def prime_rich_violation(r: RingTable, amask: Mask) -> tuple[str, str] | None:
     """The three equivalent prime-richness conditions and the minimal-prime
-    exponent on every proper ideal: the first broken (clause, detail), or None."""
-    for amask in _proper_ideal_masks(r):
-        over = [p for p in prime_masks(r) if amask & ~p == 0]
-        c1 = _some_product_within(r, amask, over)
-        c2 = _some_product_within(r, amask, min_prime_masks_over(r, amask))
-        q = make_quotient(r, amask)[0] if amask != 1 << r.zero else r
-        c3 = is_nilpotent_ideal(prime_radical(q))  # |min(a)| is finite here by fiat
-        if not (c1 == c2 == c3):
-            return "three-way prime-rich agreement", r.label
-        if min_prime_exponent(r, amask) is None:
-            return "minimal-prime product exponent within order", f"ideal={list(bits(amask))}"
+    exponent at one proper ideal: the first broken (clause, detail), or None."""
+    over = [p for p in prime_masks(r) if amask & ~p == 0]
+    c1 = _some_product_within(r, amask, over)
+    c2 = _some_product_within(r, amask, min_prime_masks_over(r, amask))
+    q = make_quotient(r, amask)[0] if amask != 1 << r.zero else r
+    c3 = is_nilpotent_ideal(prime_radical(q))  # |min(a)| is finite here by fiat
+    if not (c1 == c2 == c3):
+        return "three-way prime-rich agreement", r.label
+    if min_prime_exponent(r, amask) is None:
+        return "minimal-prime product exponent within order", f"ideal={list(bits(amask))}"
     return None
 
 

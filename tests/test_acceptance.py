@@ -10,7 +10,6 @@ import time
 import pytest
 
 from expr_corpus import FIXED_EXPRESSIONS
-from orespec.checks import COVERAGE
 from orespec.dsl import parse_ring_expr, render
 from orespec.finring import RingTable, bits, mask_of, regular_mask, units_mask
 from orespec.harness import (
@@ -209,7 +208,8 @@ def test_criterion_8(finite_rings):
     for r in finite_rings:
         assert units_mask(r) == regular_mask(r), r.label
         # no violation: the three conditions agree and every exponent is at most |R|
-        assert is_prime_rich(r) and prime_rich_violation(r) is None, r.label
+        assert is_prime_rich(r), r.label
+        assert not any(prime_rich_violation(r, m) for m in all_ideal_masks(r)[:-1]), r.label
         for s in left_denominator_sets(r, CFG.exhaustive_mult_order):
             loc = localize(r, s)
             target_units = units_mask(loc.target)

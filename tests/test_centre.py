@@ -10,7 +10,7 @@ from orespec.centre import (
     restrict_prime,
     rho,
 )
-from orespec.checks import check_centre_decomposition
+from orespec.checks import check_centre_decomposition, decide
 from orespec.finring import bits, make_gf, make_product, make_zmod, mask_of, same_tables
 from orespec.harness import CorpusConfig
 from orespec.ideals import Ideal, is_semiprime_ring, min_primes, zero_ideal
@@ -103,4 +103,4 @@ def test_pierce_decomposition_examples(z6):
 
 def test_pierce_not_applicable_off_semiprime(z12):
     assert not is_semiprime_ring(z12)
-    assert check_centre_decomposition(z12, CorpusConfig()).status == "na"
+    assert decide(check_centre_decomposition(z12, CorpusConfig())).status == "na"

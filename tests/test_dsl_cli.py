@@ -89,10 +89,11 @@ def test_round_trip_on_generated_expressions(expr):
     assert parse_ring_expr(render(expr)) == expr
 
 
-@given(_exprs(2))
-def test_cli_describe_exits_with_a_documented_code(expr):
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["describe", "rho", "ideals", "minprimes", "centre"]), _exprs(2))
+def test_cli_describe_exits_with_a_documented_code(command, expr):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["describe", render(expr)])
+        code = main([command, render(expr)])
     assert code in (0, 2, 3)
 
 

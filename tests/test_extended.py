@@ -11,13 +11,12 @@ failure path with a deliberately false claim.
 import pytest
 
 from orespec.checks import (
-    COVERAGE,
-    Outcome,
     REGISTRY,
     TheoremCheck,
     check_completely_prime_corollary,
     check_min_primes_prime_rich,
     check_zero_divisor_den_equivalence,
+    decide,
 )
 from orespec.finring import bits, is_commutative, make_gf, make_matrix_ring, make_product
 from orespec.harness import CorpusConfig, build_corpus, run_suite
@@ -47,7 +46,7 @@ def test_zero_divisor_statements_on_the_order32_ring(big_ring):
     for fn in (check_zero_divisor_den_equivalence,
                check_completely_prime_corollary,
                check_min_primes_prime_rich):
-        out = fn(big_ring, CFG)
+        out = decide(fn(big_ring, CFG))
         assert out.status == "pass", (fn.__name__, out.clause, out.detail)
 
 
@@ -64,15 +63,14 @@ def test_localizing_away_the_matrix_factor(big_ring):
 
 def test_a_false_claim_is_reported_not_swallowed(monkeypatch):
     def bogus(r, cfg):
-        ok = is_semiprime_ring(r)
-        return Outcome("pass" if ok else "fail", 1, "every ring is semiprime", r.label)
+        if not is_semiprime_ring(r):
+            yield "every ring is semiprime", r.label
+        yield
 
     monkeypatch.setitem(
         REGISTRY, "bogus",
         (TheoremCheck("bogus", ("finite",), "deliberately false claim"), {"finite": bogus}),
     )
-    monkeypatch.setattr("orespec.checks.COVERAGE", COVERAGE + ("bogus",))
-    monkeypatch.setattr("orespec.harness.COVERAGE", COVERAGE + ("bogus",))
     small = CorpusConfig(order_cap=6)
     reports = run_suite(build_corpus(small), ("bogus",), small)
     bogus_report = reports[1]
@@ -87,14 +85,12 @@ def test_an_engine_bug_is_an_engine_error_counterexample(monkeypatch, capsys):
     def buggy(r, cfg):
         if r.label == "zmod(4)":
             raise IndexError("engine bug")
-        return Outcome("pass", 1)
+        yield
 
     monkeypatch.setitem(
         REGISTRY, "buggy",
         (TheoremCheck("buggy", ("finite",), "a check with an engine bug"), {"finite": buggy}),
     )
-    monkeypatch.setattr("orespec.checks.COVERAGE", COVERAGE + ("buggy",))
-    monkeypatch.setattr("orespec.harness.COVERAGE", COVERAGE + ("buggy",))
     small = CorpusConfig(order_cap=6)
     for jobs in (1, 2):
         cxs = run_suite(build_corpus(small), ("buggy",), small, jobs=jobs)[1].counterexamples

@@ -1,8 +1,12 @@
+import json
+import pathlib
+import time
+
 import pytest
 
-from orespec.checks import COVERAGE, REGISTRY, assert_registry_complete
+from orespec.checks import COVERAGE, REGISTRY, TheoremCheck
 from orespec.dsl import evaluate, parse_ring_expr
-from orespec.finring import EngineInvariantError, RingError, RingTable
+from orespec.finring import RingError, RingTable
 from orespec.harness import (
     AUDIT_ID,
     CorpusConfig,
@@ -55,18 +59,70 @@ def test_instances_rebuild_from_provenance_alone(small_corpus):
             assert rebuilt == original
 
 
-def test_registry_matches_the_static_coverage_list():
-    assert set(REGISTRY) == set(COVERAGE)
-    assert_registry_complete()
+def test_coverage_is_the_pinned_catalogue():
+    expected = pathlib.Path(__file__).parents[1] / "perfbench" / "expected.json"
+    ids = json.loads(expected.read_text())["ids"]
+    assert ids[0] == AUDIT_ID
+    assert COVERAGE == tuple(ids[1:])
 
 
-def test_registry_gap_fails_the_suite(monkeypatch):
-    entry = REGISTRY.pop("A11Sep23")
-    try:
-        with pytest.raises(EngineInvariantError):
-            assert_registry_complete()
-    finally:
-        REGISTRY["A11Sep23"] = entry
+def _probe(monkeypatch, small_corpus, fn):
+    """The report of fn registered as a finite check and run on one ring."""
+    monkeypatch.setitem(REGISTRY, "probe",
+                        (TheoremCheck("probe", ("finite",), "protocol probe"), {"finite": fn}))
+    return run_suite(small_corpus[:1], ("probe",), SMALL)[1]
+
+
+def test_the_first_broken_case_fails_the_check(monkeypatch, small_corpus):
+    def check(r, cfg):
+        yield
+        yield None
+        yield "c", "d"
+
+    rep = _probe(monkeypatch, small_corpus, check)
+    assert [(cx.clause, cx.detail) for cx in rep.counterexamples] == [("c", "d")]
+    assert rep.cases == 3 and rep.applicable == 1 and rep.passed == 0
+
+
+def test_nothing_after_a_broken_case_runs(monkeypatch, small_corpus):
+    ran = []
+
+    def check(r, cfg):
+        yield "c", "d"
+        ran.append(r.label)
+        yield
+
+    rep = _probe(monkeypatch, small_corpus, check)
+    assert ran == [] and rep.cases == 1 and len(rep.counterexamples) == 1
+
+
+def test_a_check_without_cases_is_not_applicable(monkeypatch, small_corpus):
+    def check(r, cfg):
+        yield from ()
+
+    rep = _probe(monkeypatch, small_corpus, check)
+    assert (rep.considered, rep.applicable, rep.cases) == (1, 0, 0)
+
+
+def test_a_check_raising_between_cases_is_an_engine_error(monkeypatch, small_corpus):
+    def check(r, cfg):
+        yield
+        raise IndexError("engine bug")
+
+    rep = _probe(monkeypatch, small_corpus, check)
+    assert [(cx.clause, cx.detail) for cx in rep.counterexamples] == [
+        ("engine-error", "IndexError: engine bug")
+    ]
+
+
+def test_wall_time_covers_the_whole_check(monkeypatch, small_corpus):
+    def check(r, cfg):
+        yield
+        time.sleep(0.05)
+
+    rep = _probe(monkeypatch, small_corpus, check)
+    assert rep.passed == 1 and rep.cases == 1
+    assert rep.wall_ms >= 50
 
 
 def test_unknown_check_id_is_an_error(small_corpus):

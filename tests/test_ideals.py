@@ -157,11 +157,13 @@ def test_semiprime_flags(z6, z12):
 
 
 def test_prime_rich_with_exponent_evidence(z12, sample_rings):
-    assert is_prime_rich(z12) and prime_rich_violation(z12) is None
+    assert is_prime_rich(z12)
+    assert not any(prime_rich_violation(z12, m) for m in all_ideal_masks(z12)[:-1])
     assert min_prime_exponent(z12, 1) == 2  # (2)(3) = (6), and (6)^2 = 0
     for r in sample_rings:
         # no violation: the three conditions agree and every exponent is at most |R|
-        assert is_prime_rich(r) and prime_rich_violation(r) is None
+        assert is_prime_rich(r)
+        assert not any(prime_rich_violation(r, m) for m in all_ideal_masks(r)[:-1])
     assert min_prime_exponent(make_gf(4), 1) == 1
 
 
