@@ -40,6 +40,7 @@ from .finring import (
     normal_mask,
     product_hom,
     sub,
+    subsets,
     units_mask,
 )
 from .ideals import (
@@ -316,15 +317,14 @@ def check_zero_products_bound_minimals(r: RingTable, cfg):
     primes = prime_masks(r)
     minset = set(_min_masks(r))
     zero = 1 << r.zero
-    for size in range(1, len(primes) + 1):
-        for combo in itertools.combinations(primes, size):
-            reach = _products_reach(r, list(combo))
-            if zero not in reach:
-                continue
-            if not minset <= set(combo):
-                yield ("zero product bounds the minimal primes",
-                       f"factors={[list(bits(m)) for m in combo]}")
-            yield
+    for combo in subsets(primes, 1):
+        reach = _products_reach(r, list(combo))
+        if zero not in reach:
+            continue
+        if not minset <= set(combo):
+            yield ("zero product bounds the minimal primes",
+                   f"factors={[list(bits(m)) for m in combo]}")
+        yield
 
 
 def check_prime_rich_equivalence(r: RingTable, cfg):
@@ -395,12 +395,11 @@ def check_irredundant_characterization(r: RingTable, cfg):
     if not is_irredundant_masks(r, sorted(minset)):
         yield "minimal primes form an irredundant family", r.label
     yield
-    for size in range(1, len(primes) + 1):
-        for combo in itertools.combinations(primes, size):
-            if is_irredundant_masks(r, combo) and set(combo) != minset:
-                yield ("only the minimal primes are irredundant",
-                       f"family={[list(bits(m)) for m in combo]}")
-            yield
+    for combo in subsets(primes, 1):
+        if is_irredundant_masks(r, combo) and set(combo) != minset:
+            yield ("only the minimal primes are irredundant",
+                   f"family={[list(bits(m)) for m in combo]}")
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +665,16 @@ def check_normal_localization_minimals(r: RingTable, cfg):
 
 
 def check_monomial_localization_bijection(r: mono.CommMonomialRing, cfg):
-    for size in range(1, r.nvars + 1):
-        for combo in itertools.combinations(range(r.nvars), size):
-            try:
-                rep = mono.localize_monomial(r, combo)
-            except mono.CollapsedLocalizationError:
-                continue
-            if not (rep.bijection_ok and rep.saturation_oracle_ok):
-                yield "monomial localization bijection", f"V={sorted(combo)}"
-            yield
+    for combo in subsets(range(r.nvars), 1):
+        try:
+            yield mono.localize_monomial(r, combo)
+        except mono.CollapsedLocalizationError:
+            continue
 
 
 def check_an_localization_bijection(a: mono.AnAlgebra, cfg):
-    for size in range(1, a.pairs + 1):
-        for combo in itertools.combinations(range(1, a.pairs + 1), size):
-            yield mono.an_localize_normal(a, combo)
+    for combo in subsets(range(1, a.pairs + 1), 1):
+        yield mono.an_localize_normal(a, combo)
 
 
 def check_normal_subset_variant(r: RingTable, cfg):
@@ -819,27 +813,23 @@ def check_pairing_algebra(a: mono.AnAlgebra, cfg):
     yield mono.an_verify(a)
 
 
+def _localize_regular(r: mono.CommMonomialRing, regs):
+    """One case: invert variables that are regular, so that no generator
+    meets them and the saturation is the ideal itself."""
+    if any(mono.support(g) & set(regs) for g in r.gens):
+        yield "regular variables meet no generator", f"V={sorted(v + 1 for v in regs)}"
+    yield mono.localize_monomial(r, regs)
+
+
 def check_regular_var_bijection(r: mono.CommMonomialRing, cfg):
     if not mono.is_squarefree(r):
         return
-    regs = sorted(mono.regular_variables(r))
-    for size in range(len(regs) + 1):
-        for combo in itertools.combinations(regs, size):
-            rep = mono.localize_monomial(r, combo)
-            if not (rep.regular_case and rep.bijection_ok and rep.saturation_oracle_ok
-                    and len(rep.min_localized) == len(rep.min_source)):
-                yield ("regular-variable localization preserves minimal primes",
-                       f"V={sorted(combo)}")
-            yield
+    for combo in subsets(sorted(mono.regular_variables(r))):
+        yield from _localize_regular(r, combo)
 
 
 def check_all_regular_var_localization(r: mono.CommMonomialRing, cfg):
-    regs = sorted(mono.regular_variables(r))
-    rep = mono.localize_monomial(r, regs)
-    if not (rep.regular_case and rep.bijection_ok
-            and len(rep.min_localized) == len(rep.min_source)):
-        yield "all-regular-variable localization", f"V={regs}"
-    yield
+    yield from _localize_regular(r, sorted(mono.regular_variables(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from .monomial import (
     localize_monomial,
     min_primes_monomial,
     render_monomial,
+    saturate_monomial,
 )
 
 EXIT_CLEAN = 0
@@ -225,12 +226,15 @@ def cmd_mono(args) -> int:
     for v in variables:
         if not 0 <= v < obj.nvars:
             raise RingError(f"--invert index {v + 1} is outside 1..{obj.nvars}")
-    rep = localize_monomial(obj, variables)
-    print(f"saturation:    {[render_monomial(g) for g in rep.saturation.gens]}")
-    print(f"regular case:  {rep.regular_case}")
-    print(f"min source:    {[sorted(v + 1 for v in c) for c in rep.min_source]}")
-    print(f"min localized: {[sorted(v + 1 for v in c) for c in rep.min_localized]}")
-    print(f"bijection:     {rep.bijection_ok}")
+    sat = saturate_monomial(obj, variables)
+    print(f"saturation:    {[render_monomial(g) for g in sat.gens]}")
+    for name, ring in (("min source:   ", obj), ("min saturated:", sat)):
+        print(f"{name} {[sorted(v + 1 for v in c) for c in min_primes_monomial(ring)]}")
+    failed = localize_monomial(obj, variables)
+    if failed:
+        print("FAILURE: {}: {}".format(*failed))
+        return EXIT_COUNTEREXAMPLE
+    print(f"verified to degree {obj.degree_bound}")
     return EXIT_CLEAN
 
 

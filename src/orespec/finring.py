@@ -13,6 +13,7 @@ corrupted table is caught at the door rather than as a wrong theorem verdict.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 Mask = int
@@ -64,6 +65,14 @@ def mask_of(ids) -> Mask:
 
 def popcount(mask: Mask) -> int:
     return mask.bit_count()
+
+
+def subsets(items, smallest: int = 0):
+    """Yield the subsets of items with at least `smallest` members as tuples,
+    by size, each size in itertools.combinations order."""
+    items = tuple(items)
+    for size in range(smallest, len(items) + 1):
+        yield from itertools.combinations(items, size)
 
 
 def memo(fn):

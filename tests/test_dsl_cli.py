@@ -163,7 +163,8 @@ def test_cli_mono_and_an(capsys):
     out = capsys.readouterr().out
     assert "(v1)" in out and "(v2)" in out
     assert main(["mono", "localize", "mono(vars=2, gens=[v1*v2])", "--invert", "1"]) == 0
-    assert "bijection:     True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "min saturated: [[2]]" in out and "verified to degree 6" in out
     assert main(["an", "verify", "--n", "1"]) == 0
     assert "verified to degree" in capsys.readouterr().out
 
@@ -275,6 +276,15 @@ def test_cli_exhaustive_sweep_budget_is_checked_before_any_ring(capsys, monkeypa
     assert "sweep up to order 17 > 16" in capsys.readouterr().err
     assert main(["verify", "--max-order", "17", "--exhaustive-order", "20"]) == 3
     assert "sweep up to order 17 > 16" in capsys.readouterr().err
+
+
+def test_cli_mono_variable_budget_is_checked_before_any_sweep(capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the subset sweep ran despite the variable budget")
+
+    monkeypatch.setattr("orespec.cli.min_primes_monomial", no_sweep)
+    assert main(["mono", "minprimes", "mono(vars=40, gens=[v1])"]) == 3
+    assert "40 variables > 16" in capsys.readouterr().err
 
 
 def test_cli_exhaustive_order_is_bounded_by_the_order_cap(capsys):

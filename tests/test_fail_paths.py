@@ -136,7 +136,7 @@ LIES = [
                  ("A10Sep23", "A2Oct23", "c10Sep23"),
                  id="localize_monomial"),
     pytest.param([(mono, "min_primes_monomial", lambda fn: lambda r: fn(r)[:-1])],
-                 ("A10Sep23", "A2Oct23"),
+                 ("4Jul10", "A10Sep23", "A2Oct23", "c10Sep23"),
                  id="min_primes_monomial"),
     pytest.param([(mono, "an_multiply", _zero_at_top_degree)],
                  ("A2Oct23", "a5Oct23", "b29Sep23"),

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from orespec import monomial as mono
+from orespec.cli import main
 from orespec.monomial import (
     AnAlgebra,
     AnPrime,
@@ -96,30 +97,51 @@ def test_saturation_collapse_is_an_error():
 
 def test_saturation_against_degree_bounded_membership():
     r = make_monomial_ring(3, [(1, 2, 0), (0, 1, 1)])
-    rep = localize_monomial(r, [1])
-    assert rep.saturation_oracle_ok
+    assert saturate_monomial(r, [1]).gens == ((0, 0, 1), (1, 0, 0))
+    assert localize_monomial(r, [1]) is None
 
 
 def test_localize_regular_variable_keeps_minimal_primes():
     r = make_monomial_ring(3, [(0, 1, 1)])  # k[u,y,z]/(yz), u regular
     assert regular_variables(r) == {0}
-    rep = localize_monomial(r, [0])
-    assert rep.regular_case and rep.bijection_ok
-    assert rep.min_source == rep.min_localized == (frozenset({1}), frozenset({2}))
+    assert localize_monomial(r, [0]) is None
+    assert saturate_monomial(r, [0]).gens == r.gens
+    assert min_primes_monomial(r) == [frozenset({1}), frozenset({2})]
 
 
 def test_localize_zero_divisor_variable():
     r = make_monomial_ring(2, [(1, 1)])
-    rep = localize_monomial(r, [0])
-    assert not rep.regular_case
-    assert rep.min_vanishing == (frozenset({1}),)
-    assert rep.min_localized == (frozenset({1}),)
+    assert localize_monomial(r, [0]) is None
+    sat = saturate_monomial(r, [0])
+    assert sat.gens != r.gens
+    assert min_primes_monomial(sat) == [frozenset({1})]
 
 
 def test_localize_nothing_is_the_identity():
     r = make_monomial_ring(2, [(1, 1)])
-    rep = localize_monomial(r, [])
-    assert rep.regular_case and rep.min_source == rep.min_localized
+    assert localize_monomial(r, []) is None
+    assert saturate_monomial(r, []).gens == r.gens
+
+
+@pytest.mark.parametrize("target, lie, clause", [
+    # one minimal cover of the localization goes missing
+    pytest.param("_min_covers_avoiding", lambda fn: lambda r, vset: fn(r, vset)[:-1],
+                 "minimal primes over the saturation biject", id="covers_avoiding"),
+    # the oracle puts every monomial in the saturation
+    pytest.param("saturation_membership_oracle", lambda fn: lambda r, v, exp: True,
+                 "saturation membership", id="membership_oracle"),
+])
+def test_localize_monomial_reads_each_route(monkeypatch, target, lie, clause):
+    r = make_monomial_ring(2, [(1, 1)])
+    monkeypatch.setattr(mono, target, lie(getattr(mono, target)))
+    assert localize_monomial(r, [0])[0] == clause
+
+
+def test_cli_mono_localize_fails_on_a_lying_cover_search(capsys, monkeypatch):
+    covers = mono._min_covers_avoiding
+    monkeypatch.setattr(mono, "_min_covers_avoiding", lambda r, vset: covers(r, vset)[:-1])
+    assert main(["mono", "localize", "mono(vars=2, gens=[v1*v2])", "--invert", "1"]) == 1
+    assert "FAILURE: minimal primes over the saturation biject: V=[1]" in capsys.readouterr().out
 
 
 def test_squarefree_enumeration_counts():
@@ -262,8 +284,9 @@ def test_multiplication_is_associative_on_random_triples():
         assert left == right
 
 
-def test_degree_overflow_marks_truncation():
+def test_products_above_the_degree_bound_stay_exact():
     a = an_build(1, 4)
     big = NCMonomial((2, 2, 2), (0,))
     prod = an_multiply(a, big, big)
-    assert prod.truncated and not prod.is_zero
+    assert not prod.is_zero and prod.degree() > a.degree_bound
+    assert prod == NCMonomial((2,) * 6, (0,))
