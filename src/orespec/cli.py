@@ -28,8 +28,10 @@ from .finring import (
     units_mask,
 )
 from .harness import (
+    AUDIT_ID,
     CorpusConfig,
     build_corpus,
+    explain,
     inject_table_fault,
     render_machine,
     render_text,
@@ -270,16 +272,36 @@ def cmd_verify(args) -> int:
         ids = tuple(x.strip() for x in suite.split(",") if x.strip())
         if not ids:
             raise RingError(f"--suite {suite!r} names no check ids")
+    if args.explain and args.explain[0] not in (AUDIT_ID,) + ids:
+        raise RingError(f"--explain {args.explain[0]!r} is not a check of this run")
     corpus = build_corpus(cfg)
     if args.inject_fault:
         corpus = [inject_table_fault(corpus[0], cfg)] + corpus[1:]
     reports = run_suite(corpus, ids, cfg, jobs=args.jobs)
-    if args.format == "machine":
+    if args.explain:
+        cid, k = args.explain
+        report = next(r for r in reports if r.theorem_id == cid)
+        if k >= len(report.counterexamples):
+            raise RingError(f"--explain {cid}:{k}: {cid} has"
+                            f" {len(report.counterexamples)} counterexamples")
+        print(explain(report, k, cfg))
+    elif args.format == "machine":
         print(render_machine(reports))
     else:
         print(render_text(reports))
     clean = all(r.clean() for r in reports)
     return EXIT_CLEAN if clean else EXIT_COUNTEREXAMPLE
+
+
+def explain_target(text: str) -> tuple[str, int]:
+    """Parse ID:K, a check id and a counterexample index."""
+    cid, sep, k = text.rpartition(":")
+    if not sep or not cid.strip():
+        raise argparse.ArgumentTypeError(f"expected ID:K, got {text!r}")
+    index = int(k)
+    if index < 0:
+        raise argparse.ArgumentTypeError(f"counterexample index must be at least 0, got {index}")
+    return cid.strip(), index
 
 
 def positive_int(text: str) -> int:
@@ -356,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one table cell first (self-test)")
+    p.add_argument("--explain", type=explain_target, default=None, metavar="ID:K",
+                   help="print counterexample K of check ID instead of the report")
     p.set_defaults(fn=cmd_verify)
     return ap
 

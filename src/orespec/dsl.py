@@ -31,7 +31,13 @@ from .finring import (
     mask_of,
 )
 from .ideals import ideal_closure_mask
-from .monomial import an_build, default_degree_bound, make_monomial_ring, render_monomial
+from .monomial import (
+    an_build,
+    check_var_count,
+    default_degree_bound,
+    make_monomial_ring,
+    render_monomial,
+)
 
 
 class ParseError(Exception):
@@ -99,6 +105,14 @@ def _tokenize(text: str) -> list[_Token]:
         raise ParseError(f"unexpected character {c!r}", line, col)
     out.append(_Token("punct", "<end>", line, col))
     return out
+
+
+def _exponent_vector(pairs: tuple[tuple[int, int], ...], nvars: int) -> tuple[int, ...]:
+    """The nvars-long exponent vector of a parsed monomial's (index, exponent) pairs."""
+    exp = [0] * nvars
+    for idx, e in pairs:
+        exp[idx - 1] = e
+    return tuple(exp)
 
 
 class _Parser:
@@ -244,17 +258,13 @@ class _Parser:
             gens = kwargs["gens"]
             if not isinstance(gens, tuple):
                 fail("gens must be a list")
-            exps = []
             for g in gens:
                 if not isinstance(g, tuple):
                     fail("mono generators must be monomials")
                 if any(idx > nvars for idx, _ in g):
                     fail(f"variable index exceeds vars={nvars}")
-                exp = [0] * nvars
-                for idx, e in g:
-                    exp[idx - 1] = e
-                exps.append(tuple(exp))
-            return RingExpr(kind, (nvars,), (), tuple(exps))
+            check_var_count(nvars)  # before any nvars-long vector is built
+            return RingExpr(kind, (nvars,), (), tuple(_exponent_vector(g, nvars) for g in gens))
         if kind == "an":
             if ints or subs or set(kwargs) != {"n"}:
                 fail("expects (n=k)")

@@ -25,6 +25,8 @@ Everything in this module is checked at a bounded total degree; reports say
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 from .finring import RingError, memo, subsets
@@ -48,6 +50,17 @@ SPARE_LETTERS = 2
 # took 0.4 s at n = 16, 2.4 s at n = 20 and 37 s at n = 24 (Python 3.11,
 # 2 shared cores)
 MAX_MONO_VARS = 16
+
+# an_verify's scans are quadratic within each degree: an(2, 8) has 97,679
+# normal forms and an(3, 7) 122,068, verified in about 1.3 s and 2 s; an(3, 8)
+# has 583,355 and an(4, 8) 2,566,955 (an_monomial_count)
+MAX_AN_MONOMIALS = 125_000
+
+
+def check_var_count(nvars: int) -> None:
+    """Refuse a monomial quotient too wide for the minimal-cover sweep."""
+    if nvars > MAX_MONO_VARS:
+        raise DegreeBudgetError(f"{nvars} variables > {MAX_MONO_VARS}")
 
 
 def default_degree_bound(nvars: int) -> int:
@@ -92,8 +105,7 @@ def render_monomial(exp: tuple[int, ...]) -> str:
 def make_monomial_ring(nvars: int, gens, degree_bound: int | None = None) -> CommMonomialRing:
     if nvars < 1:
         raise RingError("need at least one variable")
-    if nvars > MAX_MONO_VARS:
-        raise DegreeBudgetError(f"{nvars} variables > {MAX_MONO_VARS}")
+    check_var_count(nvars)
     norm = []
     for g in gens:
         g = tuple(g)
@@ -258,11 +270,36 @@ class AnAlgebra:
         return f"AnAlgebra(pairs={self.pairs}, letters={self.letters}, degree<={self.degree_bound})"
 
 
-@dataclass(frozen=True)
+def _letter_mask(indices) -> int:
+    """Bit i set for each index i: the support of a word or of a z part."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _z_mask(zexp: tuple[int, ...]) -> int:
+    return _letter_mask(i + 1 for i, e in enumerate(zexp) if e)
+
+
 class NCMonomial:
-    word: tuple[int, ...]      # x indices, 1-based, order matters
-    zexp: tuple[int, ...]      # z exponents, index i+1 has exponent zexp[i]
-    is_zero: bool = False
+    """A normal form: a word over the x letters (1-based, order matters) and
+    an exponent vector over the z's (z_{i+1} has exponent zexp[i]).
+
+    wmask has bit i for each x_i in the word and zmask bit i for each z_i of
+    positive exponent, so a paired letter meets its z exactly when
+    wmask & zmask.  Both masks are computed once; a product passes its own.
+    """
+
+    __slots__ = ("word", "zexp", "is_zero", "wmask", "zmask")
+
+    def __init__(self, word: tuple[int, ...], zexp: tuple[int, ...], is_zero: bool = False,
+                 wmask: int | None = None, zmask: int | None = None):
+        self.word = word
+        self.zexp = zexp
+        self.is_zero = is_zero
+        self.wmask = _letter_mask(word) if wmask is None else wmask
+        self.zmask = _z_mask(zexp) if zmask is None else zmask
 
     def degree(self) -> int:
         return len(self.word) + sum(self.zexp)
@@ -273,12 +310,40 @@ class NCMonomial:
     def z_support(self) -> frozenset[int]:
         return frozenset(i + 1 for i, e in enumerate(self.zexp) if e)
 
+    def __eq__(self, other):
+        if not isinstance(other, NCMonomial):
+            return NotImplemented
+        return (self.word, self.zexp, self.is_zero) == (other.word, other.zexp, other.is_zero)
+
+    def __hash__(self):
+        return hash((self.word, self.zexp, self.is_zero))
+
     def __repr__(self):
         if self.is_zero:
             return "0"
         parts = [f"x{i}" for i in self.word]
         parts += [f"z{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(self.zexp) if e]
         return "*".join(parts) if parts else "1"
+
+
+def an_monomial_count(n: int, d: int) -> int:
+    """The number of nonzero normal forms of total degree <= d, in closed form.
+
+    A z part of degree e > 0 with support size k is a composition of e into k
+    positive parts on one of C(n, k) supports; the word of length w avoids its
+    k paired letters; e = 0 leaves the empty z part and every word.
+    """
+    letters = n + SPARE_LETTERS
+    count = 0
+    for total in range(d + 1):
+        for w in range(total + 1):
+            e = total - w
+            if e == 0:
+                count += letters ** w
+                continue
+            count += sum(math.comb(n, k) * math.comb(e - 1, k - 1) * (letters - k) ** w
+                          for k in range(1, n + 1))
+    return count
 
 
 def an_build(n: int, d: int) -> AnAlgebra:
@@ -288,9 +353,14 @@ def an_build(n: int, d: int) -> AnAlgebra:
         raise DegreeBudgetError("the pairing algebra is built for n <= 4")
     if d > 8:
         raise DegreeBudgetError("degree bound is capped at 8")
+    count = an_monomial_count(n, d)
+    if count > MAX_AN_MONOMIALS:
+        raise DegreeBudgetError(f"an(n={n}) has {count} monomials of degree <= {d}"
+                                f" > {MAX_AN_MONOMIALS}")
     return AnAlgebra(n, d, n + SPARE_LETTERS)
 
 
+@memo
 def an_zero(a: AnAlgebra) -> NCMonomial:
     return NCMonomial((), (0,) * a.pairs, True)
 
@@ -316,24 +386,26 @@ def an_multiply(a: AnAlgebra, m1: NCMonomial, m2: NCMonomial) -> NCMonomial:
     Exact at every degree: the degree bound limits the scans, not products."""
     if m1.is_zero or m2.is_zero:
         return an_zero(a)
-    word = m1.word + m2.word
-    zexp = tuple(x + y for x, y in zip(m1.zexp, m2.zexp))
-    if any(zexp[i - 1] for i in word if i <= a.pairs):
+    wmask = m1.wmask | m2.wmask
+    zmask = m1.zmask | m2.zmask
+    if wmask & zmask:
         return an_zero(a)
-    return NCMonomial(word, zexp)
+    return NCMonomial(m1.word + m2.word, tuple(map(operator.add, m1.zexp, m2.zexp)),
+                      False, wmask, zmask)
 
 
 def an_monomials(a: AnAlgebra, max_degree: int | None = None):
     """All nonzero normal forms of total degree <= bound, deterministic order."""
     bound = a.degree_bound if max_degree is None else max_degree
+    letters = range(1, a.letters + 1)
     for total in range(bound + 1):
         for wlen in range(total + 1):
-            for word in itertools.product(range(1, a.letters + 1), repeat=wlen):
-                wsupp = frozenset(word)
-                for zexp in exponent_vectors(total - wlen, a.pairs):
-                    if any(e and (i + 1) in wsupp for i, e in enumerate(zexp)):
-                        continue
-                    yield NCMonomial(word, zexp)
+            zparts = [(zexp, _z_mask(zexp)) for zexp in exponent_vectors(total - wlen, a.pairs)]
+            for word in itertools.product(letters, repeat=wlen):
+                wmask = _letter_mask(word)
+                for zexp, zmask in zparts:
+                    if not wmask & zmask:
+                        yield NCMonomial(word, zexp, False, wmask, zmask)
 
 
 @dataclass(frozen=True)
@@ -342,14 +414,18 @@ class AnPrime:
 
     algebra: AnAlgebra
     I: frozenset[int]
+    imask: int = field(init=False, repr=False, compare=False)
+    cmask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "imask", _letter_mask(self.I))
+        object.__setattr__(self, "cmask", _letter_mask(self.complement()))
 
     def complement(self) -> frozenset[int]:
         return frozenset(range(1, self.algebra.pairs + 1)) - self.I
 
     def contains(self, m: NCMonomial) -> bool:
-        if m.is_zero:
-            return True
-        return bool(m.word_support() & self.I) or bool(m.z_support() & self.complement())
+        return m.is_zero or bool(m.wmask & self.imask or m.zmask & self.cmask)
 
     def __repr__(self):
         gens = [f"x{i}" for i in sorted(self.I)] + [f"z{j}" for j in sorted(self.complement())]
@@ -360,11 +436,15 @@ def an_min_primes(a: AnAlgebra) -> list[AnPrime]:
     return [AnPrime(a, frozenset(s)) for s in subsets(range(1, a.pairs + 1))]
 
 
+@memo
+def _an_generators(a: AnAlgebra) -> list[tuple[NCMonomial, str]]:
+    gens = [(an_x(a, i), f"x{i}") for i in range(1, a.letters + 1)]
+    return gens + [(an_z(a, i), f"z{i}") for i in range(1, a.pairs + 1)]
+
+
 def noncommuting_generator(a: AnAlgebra, m: NCMonomial) -> str | None:
     """The first algebra generator that does not commute with m, or None."""
-    gens = [(an_x(a, i), f"x{i}") for i in range(1, a.letters + 1)]
-    gens += [(an_z(a, i), f"z{i}") for i in range(1, a.pairs + 1)]
-    for g, gname in gens:
+    for g, gname in _an_generators(a):
         if an_multiply(a, m, g) != an_multiply(a, g, m):
             return gname
     return None
@@ -474,9 +554,10 @@ def _an_localize_verdict(a: AnAlgebra, V: frozenset[int]) -> tuple[str, str] | N
     # word meets V (choose s,t supported on all of V); products are exact
     # above the degree bound, so the full scan is sound
     zfull = NCMonomial((), tuple(1 if (i + 1) in V else 0 for i in range(a.pairs)))
+    vmask = _letter_mask(V)
     for m in an_monomials(a):
         killed = an_multiply(a, an_multiply(a, zfull, m), zfull).is_zero
-        if killed != bool(m.word_support() & V):
+        if killed != bool(m.wmask & vmask):
             return "vanishing ideal", f"V={sorted(V)}: mismatch at {m}"
 
     over = [p for p in an_min_primes(a) if all(p.contains(an_x(a, v)) for v in V)]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from orespec.cli import main
 from orespec.dsl import ParseError, RingExpr, evaluate, parse_ring_expr, render
 from orespec.finring import RingTable
+from orespec.monomial import DegreeBudgetError
 
 from expr_corpus import FIXED_EXPRESSIONS
 
@@ -285,6 +286,43 @@ def test_cli_mono_variable_budget_is_checked_before_any_sweep(capsys, monkeypatc
     monkeypatch.setattr("orespec.cli.min_primes_monomial", no_sweep)
     assert main(["mono", "minprimes", "mono(vars=40, gens=[v1])"]) == 3
     assert "40 variables > 16" in capsys.readouterr().err
+
+
+def test_mono_variable_budget_is_checked_before_any_exponent_vector(capsys, monkeypatch):
+    def no_vector(*args):
+        raise AssertionError("an exponent vector was built despite the variable budget")
+
+    monkeypatch.setattr("orespec.dsl._exponent_vector", no_vector)
+    text = "mono(vars=2000000, gens=[v1, v2])"
+    with pytest.raises(DegreeBudgetError):
+        parse_ring_expr(text)
+    assert main(["describe", text]) == 3
+    assert "2000000 variables > 16" in capsys.readouterr().err
+
+
+def test_cli_verify_explains_one_counterexample(capsys):
+    argv = ["verify", "--max-order", "4", "--suite", "A11Sep23", "--inject-fault"]
+    assert main(argv + ["--explain", "axiom-audit:0"]) == 1
+    out = capsys.readouterr().out
+    assert "clause:     axiom-audit" in out and "axiom-audit" in out.splitlines()[0]
+    assert '"clean"' not in out and "A11Sep23" not in out
+
+
+@pytest.mark.parametrize("value", ["axiom-audit:1", "A11Sep23:0"])
+def test_cli_verify_explain_index_out_of_range(capsys, value):
+    argv = ["verify", "--max-order", "4", "--suite", "A11Sep23", "--inject-fault"]
+    assert main(argv + ["--explain", value]) == 2
+    assert "counterexamples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nope:0", "A2Oct23:0", "axiom-audit", "axiom-audit:x",
+                                   "axiom-audit:-1", ":0"])
+def test_cli_verify_explain_rejects_bad_targets_before_the_run(capsys, monkeypatch, value):
+    def no_corpus(*args):
+        raise AssertionError("the corpus was built despite a bad --explain")
+
+    monkeypatch.setattr("orespec.cli.build_corpus", no_corpus)
+    assert main(["verify", "--suite", "A11Sep23", "--explain", value]) == 2
 
 
 def test_cli_exhaustive_order_is_bounded_by_the_order_cap(capsys):

@@ -9,19 +9,23 @@ from orespec.monomial import (
     AnAlgebra,
     AnPrime,
     CollapsedLocalizationError,
+    DegreeBudgetError,
     NCMonomial,
     UnitIdealError,
     all_squarefree_ideals,
     an_build,
     an_localize_normal,
     an_min_primes,
+    an_monomial_count,
     an_monomials,
     an_multiply,
     an_one,
     an_verify,
     an_x,
     an_z,
+    an_zero,
     default_degree_bound,
+    exponent_vectors,
     is_squarefree,
     localize_monomial,
     make_monomial_ring,
@@ -290,3 +294,99 @@ def test_products_above_the_degree_bound_stay_exact():
     prod = an_multiply(a, big, big)
     assert not prod.is_zero and prod.degree() > a.degree_bound
     assert prod == NCMonomial((2,) * 6, (0,))
+
+
+# ---------------------------------------------------------------------------
+# the masked normal forms against the plain definition
+
+
+def _bits(indices):
+    return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (3, 5)])
+def test_masks_are_the_supports(n, d):
+    for m in an_monomials(an_build(n, d)):
+        assert m.wmask == _bits(m.word_support())
+        assert m.zmask == _bits(m.z_support())
+
+
+def _reference_product(m1, m2):
+    if m1.is_zero or m2.is_zero:
+        return None
+    word = m1.word + m2.word
+    zexp = tuple(x + y for x, y in zip(m1.zexp, m2.zexp))
+    if any(i <= len(zexp) and zexp[i - 1] for i in word):
+        return None
+    return word, zexp
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_agree_with_the_plain_definition(n):
+    a = an_build(n, 3)
+    monos = list(an_monomials(a)) + [an_zero(a)]
+    for m1 in monos:
+        for m2 in monos:
+            prod = an_multiply(a, m1, m2)
+            ref = _reference_product(m1, m2)
+            if ref is None:
+                assert prod.is_zero and prod == an_zero(a)
+            else:
+                expected = NCMonomial(*ref)
+                assert not prod.is_zero and (prod.word, prod.zexp) == ref
+                assert (prod.wmask, prod.zmask) == (expected.wmask, expected.zmask)
+
+
+def _nested_loop_monomials(a):
+    # the enumeration as it read before the exponent vectors were hoisted
+    for total in range(a.degree_bound + 1):
+        for wlen in range(total + 1):
+            for word in itertools.product(range(1, a.letters + 1), repeat=wlen):
+                wsupp = frozenset(word)
+                for zexp in exponent_vectors(total - wlen, a.pairs):
+                    if any(e and (i + 1) in wsupp for i, e in enumerate(zexp)):
+                        continue
+                    yield NCMonomial(word, zexp)
+
+
+@pytest.mark.parametrize("n,d", [(0, 5), (1, 6), (2, 6), (3, 5)])
+def test_monomial_enumeration_keeps_its_order(n, d):
+    a = an_build(n, d)
+    got = [(m.word, m.zexp, m.is_zero) for m in an_monomials(a)]
+    assert got == [(m.word, m.zexp, m.is_zero) for m in _nested_loop_monomials(a)]
+
+
+def test_monomials_compare_only_with_monomials():
+    m = NCMonomial((1,), (0, 2))
+    assert m == NCMonomial((1,), (0, 2)) and hash(m) == hash(NCMonomial((1,), (0, 2)))
+    assert m.__eq__(((1,), (0, 2), False)) is NotImplemented
+    assert m != ((1,), (0, 2), False)
+    assert NCMonomial((), (0,), True) != NCMonomial((), (0,))
+
+
+# ---------------------------------------------------------------------------
+# the monomial budget of the pairing algebra
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_monomial_count_matches_the_enumeration(n):
+    for d in range(1, 6):
+        assert an_monomial_count(n, d) == len(list(an_monomials(an_build(n, d))))
+
+
+def test_monomial_count_reference_values():
+    assert an_monomial_count(2, 8) == 97_679
+    assert an_monomial_count(3, 7) == 122_068
+    assert an_monomial_count(4, 8) == 2_566_955
+
+
+def test_an_budget_is_checked_before_any_enumeration(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("monomials were enumerated despite the budget")
+
+    monkeypatch.setattr(mono, "an_monomials", no_enumeration)
+    assert main(["an", "verify", "--n", "4", "--degree", "8"]) == 3
+    assert "2566955 monomials" in capsys.readouterr().err
+    with pytest.raises(DegreeBudgetError):
+        an_build(3, 8)
+    assert an_build(3, 7).degree_bound == 7
