@@ -28,12 +28,10 @@ from .finring import (
 )
 from .ideals import (
     LEFT,
-    TWO_SIDED,
-    Ideal,
-    classify_ideal,
     ideal_closure_mask,
     is_semiprime_ring,
-    min_prime_masks_over,
+    min_prime_masks,
+    prime_flags,
     prime_masks,
 )
 from .localization import (
@@ -73,16 +71,6 @@ def centre_ring(r: RingTable) -> CentreData:
     return CentreData(r, centre, emb)
 
 
-def restrict_prime(cd: CentreData, p: Ideal) -> Ideal:
-    """p intersect Z(R) as an ideal of the centre ring; always prime there."""
-    q = Ideal(cd.centre, cd.restrict_mask(p.mask), TWO_SIDED)
-    if not classify_ideal(q).is_prime:
-        raise EngineInvariantError(
-            f"{cd.ring.label}: restriction of a prime is not prime in the centre"
-        )
-    return q
-
-
 @dataclass(frozen=True)
 class RestrictionMap:
     ring: RingTable
@@ -96,16 +84,16 @@ class RestrictionMap:
 @memo
 def rho(r: RingTable) -> RestrictionMap:
     cd = centre_ring(r)
-    table = []
-    for pm in prime_masks(r):
-        q = restrict_prime(cd, Ideal(r, pm))
-        table.append((pm, q.mask))
-    minset = set(min_prime_masks_over(r, 1 << r.zero))
+    table = tuple((pm, cd.restrict_mask(pm)) for pm in prime_masks(r))
+    # p intersect Z(R) is always prime in the centre ring
+    if not all(prime_flags(cd.centre, qm).is_prime for _, qm in table):
+        raise EngineInvariantError(f"{r.label}: restriction of a prime is not prime in the centre")
+    minset = set(min_prime_masks(r))
     min_table = tuple((pm, qm) for pm, qm in table if pm in minset)
-    centre_mins = set(min_prime_masks_over(cd.centre, 1 << cd.centre.zero))
+    centre_mins = set(min_prime_masks(cd.centre))
     well = all(qm in centre_mins for _, qm in min_table)
     surj = centre_mins <= {qm for _, qm in min_table}
-    return RestrictionMap(r, cd, tuple(table), min_table, well, surj)
+    return RestrictionMap(r, cd, table, min_table, well, surj)
 
 
 def _central_regulars(r: RingTable) -> Mask:
@@ -123,36 +111,35 @@ def central_regulars_miss_min_primes(r: RingTable) -> bool:
     """Criterion two for rho: no regular element of Z(R) lies in a minimal
     prime of R."""
     central = _central_regulars(r)
-    return all(central & pm == 0 for pm in min_prime_masks_over(r, 1 << r.zero))
+    return all(central & pm == 0 for pm in min_prime_masks(r))
 
 
 # ---------------------------------------------------------------------------
 # central localization
 
-def central_mult_set(r: RingTable, q: Ideal) -> MultSet:
+def central_mult_set(r: RingTable, qmask: Mask) -> MultSet:
+    """The complement of a prime of the centre ring, as a set of the ring."""
     cd = centre_ring(r)
-    if q.ring is not cd.centre:
-        raise RingError("expected a prime of the centre ring")
-    s = MultSet(r, cd.embedding.push_mask(cd.centre.full_mask() & ~q.mask))
+    s = MultSet(r, cd.embedding.push_mask(cd.centre.full_mask() & ~qmask))
     cls = classify_set(s)
     if not (cls.left_den and cls.right_den):
         raise EngineInvariantError(f"{r.label}: central set fails the denominator check")
     return s
 
 
-def central_localize(r: RingTable, q: Ideal) -> tuple[str, str] | None:
+def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
     """Localize at the central complement of a prime q of the centre: the first
     broken (clause, detail) of the image criterion, the fiber bijection onto
     the primes over R_q * q, and the minimal prime in a hit fiber, or None."""
-    if not classify_ideal(q).is_prime:
-        raise RingError("central localization requires a prime of the centre")
     cd = centre_ring(r)
-    loc = localize(r, central_mult_set(r, q))
+    if qmask == cd.centre.full_mask() or not prime_flags(cd.centre, qmask).is_prime:
+        raise RingError("central localization requires a prime of the centre")
+    loc = localize(r, central_mult_set(r, qmask))
     t = loc.target
-    where = f"q={q.members()}"
+    where = f"q={list(bits(qmask))}"
 
-    fiber_source = [pm for pm in prime_masks(r) if cd.restrict_mask(pm) == q.mask]
-    q_lift = cd.embedding.push_mask(q.mask)
+    fiber_source = [pm for pm in prime_masks(r) if cd.restrict_mask(pm) == qmask]
+    q_lift = cd.embedding.push_mask(qmask)
     extension = two_sided_span(t, ideal_closure_mask(t, loc.sigma.push_mask(q_lift), LEFT))
     if bool(fiber_source) != (extension != t.full_mask()):
         return "prime is hit iff the extension is proper", where
@@ -160,7 +147,7 @@ def central_localize(r: RingTable, q: Ideal) -> tuple[str, str] | None:
     fiber_target = {pm for pm in prime_masks(t) if extension & ~pm == 0}
     images = set()
     for pm in fiber_source:
-        li = localize_left_ideal(loc, Ideal(r, pm))
+        li = localize_left_ideal(loc, pm)
         if not li.two_sided or li.mask not in fiber_target:
             return "fiber bijection", where
         images.add(li.mask)
@@ -168,7 +155,7 @@ def central_localize(r: RingTable, q: Ideal) -> tuple[str, str] | None:
         return "fiber bijection", where
 
     if fiber_source and not any(
-        cd.restrict_mask(pm) == q.mask for pm in min_prime_masks_over(r, 1 << r.zero)
+        cd.restrict_mask(pm) == qmask for pm in min_prime_masks(r)
     ):
         return "a minimal prime lies in every hit fiber", where
     return None
@@ -182,22 +169,22 @@ def check_pierce(r: RingTable) -> tuple[str, str] | None:
     minimal primes q of its centre: the first broken (clause, detail) of the
     decomposition, or None."""
     cd = centre_ring(r)
-    mins = min_prime_masks_over(r, 1 << r.zero)
+    mins = min_prime_masks(r)
     locs = []
-    for qmask in min_prime_masks_over(cd.centre, 1 << cd.centre.zero):
-        loc = localize(r, central_mult_set(r, Ideal(cd.centre, qmask)))
+    for qmask in min_prime_masks(cd.centre):
+        loc = localize(r, central_mult_set(r, qmask))
         locs.append(loc)
         t = loc.target
         # kernel of Z(R) -> R_q must equal the kernel of Z(R) -> Z(R)_q
         zloc = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~qmask))
         if (loc.sigma.push_mask(centre_mask(r)) != centre_mask(t)
-                or cd.restrict_mask(loc.ass.mask) != zloc.ass.mask):
+                or cd.restrict_mask(loc.ass_mask) != zloc.ass_mask):
             return "centres localize along the decomposition", r.label
         # primes meeting the central complement blow up to the whole ring,
         # so only the disjoint minimal primes can appear downstairs
-        family = {localize_left_ideal(loc, Ideal(r, m)).mask
+        family = {localize_left_ideal(loc, m).mask
                   for m in mins if m & loc.mult_set.mask == 0}
-        tmins = min_prime_masks_over(t, 1 << t.zero)
+        tmins = min_prime_masks(t)
         if not is_semiprime_ring(t) or set(tmins) != family or len(family) > len(mins):
             return ("central factors are semiprime with localized minimals",
                     f"q={list(bits(qmask))}")

@@ -45,7 +45,6 @@ from .finring import (
 )
 from .ideals import (
     LEFT,
-    Ideal,
     additive_closure,
     all_ideal_masks,
     ideal_closure_mask,
@@ -54,6 +53,7 @@ from .ideals import (
     is_nilpotent_ideal,
     is_prime_rich,
     is_semiprime_ring,
+    min_prime_masks,
     min_prime_masks_over,
     prime_flags,
     prime_masks,
@@ -157,10 +157,6 @@ def _quotients_isomorphic(f: RingHom, g: RingHom) -> bool:
     return h.is_bijective() and not h.verify()
 
 
-def _min_masks(r: RingTable) -> tuple[Mask, ...]:
-    return min_prime_masks_over(r, 1 << r.zero)
-
-
 def _localized(r: RingTable, dens, masks):
     """(s, loc, m) for every set s of dens, its localization, and every mask."""
     for s in dens:
@@ -182,13 +178,13 @@ def _factor_matches(hom: RingHom, loc: Localization, jmask: Mask) -> bool:
 
 
 def _localized_min_family(loc: Localization, pmasks) -> list[Mask]:
-    return [localize_left_ideal(loc, Ideal(loc.ring, m)).mask for m in pmasks]
+    return [localize_left_ideal(loc, m).mask for m in pmasks]
 
 
 def _minimals_biject(loc: Localization, pmasks) -> bool:
     """The localized primes are distinct and are exactly min(S^-1 R)."""
     family = _localized_min_family(loc, pmasks)
-    return len(set(family)) == len(pmasks) and set(_min_masks(loc.target)) == set(family)
+    return len(set(family)) == len(pmasks) and set(min_prime_masks(loc.target)) == set(family)
 
 
 def _is_prime_ring(r: RingTable) -> bool:
@@ -205,7 +201,7 @@ def _spec_subset_budget(r: RingTable) -> bool:
 
 def check_a11(r: RingTable, cfg):
     for _, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        yield check_A11_equivalence(loc, Ideal(r, m))
+        yield check_A11_equivalence(loc, m)
 
 
 def check_a11_vacuity(r: RingTable, cfg):
@@ -216,7 +212,7 @@ def check_a11_vacuity(r: RingTable, cfg):
             continue
         t = loc.target
         inv = inverse_table(t)
-        li = localize_left_ideal(loc, Ideal(r, m))
+        li = localize_left_ideal(loc, m)
         for sm in s.members():
             u = inv[loc.sigma(sm)]
             order_u, power = 1, u
@@ -249,7 +245,7 @@ def check_prime_target_regular(r: RingTable, cfg):
 
 def check_prime_localized_iff_ideal(r: RingTable, cfg):
     for s, loc, pmask in _localized(r, _zero_dens(r, cfg), prime_masks(r)):
-        li = localize_left_ideal(loc, Ideal(r, pmask))
+        li = localize_left_ideal(loc, pmask)
         contracted = loc.sigma.preimage_mask(li.mask)
         branches = []
         if contracted == pmask:
@@ -271,7 +267,7 @@ def check_contraction_recovers_prime(r: RingTable, cfg):
     for s, loc, pmask in _localized(r, _dens(r, cfg), prime_masks(r)):
         if pmask & s.mask:
             continue
-        li = localize_left_ideal(loc, Ideal(r, pmask))
+        li = localize_left_ideal(loc, pmask)
         if loc.sigma.preimage_mask(li.mask) != pmask:
             yield "contraction returns the prime", f"S={s.members()} p={list(bits(pmask))}"
         yield
@@ -290,19 +286,19 @@ def check_prime_vanishing_target(r: RingTable, cfg):
 
 def check_image_den_regular(r: RingTable, cfg):
     for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        if loc.ass.mask & ~m or m == r.full_mask():
+        if loc.ass_mask & ~m or m == r.full_mask():
             continue  # needs ass(S) <= b < R
-        if not check_epimorphic_den_b14(loc, Ideal(r, m)):
+        if not check_epimorphic_den_b14(loc, m):
             yield "image denominator iff regular image", f"S={s.members()} b={list(bits(m))}"
         yield
 
 
 def check_image_den_torsion(r: RingTable, cfg):
     for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        ab = ideal_sum_mask(r, loc.ass.mask, m)
+        ab = ideal_sum_mask(r, loc.ass_mask, m)
         if ab & s.mask or ab == r.full_mask():
             continue  # needs ass(S) + b proper and disjoint from S
-        if not check_epimorphic_den_c14(loc, Ideal(r, m)):
+        if not check_epimorphic_den_c14(loc, m):
             yield "two-step image criterion", f"S={s.members()} b={list(bits(m))}"
         yield
 
@@ -315,7 +311,7 @@ def check_zero_products_bound_minimals(r: RingTable, cfg):
     if not _spec_subset_budget(r):
         return
     primes = prime_masks(r)
-    minset = set(_min_masks(r))
+    minset = set(min_prime_masks(r))
     zero = 1 << r.zero
     for combo in subsets(primes, 1):
         reach = _products_reach(r, list(combo))
@@ -334,7 +330,7 @@ def check_prime_rich_equivalence(r: RingTable, cfg):
 
 def check_ideal_preservation(r: RingTable, cfg):
     for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        if not localize_left_ideal(loc, Ideal(r, m)).two_sided:
+        if not localize_left_ideal(loc, m).two_sided:
             yield "every localized ideal stays two-sided", f"S={s.members()} b={list(bits(m))}"
         yield
 
@@ -345,7 +341,7 @@ def check_min_primes_prime_rich(r: RingTable, cfg):
         loc = localize(r, s)
         if not (rich and respects_prime_structure(loc)):
             continue
-        mrs = [p.mask for p in min_RS(r, s)]
+        mrs = min_RS(r, s)
         family = _localized_min_family(loc, mrs)
         all_prime_downstairs = all(
             fm != loc.target.full_mask() and prime_flags(loc.target, fm).is_prime
@@ -353,10 +349,10 @@ def check_min_primes_prime_rich(r: RingTable, cfg):
         )
         if not all_prime_downstairs:
             continue
-        minmask = set(_min_masks(loc.target))
+        minmask = set(min_prime_masks(loc.target))
         fam_set = set(family)
         minimal_members = {m for m in fam_set if not any(o != m and o & ~m == 0 for o in fam_set)}
-        if not (1 <= len(mrs) <= len(_min_masks(r))):
+        if not (1 <= len(mrs) <= len(min_prime_masks(r))):
             yield "1 <= |min(R,S)| <= |min(R)|", f"S={s.members()}"
         if minmask != minimal_members:
             yield ("localized minimal primes are the minimal localized family",
@@ -378,11 +374,11 @@ def check_min_primes_noetherian(r: RingTable, cfg):
         if cls.ass_l_mask != 1 << r.zero or cls.ass_r_mask != 1 << r.zero:
             continue
         loc = localize(r, s)
-        mrs = [p.mask for p in min_RS(r, s)]
+        mrs = min_RS(r, s)
         family = set(_localized_min_family(loc, mrs))
         if not mrs:
             yield "min(R,S) non-empty", f"S={s.members()}"
-        if set(_min_masks(loc.target)) != family:
+        if set(min_prime_masks(loc.target)) != family:
             yield "localized minimal primes from min(R,S)", f"S={s.members()}"
         yield
 
@@ -390,7 +386,7 @@ def check_min_primes_noetherian(r: RingTable, cfg):
 def check_irredundant_characterization(r: RingTable, cfg):
     if not is_semiprime_ring(r) or not _spec_subset_budget(r):
         return
-    minset = set(_min_masks(r))
+    minset = set(min_prime_masks(r))
     primes = prime_masks(r)
     if not is_irredundant_masks(r, sorted(minset)):
         yield "minimal primes form an irredundant family", r.label
@@ -412,7 +408,7 @@ def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | 
     t = loc.target
     if not is_semiprime_ring(t):
         return "localized ring semiprime", f"S={s.members()}"
-    mins = _min_masks(r)
+    mins = min_prime_masks(r)
     if not _minimals_biject(loc, mins):
         return "minimal primes biject under localization", f"S={s.members()}"
     for pmask in mins:
@@ -421,7 +417,7 @@ def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | 
         if not (cls.left_den and cls.ass_l_mask == 1 << q.zero):
             return ("image is a zero-vanishing denominator set of the factor",
                     f"S={s.members()} p={list(bits(pmask))}")
-        jmask = localize_left_ideal(loc, Ideal(r, pmask)).mask
+        jmask = localize_left_ideal(loc, pmask).mask
         if not _factor_matches(hom, loc, jmask):
             return ("factor of the localization matches the localized factor",
                     f"S={s.members()} p={list(bits(pmask))}")
@@ -441,7 +437,7 @@ def check_largest_quotient_minimals(r: RingTable, cfg):
     s = largest_regular_set(r)
     if failed := _check_regular_den_bijection(r, s):
         yield failed
-    for pmask in _min_masks(r):
+    for pmask in min_prime_masks(r):
         q, hom = make_quotient(r, pmask)
         if hom.push_mask(s.mask) & ~units_mask(q):
             yield ("image of the largest regular set stays in the factor's",
@@ -466,7 +462,7 @@ def check_semiprime_vanishing_bijection(r: RingTable, cfg):
 
 
 def check_largest_sets_and_embedding(r: RingTable, cfg):
-    mins = _min_masks(r)
+    mins = min_prime_masks(r)
     quots = [make_quotient(r, m) for m in mins]
     if is_semiprime_ring(r):
         u = units_mask(r)
@@ -483,8 +479,7 @@ def check_largest_sets_and_embedding(r: RingTable, cfg):
 
 def check_largest_set_preimage(r: RingTable, cfg):
     for amask in ass_l_realizable_masks(r, cfg.exhaustive_mult_order):
-        a = Ideal(r, amask)
-        smax = largest_set_assoc(r, a, cfg.exhaustive_mult_order)
+        smax = largest_set_assoc(r, amask, cfg.exhaustive_mult_order)
         q, hom = make_quotient(r, amask)
         if hom.push_mask(smax.mask) != units_mask(q):
             yield ("preimage maps onto the factor's largest regular set",
@@ -506,9 +501,8 @@ def check_prime_preimage_sets(r: RingTable, cfg):
         return
     inter_l = r.full_mask()
     inter_r = r.full_mask()
-    for pmask in _min_masks(r):
-        p = Ideal(r, pmask)
-        tset = t_l(r, p)
+    for pmask in min_prime_masks(r):
+        tset = t_l(r, pmask)
         alz, arz = vanishing_masks(r, tset.mask)
         inter_l &= alz
         inter_r &= arz
@@ -525,7 +519,7 @@ def check_prime_preimage_sets(r: RingTable, cfg):
             yield "left Ore iff the difference criterion", f"p={list(bits(pmask))}"
         if cls.left_den:
             loc = localize(r, tset)
-            li = localize_left_ideal(loc, p)
+            li = localize_left_ideal(loc, pmask)
             if not li.two_sided:
                 yield "localized prime is two-sided", f"p={list(bits(pmask))}"
             q, hom = make_quotient(r, pmask)
@@ -533,7 +527,7 @@ def check_prime_preimage_sets(r: RingTable, cfg):
                 yield ("factor of the prime localization is the prime factor",
                        f"p={list(bits(pmask))}")
             if alz == pmask:
-                smax = largest_set_assoc(r, p, cfg.exhaustive_mult_order)
+                smax = largest_set_assoc(r, pmask, cfg.exhaustive_mult_order)
                 if smax.mask != tset.mask:
                     yield ("unit preimage is the largest set at its prime",
                            f"p={list(bits(pmask))}")
@@ -548,14 +542,14 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg):
     for s in _dens(r, cfg):
         loc = localize(r, s)
         t = loc.target
-        mrs = [p.mask for p in min_RS(r, s)]
+        mrs = min_RS(r, s)
         if not mrs:
             yield "min(R,S) non-empty on a semiprime ring", f"S={s.members()}"
         family = _localized_min_family(loc, mrs)
-        st1 = is_semiprime_ring(t) and set(_min_masks(t)) == set(family)
+        st1 = is_semiprime_ring(t) and set(min_prime_masks(t)) == set(family)
         st2 = True
         for pmask, fm in zip(mrs, family):
-            li_two_sided = localize_left_ideal(loc, Ideal(r, pmask)).two_sided
+            li_two_sided = localize_left_ideal(loc, pmask).two_sided
             factor_prime = fm != t.full_mask() and prime_flags(t, fm).is_prime
             if not (li_two_sided and factor_prime):
                 st2 = False
@@ -579,7 +573,7 @@ def check_commutative_corollary(r: RingTable, cfg):
         return
     for s in _dens(r, cfg):
         loc = localize(r, s)
-        mrs = [p.mask for p in min_RS(r, s)]
+        mrs = min_RS(r, s)
         if not (_minimals_biject(loc, mrs) and is_semiprime_ring(loc.target)):
             yield ("commutative localization preserves the minimal primes",
                    f"S={s.members()}")
@@ -590,12 +584,12 @@ def check_completely_prime_corollary(r: RingTable, cfg):
     if not is_semiprime_ring(r):
         return
     for s in _two_sided_dens(r, cfg):
-        mrs = [p.mask for p in min_RS(r, s)]
+        mrs = min_RS(r, s)
         loc = localize(r, s)
         t = loc.target
         hyp = all(
             prime_flags(r, m).is_completely_prime
-            and localize_left_ideal(loc, Ideal(r, m)).two_sided
+            and localize_left_ideal(loc, m).two_sided
             for m in mrs
         )
         if not hyp:
@@ -628,7 +622,7 @@ def check_normal_set_localizes(r: RingTable, cfg):
 def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
     """The first failed (clause, detail) for one normal multiplicative set."""
     loc = localize_normal(r, smask)
-    amask = loc.ass.mask
+    amask = loc.ass_mask
     mins = min_prime_masks_over(r, amask) if amask != r.full_mask() else ()
     rbar = loc.target
     pushes = [loc.sigma.push_mask(m) for m in mins]
@@ -642,7 +636,7 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
         return ("reduced image is a zero-vanishing denominator set",
                 f"S={sorted(bits(smask))}")
     tilde_pushes = [tpi.push_mask(p) for p in pushes]
-    if len(set(tilde_pushes)) != len(mins) or set(_min_masks(rtilde)) != set(tilde_pushes):
+    if len(set(tilde_pushes)) != len(mins) or set(min_prime_masks(rtilde)) != set(tilde_pushes):
         return "reduced minimal primes biject", f"S={sorted(bits(smask))}"
     for pmask, push in zip(mins, pushes):
         q, hom = make_quotient(r, pmask)
@@ -651,9 +645,9 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
             return "factor image is a denominator set", f"p={list(bits(pmask))}"
         if not _factor_matches(hom, loc, push):
             return "factor rings of the localization agree", f"p={list(bits(pmask))}"
-    if not is_nilpotent_ideal(Ideal(rbar, nbar)):
+    if not is_nilpotent_ideal(rbar, nbar):
         return "radical of the image ring is nilpotent", f"S={sorted(bits(smask))}"
-    if set(_min_masks(rbar)) != set(pushes):
+    if set(min_prime_masks(rbar)) != set(pushes):
         return ("minimal primes over the vanishing ideal biject",
                 f"S={sorted(bits(smask))}")
     return None
@@ -712,7 +706,7 @@ def check_an_central_variant(a: mono.AnAlgebra, cfg):
 def check_central_fibers(r: RingTable, cfg):
     cd = centre_ring(r)
     for qmask in prime_masks(cd.centre):
-        yield central_localize(r, Ideal(cd.centre, qmask))
+        yield central_localize(r, qmask)
 
 
 def check_restriction_well_defined(r: RingTable, cfg):
@@ -741,8 +735,8 @@ def check_centre_semiprime(r: RingTable, cfg):
     if not is_semiprime_ring(cd.centre):
         yield "centre of a semiprime ring is semiprime", r.label
     hit = {rho(r).centre_data.restrict_mask(pm) for pm in prime_masks(r)}
-    image_minimals = set(_min_masks(cd.centre)) & hit
-    if len(image_minimals) > len(_min_masks(r)):
+    image_minimals = set(min_prime_masks(cd.centre)) & hit
+    if len(image_minimals) > len(min_prime_masks(r)):
         yield "hit central minimal primes within the bound", r.label
     yield
 

@@ -40,20 +40,21 @@ from .harness import (
 )
 from .checks import COVERAGE, REGISTRY
 from .ideals import (
-    all_ideals,
-    classify_ideal,
+    all_ideal_masks,
     is_semiprime_ring,
-    min_primes,
-    prime_radical,
+    min_prime_masks,
+    prime_flags,
+    prime_radical_mask,
 )
 from .localization import (
     EXHAUSTIVE_MULT_ORDER,
     classify_set,
     close_multiplicative,
-    enumerate_mult_sets,
     localize,
     min_RS,
     min_RS_id,
+    mult_set_masks,
+    ore_flags,
 )
 from .monomial import (
     CommMonomialRing,
@@ -113,10 +114,10 @@ def cmd_describe(args) -> int:
 
 def cmd_ideals(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    lat = all_ideals(r)
-    print(f"{len(lat)} two-sided ideals of {r.label}:")
-    for i in lat.ideals:
-        rep = classify_ideal(i) if not i.is_full() else None
+    masks = all_ideal_masks(r)
+    print(f"{len(masks)} two-sided ideals of {r.label}:")
+    for m in masks:
+        rep = prime_flags(r, m) if m != r.full_mask() else None
         flags = ""
         if rep:
             flags = "".join(
@@ -126,26 +127,25 @@ def cmd_ideals(args) -> int:
                     (" semiprime", rep.is_semiprime_ideal),
                 ) if on
             )
-        print(f"  {_ideal_str(r, i.mask)}{flags}")
+        print(f"  {_ideal_str(r, m)}{flags}")
     return EXIT_CLEAN
 
 
 def cmd_minprimes(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    for p in min_primes(r):
-        print(_ideal_str(r, p.mask))
-    rad = prime_radical(r)
-    print(f"prime radical: {_ideal_str(r, rad.mask)}")
+    for m in min_prime_masks(r):
+        print(_ideal_str(r, m))
+    print(f"prime radical: {_ideal_str(r, prime_radical_mask(r))}")
     return EXIT_CLEAN
 
 
 def cmd_multsets(args) -> int:
     _check_sweep_budget(args)
     r = _eval_ring(args.expr, args.max_order)
-    sets = enumerate_mult_sets(r, args.exhaustive_order)
+    sets = mult_set_masks(r, args.exhaustive_order)
     print(f"{len(sets)} multiplicative sets of {r.label}:")
-    for s in sets:
-        cls = classify_set(s)
+    for m in sets:
+        cls = ore_flags(r, m)
         tags = []
         if cls.left_den and cls.right_den:
             tags.append("denominator")
@@ -153,7 +153,7 @@ def cmd_multsets(args) -> int:
             tags.append("left-denominator")
         elif cls.left_ore:
             tags.append("left-ore")
-        print(f"  {s.members()}  {' '.join(tags)}  ass_l={sorted(bits(cls.ass_l_mask))}")
+        print(f"  {list(bits(m))}  {' '.join(tags)}  ass_l={sorted(bits(cls.ass_l_mask))}")
     return EXIT_CLEAN
 
 
@@ -182,14 +182,11 @@ def cmd_localize(args) -> int:
     s = close_multiplicative(r, _gens_list(args.gens, r))
     loc = localize(r, s)
     print(f"set:           {s.members()}")
-    print(f"ass ideal:     {_ideal_str(r, loc.ass.mask)}")
+    print(f"ass ideal:     {_ideal_str(r, loc.ass_mask)}")
     print(f"target order:  {loc.target.order}")
-    print(f"min(R,S):      {[_ideal_str(r, p.mask) for p in min_RS(r, s)]}")
-    print(f"min(R,S,id):   {[_ideal_str(r, p.mask) for p in min_RS_id(loc)]}")
-    from .ideals import min_prime_masks_over
-
-    local_mins = min_prime_masks_over(loc.target, 1 << loc.target.zero)
-    print(f"localized min: {[_ideal_str(loc.target, m) for m in local_mins]}")
+    print(f"min(R,S):      {[_ideal_str(r, m) for m in min_RS(r, s)]}")
+    print(f"min(R,S,id):   {[_ideal_str(r, m) for m in min_RS_id(loc)]}")
+    print(f"localized min: {[_ideal_str(loc.target, m) for m in min_prime_masks(loc.target)]}")
     return EXIT_CLEAN
 
 
@@ -198,8 +195,8 @@ def cmd_centre(args) -> int:
     cd = centre_ring(r)
     print(f"centre order: {cd.centre.order}")
     print(f"members:      {[cd.centre.name(i) for i in cd.centre.elements()]}")
-    for p in min_primes(cd.centre):
-        print(f"min prime:    {_ideal_str(cd.centre, p.mask)}")
+    for m in min_prime_masks(cd.centre):
+        print(f"min prime:    {_ideal_str(cd.centre, m)}")
     return EXIT_CLEAN
 
 
@@ -284,7 +281,7 @@ def cmd_verify(args) -> int:
         if k >= len(report.counterexamples):
             raise RingError(f"--explain {cid}:{k}: {cid} has"
                             f" {len(report.counterexamples)} counterexamples")
-        print(explain(report, k, cfg))
+        print(explain(report, k, corpus, cfg))
     elif args.format == "machine":
         print(render_machine(reports))
     else:

@@ -123,26 +123,6 @@ class RingTable:
         return (1 << self.order) - 1
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of a ring, stored as a bit-mask bound to its ring."""
-
-    ring: RingTable
-    mask: Mask
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def __len__(self) -> int:
-        return popcount(self.mask)
-
-    def members(self) -> list[int]:
-        return list(bits(self.mask))
-
-    def __repr__(self):
-        return f"ElementSet({self.ring.label}, {{{', '.join(map(str, self.members()))}}})"
-
-
 @dataclass(frozen=True, eq=False)
 class RingHom:
     """A unital ring homomorphism between two tables, as an element map."""
@@ -386,7 +366,8 @@ def make_product(a: RingTable, b: RingTable, cap: int | None = DEFAULT_ORDER_CAP
     )
     one = enc(a.one, b.one)
     names = tuple(f"({a.name(x)},{b.name(y)})" for x in a.elements() for y in b.elements())
-    return _checked(RingTable(order, add, mul, 0, one, f"prod({a.label}, {b.label})", names))
+    return _checked(RingTable(order, add, mul, enc(a.zero, b.zero), one,
+                             f"prod({a.label}, {b.label})", names))
 
 
 def product_hom(homs: list[RingHom]) -> RingHom:
@@ -448,11 +429,6 @@ def make_quotient(r: RingTable, ideal_mask: Mask) -> tuple[RingTable, RingHom]:
     return q, hom
 
 
-def same_tables(a: RingTable, b: RingTable) -> bool:
-    """Structural equality of tables (not isomorphism search)."""
-    return (a.order, a.add, a.mul, a.zero, a.one) == (b.order, b.add, b.mul, b.zero, b.one)
-
-
 # ---------------------------------------------------------------------------
 # distinguished element sets
 
@@ -511,18 +487,6 @@ def normal_mask(r: RingTable) -> Mask:
         if left == right:
             out |= 1 << x
     return out
-
-
-def units(r: RingTable) -> ElementSet:
-    return ElementSet(r, units_mask(r))
-
-
-def centre_set(r: RingTable) -> ElementSet:
-    return ElementSet(r, centre_mask(r))
-
-
-def is_normal_element(r: RingTable, x: int) -> bool:
-    return bool(normal_mask(r) >> x & 1)
 
 
 def is_commutative(r: RingTable) -> bool:

@@ -17,9 +17,9 @@ import time
 from dataclasses import dataclass, field
 
 from .checks import COVERAGE, Outcome, REGISTRY, decide
-from .dsl import RingExpr, evaluate, parse_ring_expr, render
+from .dsl import RingExpr, evaluate, render
 from .finring import DEFAULT_ORDER_CAP, RingError, RingTable, audit_ring, bits, units_mask
-from .ideals import Ideal, all_ideal_masks, min_prime_masks_over
+from .ideals import all_ideal_masks, min_prime_masks
 from .localization import (
     EXHAUSTIVE_MULT_ORDER,
     left_denominator_sets,
@@ -270,9 +270,11 @@ def run_suite(
     return [audit] + [reports[cid] for cid in ids]
 
 
-def explain(report: CheckReport, index: int, cfg: CorpusConfig | None = None) -> str:
+def explain(report: CheckReport, index: int, corpus: list[Instance],
+            cfg: CorpusConfig | None = None) -> str:
     """Render one counterexample: the recipe, the failed clause, and the
-    instance's intermediate objects."""
+    intermediate objects of the instance that ran, looked up in the corpus
+    the report came from by its provenance."""
     if not report.counterexamples:
         return "no counterexamples"
     if not 0 <= index < len(report.counterexamples):
@@ -286,12 +288,8 @@ def explain(report: CheckReport, index: int, cfg: CorpusConfig | None = None) ->
     ]
     if cx.detail:
         lines.append(f"detail:     {cx.detail}")
-    try:
-        expr = parse_ring_expr(cx.provenance)
-        payload = evaluate(expr, cfg.order_cap)
-    except RingError as exc:
-        lines.append(f"rebuild:    failed ({exc})")
-        return "\n".join(lines)
+    inst = next(i for i in corpus if i.provenance == cx.provenance)
+    payload = inst.build(cfg.order_cap)
     if isinstance(payload, RingTable):
         bad = audit_ring(payload)
         lines.append(f"order:      {payload.order}")
@@ -299,17 +297,15 @@ def explain(report: CheckReport, index: int, cfg: CorpusConfig | None = None) ->
             lines.append(f"audit:      {bad[0]}")
             return "\n".join(lines)
         lines.append(f"units:      {sorted(bits(units_mask(payload)))}")
-        mins = min_prime_masks_over(payload, 1 << payload.zero)
+        mins = min_prime_masks(payload)
         lines.append(f"min primes: {[sorted(bits(m)) for m in mins]}")
         dens = left_denominator_sets(payload, cfg.exhaustive_mult_order)
         lines.append(f"den sets:   {len(dens)}")
         for s in dens[: min(len(dens), 6)]:
             loc = localize(payload, s)
-            localized = [
-                sorted(bits(localize_left_ideal(loc, Ideal(payload, m)).mask)) for m in mins
-            ]
+            localized = [sorted(bits(localize_left_ideal(loc, m).mask)) for m in mins]
             lines.append(
-                f"  S={s.members()} ass={sorted(loc.ass.members())} "
+                f"  S={s.members()} ass={sorted(bits(loc.ass_mask))} "
                 f"target_order={loc.target.order} localized_minimals={localized}"
             )
     else:

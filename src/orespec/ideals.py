@@ -16,11 +16,9 @@ from .finring import (
     Mask,
     RingError,
     RingTable,
-    SidednessError,
     bits,
     is_two_sided_ideal_mask,
     make_quotient,
-    mask_of,
     memo,
     popcount,
 )
@@ -31,48 +29,10 @@ TWO_SIDED = "two-sided"
 
 
 @dataclass(frozen=True)
-class Ideal:
-    ring: RingTable
-    mask: Mask
-    sidedness: str = TWO_SIDED
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def members(self) -> list[int]:
-        return list(bits(self.mask))
-
-    def is_zero(self) -> bool:
-        return self.mask == 1 << self.ring.zero
-
-    def is_full(self) -> bool:
-        return self.mask == self.ring.full_mask()
-
-    def __le__(self, other: "Ideal") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def __repr__(self):
-        inner = ",".join(self.ring.name(i) for i in self.members())
-        return f"Ideal({self.ring.label}, {{{inner}}}, {self.sidedness})"
-
-
-@dataclass(frozen=True)
 class PrimeReport:
     is_prime: bool
     is_completely_prime: bool
     is_semiprime_ideal: bool
-
-
-@dataclass(frozen=True)
-class IdealLattice:
-    ring: RingTable
-    ideals: tuple[Ideal, ...]
-
-    def masks(self) -> list[Mask]:
-        return [i.mask for i in self.ideals]
-
-    def __len__(self):
-        return len(self.ideals)
 
 
 @memo
@@ -109,15 +69,6 @@ def ideal_closure_mask(r: RingTable, gens: Mask, sidedness: str = TWO_SIDED) -> 
         mask = new
 
 
-def ideal_generated_by(r: RingTable, gens, sidedness: str = TWO_SIDED) -> Ideal:
-    gmask = gens if isinstance(gens, int) else mask_of(gens)
-    return Ideal(r, ideal_closure_mask(r, gmask, sidedness), sidedness)
-
-
-def zero_ideal(r: RingTable) -> Ideal:
-    return Ideal(r, 1 << r.zero, TWO_SIDED)
-
-
 @memo
 def all_ideal_masks(r: RingTable) -> tuple[Mask, ...]:
     principal = {ideal_closure_mask(r, 1 << x) for x in r.elements()}
@@ -133,21 +84,12 @@ def all_ideal_masks(r: RingTable) -> tuple[Mask, ...]:
     return tuple(sorted(seen, key=lambda m: (popcount(m), m)))
 
 
-def all_ideals(r: RingTable) -> IdealLattice:
-    return IdealLattice(r, tuple(Ideal(r, m) for m in all_ideal_masks(r)))
-
-
 def all_ideal_masks_exhaustive(r: RingTable) -> tuple[Mask, ...]:
     """Subset-scan oracle for the ideal lattice; only sensible at tiny orders."""
     if r.order > 12:
         raise RingError("exhaustive ideal scan is limited to order <= 12")
     out = [m for m in range(1 << r.order) if is_two_sided_ideal_mask(r, m)]
     return tuple(sorted(out, key=lambda m: (popcount(m), m)))
-
-
-def _require_same_ring(a: Ideal, b: Ideal):
-    if a.ring is not b.ring:
-        raise RingError("ideals live in different rings")
 
 
 @memo
@@ -160,35 +102,8 @@ def ideal_product_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
     return additive_closure(r, gens)
 
 
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    _require_same_ring(a, b)
-    return Ideal(a.ring, ideal_product_mask(a.ring, a.mask, b.mask))
-
-
-def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
-    _require_same_ring(a, b)
-    return Ideal(a.ring, a.mask & b.mask)
-
-
 def ideal_sum_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
     return additive_closure(r, a | b)
-
-
-def left_ann(r: RingTable, tset) -> Ideal:
-    """Left annihilator {x : xT = 0} of a non-empty subset; a left ideal."""
-    tmask = tset if isinstance(tset, int) else tset.mask
-    if tmask == 0:
-        raise RingError("annihilator of an empty set")
-    out = mask_of(x for x in r.elements() if all(r.mul[x][t] == r.zero for t in bits(tmask)))
-    return Ideal(r, out, LEFT)
-
-
-def right_ann(r: RingTable, tset) -> Ideal:
-    tmask = tset if isinstance(tset, int) else tset.mask
-    if tmask == 0:
-        raise RingError("annihilator of an empty set")
-    out = mask_of(x for x in r.elements() if all(r.mul[t][x] == r.zero for t in bits(tmask)))
-    return Ideal(r, out, RIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +131,14 @@ def prime_flags(r: RingTable, mask: Mask) -> PrimeReport:
     return PrimeReport(prime, completely, semi)
 
 
-def classify_ideal(p: Ideal) -> PrimeReport:
-    """The prime flags of a proper two-sided ideal."""
-    if p.sidedness != TWO_SIDED:
-        raise SidednessError("classification requires a two-sided ideal")
-    if p.is_full():
-        raise ImproperIdealError("cannot classify the whole ring")
-    return prime_flags(p.ring, p.mask)
-
-
-def is_prime_lattice_test(p: Ideal) -> bool:
+def is_prime_lattice_test(r: RingTable, pmask: Mask) -> bool:
     """Oracle: P is prime iff AB <= P forces A <= P or B <= P over the lattice."""
-    r = p.ring
-    if p.is_full():
+    if pmask == r.full_mask():
         raise ImproperIdealError("cannot classify the whole ring")
-    masks = all_ideal_masks(r)
-    notin = [m for m in masks if m & ~p.mask]
+    notin = [m for m in all_ideal_masks(r) if m & ~pmask]
     for a in notin:
         for b in notin:
-            if ideal_product_mask(r, a, b) & ~p.mask == 0:
+            if ideal_product_mask(r, a, b) & ~pmask == 0:
                 return False
     return True
 
@@ -243,10 +147,6 @@ def is_prime_lattice_test(p: Ideal) -> bool:
 def prime_masks(r: RingTable) -> tuple[Mask, ...]:
     full = r.full_mask()
     return tuple(m for m in all_ideal_masks(r) if m != full and prime_flags(r, m).is_prime)
-
-
-def spec_ideals(r: RingTable) -> list[Ideal]:
-    return [Ideal(r, m) for m in prime_masks(r)]
 
 
 def _minimal_over(masks, floor: Mask) -> list[Mask]:
@@ -268,16 +168,10 @@ def min_prime_masks_over(r: RingTable, floor: Mask) -> tuple[Mask, ...]:
     return tuple(sorted(direct, key=lambda m: (popcount(m), m)))
 
 
-def min_primes_over(r: RingTable, a: Ideal) -> list[Ideal]:
-    if a.sidedness != TWO_SIDED:
-        raise SidednessError("minimal primes are taken over a two-sided ideal")
-    if a.is_full():
-        raise ImproperIdealError("no primes over the whole ring")
-    return [Ideal(r, m) for m in min_prime_masks_over(r, a.mask)]
-
-
-def min_primes(r: RingTable) -> list[Ideal]:
-    return min_primes_over(r, zero_ideal(r))
+def min_prime_masks(r: RingTable) -> tuple[Mask, ...]:
+    """min(R), the minimal primes over zero; read through the memo of
+    min_prime_masks_over, so it adds no entry of its own."""
+    return min_prime_masks_over(r, 1 << r.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +213,7 @@ def strongly_nilpotent_mask(r: RingTable) -> Mask:
 @memo
 def prime_radical_mask(r: RingTable) -> Mask:
     inter = r.full_mask()
-    for m in min_prime_masks_over(r, 1 << r.zero):
+    for m in min_prime_masks(r):
         inter &= m
     if inter != strongly_nilpotent_mask(r):
         raise EngineInvariantError(
@@ -329,31 +223,26 @@ def prime_radical_mask(r: RingTable) -> Mask:
     return inter
 
 
-def prime_radical(r: RingTable) -> Ideal:
-    return Ideal(r, prime_radical_mask(r))
-
-
 def is_semiprime_ring(r: RingTable) -> bool:
     return prime_radical_mask(r) == 1 << r.zero
 
 
-def nilpotency_index(a: Ideal) -> int | None:
+def nilpotency_index(r: RingTable, amask: Mask) -> int | None:
     """Least k with a^k = 0, or None; the power chain stabilizes within order."""
-    r = a.ring
-    power = a.mask
+    power = amask
     seen = set()
     k = 1
     while power not in seen:
         if power == 1 << r.zero:
             return k
         seen.add(power)
-        power = ideal_product_mask(r, power, a.mask)
+        power = ideal_product_mask(r, power, amask)
         k += 1
     return None
 
 
-def is_nilpotent_ideal(a: Ideal) -> bool:
-    return nilpotency_index(a) is not None
+def is_nilpotent_ideal(r: RingTable, amask: Mask) -> bool:
+    return nilpotency_index(r, amask) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +302,7 @@ def prime_rich_violation(r: RingTable, amask: Mask) -> tuple[str, str] | None:
     c1 = _some_product_within(r, amask, over)
     c2 = _some_product_within(r, amask, min_prime_masks_over(r, amask))
     q = make_quotient(r, amask)[0] if amask != 1 << r.zero else r
-    c3 = is_nilpotent_ideal(prime_radical(q))  # |min(a)| is finite here by fiat
+    c3 = is_nilpotent_ideal(q, prime_radical_mask(q))  # |min(a)| is finite here by fiat
     if not (c1 == c2 == c3):
         return "three-way prime-rich agreement", r.label
     if min_prime_exponent(r, amask) is None:
@@ -438,10 +327,3 @@ def is_irredundant_masks(r: RingTable, masks) -> bool:
             return False
     return True
 
-
-def is_irredundant(ideals: list[Ideal]) -> bool:
-    if not ideals:
-        raise RingError("irredundancy of an empty family")
-    for i in ideals:
-        _require_same_ring(ideals[0], i)
-    return is_irredundant_masks(ideals[0].ring, [i.mask for i in ideals])

@@ -31,14 +31,12 @@ from .finring import (
 )
 from .ideals import (
     LEFT,
-    TWO_SIDED,
-    Ideal,
     additive_closure,
-    classify_ideal,
     ideal_closure_mask,
     ideal_sum_mask,
-    min_prime_masks_over,
-    spec_ideals,
+    min_prime_masks,
+    prime_flags,
+    prime_masks,
 )
 
 EXHAUSTIVE_MULT_ORDER = 12
@@ -106,13 +104,13 @@ class Localization:
 
     ring: RingTable
     mult_set: MultSet
-    ass: Ideal
+    ass_mask: Mask  # the vanishing ideal, the kernel of sigma
     target: RingTable
     sigma: RingHom
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalizedLeftIdeal:
     mask: Mask  # left ideal of the target generated by the image of the source
     two_sided: bool
@@ -180,10 +178,6 @@ def _zero_free_closures(r: RingTable, seeds) -> tuple[Mask, ...]:
         if witness is None:
             found.add(mask)
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
-
-
-def enumerate_mult_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> list[MultSet]:
-    return [MultSet(r, m) for m in mult_set_masks(r, exhaustive_order)]
 
 
 def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
@@ -278,7 +272,7 @@ def _factor_localization(r: RingTable, s: MultSet, ass: Mask) -> Localization:
         raise EngineInvariantError(f"{r.label}: localization kernel differs from the vanishing ideal")
     if sigma.push_mask(s.mask) & ~units_mask(target):
         raise EngineInvariantError(f"{r.label}: an image of S is not a unit of the localization")
-    return Localization(r, s, Ideal(r, ass, TWO_SIDED), target, sigma)
+    return Localization(r, s, ass, target, sigma)
 
 
 @memo
@@ -300,20 +294,15 @@ def _right_absorbed(r: RingTable, mask: Mask) -> bool:
 
 
 @memo
-def _localize_left_mask(loc: Localization, source_mask: Mask) -> tuple[Mask, bool]:
+def localize_left_ideal(loc: Localization, source_mask: Mask) -> LocalizedLeftIdeal:
+    """The left ideal of the target generated by the image of a left or
+    two-sided ideal of the source, and whether it is two-sided."""
     t = loc.target
     mask = ideal_closure_mask(t, loc.sigma.push_mask(source_mask), LEFT)
     contracted = loc.sigma.preimage_mask(mask)
     if source_mask & ~contracted:
         raise EngineInvariantError("localized ideal does not contain the source image")
-    return mask, _right_absorbed(t, mask)
-
-
-def localize_left_ideal(loc: Localization, i: Ideal) -> LocalizedLeftIdeal:
-    if i.sidedness not in (LEFT, TWO_SIDED):
-        raise RingError("only left or two-sided ideals can be localized on the left")
-    mask, two_sided = _localize_left_mask(loc, i.mask)
-    return LocalizedLeftIdeal(mask, two_sided)
+    return LocalizedLeftIdeal(mask, _right_absorbed(t, mask))
 
 
 def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
@@ -329,7 +318,7 @@ def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
 # ---------------------------------------------------------------------------
 # the five-way localized-ideal criterion
 
-def check_A11_equivalence(loc: Localization, b: Ideal) -> tuple[str, str] | None:
+def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | None:
     """Five independent evaluations of 'the localized left ideal is two-sided':
     ("five-way agreement", witness) when they disagree, otherwise None.
 
@@ -343,17 +332,17 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> tuple[str, str] | None
     """
     r = loc.ring
     smembers = loc.mult_set.members()
-    if b.is_full():
+    if bmask == r.full_mask():
         return None
 
-    local = localize_left_ideal(loc, b)
+    local = localize_left_ideal(loc, bmask)
     c1 = local.two_sided
 
     t = loc.target
     inv = inverse_table(t)
     c2 = all(
         local.mask >> t.mul[loc.sigma(x)][inv[loc.sigma(s)]] & 1
-        for x in bits(b.mask) for s in smembers
+        for x in bits(bmask) for s in smembers
     )
 
     def push_condition(target_mask: Mask) -> bool:
@@ -364,8 +353,8 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> tuple[str, str] | None
                     return False
         return True
 
-    c3 = push_condition(b.mask)
-    ab = ideal_sum_mask(r, loc.ass.mask, b.mask)
+    c3 = push_condition(bmask)
+    ab = ideal_sum_mask(r, loc.ass_mask, bmask)
     if ab == r.full_mask():
         c4 = c5 = True
     else:
@@ -377,31 +366,29 @@ def check_A11_equivalence(loc: Localization, b: Ideal) -> tuple[str, str] | None
     conds = (c1, c2, c3, c4, c5)
     if len(set(conds)) == 1:
         return None
-    return "five-way agreement", f"conditions disagree: {conds} for S={smembers}, b={b.members()}"
+    return "five-way agreement", f"conditions disagree: {conds} for S={smembers}, b={list(bits(bmask))}"
 
 
 # ---------------------------------------------------------------------------
 # prime structure under localization
 
 def respects_prime_structure(loc: Localization) -> bool:
-    return all(localize_left_ideal(loc, p).two_sided for p in spec_ideals(loc.ring))
+    return all(localize_left_ideal(loc, p).two_sided for p in prime_masks(loc.ring))
 
 
-def min_RS(r: RingTable, s: MultSet) -> list[Ideal]:
+def min_RS(r: RingTable, s: MultSet) -> list[Mask]:
     """Minimal primes of the source that are disjoint from the set."""
-    return [Ideal(r, m) for m in min_prime_masks_over(r, 1 << r.zero) if m & s.mask == 0]
+    return [m for m in min_prime_masks(r) if m & s.mask == 0]
 
 
-def min_RS_id(loc: Localization) -> list[Ideal]:
+def min_RS_id(loc: Localization) -> list[Mask]:
     """Minimal primes whose localized left ideal spans a proper two-sided ideal."""
     r = loc.ring
-    out = []
-    for m in min_prime_masks_over(r, 1 << r.zero):
-        j = localize_left_ideal(loc, Ideal(r, m)).mask
-        if two_sided_span(loc.target, j) != loc.target.full_mask():
-            out.append(Ideal(r, m))
-    disjoint = {i.mask for i in min_RS(r, loc.mult_set)}
-    if disjoint - {i.mask for i in out}:
+    out = [
+        m for m in min_prime_masks(r)
+        if two_sided_span(loc.target, localize_left_ideal(loc, m).mask) != loc.target.full_mask()
+    ]
+    if set(min_RS(r, loc.mult_set)) - set(out):
         raise EngineInvariantError(f"{r.label}: min(R,S) escapes min(R,S,id)")
     return out
 
@@ -456,37 +443,37 @@ def ass_l_realizable_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT
     }))
 
 
-def largest_set_assoc(r: RingTable, a: Ideal, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> MultSet:
+def largest_set_assoc(r: RingTable, amask: Mask, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> MultSet:
     """Largest left denominator set with vanishing ideal a: the preimage of the
     units of R/a.  Errors when a is not realizable as a vanishing ideal."""
-    if a.mask not in ass_l_realizable_masks(r, exhaustive_order):
-        raise NotInAssError(f"{r.label}: ideal {a.members()} is not an attained vanishing ideal")
-    target, hom = make_quotient(r, a.mask)
+    if amask not in ass_l_realizable_masks(r, exhaustive_order):
+        raise NotInAssError(f"{r.label}: ideal {list(bits(amask))} is not an attained vanishing ideal")
+    target, hom = make_quotient(r, amask)
     s = MultSet(r, hom.preimage_mask(units_mask(target)))
     cls = classify_set(s)
-    if not cls.left_den or cls.ass_l_mask != a.mask:
+    if not cls.left_den or cls.ass_l_mask != amask:
         raise EngineInvariantError(f"{r.label}: unit preimage fails the denominator re-check")
     return s
 
 
-def t_l(r: RingTable, p: Ideal) -> MultSet:
+def t_l(r: RingTable, pmask: Mask) -> MultSet:
     """Preimage of the units of R/p at a prime p (candidate Ore set)."""
-    if not classify_ideal(p).is_prime:
+    if pmask == r.full_mask() or not prime_flags(r, pmask).is_prime:
         raise RingError("t_l is defined at prime ideals")
-    target, hom = make_quotient(r, p.mask)
+    target, hom = make_quotient(r, pmask)
     return MultSet(r, hom.preimage_mask(units_mask(target)))
 
 
 # ---------------------------------------------------------------------------
 # epimorphic images of denominator sets
 
-def check_epimorphic_den_b14(loc: Localization, b: Ideal) -> bool:
+def check_epimorphic_den_b14(loc: Localization, bmask: Mask) -> bool:
     """Image criterion for an ideal b with ass(S) <= b < R: the image of S is
     a zero-vanishing denominator set of R/b iff it consists of regular
     elements.  True when the two sides agree.
 
     S misses b: sigma(S) consists of units of R/ass, and b/ass is proper."""
-    q, hom = make_quotient(loc.ring, b.mask)
+    q, hom = make_quotient(loc.ring, bmask)
     s_img = hom.push_mask(loc.mult_set.mask)
     cls = ore_flags(q, s_img)
     lhs = cls.left_den and cls.ass_l_mask == 1 << q.zero
@@ -494,13 +481,13 @@ def check_epimorphic_den_b14(loc: Localization, b: Ideal) -> bool:
     return lhs == rhs
 
 
-def check_epimorphic_den_c14(loc: Localization, b: Ideal) -> bool:
+def check_epimorphic_den_c14(loc: Localization, bmask: Mask) -> bool:
     """Two-step image criterion for an ideal b with ass(S) + b proper and
     disjoint from S: after factoring by the image's own vanishing ideal, the
     set is a zero-vanishing denominator set iff the intermediate ring has no
     right S-torsion.  True when the two sides agree."""
     r = loc.ring
-    q, hom = make_quotient(r, ideal_sum_mask(r, loc.ass.mask, b.mask))
+    q, hom = make_quotient(r, ideal_sum_mask(r, loc.ass_mask, bmask))
     s_img = hom.push_mask(loc.mult_set.mask)
     # proper: 1 in cbar would need an image of S to vanish in q
     cbar = vanishing_masks(q, s_img)[0]

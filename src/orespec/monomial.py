@@ -365,10 +365,6 @@ def an_zero(a: AnAlgebra) -> NCMonomial:
     return NCMonomial((), (0,) * a.pairs, True)
 
 
-def an_one(a: AnAlgebra) -> NCMonomial:
-    return NCMonomial((), (0,) * a.pairs)
-
-
 def an_x(a: AnAlgebra, i: int) -> NCMonomial:
     if not 1 <= i <= a.letters:
         raise RingError(f"x index {i} out of range")

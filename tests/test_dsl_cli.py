@@ -308,6 +308,16 @@ def test_cli_verify_explains_one_counterexample(capsys):
     assert '"clean"' not in out and "A11Sep23" not in out
 
 
+def test_cli_verify_explains_the_instance_that_ran(capsys):
+    # the corrupted table failed the audit, so explain shows its audit, not the
+    # healthy ring that the provenance alone would rebuild
+    argv = ["verify", "--max-order", "4", "--suite", "A11Sep23", "--inject-fault"]
+    assert main(argv + ["--explain", "axiom-audit:0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("audit:") for line in lines)
+    assert not any(line.startswith("units:") for line in lines)
+
+
 @pytest.mark.parametrize("value", ["axiom-audit:1", "A11Sep23:0"])
 def test_cli_verify_explain_index_out_of_range(capsys, value):
     argv = ["verify", "--max-order", "4", "--suite", "A11Sep23", "--inject-fault"]

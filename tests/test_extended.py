@@ -18,8 +18,18 @@ from orespec.checks import (
     check_zero_divisor_den_equivalence,
     decide,
 )
-from orespec.finring import bits, is_commutative, make_gf, make_matrix_ring, make_product
-from orespec.harness import CorpusConfig, build_corpus, run_suite
+from orespec.dsl import parse_ring_expr
+from orespec.finring import (
+    RingTable,
+    audit_ring,
+    bits,
+    is_commutative,
+    make_gf,
+    make_matrix_ring,
+    make_product,
+    make_zmod,
+)
+from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
 from orespec.ideals import is_semiprime_ring, min_prime_masks_over
 from orespec.localization import classify_set, left_denominator_sets
 
@@ -58,7 +68,30 @@ def test_localizing_away_the_matrix_factor(big_ring):
     s = close_multiplicative(big_ring, [m2_one * 2])  # (1,0) under lexicographic encoding
     loc = localize(big_ring, s)
     assert loc.target.order == 16
-    assert sorted(bits(loc.ass.mask)) == [0, 1]  # the 0 x field slice
+    assert sorted(bits(loc.ass_mask)) == [0, 1]  # the 0 x field slice
+
+
+def _relabel(r, perm):
+    """The same ring with element x renamed perm[x]."""
+    old = sorted(r.elements(), key=perm.__getitem__)  # old[perm[x]] == x
+
+    def table(op):
+        return tuple(tuple(perm[op[old[a]][old[b]]] for b in r.elements()) for a in r.elements())
+
+    return RingTable(r.order, table(r.add), table(r.mul), perm[r.zero], perm[r.one],
+                     f"{r.label}~")
+
+
+def test_products_of_a_ring_whose_zero_is_not_id_0():
+    # the DSL always puts zero at id 0; a relabelled table does not
+    r = _relabel(make_zmod(6), (2, 3, 5, 0, 4, 1))
+    assert audit_ring(r) == [] and r.zero == 2
+    p = make_product(r, make_zmod(2))
+    assert p.zero == r.zero * 2 and audit_ring(p) == []
+    # both checks build products of factor rings of r, whose zeros sit off id 0
+    inst = Instance("finite", "zmod(6)", parse_ring_expr("zmod(6)"), r)
+    reports = run_suite([inst], ("A15Sep23", "aC25Sep23"), CFG)
+    assert [(rep.applicable, rep.passed) for rep in reports] == [(1, 1)] * 3
 
 
 def test_a_false_claim_is_reported_not_swallowed(monkeypatch):

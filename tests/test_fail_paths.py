@@ -79,7 +79,7 @@ LIES = [
                  ("19Sep23", "28Sep23", "B29Sep23", "aA11Sep23"),
                  id="two_sided"),
     pytest.param([(checks, "localize_left_ideal",
-                   lambda fn: lambda loc, i: dataclasses.replace(fn(loc, i),
+                   lambda fn: lambda loc, m: dataclasses.replace(fn(loc, m),
                                                                  mask=loc.target.full_mask()))],
                  ("A10Sep23", "Aa6Oct23", "a28Sep23", "a29Sep23", "aA10Sep23", "b28Sep23",
                   "c10Sep23"),
@@ -94,8 +94,8 @@ LIES = [
     pytest.param([(centre, "regular_mask", _on_rings(_centre, lambda fn: lambda r: r.full_mask()))],
                  ("aB25Sep23", "B25Sep23"),
                  id="rho_well_defined"),
-    pytest.param([(centre, "min_prime_masks_over",
-                   _on_rings(_centre, lambda fn: lambda r, floor: fn(r, floor) + (floor,)))],
+    pytest.param([(centre, "min_prime_masks",
+                   _on_rings(_centre, lambda fn: lambda r: fn(r) + (1 << r.zero,)))],
                  ("B25Sep23",),
                  id="rho_criteria_agree"),
     pytest.param([(ideals, "is_nilpotent_ideal", _negate)],
@@ -105,7 +105,7 @@ LIES = [
                  ("b14Oct23", "c14Oct23"),
                  id="epimorphic_den"),
     pytest.param([(centre, "localize_left_ideal",
-                   lambda fn: lambda loc, i: dataclasses.replace(fn(loc, i), two_sided=False))],
+                   lambda fn: lambda loc, m: dataclasses.replace(fn(loc, m), two_sided=False))],
                  ("A25Sep23",),
                  id="central_localize"),
     pytest.param([(centre, "centre_mask",

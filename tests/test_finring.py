@@ -11,9 +11,7 @@ from orespec.finring import (
     audit_ring,
     bits,
     centre_mask,
-    centre_set,
     is_commutative,
-    is_normal_element,
     make_gf,
     make_matrix_ring,
     make_product,
@@ -23,8 +21,6 @@ from orespec.finring import (
     mask_of,
     normal_mask,
     regular_mask,
-    same_tables,
-    units,
     units_mask,
 )
 from orespec.ideals import all_ideal_masks, ideal_closure_mask
@@ -33,6 +29,10 @@ from orespec.ideals import all_ideal_masks, ideal_closure_mask
 T2_E12 = 2
 T2_E11 = 1
 T2_UNIT_UPPER = 7  # [[1,1],[0,1]]
+
+
+def _content(r):
+    return r.order, r.add, r.mul, r.zero, r.one
 
 
 def test_zmod2_is_the_smallest_ring():
@@ -60,7 +60,7 @@ def test_zmod_rejects_tiny_orders():
 def test_units_by_gcd_oracle():
     r = make_zmod(12)
     expected = {a for a in range(12) if math.gcd(a, 12) == 1}
-    assert set(units(r).members()) == expected == {1, 5, 7, 11}
+    assert set(bits(units_mask(r))) == expected == {1, 5, 7, 11}
 
 
 def test_units_of_a_field_are_all_nonzero():
@@ -84,7 +84,7 @@ def test_matrix_ring_order_and_simplicity(m2f2):
 
 
 def test_matrix_ring_k1_reproduces_the_base():
-    assert same_tables(make_matrix_ring(1, make_zmod(6)), make_zmod(6))
+    assert _content(make_matrix_ring(1, make_zmod(6))) == _content(make_zmod(6))
 
 
 def test_matrix_ring_cap():
@@ -124,12 +124,12 @@ def test_quotient_of_zmod12_by_6_is_zmod6(z12):
     canonical = RingHom(z12, make_zmod(6), tuple(x % 6 for x in range(12)))
     # same kernel, so the induced comparison map is an isomorphism
     assert hom.kernel_mask() == canonical.kernel_mask()
-    assert same_tables(q, make_zmod(6))
+    assert _content(q) == _content(make_zmod(6))
 
 
 def test_quotient_by_zero_is_the_ring(z12):
     q, hom = make_quotient(z12, 1 << z12.zero)
-    assert same_tables(q, z12)
+    assert _content(q) == _content(z12)
     assert hom.map == tuple(range(12))
 
 
@@ -166,22 +166,22 @@ def test_regular_elements_equal_units(sample_rings):
 def test_central_elements_are_normal(sample_rings):
     for r in sample_rings:
         assert centre_mask(r) & ~normal_mask(r) == 0
-        assert is_normal_element(r, r.zero)
-        assert is_normal_element(r, r.one)
+        assert normal_mask(r) >> r.zero & 1
+        assert normal_mask(r) >> r.one & 1
 
 
 def test_e12_is_normal_in_triangular(t2f2):
-    assert is_normal_element(t2f2, T2_E12)
-    assert not is_normal_element(t2f2, T2_E11)
+    assert normal_mask(t2f2) >> T2_E12 & 1
+    assert not normal_mask(t2f2) >> T2_E11 & 1
 
 
 def test_centre_of_commutative_ring_is_everything(z12):
-    assert centre_set(z12).mask == z12.full_mask()
+    assert centre_mask(z12) == z12.full_mask()
 
 
 def test_centre_of_matrix_and_triangular_rings(m2f2, t2f2):
-    assert set(centre_set(m2f2).members()) == {m2f2.zero, m2f2.one}
-    assert set(centre_set(t2f2).members()) == {t2f2.zero, t2f2.one}
+    assert set(bits(centre_mask(m2f2))) == {m2f2.zero, m2f2.one}
+    assert set(bits(centre_mask(t2f2))) == {t2f2.zero, t2f2.one}
 
 
 def test_constructed_tables_pass_audit(sample_rings):
@@ -204,7 +204,6 @@ def test_audit_catches_any_single_cell_fault(n, data):
 
 
 def test_element_sets_are_bound_and_sized(z6):
-    u = units(z6)
-    assert u.ring is z6
-    assert len(u) == 2 and 5 in u and 2 not in u
-    assert mask_of([1, 5]) == u.mask
+    u = units_mask(z6)
+    assert u.bit_count() == 2 and u >> 5 & 1 and not u >> 2 & 1
+    assert mask_of([1, 5]) == u

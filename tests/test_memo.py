@@ -7,7 +7,7 @@ import weakref
 
 from orespec.centre import rho
 from orespec.finring import make_zmod
-from orespec.ideals import Ideal, min_prime_masks_over, prime_radical_mask
+from orespec.ideals import min_prime_masks_over, prime_radical_mask
 from orespec.localization import left_denominator_sets, localize, localize_left_ideal
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "orespec"
@@ -21,7 +21,7 @@ def test_ring_and_its_derived_data_are_freed_together():
     for s in dens:
         loc = localize(r, s)
         for m in mins:
-            localize_left_ideal(loc, Ideal(r, m))
+            localize_left_ideal(loc, m)
     assert prime_radical_mask(r) == 0b1000001  # {0, 6}
     assert len(rho(r).min_table) == 2
 

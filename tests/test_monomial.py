@@ -19,7 +19,6 @@ from orespec.monomial import (
     an_monomial_count,
     an_monomials,
     an_multiply,
-    an_one,
     an_verify,
     an_x,
     an_z,
@@ -202,7 +201,8 @@ def test_pairing_relations():
     left = an_multiply(a, z1, x2)
     right = an_multiply(a, x2, z1)
     assert left == right and not left.is_zero
-    assert an_multiply(a, an_one(a), an_one(a)) == an_one(a)
+    one = NCMonomial((), (0,) * a.pairs)
+    assert an_multiply(a, one, one) == one
 
 
 def test_min_prime_index_sets():
