@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 
 from orespec.cli import positive_int
-from orespec.finring import RingTable, bits, centre_mask, is_commutative, units_mask
+from orespec.finring import is_commutative
 from orespec.harness import CorpusConfig, build_corpus
 from orespec.ideals import all_ideal_masks, is_semiprime_ring, min_prime_masks_over
 from orespec.localization import left_denominator_sets, mult_set_masks

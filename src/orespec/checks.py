@@ -527,10 +527,10 @@ def check_prime_preimage_sets(r: RingTable, cfg):
                 yield ("factor of the prime localization is the prime factor",
                        f"p={list(bits(pmask))}")
             if alz == pmask:
-                smax = largest_set_assoc(r, pmask, cfg.exhaustive_mult_order)
-                if smax.mask != tset.mask:
-                    yield ("unit preimage is the largest set at its prime",
-                           f"p={list(bits(pmask))}")
+                for s in _dens(r, cfg):
+                    if classify_set(s).ass_l_mask == pmask and s.mask & ~tset.mask:
+                        yield ("unit preimage is the largest set at its prime",
+                               f"p={list(bits(pmask))} S={s.members()}")
         yield
     if inter_l != 1 << r.zero or inter_r != 1 << r.zero:
         yield "vanishing sets intersect to zero", r.label

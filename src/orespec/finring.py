@@ -384,12 +384,13 @@ def product_hom(homs: list[RingHom]) -> RingHom:
 def is_two_sided_ideal_mask(r: RingTable, mask: Mask) -> bool:
     if not mask >> r.zero & 1:
         return False
+    right, left = products(r)[:2]
     for a in bits(mask):
+        if (right[a] | left[a]) & ~mask:
+            return False
+        row = r.add[a]
         for b in bits(mask):
-            if not mask >> r.add[a][b] & 1:
-                return False
-        for t in r.elements():
-            if not mask >> r.mul[t][a] & 1 or not mask >> r.mul[a][t] & 1:
+            if not mask >> row[b] & 1:
                 return False
     return True
 
@@ -433,14 +434,33 @@ def make_quotient(r: RingTable, ideal_mask: Mask) -> tuple[RingTable, RingHom]:
 # distinguished element sets
 
 @memo
+def products(r: RingTable) -> tuple[tuple[Mask, ...], tuple[Mask, ...], tuple[Mask, ...], tuple[Mask, ...]]:
+    """The one-sided multiples and annihilators of every element x, as four
+    tuples of masks indexed by x: xR, Rx, {t : xt = 0} and {t : tx = 0}.
+
+    Built in one pass over the multiplication table; ideals, Ore conditions
+    and vanishing ideals read their products here.
+    """
+    n, zero = r.order, r.zero
+    right, left, kills, killed_by = ([0] * n for _ in range(4))
+    for x in range(n):
+        row = r.mul[x]
+        for t in range(n):
+            bit = 1 << row[t]
+            right[x] |= bit
+            left[t] |= bit
+            if row[t] == zero:
+                kills[x] |= 1 << t
+                killed_by[t] |= 1 << x
+    return tuple(right), tuple(left), tuple(kills), tuple(killed_by)
+
+
+@memo
 def units_mask(r: RingTable) -> Mask:
-    out = 0
-    for x in r.elements():
-        for y in r.elements():
-            if r.mul[x][y] == r.one and r.mul[y][x] == r.one:
-                out |= 1 << x
-                break
-    return out
+    """Elements with 1 in xR and in Rx; by associativity the left and the
+    right inverse coincide."""
+    right, left = products(r)[:2]
+    return mask_of(x for x in r.elements() if (right[x] & left[x]) >> r.one & 1)
 
 
 @memo
@@ -457,15 +477,9 @@ def inverse_table(r: RingTable) -> dict[int, int]:
 @memo
 def regular_mask(r: RingTable) -> Mask:
     """Elements that are neither left nor right zero divisors."""
-    out = 0
-    for x in r.elements():
-        if x == r.zero:
-            continue
-        row, col = r.mul[x], [r.mul[y][x] for y in r.elements()]
-        if all(row[y] != r.zero for y in r.elements() if y != r.zero) and \
-           all(col[y] != r.zero for y in r.elements() if y != r.zero):
-            out |= 1 << x
-    return out
+    zero = 1 << r.zero
+    _, _, kills, killed_by = products(r)
+    return mask_of(x for x in r.elements() if kills[x] == killed_by[x] == zero)
 
 
 @memo
@@ -480,13 +494,8 @@ def centre_mask(r: RingTable) -> Mask:
 @memo
 def normal_mask(r: RingTable) -> Mask:
     """Elements x with Rx = xR."""
-    out = 0
-    for x in r.elements():
-        left = mask_of(r.mul[t][x] for t in r.elements())
-        right = mask_of(r.mul[x][t] for t in r.elements())
-        if left == right:
-            out |= 1 << x
-    return out
+    right, left = products(r)[:2]
+    return mask_of(x for x in r.elements() if right[x] == left[x])
 
 
 def is_commutative(r: RingTable) -> bool:

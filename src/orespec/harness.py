@@ -148,8 +148,8 @@ class CheckReport:
     def clean(self) -> bool:
         return not self.counterexamples
 
-    def to_dict(self, include_timing: bool = False):
-        body = {
+    def to_dict(self):
+        return {
             "theorem_id": self.theorem_id,
             "track": self.track,
             "description": self.description,
@@ -160,9 +160,6 @@ class CheckReport:
             "cases": self.cases,
             "counterexamples": [c.to_dict() for c in self.counterexamples],
         }
-        if include_timing:
-            body["wall_ms"] = round(self.wall_ms, 3)
-        return body
 
 
 AUDIT_ID = "axiom-audit"
@@ -244,9 +241,12 @@ def run_suite(
     if jobs > 1:
         _WORKER_STATE["corpus"] = good
         _WORKER_STATE["cfg"] = cfg
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(_worker, tasks)
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(jobs) as pool:
+                results = pool.map(_worker, tasks)
+        finally:
+            _WORKER_STATE.clear()
         results.sort(key=lambda pair: pair[0])
         merged = [row for _, row in results]
     else:
@@ -313,10 +313,10 @@ def explain(report: CheckReport, index: int, corpus: list[Instance],
     return "\n".join(lines)
 
 
-def render_machine(reports: list[CheckReport], include_timing: bool = False) -> str:
+def render_machine(reports: list[CheckReport]) -> str:
     body = {
         "format": "orespec-report-v1",
-        "reports": [r.to_dict(include_timing) for r in reports],
+        "reports": [r.to_dict() for r in reports],
         "clean": all(r.clean() for r in reports),
     }
     return json.dumps(body, indent=2, sort_keys=True)

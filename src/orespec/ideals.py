@@ -21,10 +21,10 @@ from .finring import (
     make_quotient,
     memo,
     popcount,
+    products,
 )
 
 LEFT = "left"
-RIGHT = "right"
 TWO_SIDED = "two-sided"
 
 
@@ -52,18 +52,13 @@ def additive_closure(r: RingTable, mask: Mask) -> Mask:
 
 @memo
 def ideal_closure_mask(r: RingTable, gens: Mask, sidedness: str = TWO_SIDED) -> Mask:
-    """Least ideal of the given sidedness containing gens (fixpoint closure)."""
+    """Least left or two-sided ideal containing gens (fixpoint closure)."""
+    right, left = products(r)[:2]
     mask = gens | 1 << r.zero
     while True:
         new = additive_closure(r, mask)
-        for a in list(bits(new)):
-            if sidedness in (LEFT, TWO_SIDED):
-                for t in r.elements():
-                    new |= 1 << r.mul[t][a]
-            if sidedness in (RIGHT, TWO_SIDED):
-                row = r.mul[a]
-                for t in r.elements():
-                    new |= 1 << row[t]
+        for a in bits(new):
+            new |= left[a] | right[a] if sidedness == TWO_SIDED else left[a]
         if new == mask:
             return mask
         mask = new

@@ -26,6 +26,7 @@ from .finring import (
     memo,
     normal_mask,
     popcount,
+    products,
     regular_mask,
     units_mask,
 )
@@ -183,65 +184,44 @@ def _zero_free_closures(r: RingTable, seeds) -> tuple[Mask, ...]:
 def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
     """(ass_l, ass_r): zero together with the x that some s in S kills from the
     left (sx = 0), respectively from the right (xs = 0)."""
-    zero = r.zero
-    ass_l = ass_r = 1 << zero
+    _, _, kills, killed_by = products(r)
+    ass_l = ass_r = 1 << r.zero
     for s in bits(smask):
-        row = r.mul[s]
-        for x in r.elements():
-            if row[x] == zero:
-                ass_l |= 1 << x
-            if r.mul[x][s] == zero:
-                ass_r |= 1 << x
+        ass_l |= kills[s]
+        ass_r |= killed_by[s]
     return ass_l, ass_r
+
+
+def _ore_witness(r: RingTable, members: list[int], left: bool) -> tuple[int, int] | None:
+    """The first (x, s) in x-major order where Sx misses Rs (left) or xS
+    misses sR (right), or None."""
+    multiples = products(r)[1 if left else 0]
+    for x in r.elements():
+        near = mask_of(r.mul[t][x] if left else r.mul[x][t] for t in members)
+        for s in members:
+            if not near & multiples[s]:
+                return x, s
+    return None
 
 
 @memo
 def ore_flags(r: RingTable, smask: Mask) -> OreClass:
     """The Ore and denominator flags of the set, its vanishing sets, and the
-    first violation found."""
-    mul = r.mul
-    zero = r.zero
+    first violation found.  An Ore set is a denominator set on its side when
+    ass_r <= ass_l (left), respectively ass_l <= ass_r (right)."""
     members = list(bits(smask))
     ass_l, ass_r = vanishing_masks(r, smask)
-    violation = None
-
-    left_ore = True
-    for x in r.elements():
-        for s in members:
-            # need s'x = x's for some s' in S, x' in R
-            left_side = {mul[sp][x] for sp in members}
-            if not any(mul[xp][s] in left_side for xp in r.elements()):
-                left_ore = False
-                violation = violation or ("left-ore", (x, s))
-                break
-        if not left_ore:
-            break
-    right_ore = True
-    for x in r.elements():
-        for s in members:
-            right_side = {mul[x][sp] for sp in members}
-            if not any(mul[s][xp] in right_side for xp in r.elements()):
-                right_ore = False
-                violation = violation or ("right-ore", (x, s))
-                break
-        if not right_ore:
-            break
-
-    left_den = left_ore
-    if left_ore:
-        for x in r.elements():
-            if any(mul[x][s] == zero for s in members) and not ass_l >> x & 1:
-                left_den = False
-                violation = violation or ("left-denominator", x)
-                break
-    right_den = right_ore
-    if right_ore:
-        for x in r.elements():
-            if any(mul[s][x] == zero for s in members) and not ass_r >> x & 1:
-                right_den = False
-                violation = violation or ("right-denominator", x)
-                break
-
+    left_miss = _ore_witness(r, members, left=True)
+    right_miss = _ore_witness(r, members, left=False)
+    left_ore, right_ore = left_miss is None, right_miss is None
+    left_den = left_ore and not ass_r & ~ass_l
+    right_den = right_ore and not ass_l & ~ass_r
+    violation = (
+        ("left-ore", left_miss) if not left_ore else
+        ("right-ore", right_miss) if not right_ore else
+        ("left-denominator", next(bits(ass_r & ~ass_l))) if not left_den else
+        ("right-denominator", next(bits(ass_l & ~ass_r))) if not right_den else None
+    )
     if left_ore and not is_two_sided_ideal_mask(r, ass_l):
         raise EngineInvariantError(f"{r.label}: ass_l of a left Ore set is not a two-sided ideal")
     if right_ore and not is_two_sided_ideal_mask(r, ass_r):
@@ -290,7 +270,8 @@ def localize(r: RingTable, s: MultSet) -> Localization:
 
 
 def _right_absorbed(r: RingTable, mask: Mask) -> bool:
-    return all(mask >> r.mul[a][t] & 1 for a in bits(mask) for t in r.elements())
+    right = products(r)[0]
+    return not any(right[a] & ~mask for a in bits(mask))
 
 
 @memo
@@ -307,12 +288,11 @@ def localize_left_ideal(loc: Localization, source_mask: Mask) -> LocalizedLeftId
 
 def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
     """The two-sided ideal J*R generated by a left ideal J."""
-    gens = 0
+    right = products(r)[0]
+    gens = left_mask
     for a in bits(left_mask):
-        row = r.mul[a]
-        for t in r.elements():
-            gens |= 1 << row[t]
-    return ideal_closure_mask(r, additive_closure(r, gens | left_mask), LEFT)
+        gens |= right[a]
+    return ideal_closure_mask(r, additive_closure(r, gens), LEFT)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +393,11 @@ def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
             raise RingError(f"{r.label}: generator {r.name(g)} is not normal")
     s = close_multiplicative(r, gmask)
     members = s.members()
-    ass = 0
-    for x in r.elements():
-        if any(r.mul[r.mul[u][x]][v] == r.zero for u in members for v in members):
-            ass |= 1 << x
+    # s x t = 0 for some s, t in S exactly when some s x lies in ass_r(S)
+    ass_r = vanishing_masks(r, s.mask)[1]
+    ass = mask_of(
+        x for x in r.elements() if any(ass_r >> r.mul[u][x] & 1 for u in members)
+    )
     if not is_two_sided_ideal_mask(r, ass):
         raise EngineInvariantError(f"{r.label}: normal-set vanishing ideal is not two-sided")
     if ass == r.full_mask():
@@ -443,13 +424,18 @@ def ass_l_realizable_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT
     }))
 
 
+def _unit_preimage(r: RingTable, amask: Mask) -> Mask:
+    """The preimage in R of the units of R/a."""
+    target, hom = make_quotient(r, amask)
+    return hom.preimage_mask(units_mask(target))
+
+
 def largest_set_assoc(r: RingTable, amask: Mask, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> MultSet:
     """Largest left denominator set with vanishing ideal a: the preimage of the
     units of R/a.  Errors when a is not realizable as a vanishing ideal."""
     if amask not in ass_l_realizable_masks(r, exhaustive_order):
         raise NotInAssError(f"{r.label}: ideal {list(bits(amask))} is not an attained vanishing ideal")
-    target, hom = make_quotient(r, amask)
-    s = MultSet(r, hom.preimage_mask(units_mask(target)))
+    s = MultSet(r, _unit_preimage(r, amask))
     cls = classify_set(s)
     if not cls.left_den or cls.ass_l_mask != amask:
         raise EngineInvariantError(f"{r.label}: unit preimage fails the denominator re-check")
@@ -460,8 +446,7 @@ def t_l(r: RingTable, pmask: Mask) -> MultSet:
     """Preimage of the units of R/p at a prime p (candidate Ore set)."""
     if pmask == r.full_mask() or not prime_flags(r, pmask).is_prime:
         raise RingError("t_l is defined at prime ideals")
-    target, hom = make_quotient(r, pmask)
-    return MultSet(r, hom.preimage_mask(units_mask(target)))
+    return MultSet(r, _unit_preimage(r, pmask))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from expr_corpus import FIXED_EXPRESSIONS
 from orespec.dsl import parse_ring_expr, render
-from orespec.finring import RingTable, bits, mask_of, regular_mask, units_mask
+from orespec.finring import regular_mask, units_mask
 from orespec.harness import (
     CorpusConfig,
     build_corpus,
@@ -29,7 +29,7 @@ from orespec.ideals import (
     prime_rich_violation,
     strongly_nilpotent_mask,
 )
-from orespec.localization import classify_set, left_denominator_sets, localize
+from orespec.localization import left_denominator_sets, localize
 from orespec.monomial import (
     all_squarefree_ideals,
     an_build,

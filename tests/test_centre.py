@@ -1,5 +1,3 @@
-import pytest
-
 from orespec.centre import (
     central_localize,
     central_mult_set,

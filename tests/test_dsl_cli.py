@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from orespec.cli import main
 from orespec.dsl import ParseError, RingExpr, evaluate, parse_ring_expr, render
-from orespec.finring import RingTable
 from orespec.monomial import DegreeBudgetError
 
 from expr_corpus import FIXED_EXPRESSIONS

@@ -30,7 +30,7 @@ from orespec.finring import (
     make_zmod,
 )
 from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
-from orespec.ideals import is_semiprime_ring, min_prime_masks_over
+from orespec.ideals import is_semiprime_ring
 from orespec.localization import classify_set, left_denominator_sets
 
 CFG = CorpusConfig()

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from orespec import centre, checks, ideals, localization
+from orespec import centre, checks, finring, ideals, localization
 from orespec import monomial as mono
 from orespec.checks import COVERAGE
 from orespec.dsl import parse_ring_expr
@@ -68,6 +68,15 @@ def _zero_at_top_degree(fn):
     def lying(a, m1, m2):
         prod = fn(a, m1, m2)
         return mono.an_zero(a) if prod.degree() == a.degree_bound else prod
+    return lying
+
+
+def _drop_a_left_multiple(fn):
+    # R*x of the highest element id x loses its largest member
+    def lying(r):
+        right, left, kills, killed_by = fn(r)
+        *rest, last = left
+        return right, (*rest, last & ~(1 << (last.bit_length() - 1))), kills, killed_by
     return lying
 
 
@@ -132,6 +141,11 @@ LIES = [
                    lambda fn: lambda r, m: (r.full_mask(), fn(r, m)[1]))],
                  ("19Sep23",),
                  id="vanishing_masks"),
+    pytest.param([(module, "products", _drop_a_left_multiple)
+                  for module in (finring, ideals, localization)],
+                 ("4Jul10", "A10Sep23", "A15Sep23", "A2Oct23", "b14Oct23", "c10Sep23",
+                  "c14Oct23"),
+                 id="products"),
     pytest.param([(mono, "_min_covers_avoiding", lambda fn: lambda r, vset: fn(r, vset)[:-1])],
                  ("A10Sep23", "A2Oct23", "c10Sep23"),
                  id="localize_monomial"),

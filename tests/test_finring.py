@@ -16,7 +16,6 @@ from orespec.finring import (
     make_matrix_ring,
     make_product,
     make_quotient,
-    make_upper_triangular,
     make_zmod,
     mask_of,
     normal_mask,

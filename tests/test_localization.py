@@ -1,10 +1,9 @@
 import pytest
 
-from orespec.finring import bits, make_gf, make_quotient, make_zmod, mask_of, units_mask
+from orespec.finring import bits, make_gf, make_quotient, mask_of, units_mask
 from orespec.ideals import all_ideal_masks, ideal_closure_mask
 from orespec.localization import (
     MultSet,
-    NotDenominatorError,
     NotInAssError,
     ZeroAbsorbedError,
     ass_l_realizable_masks,

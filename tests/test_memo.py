@@ -7,6 +7,7 @@ import weakref
 
 from orespec.centre import rho
 from orespec.finring import make_zmod
+from orespec.harness import CorpusConfig, build_corpus, run_suite
 from orespec.ideals import min_prime_masks_over, prime_radical_mask
 from orespec.localization import left_denominator_sets, localize, localize_left_ideal
 
@@ -27,6 +28,18 @@ def test_ring_and_its_derived_data_are_freed_together():
 
     ref = weakref.ref(r)
     del r, dens, s, loc
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_pooled_run_keeps_no_reference_to_its_corpus():
+    cfg = CorpusConfig(order_cap=4)
+    corpus = build_corpus(cfg)
+    ring = corpus[0].build(cfg.order_cap)
+    run_suite(corpus, ("A11Sep23",), cfg, jobs=2)
+
+    ref = weakref.ref(ring)
+    del corpus, ring
     gc.collect()
     assert ref() is None
 
