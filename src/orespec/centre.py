@@ -18,7 +18,7 @@ from .finring import (
     RingError,
     RingHom,
     RingTable,
-    audit_ring,
+    _checked,
     bits,
     centre_mask,
     is_commutative,
@@ -27,7 +27,6 @@ from .finring import (
     regular_mask,
 )
 from .ideals import (
-    LEFT,
     ideal_closure_mask,
     is_semiprime_ring,
     min_prime_masks,
@@ -39,13 +38,11 @@ from .localization import (
     classify_set,
     localize,
     localize_left_ideal,
-    two_sided_span,
 )
 
 
 @dataclass(frozen=True)
 class CentreData:
-    ring: RingTable
     centre: RingTable          # induced table on the central elements
     embedding: RingHom         # centre -> ring
 
@@ -63,18 +60,15 @@ def centre_ring(r: RingTable) -> CentreData:
     add = tuple(tuple(index[r.add[a][b]] for b in elems) for a in elems)
     mul = tuple(tuple(index[r.mul[a][b]] for b in elems) for a in elems)
     names = tuple(r.name(v) for v in elems)
-    centre = RingTable(n, add, mul, index[r.zero], index[r.one], f"centre({r.label})", names)
-    bad = audit_ring(centre)
-    if bad or not is_commutative(centre):
-        raise EngineInvariantError(f"{r.label}: induced centre table is defective: {bad[:1]}")
-    emb = RingHom(centre, r, tuple(elems))
-    return CentreData(r, centre, emb)
+    centre = _checked(RingTable(n, add, mul, index[r.zero], index[r.one],
+                                f"centre({r.label})", names))
+    if not is_commutative(centre):
+        raise EngineInvariantError(f"{r.label}: induced centre table is not commutative")
+    return CentreData(centre, RingHom(centre, r, tuple(elems)))
 
 
 @dataclass(frozen=True)
 class RestrictionMap:
-    ring: RingTable
-    centre_data: CentreData
     table: tuple[tuple[Mask, Mask], ...]      # (prime mask, restricted mask) over Spec(R)
     min_table: tuple[tuple[Mask, Mask], ...]  # the same over min(R)
     well_defined: bool                        # every minimal prime restricts minimally
@@ -93,7 +87,7 @@ def rho(r: RingTable) -> RestrictionMap:
     centre_mins = set(min_prime_masks(cd.centre))
     well = all(qm in centre_mins for _, qm in min_table)
     surj = centre_mins <= {qm for _, qm in min_table}
-    return RestrictionMap(r, cd, table, min_table, well, surj)
+    return RestrictionMap(table, min_table, well, surj)
 
 
 def _central_regulars(r: RingTable) -> Mask:
@@ -132,7 +126,7 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
     broken (clause, detail) of the image criterion, the fiber bijection onto
     the primes over R_q * q, and the minimal prime in a hit fiber, or None."""
     cd = centre_ring(r)
-    if qmask == cd.centre.full_mask() or not prime_flags(cd.centre, qmask).is_prime:
+    if not prime_flags(cd.centre, qmask).is_prime:
         raise RingError("central localization requires a prime of the centre")
     loc = localize(r, central_mult_set(r, qmask))
     t = loc.target
@@ -140,7 +134,7 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
 
     fiber_source = [pm for pm in prime_masks(r) if cd.restrict_mask(pm) == qmask]
     q_lift = cd.embedding.push_mask(qmask)
-    extension = two_sided_span(t, ideal_closure_mask(t, loc.sigma.push_mask(q_lift), LEFT))
+    extension = ideal_closure_mask(t, loc.sigma.push_mask(q_lift))
     if bool(fiber_source) != (extension != t.full_mask()):
         return "prime is hit iff the extension is proper", where
 

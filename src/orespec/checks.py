@@ -59,6 +59,7 @@ from .ideals import (
     prime_masks,
     prime_radical_mask,
     prime_rich_violation,
+    _minimal_over,
     _products_reach,
 )
 from .localization import (
@@ -78,6 +79,7 @@ from .localization import (
     localize_normal,
     min_RS,
     pair_closure_masks,
+    regular_den,
     respects_prime_structure,
     t_l,
     vanishing_masks,
@@ -250,14 +252,10 @@ def check_prime_localized_iff_ideal(r: RingTable, cfg):
         branches = []
         if contracted == pmask:
             branches.append(pmask)
-        if contracted != r.full_mask() and prime_flags(r, contracted).is_prime:
+        if prime_flags(r, contracted).is_prime:
             branches.append(contracted)
         for _ in branches:
-            spec_member = (
-                li.two_sided
-                and li.mask != loc.target.full_mask()
-                and prime_flags(loc.target, li.mask).is_prime
-            )
+            spec_member = li.two_sided and prime_flags(loc.target, li.mask).is_prime
             if spec_member != li.two_sided:
                 yield "prime localization iff two-sided", f"S={s.members()} p={list(bits(pmask))}"
             yield
@@ -276,7 +274,7 @@ def check_contraction_recovers_prime(r: RingTable, cfg):
 def check_prime_vanishing_target(r: RingTable, cfg):
     for s in _dens(r, cfg):
         cls = classify_set(s)
-        if cls.ass_l_mask == r.full_mask() or not prime_flags(r, cls.ass_l_mask).is_prime:
+        if not prime_flags(r, cls.ass_l_mask).is_prime:
             continue
         loc = localize(r, s)
         if not _is_prime_ring(loc.target):
@@ -343,16 +341,12 @@ def check_min_primes_prime_rich(r: RingTable, cfg):
             continue
         mrs = min_RS(r, s)
         family = _localized_min_family(loc, mrs)
-        all_prime_downstairs = all(
-            fm != loc.target.full_mask() and prime_flags(loc.target, fm).is_prime
-            for fm in family
-        )
-        if not all_prime_downstairs:
+        if not all(prime_flags(loc.target, fm).is_prime for fm in family):
             continue
         minmask = set(min_prime_masks(loc.target))
         fam_set = set(family)
-        minimal_members = {m for m in fam_set if not any(o != m and o & ~m == 0 for o in fam_set)}
-        if not (1 <= len(mrs) <= len(min_prime_masks(r))):
+        minimal_members = set(_minimal_over(fam_set, 1 << loc.target.zero))
+        if not mrs:
             yield "1 <= |min(R,S)| <= |min(R)|", f"S={s.members()}"
         if minmask != minimal_members:
             yield ("localized minimal primes are the minimal localized family",
@@ -414,7 +408,7 @@ def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | 
     for pmask in mins:
         q, hom = make_quotient(r, pmask)
         cls = _image_class(hom, s.mask)
-        if not (cls.left_den and cls.ass_l_mask == 1 << q.zero):
+        if not regular_den(q, cls):
             return ("image is a zero-vanishing denominator set of the factor",
                     f"S={s.members()} p={list(bits(pmask))}")
         jmask = localize_left_ideal(loc, pmask).mask
@@ -449,7 +443,7 @@ def check_semiprime_vanishing_bijection(r: RingTable, cfg):
     for s in _dens(r, cfg):
         cls = classify_set(s)
         amask = cls.ass_l_mask
-        if amask == r.full_mask() or not prime_flags(r, amask).is_semiprime_ideal:
+        if not prime_flags(r, amask).is_semiprime_ideal:
             continue  # vanishing ideal must be semiprime
         loc = localize(r, s)
         t = loc.target
@@ -550,7 +544,7 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg):
         st2 = True
         for pmask, fm in zip(mrs, family):
             li_two_sided = localize_left_ideal(loc, pmask).two_sided
-            factor_prime = fm != t.full_mask() and prime_flags(t, fm).is_prime
+            factor_prime = prime_flags(t, fm).is_prime
             if not (li_two_sided and factor_prime):
                 st2 = False
                 break
@@ -612,8 +606,7 @@ def check_normal_set_localizes(r: RingTable, cfg):
         loc = localize_normal(r, smask)
         t = loc.target
         cls = _image_class(loc.sigma, smask)
-        if not (cls.left_den and cls.right_den and cls.ass_l_mask == 1 << t.zero
-                and cls.ass_r_mask == 1 << t.zero):
+        if not (regular_den(t, cls) and cls.right_den):
             yield ("image is a two-sided zero-vanishing denominator set",
                    f"S={sorted(bits(smask))}")
         yield
@@ -632,7 +625,7 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
     nbar = prime_radical_mask(rbar)
     rtilde, tpi = make_quotient(rbar, nbar)
     cls = _image_class(tpi, loc.sigma.push_mask(smask))
-    if not (cls.left_den and cls.right_den and cls.ass_l_mask == 1 << rtilde.zero):
+    if not (regular_den(rtilde, cls) and cls.right_den):
         return ("reduced image is a zero-vanishing denominator set",
                 f"S={sorted(bits(smask))}")
     tilde_pushes = [tpi.push_mask(p) for p in pushes]
@@ -641,7 +634,7 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
     for pmask, push in zip(mins, pushes):
         q, hom = make_quotient(r, pmask)
         qcls = _image_class(hom, smask)
-        if not (qcls.left_den and qcls.right_den and qcls.ass_l_mask == 1 << q.zero):
+        if not (regular_den(q, qcls) and qcls.right_den):
             return "factor image is a denominator set", f"p={list(bits(pmask))}"
         if not _factor_matches(hom, loc, push):
             return "factor rings of the localization agree", f"p={list(bits(pmask))}"
@@ -734,7 +727,7 @@ def check_centre_semiprime(r: RingTable, cfg):
     cd = centre_ring(r)
     if not is_semiprime_ring(cd.centre):
         yield "centre of a semiprime ring is semiprime", r.label
-    hit = {rho(r).centre_data.restrict_mask(pm) for pm in prime_masks(r)}
+    hit = {cd.restrict_mask(pm) for pm in prime_masks(r)}
     image_minimals = set(min_prime_masks(cd.centre)) & hit
     if len(image_minimals) > len(min_prime_masks(r)):
         yield "hit central minimal primes within the bound", r.label

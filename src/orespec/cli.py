@@ -117,16 +117,14 @@ def cmd_ideals(args) -> int:
     masks = all_ideal_masks(r)
     print(f"{len(masks)} two-sided ideals of {r.label}:")
     for m in masks:
-        rep = prime_flags(r, m) if m != r.full_mask() else None
-        flags = ""
-        if rep:
-            flags = "".join(
-                f for f, on in (
-                    (" prime", rep.is_prime),
-                    (" completely-prime", rep.is_completely_prime),
-                    (" semiprime", rep.is_semiprime_ideal),
-                ) if on
-            )
+        rep = prime_flags(r, m)
+        flags = "".join(
+            f for f, on in (
+                (" prime", rep.is_prime),
+                (" completely-prime", rep.is_completely_prime),
+                (" semiprime", rep.is_semiprime_ideal),
+            ) if on
+        )
         print(f"  {_ideal_str(r, m)}{flags}")
     return EXIT_CLEAN
 
@@ -203,8 +201,9 @@ def cmd_centre(args) -> int:
 def cmd_rho(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
     rm = rho(r)
+    centre = centre_ring(r).centre
     for pm, qm in rm.table:
-        print(f"{_ideal_str(r, pm)} -> {_ideal_str(rm.centre_data.centre, qm)}")
+        print(f"{_ideal_str(r, pm)} -> {_ideal_str(centre, qm)}")
     print(f"well-defined on minimals: {rm.well_defined}")
     print(f"surjective onto minimals: {rm.surjective_onto_min}")
     if is_semiprime_ring(r):

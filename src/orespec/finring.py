@@ -293,18 +293,25 @@ def _undigits(digits, base: int) -> int:
     return idx
 
 
-def _make_slot_ring(
-    tag: str, noun: str, k: int, base: RingTable, slots: list[tuple[int, int]], cap: int | None
-) -> RingTable:
-    """k x k matrices over a commutative base with entries only at the given
-    (row, column) slots; an element's digits are its slot entries in order."""
+def _make_slot_ring(k: int, base: RingTable, triangular: bool, cap: int | None) -> RingTable:
+    """k x k matrices over a commutative base with entries at every (row,
+    column) slot, or only on and above the diagonal; an element's digits are
+    its slot entries in row-major order."""
+    tag, noun = ("tri", "triangular") if triangular else ("mat", "matrix")
+    if k < 1:
+        raise InvalidOrderError(f"{tag} needs a matrix size k >= 1, got k = {k}")
     if centre_mask(base) != base.full_mask():
         raise RingError(f"{noun} rings are only built over commutative bases")
-    order = base.order ** len(slots)
-    if cap is not None and order > cap:
-        raise SizeLimitError(f"{tag}({k}, {base.label}) has order {order} > cap {cap}")
+    nslots = k * (k + 1) // 2 if triangular else k * k
+    # the order is at least 2^nslots, so a cap of at most nslots bits is
+    # exceeded without forming the order, which may have millions of digits
+    if cap is not None and (nslots >= cap.bit_length() or base.order ** nslots > cap):
+        raise SizeLimitError(
+            f"{tag}({k}, {base.label}) has order {base.order}^{nslots} > cap {cap}")
+    order = base.order ** nslots
+    slots = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
     pos = {ij: s for s, ij in enumerate(slots)}
-    mats = [_digits(i, base.order, len(slots)) for i in range(order)]
+    mats = [_digits(i, base.order, nslots) for i in range(order)]
 
     def at(m, i, j):
         s = pos.get((i, j))
@@ -337,14 +344,12 @@ def _make_slot_ring(
 
 def make_matrix_ring(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
     """Full k x k matrix ring over a commutative base, row-major encoding."""
-    slots = [(i, j) for i in range(k) for j in range(k)]
-    return _make_slot_ring("mat", "matrix", k, base, slots, cap)
+    return _make_slot_ring(k, base, triangular=False, cap=cap)
 
 
 def make_upper_triangular(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
     """Upper-triangular k x k matrices over a commutative base."""
-    slots = [(i, j) for i in range(k) for j in range(k) if i <= j]
-    return _make_slot_ring("tri", "triangular", k, base, slots, cap)
+    return _make_slot_ring(k, base, triangular=True, cap=cap)
 
 
 def make_product(a: RingTable, b: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:

@@ -28,7 +28,7 @@ LEFT = "left"
 TWO_SIDED = "two-sided"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeReport:
     is_prime: bool
     is_completely_prime: bool
@@ -64,18 +64,25 @@ def ideal_closure_mask(r: RingTable, gens: Mask, sidedness: str = TWO_SIDED) -> 
         mask = new
 
 
+def _closure_under(seeds, step) -> set[Mask]:
+    """The least family of masks containing the seeds and closed under
+    m -> step(m, seed) for every seed."""
+    seen = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        m = frontier.pop()
+        for f in seeds:
+            p = step(m, f)
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return seen
+
+
 @memo
 def all_ideal_masks(r: RingTable) -> tuple[Mask, ...]:
     principal = {ideal_closure_mask(r, 1 << x) for x in r.elements()}
-    seen = set(principal)
-    frontier = list(principal)
-    while frontier:
-        m = frontier.pop()
-        for p in principal:
-            s = additive_closure(r, m | p)
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
+    seen = _closure_under(principal, lambda m, p: additive_closure(r, m | p))
     return tuple(sorted(seen, key=lambda m: (popcount(m), m)))
 
 
@@ -106,8 +113,11 @@ def ideal_sum_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
 
 @memo
 def prime_flags(r: RingTable, mask: Mask) -> PrimeReport:
-    """Prime / completely prime / semiprime flags of a proper two-sided ideal
-    mask, by the elementwise tests."""
+    """Prime / completely prime / semiprime flags of a two-sided ideal mask, by
+    the elementwise tests.  Primes and semiprime ideals are proper, so all
+    three flags are false on the whole ring."""
+    if mask == r.full_mask():
+        return PrimeReport(False, False, False)
     outside = [x for x in r.elements() if not mask >> x & 1]
     completely = True
     prime = True
@@ -140,12 +150,16 @@ def is_prime_lattice_test(r: RingTable, pmask: Mask) -> bool:
 
 @memo
 def prime_masks(r: RingTable) -> tuple[Mask, ...]:
-    full = r.full_mask()
-    return tuple(m for m in all_ideal_masks(r) if m != full and prime_flags(r, m).is_prime)
+    return tuple(m for m in all_ideal_masks(r) if prime_flags(r, m).is_prime)
+
+
+def _over(masks, floor: Mask) -> list[Mask]:
+    """The masks that contain floor."""
+    return [m for m in masks if floor & ~m == 0]
 
 
 def _minimal_over(masks, floor: Mask) -> list[Mask]:
-    over = [m for m in masks if floor & ~m == 0]
+    over = _over(masks, floor)
     return [m for m in over if not any(o != m and o & ~m == 0 for o in over)]
 
 
@@ -245,31 +259,18 @@ def is_nilpotent_ideal(r: RingTable, amask: Mask) -> bool:
 
 def _products_reach(r: RingTable, factors: list[Mask]) -> set[Mask]:
     """All ideal products (length >= 1, any order) built from the factors."""
-    seen = set(factors)
-    frontier = list(factors)
-    while frontier:
-        m = frontier.pop()
-        for f in factors:
-            p = ideal_product_mask(r, m, f)
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return seen
+    return _closure_under(factors, lambda m, f: ideal_product_mask(r, m, f))
 
 
 def _some_product_within(r: RingTable, amask: Mask, factors) -> bool:
     return any(m & ~amask == 0 for m in _products_reach(r, factors))
 
 
-def _proper_ideal_masks(r: RingTable) -> list[Mask]:
-    return [m for m in all_ideal_masks(r) if m != r.full_mask()]
-
-
 def is_prime_rich(r: RingTable) -> bool:
     """Every proper ideal contains a product of primes containing it."""
     return all(
-        _some_product_within(r, a, [p for p in prime_masks(r) if a & ~p == 0])
-        for a in _proper_ideal_masks(r)
+        _some_product_within(r, a, _over(prime_masks(r), a))
+        for a in all_ideal_masks(r)[:-1]  # the proper ideals; the whole ring is last
     )
 
 
@@ -293,8 +294,7 @@ def min_prime_exponent(r: RingTable, amask: Mask) -> int | None:
 def prime_rich_violation(r: RingTable, amask: Mask) -> tuple[str, str] | None:
     """The three equivalent prime-richness conditions and the minimal-prime
     exponent at one proper ideal: the first broken (clause, detail), or None."""
-    over = [p for p in prime_masks(r) if amask & ~p == 0]
-    c1 = _some_product_within(r, amask, over)
+    c1 = _some_product_within(r, amask, _over(prime_masks(r), amask))
     c2 = _some_product_within(r, amask, min_prime_masks_over(r, amask))
     q = make_quotient(r, amask)[0] if amask != 1 << r.zero else r
     c3 = is_nilpotent_ideal(q, prime_radical_mask(q))  # |min(a)| is finite here by fiat

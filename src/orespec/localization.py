@@ -32,7 +32,6 @@ from .finring import (
 )
 from .ideals import (
     LEFT,
-    additive_closure,
     ideal_closure_mask,
     ideal_sum_mask,
     min_prime_masks,
@@ -73,14 +72,8 @@ class MultSet:
     ring: RingTable
     mask: Mask
 
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
     def members(self) -> list[int]:
         return list(bits(self.mask))
-
-    def __len__(self):
-        return popcount(self.mask)
 
     def __repr__(self):
         return f"MultSet({self.ring.label}, {{{', '.join(self.ring.name(i) for i in self.members())}}})"
@@ -233,6 +226,12 @@ def classify_set(s: MultSet) -> OreClass:
     return ore_flags(s.ring, s.mask)
 
 
+def regular_den(r: RingTable, cls: OreClass) -> bool:
+    """The classified set lies in Den_l(R, 0): a left denominator set whose
+    vanishing ideal is zero, so a set of regular elements."""
+    return cls.left_den and cls.ass_l_mask == 1 << r.zero
+
+
 @memo
 def left_denominator_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     return tuple(
@@ -284,15 +283,6 @@ def localize_left_ideal(loc: Localization, source_mask: Mask) -> LocalizedLeftId
     if source_mask & ~contracted:
         raise EngineInvariantError("localized ideal does not contain the source image")
     return LocalizedLeftIdeal(mask, _right_absorbed(t, mask))
-
-
-def two_sided_span(r: RingTable, left_mask: Mask) -> Mask:
-    """The two-sided ideal J*R generated by a left ideal J."""
-    right = products(r)[0]
-    gens = left_mask
-    for a in bits(left_mask):
-        gens |= right[a]
-    return ideal_closure_mask(r, additive_closure(r, gens), LEFT)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,7 @@ def min_RS_id(loc: Localization) -> list[Mask]:
     r = loc.ring
     out = [
         m for m in min_prime_masks(r)
-        if two_sided_span(loc.target, localize_left_ideal(loc, m).mask) != loc.target.full_mask()
+        if ideal_closure_mask(loc.target, localize_left_ideal(loc, m).mask) != loc.target.full_mask()
     ]
     if set(min_RS(r, loc.mult_set)) - set(out):
         raise EngineInvariantError(f"{r.label}: min(R,S) escapes min(R,S,id)")
@@ -412,7 +402,7 @@ def largest_regular_set(r: RingTable) -> MultSet:
     """The largest regular left Ore set; on a finite ring this is the units."""
     s = MultSet(r, units_mask(r))
     cls = classify_set(s)
-    if not (cls.left_den and cls.right_den and cls.ass_l_mask == 1 << r.zero):
+    if not (regular_den(r, cls) and cls.right_den):
         raise EngineInvariantError(f"{r.label}: unit group fails the denominator re-check")
     return s
 
@@ -444,7 +434,7 @@ def largest_set_assoc(r: RingTable, amask: Mask, exhaustive_order: int = EXHAUST
 
 def t_l(r: RingTable, pmask: Mask) -> MultSet:
     """Preimage of the units of R/p at a prime p (candidate Ore set)."""
-    if pmask == r.full_mask() or not prime_flags(r, pmask).is_prime:
+    if not prime_flags(r, pmask).is_prime:
         raise RingError("t_l is defined at prime ideals")
     return MultSet(r, _unit_preimage(r, pmask))
 
@@ -461,7 +451,7 @@ def check_epimorphic_den_b14(loc: Localization, bmask: Mask) -> bool:
     q, hom = make_quotient(loc.ring, bmask)
     s_img = hom.push_mask(loc.mult_set.mask)
     cls = ore_flags(q, s_img)
-    lhs = cls.left_den and cls.ass_l_mask == 1 << q.zero
+    lhs = regular_den(q, cls)
     rhs = s_img & ~regular_mask(q) == 0
     return lhs == rhs
 
@@ -480,7 +470,7 @@ def check_epimorphic_den_c14(loc: Localization, bmask: Mask) -> bool:
         raise EngineInvariantError(f"{r.label}: intermediate vanishing set is not an ideal")
     q2, hom2 = make_quotient(q, cbar)
     cls = ore_flags(q2, hom2.push_mask(s_img))
-    lhs = cls.left_den and cls.ass_l_mask == 1 << q2.zero
+    lhs = regular_den(q2, cls)
     rhs = all(
         cbar >> x & 1
         for x in q.elements()

@@ -102,7 +102,7 @@ def render_monomial(exp: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def make_monomial_ring(nvars: int, gens, degree_bound: int | None = None) -> CommMonomialRing:
+def make_monomial_ring(nvars: int, gens) -> CommMonomialRing:
     if nvars < 1:
         raise RingError("need at least one variable")
     check_var_count(nvars)
@@ -112,10 +112,7 @@ def make_monomial_ring(nvars: int, gens, degree_bound: int | None = None) -> Com
         if len(g) != nvars or any(e < 0 for e in g):
             raise RingError(f"bad exponent vector {g}")
         norm.append(g)
-    return CommMonomialRing(
-        nvars, minimize_generators(norm),
-        default_degree_bound(nvars) if degree_bound is None else degree_bound,
-    )
+    return CommMonomialRing(nvars, minimize_generators(norm), default_degree_bound(nvars))
 
 
 def monomial_in_ideal(exp: tuple[int, ...], gens) -> bool:
@@ -390,11 +387,10 @@ def an_multiply(a: AnAlgebra, m1: NCMonomial, m2: NCMonomial) -> NCMonomial:
                       False, wmask, zmask)
 
 
-def an_monomials(a: AnAlgebra, max_degree: int | None = None):
-    """All nonzero normal forms of total degree <= bound, deterministic order."""
-    bound = a.degree_bound if max_degree is None else max_degree
+def an_monomials(a: AnAlgebra):
+    """All nonzero normal forms of total degree <= the bound, deterministic order."""
     letters = range(1, a.letters + 1)
-    for total in range(bound + 1):
+    for total in range(a.degree_bound + 1):
         for wlen in range(total + 1):
             zparts = [(zexp, _z_mask(zexp)) for zexp in exponent_vectors(total - wlen, a.pairs)]
             for word in itertools.product(letters, repeat=wlen):

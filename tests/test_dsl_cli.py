@@ -254,6 +254,21 @@ def test_cli_zmod_honours_the_order_cap(capsys, monkeypatch):
     assert "zmod(40) has order 40 > cap 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["mat(120, gf(2))", "mat(5000, gf(2))", "tri(170, gf(2))"])
+def test_cli_matrix_size_budget_is_checked_before_any_slot(capsys, text):
+    # the order 2^(k*k) has thousands of digits; the message must not spell it out
+    assert main(["describe", text]) == 3
+    err = capsys.readouterr().err
+    assert "> cap 16" in err and len(err) < 100, err
+
+
+@pytest.mark.parametrize("text", ["mat(0, gf(2))", "tri(0, gf(2))"])
+def test_cli_matrix_size_below_one_is_a_usage_error(capsys, text):
+    assert main(["describe", text]) == 2
+    err = capsys.readouterr().err
+    assert "k >= 1, got k = 0" in err and "audit" not in err, err
+
+
 def test_cli_verify_rejects_jobs_below_one(capsys):
     for jobs in ("0", "-1"):
         assert main(["verify", "--suite", "A11Sep23", "--max-order", "6", "--jobs", jobs]) == 2
@@ -377,16 +392,9 @@ def test_cli_closed_stdout_ends_quietly():
     assert code == 2
 
 
-@pytest.mark.parametrize("script", ["run_verify.py", "corpus_survey.py"])
+@pytest.mark.parametrize("script", ["corpus_survey.py"])
 def test_scripts_reject_max_order_below_one(script):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--max-order", "0"],
                           env=ENV, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert "--max-order: must be at least 1" in done.stderr
-
-
-def test_run_verify_script_rejects_jobs_below_one():
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_verify.py"), "--jobs", "0"],
-                          env=ENV, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 2
-    assert "--jobs: must be at least 1" in done.stderr

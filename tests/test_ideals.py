@@ -7,6 +7,7 @@ from orespec.finring import (
     mask_of,
 )
 from orespec.ideals import (
+    PrimeReport,
     all_ideal_masks,
     all_ideal_masks_exhaustive,
     ideal_closure_mask,
@@ -21,6 +22,7 @@ from orespec.ideals import (
     min_prime_masks_over,
     nilpotency_index,
     prime_flags,
+    prime_masks,
     prime_radical_mask,
     prime_rich_violation,
     strongly_nilpotent_mask,
@@ -107,6 +109,13 @@ def test_classification_examples(z12, m2f2):
     pf = make_product(make_gf(2), make_gf(3))
     maximal = mask_of(x for x in range(pf.order) if x < 3)  # gf(2) slot = 0
     assert prime_flags(pf, maximal).is_prime
+
+
+def test_the_whole_ring_carries_no_prime_flag(sample_rings):
+    # primes are proper, so callers may pass every ideal unguarded
+    for r in sample_rings:
+        assert prime_flags(r, r.full_mask()) == PrimeReport(False, False, False)
+        assert r.full_mask() not in prime_masks(r)
 
 
 def test_classification_monotonicity(sample_rings):

@@ -1,6 +1,6 @@
 import pytest
 
-from orespec.finring import bits, make_gf, make_quotient, mask_of, units_mask
+from orespec.finring import bits, make_gf, make_quotient, mask_of, regular_mask, units_mask
 from orespec.ideals import all_ideal_masks, ideal_closure_mask
 from orespec.localization import (
     MultSet,
@@ -20,6 +20,7 @@ from orespec.localization import (
     min_RS,
     min_RS_id,
     mult_set_masks,
+    regular_den,
     respects_prime_structure,
     t_l,
     vanishing_masks,
@@ -73,6 +74,14 @@ def test_classification_vanishing_ideals(z6):
     assert set(bits(cls.ass_l_mask)) == {0, 3}
     cls = classify_set(close_multiplicative(z6, [3]))
     assert set(bits(cls.ass_l_mask)) == {0, 2, 4}
+
+
+def test_regular_den_is_a_set_of_regular_elements(z6, t2f2):
+    assert regular_den(z6, classify_set(close_multiplicative(z6, [5])))
+    assert not regular_den(z6, classify_set(close_multiplicative(z6, [2])))  # ass_l = {0, 3}
+    for r in (z6, t2f2):
+        for s in left_denominator_sets(r):
+            assert regular_den(r, classify_set(s)) == (s.mask & ~regular_mask(r) == 0)
 
 
 def test_localize_examples(z6):

@@ -9,6 +9,7 @@ independent oracles the tests compare engine routes against.
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = ROOT / "src" / "orespec"
@@ -22,20 +23,17 @@ def _program_files():
         sorted((ROOT / "scripts").glob("*.py"))
 
 
-def _reads(node, skip):
-    """Names and attribute names read under node, except inside skip."""
-    if node is skip:
-        return
-    if isinstance(node, ast.Name):
-        yield node.id
-    elif isinstance(node, ast.Attribute):
-        yield node.attr
-    for child in ast.iter_child_nodes(node):
-        yield from _reads(child, skip)
+def _reads(node) -> Counter:
+    """How often each name or attribute name is read under node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
 
 
 def test_every_engine_name_is_used_outside_its_definition():
     trees = {p: ast.parse(p.read_text()) for p in _program_files()}
+    everywhere = sum((_reads(t) for t in trees.values()), Counter())
     unused = []
     for path, tree in trees.items():
         if path.parent != SRC:
@@ -45,7 +43,8 @@ def test_every_engine_name_is_used_outside_its_definition():
                 continue
             if node.name in KEPT_ORACLES:
                 continue
-            if not any(node.name in set(_reads(t, node)) for t in trees.values()):
+            # the reads outside a definition are all reads less its own
+            if everywhere[node.name] == _reads(node)[node.name]:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
 
