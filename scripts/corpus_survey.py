@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 
 from orespec.cli import positive_int
-from orespec.finring import is_commutative
+from orespec.finring import content, is_commutative
 from orespec.harness import CorpusConfig, build_corpus
 from orespec.ideals import all_ideal_masks, is_semiprime_ring, min_prime_masks_over
 from orespec.localization import left_denominator_sets, mult_set_masks
@@ -23,7 +23,9 @@ def main() -> int:
     cfg = CorpusConfig(order_cap=args.max_order)
     corpus = build_corpus(cfg)
     finite = [(i.provenance, i.build(cfg.order_cap)) for i in corpus if i.kind == "finite"]
-    print(f"{len(corpus)} instances; {len(finite)} finite")
+    distinct = len({content(r) for _, r in finite})
+    print(f"{len(corpus)} instances; {len(finite)} finite, "
+          f"{distinct} distinct table contents (what a run interns on)")
     print(f"{'provenance':<52} {'ord':>3} {'comm':>4} {'semi':>4} "
           f"{'ideals':>6} {'minpr':>5} {'msets':>5} {'dens':>4}")
     tally = Counter()

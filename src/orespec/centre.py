@@ -18,7 +18,7 @@ from .finring import (
     RingError,
     RingHom,
     RingTable,
-    _checked,
+    _audited,
     bits,
     centre_mask,
     is_commutative,
@@ -60,7 +60,9 @@ def centre_ring(r: RingTable) -> CentreData:
     add = tuple(tuple(index[r.add[a][b]] for b in elems) for a in elems)
     mul = tuple(tuple(index[r.mul[a][b]] for b in elems) for a in elems)
     names = tuple(r.name(v) for v in elems)
-    centre = _checked(RingTable(n, add, mul, index[r.zero], index[r.one],
+    # audited but never interned: the centre of a commutative ring would be
+    # the ring itself, and the centre criteria would compare it with itself
+    centre = _audited(RingTable(n, add, mul, index[r.zero], index[r.one],
                                 f"centre({r.label})", names))
     if not is_commutative(centre):
         raise EngineInvariantError(f"{r.label}: induced centre table is not commutative")
@@ -69,10 +71,9 @@ def centre_ring(r: RingTable) -> CentreData:
 
 @dataclass(frozen=True)
 class RestrictionMap:
-    table: tuple[tuple[Mask, Mask], ...]      # (prime mask, restricted mask) over Spec(R)
-    min_table: tuple[tuple[Mask, Mask], ...]  # the same over min(R)
-    well_defined: bool                        # every minimal prime restricts minimally
-    surjective_onto_min: bool                 # every minimal central prime is hit
+    table: tuple[tuple[Mask, Mask], ...]  # (prime mask, restricted mask) over Spec(R)
+    well_defined: bool                    # every minimal prime restricts minimally
+    surjective_onto_min: bool             # every minimal central prime is hit
 
 
 @memo
@@ -87,7 +88,7 @@ def rho(r: RingTable) -> RestrictionMap:
     centre_mins = set(min_prime_masks(cd.centre))
     well = all(qm in centre_mins for _, qm in min_table)
     surj = centre_mins <= {qm for _, qm in min_table}
-    return RestrictionMap(table, min_table, well, surj)
+    return RestrictionMap(table, well, surj)
 
 
 def _central_regulars(r: RingTable) -> Mask:

@@ -57,7 +57,6 @@ from .localization import (
     ore_flags,
 )
 from .monomial import (
-    CommMonomialRing,
     DegreeBudgetError,
     an_build,
     an_min_primes,
@@ -213,9 +212,10 @@ def cmd_rho(args) -> int:
 
 
 def cmd_mono(args) -> int:
-    obj = evaluate(parse_ring_expr(args.expr), None)
-    if not isinstance(obj, CommMonomialRing):
+    expr = parse_ring_expr(args.expr)
+    if expr.kind != "mono":  # before evaluating: a finite operand has no order cap here
         raise RingError("mono subcommands need a mono(...) expression")
+    obj = evaluate(expr, None)
     if args.action == "minprimes":
         for cover in min_primes_monomial(obj):
             print("(" + ",".join(f"v{i + 1}" for i in sorted(cover)) + ")")

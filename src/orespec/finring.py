@@ -8,10 +8,15 @@ sets, localizations) reduces to set algebra on small integers.
 Tables are immutable after construction and every constructor runs the full
 axiom audit (group laws, associativity, identities, distributivity), so a
 corrupted table is caught at the door rather than as a wrong theorem verdict.
+Within a verification run the constructors also intern their tables: a table
+whose content was already built in the run is replaced by the first one, so
+each content is audited once and its derived data is computed once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -223,11 +228,52 @@ def audit_ring(r: RingTable) -> list[str]:
     return bad
 
 
-def _checked(r: RingTable) -> RingTable:
+# content -> the run's table of that content; None outside a run
+_INTERN: contextvars.ContextVar[dict | None] = contextvars.ContextVar("intern", default=None)
+
+
+def content(r: RingTable) -> tuple:
+    """What makes two tables the same ring; labels and element names aside."""
+    return r.order, r.add, r.mul, r.zero, r.one
+
+
+@contextlib.contextmanager
+def interning():
+    """Within the block, constructors share one table object per content.
+
+    The objects themselves are shared, never their memo dicts: a memoised
+    RingHom is bound to the identity of the ring it was built on.
+    """
+    token = _INTERN.set({})
+    try:
+        yield
+    finally:
+        _INTERN.reset(token)
+
+
+def is_interned(r: RingTable) -> bool:
+    """Whether r is the current run's table for its content (so audited)."""
+    seen = _INTERN.get()
+    return seen is not None and seen.get(content(r)) is r
+
+
+def _audited(r: RingTable) -> RingTable:
     bad = audit_ring(r)
     if bad:
         raise EngineInvariantError(f"{r.label}: constructed table fails audit: {bad[0]}")
     return r
+
+
+def _checked(r: RingTable) -> RingTable:
+    """Audit a constructed table; within a run, audit each content once and
+    return the run's first table of r's content."""
+    seen = _INTERN.get()
+    if seen is None:
+        return _audited(r)
+    key = content(r)
+    if key not in seen:
+        seen[key] = _audited(r)
+    return seen[key]
 
 
 @memo

@@ -302,6 +302,19 @@ def test_cli_mono_variable_budget_is_checked_before_any_sweep(capsys, monkeypatc
     assert "40 variables > 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["mat(5, gf(2))", "zmod(40)", "an(n=1)"])
+def test_cli_mono_rejects_another_expression_before_building_it(capsys, monkeypatch, text):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a ring was built for a mono subcommand")
+
+    for name in ("make_zmod", "make_gf", "make_matrix_ring", "make_upper_triangular",
+                 "make_product", "make_quotient", "an_build"):
+        monkeypatch.setattr(f"orespec.dsl.{name}", no_ring)
+    for action in (["minprimes"], ["localize", "--invert", "1"]):
+        assert main(["mono", action[0], text, *action[1:]]) == 2
+        assert "mono subcommands need a mono(...) expression" in capsys.readouterr().err
+
+
 def test_mono_variable_budget_is_checked_before_any_exponent_vector(capsys, monkeypatch):
     def no_vector(*args):
         raise AssertionError("an exponent vector was built despite the variable budget")

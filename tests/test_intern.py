@@ -1,0 +1,97 @@
+"""Within a verification run, constructors share one table per content.
+
+The intern table lives only while `run_suite` runs: outside it every
+constructor returns a fresh object, and after it the tables it interned can
+be freed.  Centre tables are audited but never interned, so the centre of a
+commutative ring stays a table of its own.
+"""
+
+import gc
+import weakref
+from collections import Counter
+
+from orespec import finring, harness
+from orespec.centre import centre_ring
+from orespec.finring import _INTERN, content, interning, make_gf, make_product, make_zmod
+from orespec.harness import CorpusConfig, build_corpus, run_suite
+
+
+def _finite_corpus(cfg):
+    return [inst for inst in build_corpus(cfg) if inst.kind == "finite"]
+
+
+def _count_audits(monkeypatch) -> Counter:
+    """Audits per (content, is a centre table), from every caller."""
+    calls = Counter()
+    audit = finring.audit_ring
+
+    def counted(r):
+        calls[content(r), r.label.startswith("centre(")] += 1
+        return audit(r)
+
+    monkeypatch.setattr(finring, "audit_ring", counted)  # constructors and centre_ring
+    monkeypatch.setattr(harness, "audit_ring", counted)  # run_suite's audit loop
+    return calls
+
+
+def test_a_finite_run_audits_each_interned_content_once(monkeypatch):
+    cfg = CorpusConfig(order_cap=8)
+    corpus = _finite_corpus(cfg)
+    calls = _count_audits(monkeypatch)
+    run_suite(corpus, cfg=cfg)
+    interned = {key: n for (key, centre), n in calls.items() if not centre}
+    assert {content(inst.build(cfg.order_cap)) for inst in corpus} <= interned.keys()
+    assert set(interned.values()) == {1}
+
+
+def test_the_default_finite_pass_audits_under_a_hundred_tables(monkeypatch):
+    cfg = CorpusConfig()
+    corpus = _finite_corpus(cfg)
+    calls = _count_audits(monkeypatch)
+    run_suite(corpus, cfg=cfg)
+    assert sum(calls.values()) < 100  # one per table built, 2,369 before interning
+
+
+def test_outside_a_run_nothing_is_interned():
+    assert _INTERN.get() is None
+    assert make_zmod(4) is not make_zmod(4)
+    assert make_gf(2) is not make_zmod(2)
+
+
+def test_inside_a_run_one_table_per_content():
+    with interning():
+        z2 = make_zmod(2)
+        assert make_zmod(2) is z2 and make_gf(2) is z2
+        assert make_product(z2, make_zmod(3)) is make_product(make_gf(2), make_zmod(3))
+        assert make_zmod(4) is not z2
+    assert _INTERN.get() is None
+    assert make_zmod(2) is not z2
+
+
+def test_the_centre_of_a_commutative_ring_stays_its_own_table():
+    with interning():
+        r = make_zmod(6)
+        centre = centre_ring(r).centre
+        assert content(centre) == content(r)
+        assert centre is not r
+
+
+def test_an_injected_fault_is_audited_in_the_run():
+    cfg = CorpusConfig(order_cap=4)
+    corpus = _finite_corpus(cfg)
+    corpus[0] = harness.inject_table_fault(corpus[0], cfg)
+    audit = run_suite(corpus, ("A11Sep23",), cfg)[0]
+    assert [cx.provenance for cx in audit.counterexamples] == [corpus[0].provenance]
+
+
+def test_a_serial_run_keeps_no_reference_to_its_tables():
+    cfg = CorpusConfig(order_cap=4)
+    corpus = build_corpus(cfg)
+    run_suite(corpus, ("A11Sep23",), cfg)
+    assert _INTERN.get() is None
+    ring = corpus[0].build(cfg.order_cap)  # built, and interned, during the run
+
+    ref = weakref.ref(ring)
+    del corpus, ring
+    gc.collect()
+    assert ref() is None

@@ -5,18 +5,28 @@ engine's answers is known without knowing the answers.
     reports the same status, case count and clause on the relabelled table.
 (b) The opposite ring, with the multiplication table transposed, swaps the
     left and right outputs of the Ore classification.
+(c) Interning tables within a run changes no byte of the machine report.
 
-Both run over every distinct finite table of the default corpus with a fixed
-seed, so a failure is reproducible.
+(a) and (b) run over every distinct finite table of the default corpus with
+a fixed seed, so a failure is reproducible.
 """
 
+import contextlib
 import random
 
 import pytest
 
+from orespec import harness
 from orespec.checks import COVERAGE
-from orespec.finring import RingTable, audit_ring
-from orespec.harness import CorpusConfig, Instance, _run_checks_on_instance, build_corpus
+from orespec.finring import RingTable, audit_ring, content
+from orespec.harness import (
+    CorpusConfig,
+    Instance,
+    _run_checks_on_instance,
+    build_corpus,
+    render_machine,
+    run_suite,
+)
 from orespec.localization import mult_set_masks, ore_flags
 
 CFG = CorpusConfig()
@@ -32,9 +42,8 @@ def tables():
         if inst.kind != "finite":
             continue
         r = inst.build(CFG.order_cap)
-        content = (r.add, r.mul, r.zero, r.one)
-        if content not in seen:
-            seen.add(content)
+        if content(r) not in seen:
+            seen.add(content(r))
             out.append((inst, r))
     return out
 
@@ -91,3 +100,15 @@ def test_the_opposite_ring_swaps_left_and_right_ore_flags(tables):
             asymmetric += (a.left_ore, a.left_den, a.ass_l_mask) != (a.right_ore, a.right_den,
                                                                    a.ass_r_mask)
     assert asymmetric > 0  # the swap is not vacuous on the corpus
+
+
+def test_interning_changes_no_byte_of_the_report(monkeypatch):
+    cfg = CorpusConfig(order_cap=8)
+
+    def report():
+        corpus = [inst for inst in build_corpus(cfg) if inst.kind == "finite"]
+        return render_machine(run_suite(corpus, cfg=cfg))
+
+    interned = report()
+    monkeypatch.setattr(harness, "interning", contextlib.nullcontext)
+    assert report() == interned
