@@ -6,7 +6,9 @@ Every finite instance passes the full axiom audit before any claim check runs,
 so an injected table fault surfaces as a counterexample of the audit report,
 never as a bogus theorem verdict.  Reports are deterministic for a fixed
 configuration regardless of the worker count: results are merged in corpus
-order and wall time lives outside the comparable body.
+order and wall time lives outside the comparable body.  The checks run once
+per distinct payload object, and each instance built on it gets the outcome
+under its own provenance.
 """
 
 from __future__ import annotations
@@ -247,26 +249,30 @@ def run_suite(
             good.append(inst)
         audit.wall_ms = (time.perf_counter() - t0) * 1000
 
-        tasks = [(i, ids) for i in range(len(good))]
+        # A check reads only the payload, so the instances built on one object
+        # share its outcome: one task per object, run on its first instance.
+        heads: dict[int, int] = {}  # id(payload) -> index of its first instance
+        head_of = [heads.setdefault(id(inst.build(cfg.order_cap)), i)
+                   for i, inst in enumerate(good)]
+        tasks = [(i, ids) for i in heads.values()]
         if jobs > 1:
             _WORKER_STATE["corpus"] = good
             _WORKER_STATE["cfg"] = cfg
             try:
                 ctx = multiprocessing.get_context("fork")
                 with ctx.Pool(jobs) as pool:
-                    results = pool.map(_worker, tasks)
+                    rows = dict(pool.map(_worker, tasks))
             finally:
                 _WORKER_STATE.clear()
-            results.sort(key=lambda pair: pair[0])
-            merged = [row for _, row in results]
         else:
-            merged = [_run_checks_on_instance(good[i], ids, cfg) for i, _ in tasks]
+            rows = {i: _run_checks_on_instance(good[i], ids, cfg) for i, _ in tasks}
 
-    for inst, row in zip(good, merged):
-        for cid, outcome, dt in row:
+    for i, (inst, head) in enumerate(zip(good, head_of)):
+        for cid, outcome, dt in rows[head]:
             rep = reports[cid]
             rep.considered += 1
-            rep.wall_ms += dt
+            if i == head:  # each evaluation's time counts once
+                rep.wall_ms += dt
             if outcome.status == "na":
                 continue
             rep.applicable += 1

@@ -3,17 +3,22 @@
 The intern table lives only while `run_suite` runs: outside it every
 constructor returns a fresh object, and after it the tables it interned can
 be freed.  Centre tables are audited but never interned, so the centre of a
-commutative ring stays a table of its own.
+commutative ring stays a table of its own.  The checks run once per table
+object, and every instance built on it reports under its own provenance.
 """
 
 import gc
 import weakref
 from collections import Counter
 
+import pytest
+
 from orespec import finring, harness
 from orespec.centre import centre_ring
+from orespec.checks import REGISTRY, TheoremCheck
+from orespec.dsl import parse_ring_expr
 from orespec.finring import _INTERN, content, interning, make_gf, make_product, make_zmod
-from orespec.harness import CorpusConfig, build_corpus, run_suite
+from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
 
 
 def _finite_corpus(cfg):
@@ -50,6 +55,54 @@ def test_the_default_finite_pass_audits_under_a_hundred_tables(monkeypatch):
     calls = _count_audits(monkeypatch)
     run_suite(corpus, cfg=cfg)
     assert sum(calls.values()) < 100  # one per table built, 2,369 before interning
+
+
+def _count_evaluations(monkeypatch) -> list[str]:
+    """The provenance of every instance the checks are run on."""
+    calls = []
+    run_checks = harness._run_checks_on_instance
+
+    def counted(inst, ids, cfg):
+        calls.append(inst.provenance)
+        return run_checks(inst, ids, cfg)
+
+    monkeypatch.setattr(harness, "_run_checks_on_instance", counted)
+    return calls
+
+
+def test_a_finite_pass_runs_the_checks_once_per_table(monkeypatch):
+    cfg = CorpusConfig()
+    corpus = _finite_corpus(cfg)
+    calls = _count_evaluations(monkeypatch)
+    run_suite(corpus, cfg=cfg)
+    assert len(calls) == len({content(inst.build(cfg.order_cap)) for inst in corpus}) == 43
+    assert len(corpus) == 184
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_repeat_instance_reports_under_its_own_provenance(monkeypatch, jobs):
+    z2 = content(make_zmod(2))
+
+    def fails_on_z2(r, cfg):
+        if content(r) == z2:
+            yield "fails on Z/2", r.label
+        yield
+
+    monkeypatch.setitem(
+        REGISTRY, "z2", (TheoremCheck("z2", ("finite",), "fails on Z/2"), {"finite": fails_on_z2})
+    )
+    corpus = [Instance("finite", text, parse_ring_expr(text))
+              for text in ("zmod(2)", "zmod(3)", "gf(2)")]
+    calls = _count_evaluations(monkeypatch)
+    rep = run_suite(corpus, ("z2",), CorpusConfig(order_cap=4), jobs=jobs)[1]
+    assert corpus[0].build() is corpus[2].build()  # gf(2) repeats zmod(2)'s table
+    assert (rep.considered, rep.applicable, rep.passed) == (3, 3, 1)
+    assert [(cx.provenance, cx.clause, cx.detail) for cx in rep.counterexamples] == [
+        ("zmod(2)", "fails on Z/2", "zmod(2)"),
+        ("gf(2)", "fails on Z/2", "zmod(2)"),
+    ]
+    if jobs == 1:  # forked workers count in their own copy
+        assert calls == ["zmod(2)", "zmod(3)"]
 
 
 def test_outside_a_run_nothing_is_interned():

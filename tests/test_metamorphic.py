@@ -3,21 +3,27 @@ engine's answers is known without knowing the answers.
 
 (a) Renaming the elements of a finite ring changes no verdict: every check
     reports the same status, case count and clause on the relabelled table.
-(b) The opposite ring, with the multiplication table transposed, swaps the
+(b) Permuting the variables of a monomial quotient changes no verdict.
+(c) Swapping the factors of a product changes no verdict.
+(d) The opposite ring, with the multiplication table transposed, swaps the
     left and right outputs of the Ore classification.
-(c) Interning tables within a run changes no byte of the machine report.
+(e) Interning tables within a run, and so running the checks once per
+    table, changes no byte of the machine report, serial or pooled.
 
-(a) and (b) run over every distinct finite table of the default corpus with
-a fixed seed, so a failure is reproducible.
+(a) and (d) run over every distinct finite table of the default corpus with
+a fixed seed, so a failure is reproducible; (b) and (c) over every monomial
+and every product instance of it.
 """
 
 import contextlib
+import itertools
 import random
 
 import pytest
 
 from orespec import harness
 from orespec.checks import COVERAGE
+from orespec.dsl import RingExpr, evaluate
 from orespec.finring import RingTable, audit_ring, content
 from orespec.harness import (
     CorpusConfig,
@@ -62,7 +68,7 @@ def _opposite(r: RingTable) -> RingTable:
     return RingTable(r.order, r.add, mul, r.zero, r.one, f"op({r.label})", r.names)
 
 
-def _verdicts(inst: Instance, ring: RingTable):
+def _verdicts(inst: Instance, ring):
     """(check, status, cases, clause) of every check on ring; the detail names
     element ids, so it is left out."""
     run = _run_checks_on_instance(Instance(inst.kind, inst.provenance, inst.expr, ring),
@@ -87,6 +93,34 @@ def test_relabelling_elements_changes_no_verdict(tables):
     assert moved_zero >= 30  # the relation reaches tables whose zero is not id 0
 
 
+def test_permuting_monomial_variables_changes_no_verdict():
+    runs = 0
+    for inst in build_corpus(CFG):
+        if inst.kind != "monomial":
+            continue
+        e = inst.expr
+        expected = _verdicts(inst, inst.build(CFG.order_cap))
+        for perm in itertools.permutations(range(e.ints[0])):
+            gens = tuple(tuple(g[p] for p in perm) for g in e.gens)
+            twin = evaluate(RingExpr("mono", e.ints, (), gens), CFG.order_cap)
+            assert _verdicts(inst, twin) == expected, (inst.provenance, perm)
+            runs += 1
+    assert runs == 126  # 26 instances in up to 3 variables
+
+
+def test_swapping_the_factors_of_a_product_changes_no_verdict():
+    pairs = 0
+    for inst in build_corpus(CFG):
+        e = inst.expr
+        if e.kind != "prod" or e.subs[0] == e.subs[1]:
+            continue
+        twin = evaluate(RingExpr("prod", (), e.subs[::-1]), CFG.order_cap)
+        assert _verdicts(inst, twin) == _verdicts(inst, inst.build(CFG.order_cap)), \
+            inst.provenance
+        pairs += 1
+    assert pairs == 27
+
+
 def test_the_opposite_ring_swaps_left_and_right_ore_flags(tables):
     asymmetric = 0
     for _, r in tables:
@@ -103,12 +137,16 @@ def test_the_opposite_ring_swaps_left_and_right_ore_flags(tables):
 
 
 def test_interning_changes_no_byte_of_the_report(monkeypatch):
+    # with interning off every instance is a table, and a task, of its own
     cfg = CorpusConfig(order_cap=8)
 
-    def report():
-        corpus = [inst for inst in build_corpus(cfg) if inst.kind == "finite"]
-        return render_machine(run_suite(corpus, cfg=cfg))
+    def reports():
+        return [
+            render_machine(run_suite([inst for inst in build_corpus(cfg) if inst.kind == "finite"],
+                                     cfg=cfg, jobs=jobs))
+            for jobs in (1, 2)
+        ]
 
-    interned = report()
+    interned = reports()
     monkeypatch.setattr(harness, "interning", contextlib.nullcontext)
-    assert report() == interned
+    assert reports() == interned
