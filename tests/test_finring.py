@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from orespec.dsl import evaluate
 from orespec.finring import (
     InvalidOrderError,
     RingHom,
@@ -22,6 +23,7 @@ from orespec.finring import (
     regular_mask,
     units_mask,
 )
+from orespec.harness import CorpusConfig, build_corpus
 from orespec.ideals import all_ideal_masks, ideal_closure_mask
 
 # matrix-unit ids in tri(2, gf(2)): digits over slots (0,0),(0,1),(1,1)
@@ -107,6 +109,19 @@ def test_product_is_crt_isomorphic_to_zmod6():
     crt = RingHom(make_zmod(6), p, tuple((x % 2) * 3 + (x % 3) for x in range(6)))
     assert crt.verify() == []
     assert crt.is_bijective()
+
+
+def test_product_projections_are_homomorphisms():
+    # a make_product that built A x B^op kept every verdict of the corpus, so
+    # only the projections pin the orientation of each factor
+    cfg = CorpusConfig()
+    products = [inst.expr for inst in build_corpus(cfg) if inst.expr.kind == "prod"]
+    for e in products:
+        p, a, b = (evaluate(x, cfg.order_cap) for x in (e, *e.subs))
+        to_a = RingHom(p, a, tuple(x // b.order for x in p.elements()))
+        to_b = RingHom(p, b, tuple(x % b.order for x in p.elements()))
+        assert to_a.verify() == [] and to_b.verify() == [], p.label
+    assert len(products) == 33
 
 
 def test_product_order_and_ideal_count():

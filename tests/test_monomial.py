@@ -5,6 +5,7 @@ import pytest
 
 from orespec import monomial as mono
 from orespec.cli import main
+from orespec.finring import subsets
 from orespec.monomial import (
     AnAlgebra,
     AnPrime,
@@ -36,6 +37,7 @@ from orespec.monomial import (
     saturate_monomial,
     support,
 )
+from test_fail_paths import _zero_at_top_degree
 
 # ---------------------------------------------------------------------------
 # commutative monomial quotients
@@ -297,6 +299,71 @@ def test_products_above_the_degree_bound_stay_exact():
 
 
 # ---------------------------------------------------------------------------
+# the class-representative scans against full per-monomial scans
+
+
+def _full_zero_divisor(a, p):
+    """The first product of two normal forms outside p that lands in p, over
+    every pair, in the order of _zero_divisor's degree buckets."""
+    outside = [m for m in an_monomials(a) if not p.contains(m)]
+    by_degree = {d: [m for m in outside if m.degree() == d]
+                 for d in dict.fromkeys(m.degree() for m in outside)}
+    for d1, d2 in itertools.product(by_degree, repeat=2):
+        if d1 + d2 > a.degree_bound:
+            continue
+        for m1, m2 in itertools.product(by_degree[d1], by_degree[d2]):
+            prod = mono.an_multiply(a, m1, m2)
+            if prod.is_zero or p.contains(prod):
+                return f"{m1} * {m2}"
+    return None
+
+
+def _full_vanishing_mismatch(a, V):
+    """The vanishing-ideal verdict of a scan over every normal form."""
+    zfull = NCMonomial((), tuple(int(i + 1 in V) for i in range(a.pairs)))
+    for m in an_monomials(a):
+        killed = mono.an_multiply(a, mono.an_multiply(a, zfull, m), zfull).is_zero
+        if killed != bool(m.word_support() & V):
+            return "vanishing ideal", f"V={sorted(V)}: mismatch at {m}"
+    return None
+
+
+def _zero_at_top_degree_on_two_letters(fn):
+    # a lie that reads only degree and masks, like the scans, but fires on
+    # classes with many members, so a scan over any other member than the
+    # first of its class reports a different witness
+    def lying(a, m1, m2):
+        prod = fn(a, m1, m2)
+        if prod.degree() == a.degree_bound and prod.wmask.bit_count() >= 2:
+            return mono.an_zero(a)
+        return prod
+    return lying
+
+
+@pytest.mark.parametrize("lie", [
+    pytest.param(None, id="honest"),
+    pytest.param(_zero_at_top_degree, id="zero_at_top_degree"),
+    pytest.param(_zero_at_top_degree_on_two_letters, id="two_letters"),
+])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_scans_match_the_full_scans(monkeypatch, n, lie):
+    lying = lie is not None
+    if lying:
+        monkeypatch.setattr(mono, "an_multiply", lie(mono.an_multiply))
+    a = an_build(n, default_degree_bound(n))  # fresh, so no memoised verdict answers
+    witnesses = [mono._zero_divisor(a, p) for p in an_min_primes(a)]
+    assert witnesses == [_full_zero_divisor(a, p) for p in an_min_primes(a)]
+    assert any(witnesses) == lying
+    mismatches = []
+    for V in map(frozenset, subsets(range(1, n + 1), 1)):
+        verdict = mono._an_localize_verdict(a, V)
+        full = _full_vanishing_mismatch(a, V)
+        assert verdict == full if full else verdict is None
+        mismatches.append(full)
+    assert any(mismatches) == lying
+
+
+# ---------------------------------------------------------------------------
 # the masked normal forms against the plain definition
 
 
@@ -390,3 +457,11 @@ def test_an_budget_is_checked_before_any_enumeration(capsys, monkeypatch):
     with pytest.raises(DegreeBudgetError):
         an_build(3, 8)
     assert an_build(3, 7).degree_bound == 7
+
+
+def test_the_largest_admitted_algebras_verify(capsys):
+    # the two largest algebras under MAX_AN_MONOMIALS, and the next degree up
+    assert an_verify(an_build(2, 8)) is None
+    assert an_verify(an_build(3, 7)) is None
+    assert main(["an", "verify", "--n", "3", "--degree", "8"]) == 3
+    assert "583355 monomials" in capsys.readouterr().err
