@@ -215,8 +215,12 @@ def check_a11_vacuity(r: RingTable, cfg):
         t = loc.target
         inv = inverse_table(t)
         li = localize_left_ideal(loc, m)
+        # the chain depends on s only through u = sigma(s)^-1; the first
+        # member with each u names it
+        first_member = {}
         for sm in s.members():
-            u = inv[loc.sigma(sm)]
+            first_member.setdefault(inv[loc.sigma(sm)], sm)
+        for u, sm in first_member.items():
             order_u, power = 1, u
             while power != t.one:
                 power = t.mul[power][u]

@@ -81,8 +81,11 @@ def _eval_ring(text: str, cap: int) -> RingTable:
     return obj
 
 
-# The exhaustive enumeration costs 2^(N-1) closures per ring of order N: it is
-# quick at N = 16 and does not finish at N = 32.
+# The exhaustive enumeration, by closure extension, costs at most N - 1
+# closures per submonoid of a ring of order N, so its time follows the number
+# of submonoids: 10 ms for the 209 of prod(prod(gf(2), gf(2)), prod(gf(2),
+# gf(2))) at N = 16, but 101,455 submonoids and about 3 minutes for
+# prod(tri(2, gf(2)), tri(2, gf(2))) at N = 64.
 MAX_EXHAUSTIVE_ORDER = 16
 
 

@@ -144,17 +144,28 @@ def close_multiplicative(r: RingTable, gens) -> MultSet:
 def mult_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     """All multiplicative submonoids (without 0) up to the exhaustive order.
 
-    Up to the threshold these are closures of all subsets of nonzero elements,
-    which is the full list because every submonoid is its own closure.  Above
-    it, only closures of singletons and pairs are produced.
+    Up to the threshold these are found by closure extension: starting from
+    the closure of {1}, every submonoid found is extended by each nonzero
+    element outside it and closed again, keeping the closures that avoid 0.
+    A submonoid is reached by adding its generators one at a time, so this is
+    the full list, at most N - 1 closures per submonoid.  Above the
+    threshold, only closures of singletons and pairs are produced.
     """
     nonzero = [x for x in r.elements() if x != r.zero]
     if r.order > exhaustive_order:
         return pair_closure_masks(r, nonzero)
-    seeds = [0]  # every subset of nonzero, as a mask
-    for x in nonzero:
-        seeds += [m | 1 << x for m in seeds]
-    return _zero_free_closures(r, seeds)
+    start, witness = closure_with_witness(r, 0)
+    found = set() if witness else {start}
+    queue = list(found)
+    for mask in queue:  # breadth-first: the queue grows as submonoids are found
+        for x in nonzero:
+            if mask >> x & 1:
+                continue
+            closed, witness = closure_with_witness(r, mask | 1 << x)
+            if witness is None and closed not in found:
+                found.add(closed)
+                queue.append(closed)
+    return _by_size(found)
 
 
 def pair_closure_masks(r: RingTable, elems: list[int]) -> tuple[Mask, ...]:
@@ -162,16 +173,16 @@ def pair_closure_masks(r: RingTable, elems: list[int]) -> tuple[Mask, ...]:
     the pairs drawn from elems."""
     seeds = [0] + [1 << x for x in elems]
     seeds += [(1 << a) | (1 << b) for i, a in enumerate(elems) for b in elems[i + 1:]]
-    return _zero_free_closures(r, seeds)
-
-
-def _zero_free_closures(r: RingTable, seeds) -> tuple[Mask, ...]:
     found = set()
     for gens in seeds:
         mask, witness = closure_with_witness(r, gens)
         if witness is None:
             found.add(mask)
-    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+    return _by_size(found)
+
+
+def _by_size(masks) -> tuple[Mask, ...]:
+    return tuple(sorted(masks, key=lambda m: (popcount(m), m)))
 
 
 def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
@@ -288,6 +299,35 @@ def localize_left_ideal(loc: Localization, source_mask: Mask) -> LocalizedLeftId
 # ---------------------------------------------------------------------------
 # the five-way localized-ideal criterion
 
+def _absorbs_unit_inverses(loc: Localization, ideal_mask: Mask, bmask: Mask) -> bool:
+    """sigma(x) * sigma(s)^{-1} lies in the target's ideal_mask for every x in b
+    and s in S; the product depends on x and s only through their images, so
+    it runs over the distinct images."""
+    t = loc.target
+    inv = inverse_table(t)
+    unit_inverses = [inv[u] for u in bits(loc.sigma.push_mask(loc.mult_set.mask))]
+    return all(
+        ideal_mask >> t.mul[y][u] & 1
+        for y in bits(loc.sigma.push_mask(bmask)) for u in unit_inverses
+    )
+
+
+def _pushes_into_pulls(r: RingTable, smembers: list[int], target_mask: Mask) -> bool:
+    """{x : xs in target for some s in S} lies in {x : sx in target for some s}."""
+    pushed = pulled = 0
+    for x in r.elements():
+        row = r.mul[x]
+        for s in smembers:
+            if target_mask >> row[s] & 1:
+                pushed |= 1 << x
+                break
+        for s in smembers:
+            if target_mask >> r.mul[s][x] & 1:
+                pulled |= 1 << x
+                break
+    return not pushed & ~pulled
+
+
 def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | None:
     """Five independent evaluations of 'the localized left ideal is two-sided':
     ("five-way agreement", witness) when they disagree, otherwise None.
@@ -307,28 +347,13 @@ def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | N
 
     local = localize_left_ideal(loc, bmask)
     c1 = local.two_sided
-
-    t = loc.target
-    inv = inverse_table(t)
-    c2 = all(
-        local.mask >> t.mul[loc.sigma(x)][inv[loc.sigma(s)]] & 1
-        for x in bits(bmask) for s in smembers
-    )
-
-    def push_condition(target_mask: Mask) -> bool:
-        for x in r.elements():
-            row = r.mul[x]
-            if any(target_mask >> row[s] & 1 for s in smembers):
-                if not any(target_mask >> r.mul[s][x] & 1 for s in smembers):
-                    return False
-        return True
-
-    c3 = push_condition(bmask)
+    c2 = _absorbs_unit_inverses(loc, local.mask, bmask)
+    c3 = _pushes_into_pulls(r, smembers, bmask)
     ab = ideal_sum_mask(r, loc.ass_mask, bmask)
     if ab == r.full_mask():
         c4 = c5 = True
     else:
-        c4 = push_condition(ab)
+        c4 = _pushes_into_pulls(r, smembers, ab)
         q, hom = make_quotient(r, ab)
         tor_l, tor_r = vanishing_masks(q, hom.push_mask(loc.mult_set.mask))
         c5 = tor_r & ~tor_l == 0

@@ -1,8 +1,24 @@
+import dataclasses
+
 import pytest
 
-from orespec.finring import bits, make_gf, make_quotient, mask_of, regular_mask, units_mask
-from orespec.ideals import all_ideal_masks, ideal_closure_mask
+from orespec import checks, localization
+from orespec.checks import decide
+from orespec.dsl import evaluate, parse_ring_expr
+from orespec.finring import (
+    bits,
+    inverse_table,
+    make_gf,
+    make_quotient,
+    mask_of,
+    popcount,
+    regular_mask,
+    units_mask,
+)
+from orespec.harness import CorpusConfig
+from orespec.ideals import LEFT, additive_closure, all_ideal_masks, ideal_closure_mask, ideal_sum_mask
 from orespec.localization import (
+    EXHAUSTIVE_MULT_ORDER,
     MultSet,
     NotInAssError,
     ZeroAbsorbedError,
@@ -11,6 +27,7 @@ from orespec.localization import (
     check_epimorphic_den_b14,
     classify_set,
     close_multiplicative,
+    closure_with_witness,
     largest_regular_set,
     largest_set_assoc,
     left_denominator_sets,
@@ -25,6 +42,8 @@ from orespec.localization import (
     t_l,
     vanishing_masks,
 )
+
+from test_fail_paths import LIES, _lie
 
 T2_E11 = 1
 T2_UNIT_UPPER = 7  # [[1,1],[0,1]]
@@ -188,3 +207,188 @@ def test_epimorphic_image_criterion(z12):
     q, hom = make_quotient(z12, four)
     cls = classify_set(MultSet(q, hom.push_mask(s.mask)))
     assert cls.left_den and cls.ass_l_mask == 1 << q.zero
+
+
+# ---------------------------------------------------------------------------
+# the submonoid enumeration and the A11 criteria against the per-element
+# sweeps they replace
+
+
+def _closures_of_all_subsets(r):
+    """The zero-free closures of all subsets of nonzero elements, sorted by
+    (size, mask): the subset sweep that closure extension replaces."""
+    seeds = [0]
+    for x in r.elements():
+        if x != r.zero:
+            seeds += [m | 1 << x for m in seeds]
+    found = set()
+    for gens in seeds:
+        mask, witness = closure_with_witness(r, gens)
+        if witness is None:
+            found.add(mask)
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+
+
+def _exhaustive_tables(corpus_tables):
+    return [r for _, r in corpus_tables if r.order <= EXHAUSTIVE_MULT_ORDER]
+
+
+def test_closure_extension_lists_the_subset_closures_in_order(corpus_tables):
+    tables = _exhaustive_tables(corpus_tables)
+    assert len(tables) == 28
+    for r in tables:
+        assert mult_set_masks(r) == _closures_of_all_subsets(r), r.label
+
+
+@pytest.mark.parametrize("expr, count", [
+    ("prod(zmod(2), tri(2, gf(2)))", 93),
+    ("prod(prod(gf(2), gf(2)), prod(gf(2), gf(2)))", 209),
+])
+def test_closure_extension_at_order_16(expr, count):
+    r = evaluate(parse_ring_expr(expr), 16)
+    sets = mult_set_masks(r, 16)
+    assert len(sets) == count
+    assert sets == _closures_of_all_subsets(r)
+
+
+def test_closure_extension_closes_at_most_n_minus_1_times_per_submonoid(
+        corpus_tables, monkeypatch):
+    calls = 0
+
+    def counting(r, gens):
+        nonlocal calls
+        calls += 1
+        return closure_with_witness(r, gens)
+
+    monkeypatch.setattr(localization, "closure_with_witness", counting)
+    for r in _exhaustive_tables(corpus_tables):
+        calls = 0
+        sets = mult_set_masks.__wrapped__(r, EXHAUSTIVE_MULT_ORDER)
+        assert 0 < calls <= len(sets) * (r.order - 1) + 1, r.label
+
+
+def _per_pair_push_condition(r, smembers, target_mask):
+    for x in r.elements():
+        row = r.mul[x]
+        if any(target_mask >> row[s] & 1 for s in smembers):
+            if not any(target_mask >> r.mul[s][x] & 1 for s in smembers):
+                return False
+    return True
+
+
+def _per_pair_unit_inverses(loc, ideal_mask, bmask):
+    t = loc.target
+    inv = inverse_table(t)
+    return all(
+        ideal_mask >> t.mul[loc.sigma(x)][inv[loc.sigma(s)]] & 1
+        for x in bits(bmask) for s in loc.mult_set.members()
+    )
+
+
+def test_a11_conditions_2_to_4_match_the_per_pair_loops(corpus_tables):
+    outcomes = set()  # both verdicts must occur, or the comparison shows nothing
+    for _, r in corpus_tables:
+        ideals = all_ideal_masks(r)
+        # conditions (3) and (4) on every ideal, for every submonoid
+        for smask in mult_set_masks(r):
+            members = list(bits(smask))
+            for b in ideals:
+                got = localization._pushes_into_pulls(r, members, b)
+                assert got == _per_pair_push_condition(r, members, b), (r.label, smask, b)
+                outcomes.add(("push", got))
+        for s in left_denominator_sets(r):
+            loc = localize(r, s)
+            members = s.members()
+            t = loc.target
+            left_ideals = {ideal_closure_mask(t, 1 << x, LEFT) for x in t.elements()}
+            for b in ideals:
+                ab = ideal_sum_mask(r, loc.ass_mask, b)
+                assert localization._pushes_into_pulls(r, members, ab) == \
+                    _per_pair_push_condition(r, members, ab), (r.label, s, b)
+                # condition (2) with the localized ideal and the ideals of the
+                # target, every principal left ideal among them
+                for j in (localize_left_ideal(loc, b).mask, *all_ideal_masks(t), *left_ideals):
+                    got = localization._absorbs_unit_inverses(loc, j, b)
+                    assert got == _per_pair_unit_inverses(loc, j, b), (r.label, s, b, j)
+                    outcomes.add(("absorb", got))
+            # on a two-sided b the inverses change nothing, so (2) also runs on
+            # single elements, where they do
+            for x in r.elements():
+                for j in left_ideals:
+                    got = localization._absorbs_unit_inverses(loc, j, 1 << x)
+                    assert got == _per_pair_unit_inverses(loc, j, 1 << x), (r.label, s, x, j)
+    assert outcomes == {(c, v) for c in ("push", "absorb") for v in (True, False)}
+
+
+def _per_member_vacuity(r, cfg):
+    """aA11Sep23 with the unit-order chain run once per member of S."""
+    for s, loc, m in checks._localized(r, checks._dens(r, cfg), all_ideal_masks(r)):
+        if m == r.full_mask():
+            continue
+        t = loc.target
+        inv = inverse_table(t)
+        li = checks.localize_left_ideal(loc, m)
+        for sm in s.members():
+            u = inv[loc.sigma(sm)]
+            order_u, power = 1, u
+            while power != t.one:
+                power = t.mul[power][u]
+                order_u += 1
+            chain = li.mask
+            shift = li.mask
+            for _ in range(order_u):
+                shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
+                chain = additive_closure(t, chain | shift)
+            if li.two_sided and chain != li.mask:
+                yield "a two-sided image absorbs its chain", f"s={sm} b={list(bits(m))}"
+        if not li.two_sided:
+            yield "stabilized chains force a two-sided image", f"b={list(bits(m))} S={s.members()}"
+        yield
+
+
+def _grow_by_a_one_sided_ideal(fn):
+    # where sigma has a kernel, so that members of S can share an image, the
+    # localized ideal grows by the first principal left ideal of the target
+    # that makes it one-sided, and is still flagged two-sided
+    def lying(loc, m):
+        rep = fn(loc, m)
+        t = loc.target
+        if loc.ass_mask == 1 << loc.ring.zero:
+            return rep
+        for x in t.elements():
+            grown = ideal_closure_mask(t, rep.mask | 1 << x, LEFT)
+            if ideal_closure_mask(t, grown) != grown:
+                return dataclasses.replace(rep, mask=grown)
+        return rep
+    return lying
+
+
+TWO_SIDED_LIE = next(case.values[0] for case in LIES if case.id == "two_sided")
+
+
+@pytest.mark.parametrize("lies, clause", [
+    pytest.param([], None, id="honest"),
+    pytest.param(TWO_SIDED_LIE, "stabilized chains force a two-sided image", id="two_sided"),
+    pytest.param([(checks, "localize_left_ideal", _grow_by_a_one_sided_ideal)],
+                 "a two-sided image absorbs its chain", id="one_sided"),
+])
+def test_a11_vacuity_per_unit_matches_per_member(corpus_tables, monkeypatch, lies, clause):
+    _lie(monkeypatch, lies)
+    cfg = CorpusConfig()
+    clauses, details = set(), set()
+    for _, r in corpus_tables:
+        outcome = decide(checks.check_a11_vacuity(r, cfg))
+        assert outcome == decide(_per_member_vacuity(r, cfg)), r.label
+        # one set at a time, so that every set's first failure is compared
+        for s in checks._dens(r, cfg):
+            with monkeypatch.context() as one_set:
+                one_set.setattr(checks, "_dens", lambda r, cfg, s=s: [s])
+                outcome = decide(checks.check_a11_vacuity(r, cfg))
+                assert outcome == decide(_per_member_vacuity(r, cfg)), (r.label, s)
+            if outcome.status == "fail":
+                clauses.add(outcome.clause)
+                details.add((r.label, tuple(s.members()), outcome.detail))
+    assert clauses == ({clause} if clause else set())
+    if clause == "a two-sided image absorbs its chain":
+        # sigma(7) = sigma(15) here: the first member of S with that image is named
+        assert ("prod(zmod(2), tri(2, gf(2)))", (5, 7, 13, 15), "s=7 b=[0]") in details

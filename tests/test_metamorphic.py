@@ -19,12 +19,10 @@ import contextlib
 import itertools
 import random
 
-import pytest
-
 from orespec import harness
 from orespec.checks import COVERAGE
 from orespec.dsl import RingExpr, evaluate
-from orespec.finring import RingTable, audit_ring, content
+from orespec.finring import RingTable, audit_ring
 from orespec.harness import (
     CorpusConfig,
     Instance,
@@ -37,21 +35,6 @@ from orespec.localization import mult_set_masks, ore_flags
 
 CFG = CorpusConfig()
 SEED = 1
-
-
-@pytest.fixture(scope="module")
-def tables():
-    """One (instance, ring) per distinct table content of the finite corpus."""
-    seen = set()
-    out = []
-    for inst in build_corpus(CFG):
-        if inst.kind != "finite":
-            continue
-        r = inst.build(CFG.order_cap)
-        if content(r) not in seen:
-            seen.add(content(r))
-            out.append((inst, r))
-    return out
 
 
 def _relabel(r: RingTable, perm: list[int]) -> RingTable:
@@ -76,14 +59,14 @@ def _verdicts(inst: Instance, ring):
     return [(cid, o.status, o.cases, o.clause) for cid, o, _ in run]
 
 
-def test_the_corpus_has_43_distinct_finite_tables(tables):
-    assert len(tables) == 43
+def test_the_corpus_has_43_distinct_finite_tables(corpus_tables):
+    assert len(corpus_tables) == 43
 
 
-def test_relabelling_elements_changes_no_verdict(tables):
+def test_relabelling_elements_changes_no_verdict(corpus_tables):
     rng = random.Random(SEED)
     moved_zero = 0
-    for inst, r in tables:
+    for inst, r in corpus_tables:
         perm = list(r.elements())
         rng.shuffle(perm)
         twin = _relabel(r, perm)
@@ -121,9 +104,9 @@ def test_swapping_the_factors_of_a_product_changes_no_verdict():
     assert pairs == 27
 
 
-def test_the_opposite_ring_swaps_left_and_right_ore_flags(tables):
+def test_the_opposite_ring_swaps_left_and_right_ore_flags(corpus_tables):
     asymmetric = 0
-    for _, r in tables:
+    for _, r in corpus_tables:
         op = _opposite(r)
         assert mult_set_masks(op) == mult_set_masks(r), r.label
         for m in mult_set_masks(r):
