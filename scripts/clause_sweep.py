@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Clause-deletion sweep: which failure clauses does the test suite notice?
+
+A clause site is a `yield "<clause>", ...` in `checks.py` or a
+`return "<clause>", ...` in an evaluator of `checks.py`, `localization.py`,
+`centre.py`, `ideals.py` or `monomial.py`.  For each site, one at a time, the
+sweep copies the checkout to a temporary directory, replaces that statement
+with `pass` there, and runs the tier-1 tests in the copy, stopping at the
+first failure.  The site is
+`killed` when some test fails (the first failing test id is printed) and
+`survived` when the suite stays green: no test notices that the clause is
+gone.  The checkout itself is never edited.
+
+    python3 scripts/clause_sweep.py            # every site, about 25 min on 2 cores
+    python3 scripts/clause_sweep.py --list     # the sites only
+    python3 scripts/clause_sweep.py --only checks.py:681
+
+Exits 0 when every site is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = pathlib.Path("src") / "orespec"
+TARGETS = {
+    "checks.py": (ast.Yield, ast.Return),
+    "localization.py": ast.Return,
+    "centre.py": ast.Return,
+    "ideals.py": ast.Return,
+    "monomial.py": ast.Return,
+}
+
+
+def _clause(node) -> str | None:
+    """The clause name of a `yield`/`return` of a (clause, detail) tuple."""
+    value = node.value
+    if isinstance(value, ast.Tuple) and value.elts:
+        first = value.elts[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            return first.value
+    return None
+
+
+def sites() -> list[tuple[str, ast.stmt, str]]:
+    """(file name, statement, clause) for every clause site, in file order."""
+    out = []
+    for name, kind in TARGETS.items():
+        tree = ast.parse((ROOT / PACKAGE / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Expr) and isinstance(node.value, kind):
+                expr = node.value
+            elif isinstance(node, ast.Return) and isinstance(node, kind):
+                expr = node
+            else:
+                continue
+            clause = _clause(expr)
+            if clause is not None:
+                out.append((name, node, clause))
+    return sorted(out, key=lambda s: (list(TARGETS).index(s[0]), s[1].lineno))
+
+
+def mutant(source: str, stmt: ast.stmt) -> str:
+    """source with stmt replaced by `pass`."""
+    lines = source.splitlines(keepends=True)
+    first, last = stmt.lineno - 1, stmt.end_lineno - 1
+    head = lines[first][: stmt.col_offset]
+    tail = lines[last][stmt.end_col_offset:]
+    return "".join(lines[:first]) + head + "pass" + tail + "".join(lines[last + 1:])
+
+
+def run_tests(copy: pathlib.Path) -> str | None:
+    """The first failing test id in copy, or None when the suite passes."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=copy, env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return None
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ")[0]
+    return f"pytest exit {proc.returncode}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--list", action="store_true", help="print the sites and run nothing")
+    ap.add_argument("--only", action="append", default=[], metavar="FILE:LINE",
+                    help="sweep only these sites (repeatable)")
+    args = ap.parse_args()
+
+    todo = [s for s in sites() if not args.only or f"{s[0]}:{s[1].lineno}" in args.only]
+    if args.list:
+        for name, stmt, clause in todo:
+            print(f"{name}:{stmt.lineno}  {clause}")
+        return 0
+
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="clause-sweep-") as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        for name, stmt, clause in todo:
+            shutil.rmtree(copy, ignore_errors=True)
+            shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+            path = copy / PACKAGE / name
+            path.write_text(mutant(path.read_text(), stmt))
+            failing = run_tests(copy)
+            survived += failing is None
+            verdict = f"killed    {failing}" if failing else "survived"
+            print(f"{name}:{stmt.lineno}  {clause!r}  {verdict}", flush=True)
+    print(f"{len(todo)} sites: {len(todo) - survived} killed, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ Rendering produces a canonical text that reparses to an equal expression.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .finring import (
@@ -66,6 +67,10 @@ class _Token:
     column: int
 
 
+# ASCII only: other scripts' digits and letters are not part of the language
+_WORD = frozenset(string.ascii_letters + string.digits + "_")
+
+
 def _tokenize(text: str) -> list[_Token]:
     out = []
     line, col = 1, 1
@@ -81,17 +86,17 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if c.isdigit():
+        if c in string.digits:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in string.digits:
                 j += 1
             out.append(_Token("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if c in _WORD:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _WORD:
                 j += 1
             out.append(_Token("name", text[i:j], line, col))
             col += j - i
@@ -204,7 +209,7 @@ class _Parser:
             tok = self.take("name")
             digits = ""
             stem = tok.text
-            while stem and stem[-1].isdigit():
+            while stem and stem[-1] in string.digits:
                 digits = stem[-1] + digits
                 stem = stem[:-1]
             if not digits:

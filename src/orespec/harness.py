@@ -255,12 +255,13 @@ def run_suite(
         head_of = [heads.setdefault(id(inst.build(cfg.order_cap)), i)
                    for i, inst in enumerate(good)]
         tasks = [(i, ids) for i in heads.values()]
-        if jobs > 1:
+        workers = min(jobs, len(tasks))  # no idle workers, and none without a task
+        if workers > 1:
             _WORKER_STATE["corpus"] = good
             _WORKER_STATE["cfg"] = cfg
             try:
                 ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(jobs) as pool:
+                with ctx.Pool(workers) as pool:
                     rows = dict(pool.map(_worker, tasks))
             finally:
                 _WORKER_STATE.clear()

@@ -142,47 +142,37 @@ def close_multiplicative(r: RingTable, gens) -> MultSet:
 
 @memo
 def mult_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
-    """All multiplicative submonoids (without 0) up to the exhaustive order.
-
-    Up to the threshold these are found by closure extension: starting from
-    the closure of {1}, every submonoid found is extended by each nonzero
-    element outside it and closed again, keeping the closures that avoid 0.
-    A submonoid is reached by adding its generators one at a time, so this is
-    the full list, at most N - 1 closures per submonoid.  Above the
-    threshold, only closures of singletons and pairs are produced.
-    """
+    """All multiplicative submonoids (without 0) up to the exhaustive order;
+    above it, only the closures of at most two nonzero elements."""
     nonzero = [x for x in r.elements() if x != r.zero]
-    if r.order > exhaustive_order:
-        return pair_closure_masks(r, nonzero)
+    return submonoid_masks(r, nonzero, None if r.order <= exhaustive_order else 2)
+
+
+def submonoid_masks(r: RingTable, pool: list[int], depth: int | None) -> tuple[Mask, ...]:
+    """The zero-free multiplicative closures of subsets of pool, by closure
+    extension: breadth-first from the closure of {1}, each closure found is
+    extended by each pool element outside it and closed again, at most
+    len(pool) closures per closure found.  Breadth-first order reaches each
+    closure first at its least number of generators, and closure(closure(X)
+    + y) = closure(X + y), so depth=d gives the closures of at most d pool
+    elements; depth=None gives all of them."""
     start, witness = closure_with_witness(r, 0)
     found = set() if witness else {start}
-    queue = list(found)
-    for mask in queue:  # breadth-first: the queue grows as submonoids are found
-        for x in nonzero:
-            if mask >> x & 1:
-                continue
-            closed, witness = closure_with_witness(r, mask | 1 << x)
-            if witness is None and closed not in found:
-                found.add(closed)
-                queue.append(closed)
-    return _by_size(found)
-
-
-def pair_closure_masks(r: RingTable, elems: list[int]) -> tuple[Mask, ...]:
-    """Zero-free multiplicative closures of the empty set, the singletons and
-    the pairs drawn from elems."""
-    seeds = [0] + [1 << x for x in elems]
-    seeds += [(1 << a) | (1 << b) for i, a in enumerate(elems) for b in elems[i + 1:]]
-    found = set()
-    for gens in seeds:
-        mask, witness = closure_with_witness(r, gens)
-        if witness is None:
-            found.add(mask)
-    return _by_size(found)
-
-
-def _by_size(masks) -> tuple[Mask, ...]:
-    return tuple(sorted(masks, key=lambda m: (popcount(m), m)))
+    frontier = list(found)
+    level = 0
+    while frontier and (depth is None or level < depth):
+        level += 1
+        nxt = []
+        for mask in frontier:
+            for x in pool:
+                if mask >> x & 1:
+                    continue
+                closed, witness = closure_with_witness(r, mask | 1 << x)
+                if witness is None and closed not in found:
+                    found.add(closed)
+                    nxt.append(closed)
+        frontier = nxt
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
 def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:

@@ -53,6 +53,17 @@ def test_parse_error_positions():
         parse_ring_expr("mono(vars=2, gens=[v9])")
 
 
+@pytest.mark.parametrize("text, column", [
+    ("zmod(\u00b2)", 6),  # superscript two
+    ("zmod(\u0663)", 6),  # Arabic-Indic three
+    ("mono(vars=3, gens=[v\u0663])", 21),
+])
+def test_only_ascii_digits_and_letters_are_accepted(capsys, text, column):
+    assert main(["describe", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and f"at line 1, column {column}" in err
+
+
 def _exps_from_pairs(pairs):
     merged = {}
     for i, e in pairs:

@@ -4,12 +4,14 @@ import time
 
 import pytest
 
+from orespec import harness
 from orespec.checks import COVERAGE, REGISTRY, TheoremCheck
 from orespec.dsl import evaluate, parse_ring_expr
 from orespec.finring import RingError, RingTable
 from orespec.harness import (
     AUDIT_ID,
     CorpusConfig,
+    Instance,
     build_corpus,
     explain,
     inject_table_fault,
@@ -189,3 +191,50 @@ def test_vacuous_hypotheses_report_not_applicable(small_corpus):
                         ("b29Sep23",), SMALL)
     rep = reports[1]
     assert rep.considered == 0 and rep.applicable == 0 and rep.passed == 0
+
+
+class _InProcessPools:
+    """Stands in for the multiprocessing module: records each pool's size and
+    maps in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def get_context(self, method):
+        return self
+
+    def Pool(self, workers):
+        self.sizes.append(workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def test_the_pool_has_at_most_one_worker_per_task(monkeypatch):
+    pools = _InProcessPools()
+    monkeypatch.setattr(harness, "multiprocessing", pools)
+    cfg = CorpusConfig(order_cap=4)
+    corpus = [Instance("finite", text, parse_ring_expr(text))
+              for text in ("zmod(2)", "zmod(3)", "gf(2)", "zmod(4)")]
+    serial = render_machine(run_suite(corpus, FAST_IDS, cfg, jobs=1))
+    assert render_machine(run_suite(corpus, FAST_IDS, cfg, jobs=200)) == serial
+    assert pools.sizes == [3]  # gf(2) runs on zmod(2)'s table
+
+
+def test_a_run_without_tasks_still_reports_its_audit(monkeypatch):
+    pools = _InProcessPools()
+    monkeypatch.setattr(harness, "multiprocessing", pools)
+    cfg = CorpusConfig(order_cap=4)
+    corpus = [inject_table_fault(Instance("finite", text, parse_ring_expr(text)), cfg)
+              for text in ("zmod(3)", "zmod(4)")]
+    audit, *reports = run_suite(corpus, FAST_IDS, cfg, jobs=2)
+    assert pools.sizes == []
+    assert (audit.considered, audit.passed, len(audit.counterexamples)) == (2, 0, 2)
+    assert [r.considered for r in reports] == [0] * len(FAST_IDS)

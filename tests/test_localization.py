@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -11,6 +12,7 @@ from orespec.finring import (
     make_gf,
     make_quotient,
     mask_of,
+    normal_mask,
     popcount,
     regular_mask,
     units_mask,
@@ -39,6 +41,7 @@ from orespec.localization import (
     mult_set_masks,
     regular_den,
     respects_prime_structure,
+    submonoid_masks,
     t_l,
     vanishing_masks,
 )
@@ -214,6 +217,15 @@ def test_epimorphic_image_criterion(z12):
 # sweeps they replace
 
 
+def _zero_free_closures(r, seeds):
+    found = set()
+    for gens in seeds:
+        mask, witness = closure_with_witness(r, gens)
+        if witness is None:
+            found.add(mask)
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+
+
 def _closures_of_all_subsets(r):
     """The zero-free closures of all subsets of nonzero elements, sorted by
     (size, mask): the subset sweep that closure extension replaces."""
@@ -221,12 +233,15 @@ def _closures_of_all_subsets(r):
     for x in r.elements():
         if x != r.zero:
             seeds += [m | 1 << x for m in seeds]
-    found = set()
-    for gens in seeds:
-        mask, witness = closure_with_witness(r, gens)
-        if witness is None:
-            found.add(mask)
-    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+    return _zero_free_closures(r, seeds)
+
+
+def _closures_of_at_most_two(r, pool):
+    """The zero-free closures of the empty set, of each pool element and of
+    each pair of them, sorted by (size, mask)."""
+    seeds = [0] + [1 << x for x in pool]
+    seeds += [1 << x | 1 << y for x, y in itertools.combinations(pool, 2)]
+    return _zero_free_closures(r, seeds)
 
 
 def _exhaustive_tables(corpus_tables):
@@ -249,6 +264,23 @@ def test_closure_extension_at_order_16(expr, count):
     sets = mult_set_masks(r, 16)
     assert len(sets) == count
     assert sets == _closures_of_all_subsets(r)
+
+
+def test_the_depth_two_search_lists_the_closures_of_at_most_two_elements(corpus_tables):
+    for _, r in corpus_tables:
+        nonzero = [x for x in r.elements() if x != r.zero]
+        normal = [x for x in bits(normal_mask(r)) if x != r.zero]
+        for pool in (nonzero, normal):
+            assert submonoid_masks(r, pool, 2) == _closures_of_at_most_two(r, pool), r.label
+        assert checks._normal_set_masks(r) == _closures_of_at_most_two(r, normal)
+
+
+def test_above_the_exhaustive_order_only_pairs_are_closed(corpus_tables):
+    tables = [r for _, r in corpus_tables if r.order > EXHAUSTIVE_MULT_ORDER]
+    assert len(tables) == 15
+    for r in tables:
+        nonzero = [x for x in r.elements() if x != r.zero]
+        assert mult_set_masks(r) == _closures_of_at_most_two(r, nonzero), r.label
 
 
 def test_closure_extension_closes_at_most_n_minus_1_times_per_submonoid(

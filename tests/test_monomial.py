@@ -340,27 +340,112 @@ def _zero_at_top_degree_on_two_letters(fn):
     return lying
 
 
-@pytest.mark.parametrize("lie", [
-    pytest.param(None, id="honest"),
-    pytest.param(_zero_at_top_degree, id="zero_at_top_degree"),
-    pytest.param(_zero_at_top_degree_on_two_letters, id="two_letters"),
+def _reversed_after_x2(fn):
+    # a lie that reads the word, not the masks: a product whose word starts
+    # with x2 comes back with its word reversed
+    def lying(a, m1, m2):
+        prod = fn(a, m1, m2)
+        if prod.word[:1] == (2,):
+            return NCMonomial(prod.word[::-1], prod.zexp)
+        return prod
+    return lying
+
+
+def _full_an_verify(a):
+    """an_verify with every clause scanning every normal form."""
+    d = a.degree_bound
+    primes = an_min_primes(a)
+    monos = list(an_monomials(a))
+    for p in primes:
+        witness = _full_zero_divisor(a, p)
+        if witness:
+            return "domain quotients", f"quotient by {p} has zero divisors: {witness}"
+    for p in primes:
+        for q in primes:
+            if p.I != q.I and not any(p.contains(m) and not q.contains(m) for m in monos):
+                return "incomparable primes", f"{p} is contained in {q} at degree <= {d}"
+    for m in monos:
+        if m.degree() > 0 and all(p.contains(m) for p in primes):
+            return "zero intersection", f"{m} lies in every minimal prime"
+    for m in monos:
+        g = noncommuting_generator(a, m)
+        if bool(m.word) == (g is None):
+            return "centre is the z-polynomials", (
+                f"{m} does not commute with {g}" if g else f"{m} is central")
+    for p in primes:
+        ci = p.complement()
+        for m in monos:
+            if not m.word and p.contains(m) != bool(m.z_support() & ci):
+                return "prime meets the centre", (
+                    f"{p} meets the centre off (z_j : j in {sorted(ci)}) at {m}")
+    zmonos = [m for m in monos if not m.word and m.degree() > 0]
+    for m1 in zmonos:
+        for m2 in zmonos:
+            if m1.degree() + m2.degree() <= d and an_multiply(a, m1, m2).is_zero:
+                return "centre is a domain", f"{m1} * {m2} = 0"
+    full = frozenset(range(1, a.pairs + 1))
+    defined = {p.I for p in primes if not any(p.contains(m) for m in zmonos)}
+    if defined != {full}:
+        return "restriction map", (
+            f"defined at {[sorted(i) for i in defined]}, not only at {sorted(full)}")
+    if a.pairs >= 1:
+        z1, x1 = an_z(a, 1), an_x(a, 1)
+        z1_regular = all(
+            not an_multiply(a, z1, m).is_zero for m in zmonos if m.degree() + 1 <= d
+        )
+        if not (z1_regular and an_multiply(a, z1, x1).is_zero):
+            return "criterion witness", "missing the central-regular zero-divisor witness"
+    return None
+
+
+@pytest.mark.parametrize("lie, masked", [
+    pytest.param(None, False, id="honest"),
+    pytest.param(_zero_at_top_degree, True, id="zero_at_top_degree"),
+    pytest.param(_zero_at_top_degree_on_two_letters, True, id="two_letters"),
+    pytest.param(_reversed_after_x2, False, id="word_reversal"),
 ])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_class_scans_match_the_full_scans(monkeypatch, n, lie):
-    lying = lie is not None
-    if lying:
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_class_scans_match_the_full_scans(monkeypatch, n, lie, masked):
+    # masked: the lie reads only degree and masks, so the class scans see it
+    if lie is not None:
         monkeypatch.setattr(mono, "an_multiply", lie(mono.an_multiply))
     a = an_build(n, default_degree_bound(n))  # fresh, so no memoised verdict answers
+    assert an_verify(a) == _full_an_verify(a)
     witnesses = [mono._zero_divisor(a, p) for p in an_min_primes(a)]
     assert witnesses == [_full_zero_divisor(a, p) for p in an_min_primes(a)]
-    assert any(witnesses) == lying
+    assert any(witnesses) == masked
     mismatches = []
     for V in map(frozenset, subsets(range(1, n + 1), 1)):
         verdict = mono._an_localize_verdict(a, V)
         full = _full_vanishing_mismatch(a, V)
         assert verdict == full if full else verdict is None
         mismatches.append(full)
-    assert any(mismatches) == lying
+    assert any(mismatches) == (masked and n > 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_commutation_is_constant_on_each_class(n):
+    a = an_build(n, default_degree_bound(n))
+    by_class = {}
+    for m in an_monomials(a):
+        by_class.setdefault((m.degree(), m.wmask, m.zmask), set()).add(
+            noncommuting_generator(a, m))
+    assert all(len(found) == 1 for found in by_class.values())
+    assert len(by_class) < sum(1 for _ in an_monomials(a))
+
+
+def test_a_fresh_verification_enumerates_the_normal_forms_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return an_monomials(a)
+
+    monkeypatch.setattr(mono, "an_monomials", counting)
+    a = an_build(2, default_degree_bound(2))
+    assert an_verify(a) is None
+    assert an_localize_normal(a, {1}) is None
+    assert calls == [a]
 
 
 # ---------------------------------------------------------------------------
