@@ -172,10 +172,12 @@ def _image_class(hom: RingHom, smask: Mask):
     return classify_set(MultSet(hom.target, hom.push_mask(smask)))
 
 
-def _factor_matches(hom: RingHom, loc: Localization, jmask: Mask) -> bool:
-    """R/p matches S^-1 R/J through sigma, where hom is the factor map R -> R/p."""
-    tq, thom = make_quotient(loc.target, jmask)
-    through = RingHom(loc.ring, tq, tuple(thom(loc.sigma(x)) for x in loc.ring.elements()))
+@memo
+def _factor_matches(hom: RingHom, sigma: RingHom, jmask: Mask) -> bool:
+    """R/p matches S^-1 R/J through the localization map sigma, where hom is
+    the factor map R -> R/p."""
+    tq, thom = make_quotient(sigma.target, jmask)
+    through = RingHom(sigma.source, tq, tuple(thom(y) for y in sigma.map))
     return _quotients_isomorphic(hom, through)
 
 
@@ -206,6 +208,22 @@ def check_a11(r: RingTable, cfg):
         yield check_A11_equivalence(loc, m)
 
 
+@memo
+def _chain_limit(t: RingTable, jmask: Mask, u: int) -> Mask:
+    """The limit of the ascending chain sum(J * u^j) of left ideals of t."""
+    order_u, power = 1, u
+    while power != t.one:
+        power = t.mul[power][u]
+        order_u += 1
+    # shifts J*u^j repeat after the unit's order, so the union over one
+    # period is the limit of the ascending chain
+    chain = shift = jmask
+    for _ in range(order_u):
+        shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
+        chain = additive_closure(t, chain | shift)
+    return chain
+
+
 def check_a11_vacuity(r: RingTable, cfg):
     """Every localized-ideal chain sum(J * u^-j) cycles with the unit's order,
     so it stabilizes mechanically and the localized ideal must be two-sided."""
@@ -221,18 +239,7 @@ def check_a11_vacuity(r: RingTable, cfg):
         for sm in s.members():
             first_member.setdefault(inv[loc.sigma(sm)], sm)
         for u, sm in first_member.items():
-            order_u, power = 1, u
-            while power != t.one:
-                power = t.mul[power][u]
-                order_u += 1
-            # shifts J*u^j repeat after the unit's order, so the union over
-            # one period is the limit of the ascending chain
-            chain = li.mask
-            shift = li.mask
-            for _ in range(order_u):
-                shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
-                chain = additive_closure(t, chain | shift)
-            if li.two_sided and chain != li.mask:
+            if li.two_sided and _chain_limit(t, li.mask, u) != li.mask:
                 yield "a two-sided image absorbs its chain", f"s={sm} b={list(bits(m))}"
         if not li.two_sided:
             yield "stabilized chains force a two-sided image", f"b={list(bits(m))} S={s.members()}"
@@ -416,7 +423,7 @@ def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | 
             return ("image is a zero-vanishing denominator set of the factor",
                     f"S={s.members()} p={list(bits(pmask))}")
         jmask = localize_left_ideal(loc, pmask).mask
-        if not _factor_matches(hom, loc, jmask):
+        if not _factor_matches(hom, loc.sigma, jmask):
             return ("factor of the localization matches the localized factor",
                     f"S={s.members()} p={list(bits(pmask))}")
     return None
@@ -521,7 +528,7 @@ def check_prime_preimage_sets(r: RingTable, cfg):
             if not li.two_sided:
                 yield "localized prime is two-sided", f"p={list(bits(pmask))}"
             q, hom = make_quotient(r, pmask)
-            if not _factor_matches(hom, loc, li.mask):
+            if not _factor_matches(hom, loc.sigma, li.mask):
                 yield ("factor of the prime localization is the prime factor",
                        f"p={list(bits(pmask))}")
             if alz == pmask:
@@ -640,7 +647,7 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
         qcls = _image_class(hom, smask)
         if not (regular_den(q, qcls) and qcls.right_den):
             return "factor image is a denominator set", f"p={list(bits(pmask))}"
-        if not _factor_matches(hom, loc, push):
+        if not _factor_matches(hom, loc.sigma, push):
             return "factor rings of the localization agree", f"p={list(bits(pmask))}"
     if not is_nilpotent_ideal(rbar, nbar):
         return "radical of the image ring is nilpotent", f"S={sorted(bits(smask))}"

@@ -157,8 +157,19 @@ def cmd_multsets(args) -> int:
     return EXIT_CLEAN
 
 
+def _comma_items(text: str, flag: str) -> list[str]:
+    """The items of a comma-separated flag value; none for an empty value,
+    and an empty item is an error."""
+    if not text.strip():
+        return []
+    items = [x.strip() for x in text.split(",")]
+    if "" in items:
+        raise RingError(f"{flag} {text!r} has an empty item")
+    return items
+
+
 def _gens_list(text: str, r: RingTable) -> list[int]:
-    gens = [int(x) for x in text.split(",") if x.strip() != ""]
+    gens = [int(x) for x in _comma_items(text, "--gens")]
     for g in gens:
         if not 0 <= g < r.order:
             raise RingError(f"element id {g} is out of range for {r.label} of order {r.order}")
@@ -223,7 +234,7 @@ def cmd_mono(args) -> int:
         for cover in min_primes_monomial(obj):
             print("(" + ",".join(f"v{i + 1}" for i in sorted(cover)) + ")")
         return EXIT_CLEAN
-    variables = [int(v) - 1 for v in args.invert.split(",") if v.strip()]
+    variables = [int(v) - 1 for v in _comma_items(args.invert, "--invert")]
     for v in variables:
         if not 0 <= v < obj.nvars:
             raise RingError(f"--invert index {v + 1} is outside 1..{obj.nvars}")
@@ -268,9 +279,9 @@ def cmd_verify(args) -> int:
     elif suite in ("finite", "monomial"):
         ids = tuple(i for i in COVERAGE if track_of(REGISTRY[i][0].kinds) in (suite, "both"))
     else:
-        ids = tuple(x.strip() for x in suite.split(",") if x.strip())
-        if not ids:
+        if not suite.replace(",", "").strip():
             raise RingError(f"--suite {suite!r} names no check ids")
+        ids = tuple(_comma_items(suite, "--suite"))
     if args.explain and args.explain[0] not in (AUDIT_ID,) + ids:
         raise RingError(f"--explain {args.explain[0]!r} is not a check of this run")
     corpus = build_corpus(cfg)

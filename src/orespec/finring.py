@@ -10,7 +10,9 @@ axiom audit (group laws, associativity, identities, distributivity), so a
 corrupted table is caught at the door rather than as a wrong theorem verdict.
 Within a verification run the constructors also intern their tables: a table
 whose content was already built in the run is replaced by the first one, so
-each content is audited once and its derived data is computed once.
+each content is audited once and its derived data is computed once, and a
+constructor called again on the same operands returns the run's table without
+building it again.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ class RingHom:
     source: RingTable
     target: RingTable
     map: tuple[int, ...]
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, i: int) -> int:
         return self.map[i]
@@ -228,7 +231,7 @@ def audit_ring(r: RingTable) -> list[str]:
     return bad
 
 
-# content -> the run's table of that content; None outside a run
+# content, and constructor call, -> the run's table; None outside a run
 _INTERN: contextvars.ContextVar[dict | None] = contextvars.ContextVar("intern", default=None)
 
 
@@ -276,6 +279,18 @@ def _checked(r: RingTable) -> RingTable:
     return seen[key]
 
 
+def _built(key: tuple, build) -> RingTable:
+    """The table build() constructs, checked; within a run, a constructor
+    call already made with the same key (its name and operands) returns the
+    run's table without building it again."""
+    seen = _INTERN.get()
+    if seen is None:
+        return _audited(build())
+    if key not in seen:
+        seen[key] = _checked(build())
+    return seen[key]
+
+
 @memo
 def neg_table(r: RingTable) -> tuple[int, ...]:
     out = [0] * r.order
@@ -298,9 +313,12 @@ def make_zmod(n: int, label: str | None = None) -> RingTable:
     """The ring of integers modulo n, with canonical ids 0..n-1."""
     if n < 2:
         raise InvalidOrderError(f"zmod order must be >= 2, got {n}")
-    add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
-    return _checked(RingTable(n, add, mul, 0, 1, label or f"zmod({n})"))
+
+    def build():
+        add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+        mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
+        return RingTable(n, add, mul, 0, 1, label or f"zmod({n})")
+    return _built(("zmod", n), build)
 
 
 def make_gf(q: int) -> RingTable:
@@ -318,10 +336,11 @@ def make_gf(q: int) -> RingTable:
         c2 = a1 * b1
         return ((c0 + c2) & 1) | (((c1 + c2) & 1) << 1)
 
-    add = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
-    mul = tuple(tuple(mul4(a, b) for b in range(4)) for a in range(4))
-    names = ("0", "1", "t", "t+1")
-    return _checked(RingTable(4, add, mul, 0, 1, "gf(4)", names))
+    def build():
+        add = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+        mul = tuple(tuple(mul4(a, b) for b in range(4)) for a in range(4))
+        return RingTable(4, add, mul, 0, 1, "gf(4)", ("0", "1", "t", "t+1"))
+    return _built(("gf", 4), build)
 
 
 def _digits(idx: int, base: int, k: int) -> tuple[int, ...]:
@@ -354,38 +373,41 @@ def _make_slot_ring(k: int, base: RingTable, triangular: bool, cap: int | None) 
     if cap is not None and (nslots >= cap.bit_length() or base.order ** nslots > cap):
         raise SizeLimitError(
             f"{tag}({k}, {base.label}) has order {base.order}^{nslots} > cap {cap}")
-    order = base.order ** nslots
-    slots = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
-    pos = {ij: s for s, ij in enumerate(slots)}
-    mats = [_digits(i, base.order, nslots) for i in range(order)]
 
-    def at(m, i, j):
-        s = pos.get((i, j))
-        return base.zero if s is None else m[s]
+    def build():
+        order = base.order ** nslots
+        slots = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
+        pos = {ij: s for s, ij in enumerate(slots)}
+        mats = [_digits(i, base.order, nslots) for i in range(order)]
 
-    def addm(a, b):
-        return _undigits([base.add[x][y] for x, y in zip(a, b)], base.order)
+        def at(m, i, j):
+            s = pos.get((i, j))
+            return base.zero if s is None else m[s]
 
-    def mulm(a, b):
-        out = []
-        for (i, j) in slots:
-            acc = base.zero
-            for t in range(k):
-                acc = base.add[acc][base.mul[at(a, i, t)][at(b, t, j)]]
-            out.append(acc)
-        return _undigits(out, base.order)
+        def addm(a, b):
+            return _undigits([base.add[x][y] for x, y in zip(a, b)], base.order)
 
-    add = tuple(tuple(addm(a, b) for b in mats) for a in mats)
-    mul = tuple(tuple(mulm(a, b) for b in mats) for a in mats)
-    one = _undigits([base.one if i == j else base.zero for (i, j) in slots], base.order)
-    names = tuple(
-        "[" + ";".join(
-            ",".join(base.name(at(m, i, j)) if (i, j) in pos else "." for j in range(k))
-            for i in range(k)
-        ) + "]"
-        for m in mats
-    )
-    return _checked(RingTable(order, add, mul, 0, one, f"{tag}({k}, {base.label})", names))
+        def mulm(a, b):
+            out = []
+            for (i, j) in slots:
+                acc = base.zero
+                for t in range(k):
+                    acc = base.add[acc][base.mul[at(a, i, t)][at(b, t, j)]]
+                out.append(acc)
+            return _undigits(out, base.order)
+
+        add = tuple(tuple(addm(a, b) for b in mats) for a in mats)
+        mul = tuple(tuple(mulm(a, b) for b in mats) for a in mats)
+        one = _undigits([base.one if i == j else base.zero for (i, j) in slots], base.order)
+        names = tuple(
+            "[" + ";".join(
+                ",".join(base.name(at(m, i, j)) if (i, j) in pos else "." for j in range(k))
+                for i in range(k)
+            ) + "]"
+            for m in mats
+        )
+        return RingTable(order, add, mul, 0, one, f"{tag}({k}, {base.label})", names)
+    return _built((tag, k, base), build)
 
 
 def make_matrix_ring(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
@@ -407,18 +429,19 @@ def make_product(a: RingTable, b: RingTable, cap: int | None = DEFAULT_ORDER_CAP
     def enc(x, y):
         return x * b.order + y
 
-    add = tuple(
-        tuple(enc(a.add[x][u], b.add[y][v]) for u in a.elements() for v in b.elements())
-        for x in a.elements() for y in b.elements()
-    )
-    mul = tuple(
-        tuple(enc(a.mul[x][u], b.mul[y][v]) for u in a.elements() for v in b.elements())
-        for x in a.elements() for y in b.elements()
-    )
-    one = enc(a.one, b.one)
-    names = tuple(f"({a.name(x)},{b.name(y)})" for x in a.elements() for y in b.elements())
-    return _checked(RingTable(order, add, mul, enc(a.zero, b.zero), one,
-                             f"prod({a.label}, {b.label})", names))
+    def build():
+        add = tuple(
+            tuple(enc(a.add[x][u], b.add[y][v]) for u in a.elements() for v in b.elements())
+            for x in a.elements() for y in b.elements()
+        )
+        mul = tuple(
+            tuple(enc(a.mul[x][u], b.mul[y][v]) for u in a.elements() for v in b.elements())
+            for x in a.elements() for y in b.elements()
+        )
+        names = tuple(f"({a.name(x)},{b.name(y)})" for x in a.elements() for y in b.elements())
+        return RingTable(order, add, mul, enc(a.zero, b.zero), enc(a.one, b.one),
+                         f"prod({a.label}, {b.label})", names)
+    return _built(("prod", a, b), build)
 
 
 def product_hom(homs: list[RingHom]) -> RingHom:

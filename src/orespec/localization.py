@@ -10,7 +10,7 @@ that ker(sigma) equals the vanishing ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .finring import (
     EngineInvariantError,
@@ -101,7 +101,6 @@ class Localization:
     ass_mask: Mask  # the vanishing ideal, the kernel of sigma
     target: RingTable
     sigma: RingHom
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,14 +273,19 @@ def _right_absorbed(r: RingTable, mask: Mask) -> bool:
     return not any(right[a] & ~mask for a in bits(mask))
 
 
-@memo
 def localize_left_ideal(loc: Localization, source_mask: Mask) -> LocalizedLeftIdeal:
     """The left ideal of the target generated by the image of a left or
     two-sided ideal of the source, and whether it is two-sided."""
-    t = loc.target
-    mask = ideal_closure_mask(t, loc.sigma.push_mask(source_mask), LEFT)
-    contracted = loc.sigma.preimage_mask(mask)
-    if source_mask & ~contracted:
+    return _left_ideal_image(loc.sigma, source_mask)
+
+
+@memo
+def _left_ideal_image(sigma: RingHom, source_mask: Mask) -> LocalizedLeftIdeal:
+    """localize_left_ideal, memoised on the factor map: every set with the
+    same vanishing ideal shares sigma, since make_quotient is memoised."""
+    t = sigma.target
+    mask = ideal_closure_mask(t, sigma.push_mask(source_mask), LEFT)
+    if source_mask & ~sigma.preimage_mask(mask):
         raise EngineInvariantError("localized ideal does not contain the source image")
     return LocalizedLeftIdeal(mask, _right_absorbed(t, mask))
 
@@ -328,7 +332,12 @@ def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | N
     (4) the same with the vanishing ideal added to b;
     (5) right S-torsion of R/(ass + b) is contained in its left S-torsion.
 
-    The whole ring is accepted by convention (all conditions true).
+    The whole ring is accepted by convention (all conditions true).  When b is
+    a two-sided ideal, as every b the checks pass is, (2) holds by
+    construction: sigma(b) is then a two-sided ideal of the target, so
+    sigma(b) * sigma(s)^{-1} lies in sigma(b), inside the localized ideal, and
+    (2) cannot disagree with the others.  It does independent work only on a
+    one-sided b.
     """
     r = loc.ring
     smembers = loc.mult_set.members()
@@ -478,11 +487,17 @@ def check_epimorphic_den_c14(loc: Localization, bmask: Mask) -> bool:
     right S-torsion.  True when the two sides agree."""
     r = loc.ring
     q, hom = make_quotient(r, ideal_sum_mask(r, loc.ass_mask, bmask))
-    s_img = hom.push_mask(loc.mult_set.mask)
+    return _two_step_criterion(q, hom.push_mask(loc.mult_set.mask))
+
+
+@memo
+def _two_step_criterion(q: RingTable, s_img: Mask) -> bool:
+    """check_epimorphic_den_c14 on q = R/(ass + b) and the image of S, memoised
+    on q: it reads nothing else of R, b or S."""
     # proper: 1 in cbar would need an image of S to vanish in q
     cbar = vanishing_masks(q, s_img)[0]
     if not is_two_sided_ideal_mask(q, cbar):
-        raise EngineInvariantError(f"{r.label}: intermediate vanishing set is not an ideal")
+        raise EngineInvariantError(f"{q.label}: intermediate vanishing set is not an ideal")
     q2, hom2 = make_quotient(q, cbar)
     cls = ore_flags(q2, hom2.push_mask(s_img))
     lhs = regular_den(q2, cls)

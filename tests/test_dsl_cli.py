@@ -232,6 +232,34 @@ def test_cli_mono_invert_out_of_range(capsys):
     assert "outside 1..2" in capsys.readouterr().err
 
 
+MONO = "mono(vars=2, gens=[v1*v2])"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["localize", "zmod(6)", "--gens", ","], "--gens"),
+    (["localize", "zmod(6)", "--gens", "1,,2"], "--gens"),
+    (["localize", "zmod(6)", "--gens", "2,"], "--gens"),
+    (["classify-set", "zmod(6)", "--gens", ",2"], "--gens"),
+    (["mono", "localize", MONO, "--invert", "1,,2"], "--invert"),
+    (["mono", "localize", MONO, "--invert", "1, "], "--invert"),
+    (["verify", "--suite", "A11Sep23,,B29Sep23"], "--suite"),
+    (["verify", "--suite", "A11Sep23,"], "--suite"),
+])
+def test_cli_an_empty_list_item_is_a_usage_error(capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr("orespec.cli.build_corpus", None)  # rejected before any corpus
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} " in captured.err and "empty item" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_an_empty_list_keeps_its_meaning(capsys):
+    assert main(["localize", "zmod(6)", "--gens", ""]) == 0
+    assert "set:           [1]" in capsys.readouterr().out
+    assert main(["mono", "localize", MONO, "--invert", ""]) == 0
+    assert "saturation:    ['v1*v2']" in capsys.readouterr().out
+
+
 def test_cli_verify_machine_format_fields(capsys):
     code = main(["verify", "--suite", "A11Sep23", "--format", "machine", "--max-order", "6"])
     out = capsys.readouterr().out

@@ -92,6 +92,17 @@ def _drop_a_left_multiple(fn):
     return lying
 
 
+# the clause of each check that reads a factor-ring isomorphism, which a
+# false isomorphism test must make it report
+FACTOR_CLAUSES = {
+    "A10Sep23": "factor of the localization matches the localized factor",
+    "c10Sep23": "factor of the localization matches the localized factor",
+    "a20Sep23": "largest quotient ring matches the factor's",
+    "19Sep23": "factor of the prime localization is the prime factor",
+    "A2Oct23": "factor rings of the localization agree",
+}
+
+
 LIES = [
     pytest.param([(checks, "is_semiprime_ring", _negate)],
                  ("28Sep23", "A15Sep23", "a25Sep23", "aA10Sep23", "aC25Sep23", "b10Sep23"),
@@ -158,6 +169,9 @@ LIES = [
                  ("4Jul10", "A10Sep23", "A15Sep23", "A2Oct23", "b14Oct23", "c10Sep23",
                   "c14Oct23"),
                  id="products"),
+    pytest.param([(checks, "_quotients_isomorphic", _negate)],
+                 tuple(FACTOR_CLAUSES),
+                 id="quotients_isomorphic"),
     pytest.param([(mono, "_min_covers_avoiding", lambda fn: lambda r, vset: fn(r, vset)[:-1])],
                  ("A10Sep23", "A2Oct23", "c10Sep23"),
                  id="localize_monomial"),
@@ -181,6 +195,14 @@ def test_a_lying_engine_fails_the_check(monkeypatch, lies, ids):
     for rep in run_suite(_corpus(), ids, CFG)[1:]:
         clauses = {cx.clause for cx in rep.counterexamples}
         assert clauses - {"engine-error"}, f"{rep.theorem_id} never failed: {clauses}"
+
+
+def test_a_false_isomorphism_fails_each_factor_clause(monkeypatch):
+    lies, ids = next(case.values for case in LIES if case.id == "quotients_isomorphic")
+    _lie(monkeypatch, lies)
+    reports = run_suite(_corpus(), ids, CFG)[1:]
+    assert {rep.theorem_id: {cx.clause for cx in rep.counterexamples} for rep in reports} == \
+        {cid: {clause} for cid, clause in FACTOR_CLAUSES.items()}
 
 
 @pytest.mark.parametrize("lies, ids", [case for case in LIES

@@ -17,7 +17,16 @@ from orespec import finring, harness
 from orespec.centre import centre_ring
 from orespec.checks import REGISTRY, TheoremCheck
 from orespec.dsl import parse_ring_expr
-from orespec.finring import _INTERN, content, interning, make_gf, make_product, make_zmod
+from orespec.finring import (
+    _INTERN,
+    content,
+    interning,
+    make_gf,
+    make_matrix_ring,
+    make_product,
+    make_upper_triangular,
+    make_zmod,
+)
 from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
 
 
@@ -119,6 +128,46 @@ def test_inside_a_run_one_table_per_content():
         assert make_zmod(4) is not z2
     assert _INTERN.get() is None
     assert make_zmod(2) is not z2
+
+
+CONSTRUCTORS = [
+    ("zmod(4)", lambda: make_zmod(4)),
+    ("gf(4)", lambda: make_gf(4)),
+    ("mat(2, gf(2))", lambda: make_matrix_ring(2, make_gf(2))),
+    ("tri(2, gf(2))", lambda: make_upper_triangular(2, make_gf(2))),
+    ("prod(zmod(2), zmod(3))", lambda: make_product(make_zmod(2), make_zmod(3))),
+]
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Tables constructed, by label."""
+    built = Counter()
+    table = finring.RingTable
+
+    def counted(*args):
+        built[args[5]] += 1  # the label
+        return table(*args)
+
+    monkeypatch.setattr(finring, "RingTable", counted)
+    return built
+
+
+@pytest.mark.parametrize("label, construct", CONSTRUCTORS, ids=[c[0] for c in CONSTRUCTORS])
+def test_inside_a_run_a_repeated_constructor_call_builds_once(monkeypatch, label, construct):
+    built = _count_builds(monkeypatch)
+    with interning():
+        first = construct()
+        assert construct() is first
+    assert first.label == label and built[label] == 1
+
+
+@pytest.mark.parametrize("label, construct", CONSTRUCTORS, ids=[c[0] for c in CONSTRUCTORS])
+def test_outside_a_run_every_constructor_call_builds_and_audits(monkeypatch, label, construct):
+    built = _count_builds(monkeypatch)
+    calls = _count_audits(monkeypatch)
+    first, second = construct(), construct()
+    assert first is not second and first.label == second.label == label
+    assert built[label] == calls[content(first), False] == 2
 
 
 def test_the_centre_of_a_commutative_ring_stays_its_own_table():

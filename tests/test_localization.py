@@ -127,7 +127,7 @@ def test_localized_ideals(z6):
     three = ideal_closure_mask(z6, 1 << 3)
     li = localize_left_ideal(loc, three)
     assert li.mask == 1 and li.two_sided
-    assert localize_left_ideal(loc, three) is li  # memoised on the localization
+    assert localize_left_ideal(loc, three) is li  # memoised on the factor map
     loc13 = localize(z6, close_multiplicative(z6, [3]))
     assert localize_left_ideal(loc13, ideal_closure_mask(z6, 1 << 2)).mask == 1
 
@@ -297,6 +297,26 @@ def test_closure_extension_closes_at_most_n_minus_1_times_per_submonoid(
         calls = 0
         sets = mult_set_masks.__wrapped__(r, EXHAUSTIVE_MULT_ORDER)
         assert 0 < calls <= len(sets) * (r.order - 1) + 1, r.label
+
+
+def test_a11_localizes_each_ideal_once_per_vanishing_ideal(monkeypatch):
+    # every set with the same vanishing ideal shares one factor map, which
+    # holds the localized ideals
+    calls = 0
+    right_absorbed = localization._right_absorbed
+
+    def counting(t, mask):
+        nonlocal calls
+        calls += 1
+        return right_absorbed(t, mask)
+
+    monkeypatch.setattr(localization, "_right_absorbed", counting)
+    r = evaluate(parse_ring_expr("prod(zmod(2), tri(2, gf(2)))"))
+    assert decide(checks.check_a11(r, CorpusConfig())).status == "pass"
+    ideals = [b for b in all_ideal_masks(r) if b != r.full_mask()]
+    dens = left_denominator_sets(r)
+    distinct = {(classify_set(s).ass_l_mask, b) for s in dens for b in ideals}
+    assert calls == len(distinct) < len(dens) * len(ideals)
 
 
 def _per_pair_push_condition(r, smembers, target_mask):
