@@ -20,6 +20,7 @@ from .finring import (
     RingTable,
     _audited,
     bits,
+    canonical,
     centre_mask,
     is_commutative,
     memo,
@@ -38,6 +39,7 @@ from .localization import (
     classify_set,
     localize,
     localize_left_ideal,
+    min_RS,
 )
 
 
@@ -109,6 +111,15 @@ def central_regulars_miss_min_primes(r: RingTable) -> bool:
     return all(central & pm == 0 for pm in min_prime_masks(r))
 
 
+def rho_criteria(r: RingTable) -> tuple[bool, bool, bool, bool]:
+    """The four criteria that agree on a semiprime ring: central regulars
+    stay regular, they miss min(R), rho is well defined on min(R), and it is
+    onto the minimal primes of the centre."""
+    rm = rho(r)
+    return (central_regulars_stay_regular(r), central_regulars_miss_min_primes(r),
+            rm.well_defined, rm.surjective_onto_min)
+
+
 # ---------------------------------------------------------------------------
 # central localization
 
@@ -133,25 +144,19 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
     t = loc.target
     where = f"q={list(bits(qmask))}"
 
-    fiber_source = [pm for pm in prime_masks(r) if cd.restrict_mask(pm) == qmask]
-    q_lift = cd.embedding.push_mask(qmask)
-    extension = ideal_closure_mask(t, loc.sigma.push_mask(q_lift))
+    fiber_source = [pm for pm, qm in rho(r).table if qm == qmask]
+    extension = ideal_closure_mask(t, loc.sigma.push_mask(cd.embedding.push_mask(qmask)))
     if bool(fiber_source) != (extension != t.full_mask()):
         return "prime is hit iff the extension is proper", where
 
-    fiber_target = {pm for pm in prime_masks(t) if extension & ~pm == 0}
-    images = set()
-    for pm in fiber_source:
-        li = localize_left_ideal(loc, pm)
-        if not li.two_sided or li.mask not in fiber_target:
-            return "fiber bijection", where
-        images.add(li.mask)
-    if len(images) != len(fiber_source) or images != fiber_target:
+    # the localized fiber primes are two-sided and list the primes over the
+    # extension, each once
+    fiber_target = tuple(pm for pm in prime_masks(t) if extension & ~pm == 0)
+    images = [localize_left_ideal(loc, pm) for pm in fiber_source]
+    if not all(li.two_sided for li in images) or canonical(li.mask for li in images) != fiber_target:
         return "fiber bijection", where
 
-    if fiber_source and not any(
-        cd.restrict_mask(pm) == qmask for pm in min_prime_masks(r)
-    ):
+    if fiber_source and not set(fiber_source) & set(min_prime_masks(r)):
         return "a minimal prime lies in every hit fiber", where
     return None
 
@@ -165,28 +170,28 @@ def check_pierce(r: RingTable) -> tuple[str, str] | None:
     decomposition, or None."""
     cd = centre_ring(r)
     mins = min_prime_masks(r)
+    qmins = min_prime_masks(cd.centre)
     locs = []
-    for qmask in min_prime_masks(cd.centre):
+    for qmask in qmins:
         loc = localize(r, central_mult_set(r, qmask))
         locs.append(loc)
         t = loc.target
+        where = f"q={list(bits(qmask))}"
         # kernel of Z(R) -> R_q must equal the kernel of Z(R) -> Z(R)_q
         zloc = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~qmask))
         if (loc.sigma.push_mask(centre_mask(r)) != centre_mask(t)
                 or cd.restrict_mask(loc.ass_mask) != zloc.ass_mask):
-            return "centres localize along the decomposition", r.label
+            return "centres localize along the decomposition", where
         # primes meeting the central complement blow up to the whole ring,
         # so only the disjoint minimal primes can appear downstairs
-        family = {localize_left_ideal(loc, m).mask
-                  for m in mins if m & loc.mult_set.mask == 0}
-        tmins = min_prime_masks(t)
-        if not is_semiprime_ring(t) or set(tmins) != family or len(family) > len(mins):
-            return ("central factors are semiprime with localized minimals",
-                    f"q={list(bits(qmask))}")
+        family = {localize_left_ideal(loc, m).mask for m in min_RS(r, loc.mult_set)}
+        if not is_semiprime_ring(t) or set(min_prime_masks(t)) != family or len(family) > len(mins):
+            return "central factors are semiprime with localized minimals", where
 
     hom = product_hom([loc.sigma for loc in locs])
+    where = f"q={[list(bits(qmask)) for qmask in qmins]}"
     if hom.verify() or not hom.is_injective():
-        return "embedding into the central factors", r.label
+        return "embedding into the central factors", where
     if is_commutative(r) and not hom.is_bijective():
-        return "commutative decomposition is exact", r.label
+        return "commutative decomposition is exact", where
     return None

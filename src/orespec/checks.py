@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from . import monomial as mono
 from .centre import (
     central_localize,
-    central_regulars_miss_min_primes,
     central_regulars_stay_regular,
     centre_ring,
     check_pierce,
     rho,
+    rho_criteria,
 )
 from .finring import (
     Mask,
@@ -71,6 +71,7 @@ from .localization import (
     check_epimorphic_den_c14,
     classify_set,
     closure_with_witness,
+    has_normal_multiples,
     largest_regular_set,
     largest_set_assoc,
     left_denominator_sets,
@@ -78,6 +79,7 @@ from .localization import (
     localize_left_ideal,
     localize_normal,
     min_RS,
+    normal_closure,
     regular_den,
     respects_prime_structure,
     submonoid_masks,
@@ -134,12 +136,6 @@ def _zero_dens(r: RingTable, cfg) -> list[MultSet]:
 def _normal_set_masks(r: RingTable) -> tuple[Mask, ...]:
     """Closures of at most two nonzero normal elements."""
     return submonoid_masks(r, [x for x in bits(normal_mask(r)) if x != r.zero], 2)
-
-
-def _generated_by_normals(s: MultSet) -> bool:
-    gens = s.mask & normal_mask(s.ring)
-    m, witness = closure_with_witness(s.ring, gens)
-    return witness is None and m == s.mask
 
 
 def _quotients_isomorphic(f: RingHom, g: RingHom) -> bool:
@@ -233,15 +229,11 @@ def check_a11_vacuity(r: RingTable, cfg):
         t = loc.target
         inv = inverse_table(t)
         li = localize_left_ideal(loc, m)
-        # the chain depends on s only through u = sigma(s)^-1; the first
-        # member with each u names it
-        first_member = {}
-        for sm in s.members():
-            first_member.setdefault(inv[loc.sigma(sm)], sm)
-        for u, sm in first_member.items():
-            if li.two_sided and _chain_limit(t, li.mask, u) != li.mask:
-                yield "a two-sided image absorbs its chain", f"s={sm} b={list(bits(m))}"
-        if not li.two_sided:
+        if li.two_sided:
+            for sm in s.members():
+                if _chain_limit(t, li.mask, inv[loc.sigma(sm)]) != li.mask:
+                    yield "a two-sided image absorbs its chain", f"s={sm} b={list(bits(m))}"
+        else:
             yield "stabilized chains force a two-sided image", f"b={list(bits(m))} S={s.members()}"
         yield
 
@@ -394,7 +386,8 @@ def check_irredundant_characterization(r: RingTable, cfg):
     minset = set(min_prime_masks(r))
     primes = prime_masks(r)
     if not is_irredundant_masks(r, sorted(minset)):
-        yield "minimal primes form an irredundant family", r.label
+        yield ("minimal primes form an irredundant family",
+               f"family={[list(bits(m)) for m in sorted(minset)]}")
     yield
     for combo in subsets(primes, 1):
         if is_irredundant_masks(r, combo) and set(combo) != minset:
@@ -475,10 +468,11 @@ def check_largest_sets_and_embedding(r: RingTable, cfg):
             if hom.push_mask(u) & ~units_mask(q):
                 yield "largest regular sets restrict along factors", f"p={list(bits(pmask))}"
     hom = product_hom([hom for _, hom in quots])
+    where = f"primes={[list(bits(m)) for m in mins]}"
     if hom.verify():
-        yield "canonical map into the product is a homomorphism", r.label
+        yield "canonical map into the product is a homomorphism", where
     if hom.is_injective() != is_semiprime_ring(r):
-        yield "injective into the factor product iff semiprime", r.label
+        yield "injective into the factor product iff semiprime", where
     yield
 
 
@@ -538,7 +532,8 @@ def check_prime_preimage_sets(r: RingTable, cfg):
                                f"p={list(bits(pmask))} S={s.members()}")
         yield
     if inter_l != 1 << r.zero or inter_r != 1 << r.zero:
-        yield "vanishing sets intersect to zero", r.label
+        yield ("vanishing sets intersect to zero",
+               f"ass_l={list(bits(inter_l))} ass_r={list(bits(inter_r))}")
 
 
 def check_zero_divisor_den_equivalence(r: RingTable, cfg):
@@ -562,12 +557,9 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg):
         if st1 != st2:
             yield "semiprime description iff prime factors", f"S={s.members()}"
         if st1:
-            by_normal = _generated_by_normals(s)
-            ts_normal = all(
-                any(normal_mask(r) >> r.mul[tt][ss] & 1 for tt in s.members())
-                for ss in s.members()
-            )
-            if (by_normal or ts_normal) and len(set(family)) != len(mrs):
+            closed, witness = normal_closure(s)
+            by_normal = witness is None and closed == s.mask
+            if (by_normal or has_normal_multiples(s)) and len(set(family)) != len(mrs):
                 yield ("normal generation forces distinct localized primes",
                        f"S={s.members()}")
         yield
@@ -676,14 +668,11 @@ def check_an_localization_bijection(a: mono.AnAlgebra, cfg):
 
 
 def check_normal_subset_variant(r: RingTable, cfg):
-    nm = normal_mask(r)
     for s in _dens(r, cfg):
-        members = s.members()
-        if not all(
-            any(nm >> r.mul[tt][ss] & 1 for tt in members) for ss in members
-        ):
+        if not has_normal_multiples(s):
             continue
-        closed, witness = closure_with_witness(r, s.mask & nm)
+        members = s.members()
+        closed, witness = normal_closure(s)
         if witness is not None:
             yield "normal subset is multiplicative", f"S={members}"
         cls_full = classify_set(s)
@@ -714,19 +703,18 @@ def check_central_fibers(r: RingTable, cfg):
 def check_restriction_well_defined(r: RingTable, cfg):
     if not is_semiprime_ring(r):
         return
-    if not (central_regulars_stay_regular(r) == central_regulars_miss_min_primes(r)
-            == rho(r).well_defined):
-        yield "three-way centre criterion", r.label
+    criteria = rho_criteria(r)[:3]
+    if len(set(criteria)) > 1:
+        yield "three-way centre criterion", f"criteria={criteria}"
     yield
 
 
 def check_restriction_surjective(r: RingTable, cfg):
     if not is_semiprime_ring(r):
         return
-    rm = rho(r)
-    if not (central_regulars_stay_regular(r) == central_regulars_miss_min_primes(r)
-            == rm.well_defined == rm.surjective_onto_min):
-        yield "four-way centre criterion", r.label
+    criteria = rho_criteria(r)
+    if len(set(criteria)) > 1:
+        yield "four-way centre criterion", f"criteria={criteria}"
     yield
 
 
@@ -735,11 +723,12 @@ def check_centre_semiprime(r: RingTable, cfg):
         return
     cd = centre_ring(r)
     if not is_semiprime_ring(cd.centre):
-        yield "centre of a semiprime ring is semiprime", r.label
-    hit = {cd.restrict_mask(pm) for pm in prime_masks(r)}
+        yield "centre of a semiprime ring is semiprime", f"Z={list(cd.embedding.map)}"
+    hit = {qm for _, qm in rho(r).table}
     image_minimals = set(min_prime_masks(cd.centre)) & hit
     if len(image_minimals) > len(min_prime_masks(r)):
-        yield "hit central minimal primes within the bound", r.label
+        yield ("hit central minimal primes within the bound",
+               f"hit={sorted(list(bits(qm)) for qm in image_minimals)}")
     yield
 
 
@@ -752,28 +741,22 @@ def check_unit_group_of_quotient(r: RingTable, cfg):
     s = largest_regular_set(r)
     loc = localize(r, s)
     t = loc.target
+    where = f"S={s.members()}"
     if loc.sigma.preimage_mask(units_mask(t)) != units_mask(r):
-        yield "largest set of the quotient contracts to the source's", r.label
+        yield "largest set of the quotient contracts to the source's", where
     inv = inverse_table(t)
-    gens = set(bits(loc.sigma.push_mask(s.mask)))
-    gens |= {inv[g] for g in gens}
-    group = {t.one}
-    frontier = [t.one]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            for prod in (t.mul[g][h], t.mul[h][g]):
-                if prod not in group:
-                    group.add(prod)
-                    frontier.append(prod)
-    if group != set(bits(units_mask(t))):
-        yield "units generated by the set and its inverses", r.label
+    image = loc.sigma.push_mask(s.mask)
+    # units of a finite ring have finite order, so the monoid generated by
+    # the images and their inverses is the group they generate
+    group = closure_with_witness(t, image | mask_of(inv[g] for g in bits(image)))[0]
+    if group != units_mask(t):
+        yield "units generated by the set and its inverses", where
     fractions = {t.mul[inv[loc.sigma(a)]][loc.sigma(b)] for a in s.members() for b in s.members()}
     if fractions != set(bits(units_mask(t))):
-        yield "units are the one-sided fractions of the set", r.label
+        yield "units are the one-sided fractions of the set", where
     again = localize(t, largest_regular_set(t))
     if not (again.sigma.is_bijective() and not again.sigma.verify()):
-        yield "localizing twice changes nothing", r.label
+        yield "localizing twice changes nothing", where
     yield
 
 

@@ -168,8 +168,19 @@ def _comma_items(text: str, flag: str) -> list[str]:
     return items
 
 
+def _int_items(text: str, flag: str) -> list[int]:
+    """The items of a comma-separated flag value, each an integer."""
+    out = []
+    for x in _comma_items(text, flag):
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise RingError(f"{flag} item {x!r} is not an integer") from None
+    return out
+
+
 def _gens_list(text: str, r: RingTable) -> list[int]:
-    gens = [int(x) for x in _comma_items(text, "--gens")]
+    gens = _int_items(text, "--gens")
     for g in gens:
         if not 0 <= g < r.order:
             raise RingError(f"element id {g} is out of range for {r.label} of order {r.order}")
@@ -226,6 +237,8 @@ def cmd_rho(args) -> int:
 
 
 def cmd_mono(args) -> int:
+    if args.action == "minprimes" and args.invert is not None:
+        raise RingError("mono minprimes takes no --invert")
     expr = parse_ring_expr(args.expr)
     if expr.kind != "mono":  # before evaluating: a finite operand has no order cap here
         raise RingError("mono subcommands need a mono(...) expression")
@@ -234,7 +247,7 @@ def cmd_mono(args) -> int:
         for cover in min_primes_monomial(obj):
             print("(" + ",".join(f"v{i + 1}" for i in sorted(cover)) + ")")
         return EXIT_CLEAN
-    variables = [int(v) - 1 for v in _comma_items(args.invert, "--invert")]
+    variables = [v - 1 for v in _int_items(args.invert or "", "--invert")]
     for v in variables:
         if not 0 <= v < obj.nvars:
             raise RingError(f"--invert index {v + 1} is outside 1..{obj.nvars}")
@@ -326,51 +339,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orespec",
         description="spectra, centres and localizations of finite rings and monomial algebras",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-order", type=positive_int, default=DEFAULT_ORDER_CAP,
+    # each subcommand declares only the flags it reads
+    finite = argparse.ArgumentParser(add_help=False)
+    finite.add_argument("--max-order", type=positive_int, default=DEFAULT_ORDER_CAP,
                         help="order cap for finite constructions")
-    common.add_argument("--exhaustive-order", type=positive_int, default=EXHAUSTIVE_MULT_ORDER,
-                        help="largest order with exhaustive multiplicative-set enumeration")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--exhaustive-order", type=positive_int, default=EXHAUSTIVE_MULT_ORDER,
+                       help="largest order with exhaustive multiplicative-set enumeration")
+    sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("describe", help="order, units, centre, semiprimeness, element table")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_describe)
-
-    p = sub.add_parser("ideals", help="the two-sided ideal lattice with primality flags")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_ideals)
-
-    p = sub.add_parser("minprimes", help="minimal primes and the prime radical")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_minprimes)
-
-    p = sub.add_parser("multsets", help="multiplicative sets with their classification")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_multsets)
-
-    p = sub.add_parser("classify-set", help="Ore/denominator flags of one generated set")
-    p.add_argument("expr")
-    p.add_argument("--gens", required=True, help="comma-separated element ids")
-    p.set_defaults(fn=cmd_classify_set)
-
-    p = sub.add_parser("localize", help="localize at a generated denominator set")
-    p.add_argument("expr")
-    p.add_argument("--gens", required=True, help="comma-separated element ids")
-    p.set_defaults(fn=cmd_localize)
-
-    p = sub.add_parser("centre", help="the centre as a ring, with its minimal primes")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_centre)
-
-    p = sub.add_parser("rho", help="restriction of primes to the centre")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_rho)
+    for name, fn, text in (
+        ("describe", cmd_describe, "order, units, centre, semiprimeness, element table"),
+        ("ideals", cmd_ideals, "the two-sided ideal lattice with primality flags"),
+        ("minprimes", cmd_minprimes, "minimal primes and the prime radical"),
+        ("multsets", cmd_multsets, "multiplicative sets with their classification"),
+        ("classify-set", cmd_classify_set, "Ore/denominator flags of one generated set"),
+        ("localize", cmd_localize, "localize at a generated denominator set"),
+        ("centre", cmd_centre, "the centre as a ring, with its minimal primes"),
+        ("rho", cmd_rho, "restriction of primes to the centre"),
+    ):
+        parents = [finite, sweep] if fn is cmd_multsets else [finite]
+        p = sub.add_parser(name, help=text, parents=parents)
+        p.add_argument("expr")
+        if fn in (cmd_classify_set, cmd_localize):
+            p.add_argument("--gens", required=True, help="comma-separated element ids")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("mono", help="monomial-quotient operations")
     p.add_argument("action", choices=["minprimes", "localize"])
     p.add_argument("expr")
-    p.add_argument("--invert", default="", help="comma-separated 1-based variable indices")
+    p.add_argument("--invert", default=None,
+                   help="comma-separated 1-based variable indices (localize only)")
     p.set_defaults(fn=cmd_mono)
 
     p = sub.add_parser("an", help="verify the noncommutative pairing algebra")
@@ -380,16 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degree bound (default: the bound for n)")
     p.set_defaults(fn=cmd_an)
 
-    p = sub.add_parser("verify", help="run the claim-verification suite")
+    p = sub.add_parser("verify", help="run the claim-verification suite", parents=[finite, sweep])
     p.add_argument("--suite", default="all",
                    help="all | finite | monomial | comma-separated check ids")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one table cell first (self-test)")
-    p.add_argument("--explain", type=explain_target, default=None, metavar="ID:K",
-                   help="print counterexample K of check ID instead of the report")
+    # --explain prints one counterexample in place of the report, in no format
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--format", choices=["text", "machine"], default=None,
+                       help="report format (default: text)")
+    shown.add_argument("--explain", type=explain_target, default=None, metavar="ID:K",
+                       help="print counterexample K of check ID instead of the report")
     p.set_defaults(fn=cmd_verify)
     return ap
 

@@ -70,8 +70,10 @@ def mask_of(ids) -> Mask:
     return m
 
 
-def popcount(mask: Mask) -> int:
-    return mask.bit_count()
+def canonical(masks) -> tuple[Mask, ...]:
+    """The masks in the one order every mask family is listed in: by size,
+    then by value."""
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 def subsets(items, smallest: int = 0):

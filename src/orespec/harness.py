@@ -222,6 +222,8 @@ def run_suite(
     unknown = [i for i in ids if i not in REGISTRY]
     if unknown:
         raise RingError(f"unknown check ids: {unknown}")
+    if len(set(ids)) < len(ids):
+        raise RingError(f"repeated check ids: {sorted({i for i in ids if ids.count(i) > 1})}")
 
     audit = CheckReport(AUDIT_ID, "finite", "operation tables satisfy the ring axioms", "")
     reports = {

@@ -17,10 +17,10 @@ from .finring import (
     RingError,
     RingTable,
     bits,
+    canonical,
     is_two_sided_ideal_mask,
     make_quotient,
     memo,
-    popcount,
     products,
 )
 
@@ -83,7 +83,7 @@ def _closure_under(seeds, step) -> set[Mask]:
 def all_ideal_masks(r: RingTable) -> tuple[Mask, ...]:
     principal = {ideal_closure_mask(r, 1 << x) for x in r.elements()}
     seen = _closure_under(principal, lambda m, p: additive_closure(r, m | p))
-    return tuple(sorted(seen, key=lambda m: (popcount(m), m)))
+    return canonical(seen)
 
 
 def all_ideal_masks_exhaustive(r: RingTable) -> tuple[Mask, ...]:
@@ -91,7 +91,7 @@ def all_ideal_masks_exhaustive(r: RingTable) -> tuple[Mask, ...]:
     if r.order > 12:
         raise RingError("exhaustive ideal scan is limited to order <= 12")
     out = [m for m in range(1 << r.order) if is_two_sided_ideal_mask(r, m)]
-    return tuple(sorted(out, key=lambda m: (popcount(m), m)))
+    return canonical(out)
 
 
 @memo
@@ -174,7 +174,7 @@ def min_prime_masks_over(r: RingTable, floor: Mask) -> tuple[Mask, ...]:
             raise EngineInvariantError(
                 f"minimal primes over an ideal disagree with the factor-ring route in {r.label}"
             )
-    return tuple(sorted(direct, key=lambda m: (popcount(m), m)))
+    return canonical(direct)
 
 
 def min_prime_masks(r: RingTable) -> tuple[Mask, ...]:
@@ -299,7 +299,7 @@ def prime_rich_violation(r: RingTable, amask: Mask) -> tuple[str, str] | None:
     q = make_quotient(r, amask)[0] if amask != 1 << r.zero else r
     c3 = is_nilpotent_ideal(q, prime_radical_mask(q))  # |min(a)| is finite here by fiat
     if not (c1 == c2 == c3):
-        return "three-way prime-rich agreement", r.label
+        return "three-way prime-rich agreement", f"ideal={list(bits(amask))} conditions={(c1, c2, c3)}"
     if min_prime_exponent(r, amask) is None:
         return "minimal-prime product exponent within order", f"ideal={list(bits(amask))}"
     return None

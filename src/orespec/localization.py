@@ -19,13 +19,13 @@ from .finring import (
     RingHom,
     RingTable,
     bits,
+    canonical,
     inverse_table,
     is_two_sided_ideal_mask,
     make_quotient,
     mask_of,
     memo,
     normal_mask,
-    popcount,
     products,
     regular_mask,
     units_mask,
@@ -171,7 +171,7 @@ def submonoid_masks(r: RingTable, pool: list[int], depth: int | None) -> tuple[M
                     found.add(closed)
                     nxt.append(closed)
         frontier = nxt
-    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+    return canonical(found)
 
 
 def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
@@ -417,6 +417,18 @@ def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
     if ass == r.full_mask():
         raise ZeroAbsorbedError(r, (r.one, r.one))
     return _factor_localization(r, s, ass)
+
+
+def normal_closure(s: MultSet):
+    """closure_with_witness of the normal members of s."""
+    return closure_with_witness(s.ring, s.mask & normal_mask(s.ring))
+
+
+def has_normal_multiples(s: MultSet) -> bool:
+    """Every member x of s has a normal left multiple t*x with t in s."""
+    r, members = s.ring, s.members()
+    nm = normal_mask(r)
+    return all(any(nm >> r.mul[t][x] & 1 for t in members) for x in members)
 
 
 # ---------------------------------------------------------------------------

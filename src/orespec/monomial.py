@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .finring import RingError, memo, subsets
+from .finring import RingError, mask_of, memo, subsets
 
 
 class UnitIdealError(RingError):
@@ -269,16 +269,8 @@ class AnAlgebra:
         return f"AnAlgebra(pairs={self.pairs}, letters={self.letters}, degree<={self.degree_bound})"
 
 
-def _letter_mask(indices) -> int:
-    """Bit i set for each index i: the support of a word or of a z part."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def _z_mask(zexp: tuple[int, ...]) -> int:
-    return _letter_mask(i + 1 for i, e in enumerate(zexp) if e)
+    return mask_of(i + 1 for i, e in enumerate(zexp) if e)
 
 
 class NCMonomial:
@@ -297,7 +289,7 @@ class NCMonomial:
         self.word = word
         self.zexp = zexp
         self.is_zero = is_zero
-        self.wmask = _letter_mask(word) if wmask is None else wmask
+        self.wmask = mask_of(word) if wmask is None else wmask
         self.zmask = _z_mask(zexp) if zmask is None else zmask
 
     def degree(self) -> int:
@@ -396,7 +388,7 @@ def an_monomials(a: AnAlgebra):
         for wlen in range(total + 1):
             zparts = [(zexp, _z_mask(zexp)) for zexp in exponent_vectors(total - wlen, a.pairs)]
             for word in itertools.product(letters, repeat=wlen):
-                wmask = _letter_mask(word)
+                wmask = mask_of(word)
                 for zexp, zmask in zparts:
                     if not wmask & zmask:
                         yield NCMonomial(word, zexp, False, wmask, zmask)
@@ -412,8 +404,8 @@ class AnPrime:
     cmask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "imask", _letter_mask(self.I))
-        object.__setattr__(self, "cmask", _letter_mask(self.complement()))
+        object.__setattr__(self, "imask", mask_of(self.I))
+        object.__setattr__(self, "cmask", mask_of(self.complement()))
 
     def complement(self) -> frozenset[int]:
         return frozenset(range(1, self.algebra.pairs + 1)) - self.I
@@ -567,7 +559,7 @@ def _an_localize_verdict(a: AnAlgebra, V: frozenset[int]) -> tuple[str, str] | N
     # above the degree bound, and whether s*m*t is zero depends only on m's
     # class, so scanning one representative per class is sound
     zfull = NCMonomial((), tuple(1 if (i + 1) in V else 0 for i in range(a.pairs)))
-    vmask = _letter_mask(V)
+    vmask = mask_of(V)
     for m in _an_class_representatives(a):
         killed = an_multiply(a, an_multiply(a, zfull, m), zfull).is_zero
         if killed != bool(m.wmask & vmask):

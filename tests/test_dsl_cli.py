@@ -260,6 +260,45 @@ def test_cli_an_empty_list_keeps_its_meaning(capsys):
     assert "saturation:    ['v1*v2']" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, flag, item", [
+    (["localize", "zmod(6)", "--gens", "1.5"], "--gens", "1.5"),
+    (["classify-set", "zmod(6)", "--gens", "2, x"], "--gens", "x"),
+    (["mono", "localize", MONO, "--invert", "1.5"], "--invert", "1.5"),
+])
+def test_cli_a_non_integer_list_item_names_the_flag_and_the_item(capsys, argv, flag, item):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} item {item!r} is not an integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mono", "minprimes", MONO, "--invert", "1"], "mono minprimes takes no --invert"),
+    (["mono", "localize", MONO, "--invert", "1", "--max-order", "4"],
+     "unrecognized arguments: --max-order 4"),
+    (["an", "verify", "--n", "1", "--max-order", "2", "--exhaustive-order", "99"],
+     "unrecognized arguments: --max-order 2 --exhaustive-order 99"),
+    (["describe", "zmod(4)", "--exhaustive-order", "3"], "unrecognized arguments: --exhaustive-order 3"),
+    (["localize", "zmod(6)", "--gens", "2", "--exhaustive-order", "3"],
+     "unrecognized arguments: --exhaustive-order 3"),
+    (["verify", "--explain", "A11Sep23:0", "--format", "machine"],
+     "argument --format: not allowed with argument --explain"),
+    (["verify", "--format", "text", "--explain", "A11Sep23:0"],
+     "argument --explain: not allowed with argument --format"),
+])
+def test_cli_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("orespec.cli.build_corpus", None)  # rejected before any corpus
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_cli_a_repeated_check_id_is_a_usage_error(capsys):
+    assert main(["verify", "--suite", "A11Sep23,A11Sep23", "--max-order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "repeated check ids: ['A11Sep23']" in captured.err and captured.out == ""
+
+
 def test_cli_verify_machine_format_fields(capsys):
     code = main(["verify", "--suite", "A11Sep23", "--format", "machine", "--max-order", "6"])
     out = capsys.readouterr().out

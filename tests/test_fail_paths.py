@@ -8,6 +8,7 @@ a primitive that the evaluators read, never an evaluator that compares
 routes, so a case shows that the routes are computed, not only read.
 """
 
+import ast
 import contextlib
 import dataclasses
 import pathlib
@@ -19,7 +20,7 @@ from orespec import centre, checks, finring, harness, ideals, localization
 from orespec import monomial as mono
 from orespec.checks import COVERAGE
 from orespec.dsl import parse_ring_expr
-from orespec.finring import content, make_quotient, make_zmod
+from orespec.finring import RingHom, content, make_quotient, make_zmod
 from orespec.harness import CorpusConfig, Instance, render_machine, run_suite
 from orespec.ideals import all_ideal_masks
 
@@ -81,6 +82,19 @@ def _zero_at_top_degree(fn):
         prod = fn(a, m1, m2)
         return mono.an_zero(a) if prod.degree() == a.degree_bound else prod
     return lying
+
+
+def _constant_hom(fn):
+    # the product map sends everything to zero
+    def lying(homs):
+        h = fn(homs)
+        return RingHom(h.source, h.target, (h.target.zero,) * h.source.order)
+    return lying
+
+
+def _square_of_a_prime_is_everything(fn):
+    return lambda r, a, b: \
+        r.full_mask() if a == b and ideals.prime_flags(r, a).is_prime else fn(r, a, b)
 
 
 def _drop_a_left_multiple(fn):
@@ -184,6 +198,29 @@ LIES = [
 ]
 
 
+# Lies that each reach one clause of an evaluator, which must then be the
+# one clause reported: with that clause deleted, the check would pass or fail
+# with another.
+CLAUSE_LIES = [
+    pytest.param([(centre, "ideal_closure_mask", lambda fn: lambda r, m, *side: r.full_mask())],
+                 {"A25Sep23": "prime is hit iff the extension is proper"},
+                 id="central_extension"),
+    pytest.param([(centre, "min_prime_masks",
+                   _on_rings(lambda r: not _centre(r), lambda fn: lambda r: ()))],
+                 {"A25Sep23": "a minimal prime lies in every hit fiber"},
+                 id="hit_fiber_minimal"),
+    pytest.param([(centre, "product_hom", _constant_hom)],
+                 {"aC25Sep23": "embedding into the central factors"},
+                 id="central_embedding"),
+    pytest.param([(centre, "product_hom", lambda fn: lambda homs: fn(homs + homs[:1]))],
+                 {"aC25Sep23": "commutative decomposition is exact"},
+                 id="central_decomposition"),
+    pytest.param([(ideals, "ideal_product_mask", _square_of_a_prime_is_everything)],
+                 {"aA29Sep23": "minimal-prime product exponent within order"},
+                 id="prime_exponent"),
+]
+
+
 def _lie(monkeypatch, lies):
     for module, name, wrap in lies:
         monkeypatch.setattr(module, name, wrap(getattr(module, name)))
@@ -214,6 +251,45 @@ def test_a_quotient_lie_reaches_the_same_rings_with_interning_off(monkeypatch, l
     assert render_machine(run_suite(_corpus(), ids, CFG)) == interned
 
 
+@pytest.mark.parametrize("lies, clauses", CLAUSE_LIES)
+def test_a_lying_primitive_fails_its_own_clause(monkeypatch, lies, clauses):
+    _lie(monkeypatch, lies)
+    reports = run_suite(_corpus(), tuple(clauses), CFG)[1:]
+    assert {rep.theorem_id: {cx.clause for cx in rep.counterexamples} for rep in reports} == \
+        {cid: {clause} for cid, clause in clauses.items()}
+
+
+def test_a_counterexample_detail_names_no_other_instance(monkeypatch):
+    # zmod(2) and gf(2) share one table within a run, labelled after the
+    # first of them, so a detail that read the label would name it for both
+    monkeypatch.setattr(checks, "is_irredundant_masks", _negate(checks.is_irredundant_masks))
+
+    def details(texts):
+        corpus = [Instance("finite", text, parse_ring_expr(text)) for text in texts]
+        rep = run_suite(corpus, ("b10Sep23",), CFG)[1]
+        return {cx.provenance: (cx.clause, cx.detail) for cx in rep.counterexamples}
+
+    forward = details(["zmod(2)", "gf(2)"])
+    assert len(forward) == 2 and forward == details(["gf(2)", "zmod(2)"])
+
+
+def test_no_counterexample_detail_reads_a_label():
+    # the provenance names the instance; a label names a table's first instance
+    src = pathlib.Path(__file__).parents[1] / "src" / "orespec"
+    offenders = []
+    for name in ("checks.py", "centre.py", "ideals.py", "localization.py", "monomial.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            value = node.value if isinstance(node, (ast.Yield, ast.Return)) else None
+            if not (isinstance(value, ast.Tuple) and len(value.elts) == 2
+                    and isinstance(value.elts[0], ast.Constant)
+                    and isinstance(value.elts[0].value, str)):
+                continue
+            if any(isinstance(n, ast.Attribute) and n.attr == "label"
+                   for n in ast.walk(value.elts[1])):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
 EVALUATORS = {
     "check_A11_equivalence", "check_epimorphic_den_b14", "check_epimorphic_den_c14",
     "central_localize", "check_pierce", "prime_rich_violation", "is_prime_rich", "rho",
@@ -222,7 +298,7 @@ EVALUATORS = {
 
 
 def test_no_lie_patches_an_evaluator():
-    patched = {name for case in LIES for _, name, _ in case.values[0]}
+    patched = {name for case in LIES + CLAUSE_LIES for _, name, _ in case.values[0]}
     assert not patched & EVALUATORS
 
 

@@ -134,6 +134,12 @@ def test_unknown_check_id_is_an_error(small_corpus):
         run_suite(small_corpus, ("NoSuchClaim",), SMALL)
 
 
+def test_a_repeated_check_id_is_an_error(small_corpus):
+    # counted once per mention, it would report every case twice
+    with pytest.raises(RingError, match=r"repeated check ids: \['A11Sep23'\]"):
+        run_suite(small_corpus, ("A11Sep23", "B29Sep23", "A11Sep23"), SMALL)
+
+
 def test_reports_are_deterministic_across_runs_and_jobs(small_corpus):
     r1 = render_machine(run_suite(build_corpus(SMALL), FAST_IDS, SMALL, jobs=1))
     r2 = render_machine(run_suite(build_corpus(SMALL), FAST_IDS, SMALL, jobs=1))

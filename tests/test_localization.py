@@ -8,12 +8,12 @@ from orespec.checks import decide
 from orespec.dsl import evaluate, parse_ring_expr
 from orespec.finring import (
     bits,
+    canonical,
     inverse_table,
     make_gf,
     make_quotient,
     mask_of,
     normal_mask,
-    popcount,
     regular_mask,
     units_mask,
 )
@@ -223,7 +223,7 @@ def _zero_free_closures(r, seeds):
         mask, witness = closure_with_witness(r, gens)
         if witness is None:
             found.add(mask)
-    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+    return canonical(found)
 
 
 def _closures_of_all_subsets(r):
