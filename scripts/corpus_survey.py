@@ -10,7 +10,7 @@ from collections import Counter
 
 from orespec.cli import positive_int
 from orespec.finring import content, is_commutative
-from orespec.harness import CorpusConfig, build_corpus
+from orespec.harness import CorpusConfig, build_corpus, class_heads
 from orespec.ideals import all_ideal_masks, is_semiprime_ring, min_prime_masks_over
 from orespec.localization import left_denominator_sets, mult_set_masks
 
@@ -23,9 +23,11 @@ def main() -> int:
     cfg = CorpusConfig(order_cap=args.max_order)
     corpus = build_corpus(cfg)
     finite = [(i.provenance, i.build(cfg.order_cap)) for i in corpus if i.kind == "finite"]
-    distinct = len({content(r) for _, r in finite})
+    tables = list({content(r): r for _, r in finite}.values())  # one per content
+    classes = len(set(class_heads(tables)))
     print(f"{len(corpus)} instances; {len(finite)} finite, "
-          f"{distinct} distinct table contents (what a run interns on)")
+          f"{len(tables)} distinct table contents (what a run interns on), "
+          f"{classes} isomorphism classes (what a run evaluates)")
     print(f"{'provenance':<52} {'ord':>3} {'comm':>4} {'semi':>4} "
           f"{'ideals':>6} {'minpr':>5} {'msets':>5} {'dens':>4}")
     tally = Counter()

@@ -67,7 +67,7 @@ def centre_ring(r: RingTable) -> CentreData:
     centre = _audited(RingTable(n, add, mul, index[r.zero], index[r.one],
                                 f"centre({r.label})", names))
     if not is_commutative(centre):
-        raise EngineInvariantError(f"{r.label}: induced centre table is not commutative")
+        raise EngineInvariantError("induced centre table is not commutative")
     return CentreData(centre, RingHom(centre, r, tuple(elems)))
 
 
@@ -84,7 +84,7 @@ def rho(r: RingTable) -> RestrictionMap:
     table = tuple((pm, cd.restrict_mask(pm)) for pm in prime_masks(r))
     # p intersect Z(R) is always prime in the centre ring
     if not all(prime_flags(cd.centre, qm).is_prime for _, qm in table):
-        raise EngineInvariantError(f"{r.label}: restriction of a prime is not prime in the centre")
+        raise EngineInvariantError("restriction of a prime is not prime in the centre")
     minset = set(min_prime_masks(r))
     min_table = tuple((pm, qm) for pm, qm in table if pm in minset)
     centre_mins = set(min_prime_masks(cd.centre))
@@ -129,7 +129,7 @@ def central_mult_set(r: RingTable, qmask: Mask) -> MultSet:
     s = MultSet(r, cd.embedding.push_mask(cd.centre.full_mask() & ~qmask))
     cls = classify_set(s)
     if not (cls.left_den and cls.right_den):
-        raise EngineInvariantError(f"{r.label}: central set fails the denominator check")
+        raise EngineInvariantError("central set fails the denominator check")
     return s
 
 

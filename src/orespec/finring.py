@@ -180,6 +180,90 @@ class RingHom:
         return self.is_injective() and self.source.order == self.target.order
 
 
+@memo
+def element_invariants(r: RingTable) -> tuple[tuple[int, int, int, bool, bool], ...]:
+    """Per element x, what any ring isomorphism preserves: the additive order
+    of x, the index and period of its powers (the least i < j with
+    x^i == x^j gives i and j - i), whether x is idempotent and whether x^2 is
+    zero.  Read from the four tables alone."""
+    out = []
+    for x in r.elements():
+        k, y = 1, x
+        while y != r.zero and k <= r.order:  # bounded on a table that is no ring
+            y, k = r.add[y][x], k + 1
+        first, p = {}, x
+        while p not in first:
+            first[p] = len(first) + 1
+            p = r.mul[p][x]
+        square = r.mul[x][x]
+        out.append((k, first[p], len(first) + 1 - first[p], square == x, square == r.zero))
+    return tuple(out)
+
+
+def invariant_key(r: RingTable) -> tuple:
+    """Equal for isomorphic tables: the order and the multiset of element
+    invariants.  Tables with different keys are never isomorphic."""
+    return r.order, tuple(sorted(element_invariants(r)))
+
+
+def isomorphism(a: RingTable, b: RingTable) -> RingHom | None:
+    """A ring isomorphism a -> b, or None when there is none.
+
+    Invariant-refined backtracking: an unmapped element of a is sent to each
+    unused element of b with its invariants in turn, and the partial map is
+    closed under both operations, so each choice fixes the subring it
+    generates and a conflict prunes the branch.  A map is returned only if it
+    is bijective and RingHom.verify() finds no fault, so an invariant that is
+    wrong could only miss an isomorphism, never report a false one.
+    """
+    if invariant_key(a) != invariant_key(b):
+        return None
+    inv_a, inv_b = element_invariants(a), element_invariants(b)
+    cells: dict[tuple, list[int]] = {}  # invariant -> the elements of b with it
+    for y in b.elements():
+        cells.setdefault(inv_b[y], []).append(y)
+
+    def extend(fwd, back, x, y):
+        """fwd and its inverse back, extended by x -> y and closed under + and
+        *, or None on a conflict."""
+        fwd, back = fwd[:], back[:]
+        mapped = [u for u in a.elements() if fwd[u] >= 0]
+        queue = [(x, y)]
+        while queue:
+            x, y = queue.pop()
+            if fwd[x] >= 0:
+                if fwd[x] != y:
+                    return None
+                continue
+            if back[y] >= 0 or inv_a[x] != inv_b[y]:
+                return None
+            fwd[x], back[y] = y, x
+            mapped.append(x)
+            for u in mapped:
+                v = fwd[u]
+                queue += ((a.add[x][u], b.add[y][v]), (a.mul[x][u], b.mul[y][v]),
+                          (a.mul[u][x], b.mul[v][y]))
+        return fwd, back
+
+    def search(state):
+        if state is None:
+            return None
+        fwd, back = state
+        free = [x for x in a.elements() if fwd[x] < 0]
+        if not free:
+            hom = RingHom(a, b, tuple(fwd))
+            return hom if hom.is_bijective() and not hom.verify() else None
+        x = min(free, key=lambda u: (len(cells[inv_a[u]]), u))  # fewest candidates first
+        for y in cells[inv_a[x]]:
+            if back[y] < 0:
+                hom = search(extend(fwd, back, x, y))
+                if hom is not None:
+                    return hom
+        return None
+
+    return search(extend([-1] * a.order, [-1] * b.order, a.one, b.one))
+
+
 # ---------------------------------------------------------------------------
 # axiom audit
 
@@ -265,7 +349,7 @@ def is_interned(r: RingTable) -> bool:
 def _audited(r: RingTable) -> RingTable:
     bad = audit_ring(r)
     if bad:
-        raise EngineInvariantError(f"{r.label}: constructed table fails audit: {bad[0]}")
+        raise EngineInvariantError(f"constructed table fails audit: {bad[0]}")
     return r
 
 

@@ -7,8 +7,10 @@ so an injected table fault surfaces as a counterexample of the audit report,
 never as a bogus theorem verdict.  Reports are deterministic for a fixed
 configuration regardless of the worker count: results are merged in corpus
 order and wall time lives outside the comparable body.  The checks run once
-per distinct payload object, and each instance built on it gets the outcome
-under its own provenance.
+per isomorphism class of finite tables, and once per payload object of the
+other kinds, and each instance gets the outcome under its own provenance:
+a row without a fail is copied to the other tables of its class, and after
+a fail each of them runs the checks on its own table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .finring import (
     audit_ring,
     bits,
     interning,
+    invariant_key,
     is_interned,
+    isomorphism,
     units_mask,
 )
 from .ideals import all_ideal_masks, min_prime_masks
@@ -210,6 +214,39 @@ def _worker(args):
     return idx, _run_checks_on_instance(inst, ids, cfg)
 
 
+def class_heads(rings: list[RingTable]) -> list[int]:
+    """For each table, the index of the first table isomorphic to it.  Only
+    tables with equal invariant keys are searched for an isomorphism."""
+    firsts: dict[tuple, list[int]] = {}  # invariant key -> first index of each class
+    out = []
+    for i, r in enumerate(rings):
+        seen = firsts.setdefault(invariant_key(r), [])
+        head = next((j for j in seen if isomorphism(rings[j], r) is not None), None)
+        if head is None:
+            seen.append(i)
+            head = i
+        out.append(head)
+    return out
+
+
+def _evaluate(good: list[Instance], todo: list[int], ids: tuple[str, ...],
+              cfg: CorpusConfig, jobs: int) -> dict:
+    """The checks' rows for the instances at the indices todo, serially or in
+    a pool of at most jobs workers."""
+    tasks = [(i, ids) for i in todo]
+    workers = min(jobs, len(tasks))  # no idle workers, and none without a task
+    if workers <= 1:
+        return {i: _run_checks_on_instance(good[i], ids, cfg) for i in todo}
+    _WORKER_STATE["corpus"] = good
+    _WORKER_STATE["cfg"] = cfg
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers) as pool:
+            return dict(pool.map(_worker, tasks))
+    finally:
+        _WORKER_STATE.clear()
+
+
 def run_suite(
     corpus: list[Instance],
     ids: tuple[str, ...] | None = None,
@@ -252,23 +289,24 @@ def run_suite(
         audit.wall_ms = (time.perf_counter() - t0) * 1000
 
         # A check reads only the payload, so the instances built on one object
-        # share its outcome: one task per object, run on its first instance.
+        # share its outcome: one head per object, its first instance.
         heads: dict[int, int] = {}  # id(payload) -> index of its first instance
         head_of = [heads.setdefault(id(inst.build(cfg.order_cap)), i)
                    for i, inst in enumerate(good)]
-        tasks = [(i, ids) for i in heads.values()]
-        workers = min(jobs, len(tasks))  # no idle workers, and none without a task
-        if workers > 1:
-            _WORKER_STATE["corpus"] = good
-            _WORKER_STATE["cfg"] = cfg
-            try:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(workers) as pool:
-                    rows = dict(pool.map(_worker, tasks))
-            finally:
-                _WORKER_STATE.clear()
-        else:
-            rows = {i: _run_checks_on_instance(good[i], ids, cfg) for i, _ in tasks}
+        # A claim is about the ring, so isomorphic tables share their outcome
+        # too: the checks run on the first head of each class, and the other
+        # heads copy its row if nothing failed, or else run on their own table.
+        first = {i: i for i in heads.values()}  # head -> first head of its class
+        finite = [i for i in first if isinstance(good[i].build(cfg.order_cap), RingTable)]
+        for i, k in zip(finite, class_heads([good[i].build(cfg.order_cap) for i in finite])):
+            first[i] = finite[k]
+        rows = _evaluate(good, [i for i in first if first[i] == i], ids, cfg, jobs)
+        failed = {i for i, row in rows.items() if any(o.status == "fail" for _, o, _ in row)}
+        rows.update(_evaluate(good, [i for i in first if i not in rows and first[i] in failed],
+                              ids, cfg, jobs))
+        for i in first:
+            if i not in rows:
+                rows[i] = [(cid, outcome, 0.0) for cid, outcome, _ in rows[first[i]]]
 
     for i, (inst, head) in enumerate(zip(good, head_of)):
         for cid, outcome, dt in rows[head]:

@@ -172,7 +172,7 @@ def min_prime_masks_over(r: RingTable, floor: Mask) -> tuple[Mask, ...]:
         via = sorted(hom.preimage_mask(m) for m in min_prime_masks_over(q, 1 << q.zero))
         if sorted(direct) != via:
             raise EngineInvariantError(
-                f"minimal primes over an ideal disagree with the factor-ring route in {r.label}"
+                "minimal primes over an ideal disagree with the factor-ring route"
             )
     return canonical(direct)
 
@@ -226,7 +226,7 @@ def prime_radical_mask(r: RingTable) -> Mask:
         inter &= m
     if inter != strongly_nilpotent_mask(r):
         raise EngineInvariantError(
-            f"prime radical of {r.label}: minimal-prime intersection disagrees "
+            "prime radical: minimal-prime intersection disagrees "
             "with the strongly nilpotent elements"
         )
     return inter

@@ -48,17 +48,17 @@ class ZeroAbsorbedError(RingError):
     def __init__(self, ring, witness):
         self.witness = witness  # (s, t) with s*t == 0
         super().__init__(
-            f"{ring.label}: closure hits zero via {ring.name(witness[0])}*{ring.name(witness[1])}"
+            f"closure hits zero via {ring.name(witness[0])}*{ring.name(witness[1])}"
         )
 
 
 class NotDenominatorError(RingError):
     """The set fails the left Ore or left denominator condition."""
 
-    def __init__(self, ring, reason, witness):
+    def __init__(self, reason, witness):
         self.reason = reason
         self.witness = witness
-        super().__init__(f"{ring.label}: {reason} fails at {witness}")
+        super().__init__(f"{reason} fails at {witness}")
 
 
 class NotInAssError(RingError):
@@ -216,9 +216,9 @@ def ore_flags(r: RingTable, smask: Mask) -> OreClass:
         ("right-denominator", next(bits(ass_l & ~ass_r))) if not right_den else None
     )
     if left_ore and not is_two_sided_ideal_mask(r, ass_l):
-        raise EngineInvariantError(f"{r.label}: ass_l of a left Ore set is not a two-sided ideal")
+        raise EngineInvariantError("ass_l of a left Ore set is not a two-sided ideal")
     if right_ore and not is_two_sided_ideal_mask(r, ass_r):
-        raise EngineInvariantError(f"{r.label}: ass_r of a right Ore set is not a two-sided ideal")
+        raise EngineInvariantError("ass_r of a right Ore set is not a two-sided ideal")
     return OreClass(left_ore, right_ore, left_den, right_den, ass_l, ass_r, violation)
 
 
@@ -248,9 +248,9 @@ def _factor_localization(r: RingTable, s: MultSet, ass: Mask) -> Localization:
     every sigma(s) is a unit of the factor."""
     target, sigma = make_quotient(r, ass)
     if sigma.kernel_mask() != ass:
-        raise EngineInvariantError(f"{r.label}: localization kernel differs from the vanishing ideal")
+        raise EngineInvariantError("localization kernel differs from the vanishing ideal")
     if sigma.push_mask(s.mask) & ~units_mask(target):
-        raise EngineInvariantError(f"{r.label}: an image of S is not a unit of the localization")
+        raise EngineInvariantError("an image of S is not a unit of the localization")
     return Localization(r, s, ass, target, sigma)
 
 
@@ -259,7 +259,7 @@ def _localize_mask(r: RingTable, smask: Mask) -> Localization:
     cls = ore_flags(r, smask)
     if not cls.left_den:
         reason, witness = cls.violation or ("left-denominator", None)
-        raise NotDenominatorError(r, reason, witness)
+        raise NotDenominatorError(reason, witness)
     return _factor_localization(r, MultSet(r, smask), cls.ass_l_mask)
 
 
@@ -383,7 +383,7 @@ def min_RS_id(loc: Localization) -> list[Mask]:
         if ideal_closure_mask(loc.target, localize_left_ideal(loc, m).mask) != loc.target.full_mask()
     ]
     if set(min_RS(r, loc.mult_set)) - set(out):
-        raise EngineInvariantError(f"{r.label}: min(R,S) escapes min(R,S,id)")
+        raise EngineInvariantError("min(R,S) escapes min(R,S,id)")
     return out
 
 
@@ -404,7 +404,7 @@ def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
     nm = normal_mask(r)
     for g in bits(gmask):
         if not nm >> g & 1:
-            raise RingError(f"{r.label}: generator {r.name(g)} is not normal")
+            raise RingError(f"generator {r.name(g)} is not normal")
     s = close_multiplicative(r, gmask)
     members = s.members()
     # s x t = 0 for some s, t in S exactly when some s x lies in ass_r(S)
@@ -413,7 +413,7 @@ def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
         x for x in r.elements() if any(ass_r >> r.mul[u][x] & 1 for u in members)
     )
     if not is_two_sided_ideal_mask(r, ass):
-        raise EngineInvariantError(f"{r.label}: normal-set vanishing ideal is not two-sided")
+        raise EngineInvariantError("normal-set vanishing ideal is not two-sided")
     if ass == r.full_mask():
         raise ZeroAbsorbedError(r, (r.one, r.one))
     return _factor_localization(r, s, ass)
@@ -439,7 +439,7 @@ def largest_regular_set(r: RingTable) -> MultSet:
     s = MultSet(r, units_mask(r))
     cls = classify_set(s)
     if not (regular_den(r, cls) and cls.right_den):
-        raise EngineInvariantError(f"{r.label}: unit group fails the denominator re-check")
+        raise EngineInvariantError("unit group fails the denominator re-check")
     return s
 
 
@@ -460,11 +460,11 @@ def largest_set_assoc(r: RingTable, amask: Mask, exhaustive_order: int = EXHAUST
     """Largest left denominator set with vanishing ideal a: the preimage of the
     units of R/a.  Errors when a is not realizable as a vanishing ideal."""
     if amask not in ass_l_realizable_masks(r, exhaustive_order):
-        raise NotInAssError(f"{r.label}: ideal {list(bits(amask))} is not an attained vanishing ideal")
+        raise NotInAssError(f"ideal {list(bits(amask))} is not an attained vanishing ideal")
     s = MultSet(r, _unit_preimage(r, amask))
     cls = classify_set(s)
     if not cls.left_den or cls.ass_l_mask != amask:
-        raise EngineInvariantError(f"{r.label}: unit preimage fails the denominator re-check")
+        raise EngineInvariantError("unit preimage fails the denominator re-check")
     return s
 
 
@@ -509,7 +509,7 @@ def _two_step_criterion(q: RingTable, s_img: Mask) -> bool:
     # proper: 1 in cbar would need an image of S to vanish in q
     cbar = vanishing_masks(q, s_img)[0]
     if not is_two_sided_ideal_mask(q, cbar):
-        raise EngineInvariantError(f"{q.label}: intermediate vanishing set is not an ideal")
+        raise EngineInvariantError("intermediate vanishing set is not an ideal")
     q2, hom2 = make_quotient(q, cbar)
     cls = ore_flags(q2, hom2.push_mask(s_img))
     lhs = regular_den(q2, cls)

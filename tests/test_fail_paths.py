@@ -273,20 +273,41 @@ def test_a_counterexample_detail_names_no_other_instance(monkeypatch):
     assert len(forward) == 2 and forward == details(["gf(2)", "zmod(2)"])
 
 
+def _reads_a_label(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "label" for n in ast.walk(node))
+
+
+def _error_messages(tree):
+    """The raise statements under tree, and the messages exception classes
+    pass to their base, less the order caps: a cap is met while an
+    expression is built, before any check runs."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "SizeLimitError"):
+                yield node
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__init__" and isinstance(node.func.value, ast.Call)):
+            yield node  # super().__init__(message)
+
+
 def test_no_counterexample_detail_reads_a_label():
-    # the provenance names the instance; a label names a table's first instance
+    # the provenance names the instance; a label names a table's first
+    # instance in the run.  A check's engine error becomes its detail too.
     src = pathlib.Path(__file__).parents[1] / "src" / "orespec"
     offenders = []
-    for name in ("checks.py", "centre.py", "ideals.py", "localization.py", "monomial.py"):
-        for node in ast.walk(ast.parse((src / name).read_text())):
+    for name in ("checks.py", "centre.py", "ideals.py", "localization.py", "monomial.py",
+                 "finring.py"):
+        tree = ast.parse((src / name).read_text())
+        for node in ast.walk(tree):
             value = node.value if isinstance(node, (ast.Yield, ast.Return)) else None
-            if not (isinstance(value, ast.Tuple) and len(value.elts) == 2
+            if (isinstance(value, ast.Tuple) and len(value.elts) == 2
                     and isinstance(value.elts[0], ast.Constant)
-                    and isinstance(value.elts[0].value, str)):
-                continue
-            if any(isinstance(n, ast.Attribute) and n.attr == "label"
-                   for n in ast.walk(value.elts[1])):
+                    and isinstance(value.elts[0].value, str) and _reads_a_label(value.elts[1])):
                 offenders.append(f"{name}:{node.lineno}")
+        offenders += [f"{name}:{node.lineno}" for node in _error_messages(tree)
+                      if _reads_a_label(node)]
     assert offenders == []
 
 

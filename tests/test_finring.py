@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from orespec.finring import (
     bits,
     centre_mask,
     is_commutative,
+    isomorphism,
     make_gf,
     make_matrix_ring,
     make_product,
@@ -109,6 +111,24 @@ def test_product_is_crt_isomorphic_to_zmod6():
     crt = RingHom(make_zmod(6), p, tuple((x % 2) * 3 + (x % 3) for x in range(6)))
     assert crt.verify() == []
     assert crt.is_bijective()
+
+
+def test_the_search_finds_the_crt_isomorphism():
+    z6, p = make_zmod(6), make_product(make_zmod(3), make_gf(2))
+    hom = isomorphism(z6, p)
+    assert hom is not None and hom.is_bijective() and hom.verify() == []
+    assert isomorphism(z6, make_zmod(6)).map == tuple(range(6))  # the only automorphism
+
+
+def test_zmod4_gf4_and_z2_squared_are_pairwise_non_isomorphic():
+    rings = [make_zmod(4), make_gf(4), make_product(make_zmod(2), make_zmod(2))]
+    for a, b in itertools.permutations(rings, 2):
+        assert isomorphism(a, b) is None, (a.label, b.label)
+        # by brute force: none of the 24 bijections is a ring homomorphism
+        assert not any(RingHom(a, b, perm).verify() == []
+                       for perm in itertools.permutations(range(4))), (a.label, b.label)
+    for r in rings:
+        assert isomorphism(r, r).verify() == []
 
 
 def test_product_projections_are_homomorphisms():

@@ -3,8 +3,10 @@
 The intern table lives only while `run_suite` runs: outside it every
 constructor returns a fresh object, and after it the tables it interned can
 be freed.  Centre tables are audited but never interned, so the centre of a
-commutative ring stays a table of its own.  The checks run once per table
-object, and every instance built on it reports under its own provenance.
+commutative ring stays a table of its own.  The checks run once per
+isomorphism class of tables, and every instance reports under its own
+provenance: a row that passed is copied to the class, and after a fail each
+table of the class runs the checks on its own.
 """
 
 import gc
@@ -84,7 +86,10 @@ def test_a_finite_pass_runs_the_checks_once_per_table(monkeypatch):
     corpus = _finite_corpus(cfg)
     calls = _count_evaluations(monkeypatch)
     run_suite(corpus, cfg=cfg)
-    assert len(calls) == len({content(inst.build(cfg.order_cap)) for inst in corpus}) == 43
+    # 43 table contents in 30 isomorphism classes: zmod(6), prod(zmod(2), zmod(3))
+    # and prod(zmod(3), gf(2)) are one ring, and so on
+    assert len({content(inst.build(cfg.order_cap)) for inst in corpus}) == 43
+    assert len(calls) == len(set(calls)) == 30
     assert len(corpus) == 184
 
 
@@ -112,6 +117,56 @@ def test_a_repeat_instance_reports_under_its_own_provenance(monkeypatch, jobs):
     ]
     if jobs == 1:  # forked workers count in their own copy
         assert calls == ["zmod(2)", "zmod(3)"]
+
+
+SIX = ("zmod(6)", "prod(zmod(2), zmod(3))", "prod(zmod(3), gf(2))")  # one ring, three tables
+
+
+def _six(monkeypatch, check):
+    monkeypatch.setitem(
+        REGISTRY, "six", (TheoremCheck("six", ("finite",), "a ring of order 6"), {"finite": check})
+    )
+    return [Instance("finite", text, parse_ring_expr(text)) for text in SIX]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_fail_on_a_class_reruns_each_table_with_its_own_detail(monkeypatch, jobs):
+    def names_the_one(r, cfg):
+        yield "fails at one", f"one={r.one}"  # an element id, which the tables number apart
+
+    corpus = _six(monkeypatch, names_the_one)
+    calls = _count_evaluations(monkeypatch)
+    rep = run_suite(corpus, ("six",), CorpusConfig(order_cap=6), jobs=jobs)[1]
+    assert len({content(inst.build()) for inst in corpus}) == 3
+    assert [(cx.provenance, cx.detail) for cx in rep.counterexamples] == [
+        ("zmod(6)", "one=1"), ("prod(zmod(2), zmod(3))", "one=4"), ("prod(zmod(3), gf(2))", "one=3"),
+    ]
+    if jobs == 1:
+        assert calls == list(SIX)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_fail_on_the_first_table_of_a_class_reruns_the_others(monkeypatch, jobs):
+    z6 = content(make_zmod(6))
+
+    def fails_on_z6(r, cfg):
+        yield ("fails on this table", f"one={r.one}") if content(r) == z6 else None
+
+    corpus = _six(monkeypatch, fails_on_z6)
+    rep = run_suite(corpus, ("six",), CorpusConfig(order_cap=6), jobs=jobs)[1]
+    assert (rep.considered, rep.applicable, rep.passed, rep.cases) == (3, 3, 2, 3)
+    assert [(cx.provenance, cx.detail) for cx in rep.counterexamples] == [("zmod(6)", "one=1")]
+
+
+def test_a_pass_on_a_class_runs_its_first_table_only(monkeypatch):
+    def passes(r, cfg):
+        yield from (None for _ in r.elements())
+
+    corpus = _six(monkeypatch, passes)
+    calls = _count_evaluations(monkeypatch)
+    rep = run_suite(corpus, ("six",), CorpusConfig(order_cap=6))[1]
+    assert (rep.considered, rep.applicable, rep.passed, rep.cases) == (3, 3, 3, 18)
+    assert calls == ["zmod(6)"]
 
 
 def test_outside_a_run_nothing_is_interned():

@@ -9,6 +9,9 @@ engine's answers is known without knowing the answers.
     left and right outputs of the Ore classification.
 (e) Interning tables within a run, and so running the checks once per
     table, changes no byte of the machine report, serial or pooled.
+(g) Running the checks once per isomorphism class of tables, and copying a
+    row that passed to the other tables of the class, changes no byte of the
+    machine report, serial or pooled.
 
 (a) and (d) run over every distinct finite table of the default corpus with
 a fixed seed, so a failure is reproducible; (b) and (c) over every monomial
@@ -22,7 +25,7 @@ import random
 from orespec import harness
 from orespec.checks import COVERAGE
 from orespec.dsl import RingExpr, evaluate
-from orespec.finring import RingTable, audit_ring
+from orespec.finring import RingTable, audit_ring, content, isomorphism
 from orespec.harness import (
     CorpusConfig,
     Instance,
@@ -74,6 +77,16 @@ def test_relabelling_elements_changes_no_verdict(corpus_tables):
         moved_zero += perm[r.zero] != r.zero
         assert _verdicts(inst, twin) == _verdicts(inst, r), r.label
     assert moved_zero >= 30  # the relation reaches tables whose zero is not id 0
+
+
+def test_a_table_is_isomorphic_to_its_relabelled_twin(corpus_tables):
+    rng = random.Random(SEED)
+    for _, r in corpus_tables:
+        perm = list(r.elements())
+        rng.shuffle(perm)
+        twin = _relabel(r, perm)
+        hom = isomorphism(r, twin)
+        assert hom is not None and hom.is_bijective() and hom.verify() == [], r.label
 
 
 def test_permuting_monomial_variables_changes_no_verdict():
@@ -133,3 +146,24 @@ def test_interning_changes_no_byte_of_the_report(monkeypatch):
     interned = reports()
     monkeypatch.setattr(harness, "interning", contextlib.nullcontext)
     assert reports() == interned
+
+
+def test_class_evaluation_changes_no_byte_of_the_report(monkeypatch):
+    # with the isomorphism search off every table is a class, and a task, of its own
+    cfg = CorpusConfig(order_cap=8)
+
+    def finite():
+        return [inst for inst in build_corpus(cfg) if inst.kind == "finite"]
+
+    def reports():
+        return [render_machine(run_suite(finite(), cfg=cfg, jobs=jobs)) for jobs in (1, 2)]
+
+    calls = []  # the serial run's evaluations; a pooled run makes its own in the workers
+    run_checks = harness._run_checks_on_instance
+    monkeypatch.setattr(harness, "_run_checks_on_instance",
+                        lambda inst, ids, cfg: calls.append(inst) or run_checks(inst, ids, cfg))
+    by_class = reports()
+    # some class has more than one table, so the relation is not vacuous
+    assert len(calls) < len({content(inst.build(cfg.order_cap)) for inst in finite()})
+    monkeypatch.setattr(harness, "isomorphism", lambda a, b: None)
+    assert reports() == by_class
