@@ -3,7 +3,10 @@
 
 A clause site is a `yield "<clause>", ...` in `checks.py` or a
 `return "<clause>", ...` in an evaluator of `checks.py`, `localization.py`,
-`centre.py`, `ideals.py` or `monomial.py`.  For each site, one at a time, the
+`centre.py`, `ideals.py` or `monomial.py`.  A decision site is a
+`return False` in `finring.py`, `ideals.py` or `localization.py`: the early
+exit of a yes/no test of the engine, such as the audit's generator test,
+named after its function.  For each site, one at a time, the
 sweep copies the checkout to a temporary directory, replaces that statement
 with `pass` there, and runs the tier-1 tests in the copy, stopping at the
 first failure.  The site is
@@ -38,6 +41,7 @@ TARGETS = {
     "ideals.py": ast.Return,
     "monomial.py": ast.Return,
 }
+DECISIONS = ("finring.py", "ideals.py", "localization.py")
 
 
 def _clause(node) -> str | None:
@@ -65,7 +69,18 @@ def sites() -> list[tuple[str, ast.stmt, str]]:
             clause = _clause(expr)
             if clause is not None:
                 out.append((name, node, clause))
-    return sorted(out, key=lambda s: (list(TARGETS).index(s[0]), s[1].lineno))
+    for name in DECISIONS:
+        tree = ast.parse((ROOT / PACKAGE / name).read_text())
+        owner = {}  # return statement -> its innermost function; outer ones come first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                            and node.value.value is False):
+                        owner[node] = fn.name
+        out += [(name, node, f"{fn}: return False") for node, fn in owner.items()]
+    files = list(dict.fromkeys([*TARGETS, *DECISIONS]))
+    return sorted(out, key=lambda s: (files.index(s[0]), s[1].lineno))
 
 
 def mutant(source: str, stmt: ast.stmt) -> str:

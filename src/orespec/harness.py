@@ -84,22 +84,26 @@ def _finite_base_exprs(cfg: CorpusConfig) -> list[RingExpr]:
 
 
 def build_corpus(cfg: CorpusConfig) -> list[Instance]:
-    """The deterministic default corpus; instances keyed by their provenance."""
-    exprs = _finite_base_exprs(cfg)
-    rings = [evaluate(e, cfg.order_cap) for e in exprs]
-    nbase = len(exprs)
-    for i in range(nbase):
-        for j in range(i, nbase):
-            if rings[i].order * rings[j].order <= cfg.order_cap:
-                exprs.append(RingExpr("prod", (), (exprs[i], exprs[j])))
-    rings += [evaluate(e, cfg.order_cap) for e in exprs[nbase:]]
+    """The deterministic default corpus; instances keyed by their provenance.
 
-    pairs = [("finite", e) for e in exprs]
-    pairs += [
-        ("finite", RingExpr("quot", (), (e,), tuple(bits(m))))
-        for e, ring in zip(exprs, rings)
-        for m in all_ideal_masks(ring)[1:-1]  # proper nonzero, canonical order
-    ]
+    The rings it reads are built in one interning scope, so each content is
+    built and audited once, and they are dropped when it returns."""
+    exprs = _finite_base_exprs(cfg)
+    with interning():
+        rings = [evaluate(e, cfg.order_cap) for e in exprs]
+        nbase = len(exprs)
+        for i in range(nbase):
+            for j in range(i, nbase):
+                if rings[i].order * rings[j].order <= cfg.order_cap:
+                    exprs.append(RingExpr("prod", (), (exprs[i], exprs[j])))
+        rings += [evaluate(e, cfg.order_cap) for e in exprs[nbase:]]
+
+        pairs = [("finite", e) for e in exprs]
+        pairs += [
+            ("finite", RingExpr("quot", (), (e,), tuple(bits(m))))
+            for e, ring in zip(exprs, rings)
+            for m in all_ideal_masks(ring)[1:-1]  # proper nonzero, canonical order
+        ]
     pairs += [
         ("monomial", RingExpr("mono", (n,), (), gens))
         for n in range(1, MONOMIAL_VARS + 1)

@@ -8,6 +8,7 @@ is kept as an independent oracle for small orders.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .finring import (
@@ -16,6 +17,7 @@ from .finring import (
     Mask,
     RingError,
     RingTable,
+    additive_span,
     bits,
     canonical,
     is_two_sided_ideal_mask,
@@ -37,17 +39,7 @@ class PrimeReport:
 
 @memo
 def additive_closure(r: RingTable, mask: Mask) -> Mask:
-    mask |= 1 << r.zero
-    while True:
-        new = mask
-        items = list(bits(mask))
-        for a in items:
-            row = r.add[a]
-            for b in items:
-                new |= 1 << row[b]
-        if new == mask:
-            return mask
-        mask = new
+    return additive_span(r, mask)
 
 
 @memo
@@ -115,22 +107,31 @@ def ideal_sum_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
 def prime_flags(r: RingTable, mask: Mask) -> PrimeReport:
     """Prime / completely prime / semiprime flags of a two-sided ideal mask, by
     the elementwise tests.  Primes and semiprime ideals are proper, so all
-    three flags are false on the whole ring."""
+    three flags are false on the whole ring.
+
+    With into[y] = {b : yb in P}, aRb lies in P exactly when b lies in every
+    into[y] for y in aR, so each a outside P needs one intersection of row
+    masks: P is prime when it meets no b outside P, semiprime when it misses
+    a itself, and completely prime when into[a] itself meets nothing outside
+    P."""
     if mask == r.full_mask():
         return PrimeReport(False, False, False)
-    outside = [x for x in r.elements() if not mask >> x & 1]
-    completely = True
-    prime = True
-    semi = True
-    for a in outside:
-        row = r.mul[a]
-        if not any(~mask >> r.mul[row[t]][a] & 1 for t in r.elements()):
-            semi = False
-        for b in outside:
-            if mask >> row[b] & 1:
-                completely = False
-            if prime and not any(~mask >> r.mul[row[t]][b] & 1 for t in r.elements()):
-                prime = False
+    outside = r.full_mask() & ~mask
+    inside = frozenset(bits(mask)).__contains__
+    weights = [1 << b for b in r.elements()]
+    into = [sum(itertools.compress(weights, map(inside, row))) for row in r.mul]
+    right = products(r)[0]
+    completely = prime = semi = True
+    for a in bits(outside):
+        if into[a] & outside:
+            completely = False
+        within = outside  # the b outside P with aRb in P
+        for y in bits(right[a]):
+            within &= into[y]
+        if within:
+            prime = False
+            if within >> a & 1:
+                semi = False
     if (completely and not prime) or (prime and not semi):
         raise EngineInvariantError("prime classification monotonicity violated")
     return PrimeReport(prime, completely, semi)

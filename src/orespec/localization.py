@@ -109,25 +109,44 @@ class LocalizedLeftIdeal:
     two_sided: bool
 
 
-def closure_with_witness(r: RingTable, gens: Mask):
-    """Multiplicative closure of gens plus 1, and the first (a, b) with a*b = 0
-    (or None when the closure avoids zero)."""
+def closure_with_witness(r: RingTable, gens: Mask, closed: Mask = 0):
+    """Multiplicative closure of gens plus 1, and the first pair (a, b) of its
+    members found with a*b = 0 (or None when the closure avoids zero); with
+    a witness, the mask is the part of the closure found so far, zero
+    included.
+
+    Semi-naive rounds: each round multiplies only the members the round
+    before found, by every member on either side, so each product is formed
+    once, and products with 1 are not formed.  `closed`, a part of gens
+    already closed under products (a closure being extended), counts as
+    found before the first round."""
+    zero, mul = r.zero, r.mul
     mask = gens | 1 << r.one
-    if mask >> r.zero & 1:
-        return mask, (r.zero, r.zero)
-    while True:
-        new = mask
-        items = list(bits(mask))
-        for a in items:
-            row = r.mul[a]
-            for b in items:
+    if mask >> zero & 1:
+        return mask, (zero, zero)
+    unit = 1 << r.one
+    old = list(bits(closed & ~unit))
+    new = list(bits(mask & ~closed & ~unit))
+    members = old + new
+    while new:
+        found = mask
+        for a in new:
+            row = mul[a]
+            for b in members:  # a * every member, the new ones included
                 p = row[b]
-                if p == r.zero:
-                    return new | 1 << r.zero, (a, b)
-                new |= 1 << p
-        if new == mask:
-            return mask, None
-        mask = new
+                if p == zero:
+                    return found | 1 << zero, (a, b)
+                found |= 1 << p
+            for b in old:  # every older member * a
+                p = mul[b][a]
+                if p == zero:
+                    return found | 1 << zero, (b, a)
+                found |= 1 << p
+        new = list(bits(found & ~mask))
+        old = members
+        members = members + new
+        mask = found
+    return mask, None
 
 
 def close_multiplicative(r: RingTable, gens) -> MultSet:
@@ -166,7 +185,7 @@ def submonoid_masks(r: RingTable, pool: list[int], depth: int | None) -> tuple[M
             for x in pool:
                 if mask >> x & 1:
                     continue
-                closed, witness = closure_with_witness(r, mask | 1 << x)
+                closed, witness = closure_with_witness(r, mask | 1 << x, mask)
                 if witness is None and closed not in found:
                     found.add(closed)
                     nxt.append(closed)
@@ -185,16 +204,63 @@ def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
     return ass_l, ass_r
 
 
-def _ore_witness(r: RingTable, members: list[int], left: bool) -> tuple[int, int] | None:
+@memo
+def _product_slots(r: RingTable) -> tuple:
+    """The maps x -> xs and x -> sx of every element s, each packed into one
+    int: slot x, the n + 1 bits from bit (n + 1)x up, holds the bit of the
+    product.  Then the slot constants `_meets` reads: a 1 at the foot of
+    every slot, n ones at the foot, and the top bit of every slot."""
+    n, mul = r.order, r.mul
+    width = n + 1
+    right = tuple(sum(1 << (width * x + mul[x][s]) for x in range(n)) for s in range(n))
+    left = tuple(sum(1 << (width * x + mul[s][x]) for x in range(n)) for s in range(n))
+    ones = sum(1 << width * x for x in range(n))
+    return right, left, ones, ones * ((1 << n) - 1), ones << n
+
+
+@memo
+def set_rows(r: RingTable, smask: Mask) -> tuple[int, int]:
+    """xS and Sx for every element x, packed into two ints by slot as in
+    `_product_slots`: the union over s in S of the maps x -> xs, and of the
+    maps x -> sx."""
+    right, left = _product_slots(r)[:2]
+    xs = sx = 0
+    for s in bits(smask):
+        xs |= right[s]
+        sx |= left[s]
+    return xs, sx
+
+
+def _meets(slots: tuple, rows: int, target: Mask) -> int:
+    """The slots of packed rows that meet target, marked by their top bit:
+    a slot's part in target is at most n ones, and adding n ones to it
+    carries into the top bit exactly when it is nonzero.  slots is
+    `_product_slots` of the ring."""
+    ones, low, high = slots[2:]
+    return ((rows & target * ones) + low) & high
+
+
+def _slot_members(r: RingTable, marks: int) -> Mask:
+    """The elements x whose slot top bit is set in marks."""
+    return mask_of(top // (r.order + 1) for top in bits(marks))
+
+
+def _ore_witness(r: RingTable, smask: Mask, left: bool) -> tuple[int, int] | None:
     """The first (x, s) in x-major order where Sx misses Rs (left) or xS
     misses sR (right), or None."""
+    slots = _product_slots(r)
+    xs, sx = set_rows(r, smask)
+    rows = sx if left else xs
     multiples = products(r)[1 if left else 0]
-    for x in r.elements():
-        near = mask_of(r.mul[t][x] if left else r.mul[x][t] for t in members)
-        for s in members:
-            if not near & multiples[s]:
-                return x, s
-    return None
+    high = slots[4]
+    misses = [(s, high & ~_meets(slots, rows, multiples[s])) for s in bits(smask)]
+    first = 0
+    for _, missed in misses:
+        first |= missed
+    if not first:
+        return None
+    top = first & -first  # the top bit of the least slot x that some s misses
+    return (top.bit_length() - 1) // (r.order + 1), next(s for s, m in misses if m & top)
 
 
 @memo
@@ -202,10 +268,9 @@ def ore_flags(r: RingTable, smask: Mask) -> OreClass:
     """The Ore and denominator flags of the set, its vanishing sets, and the
     first violation found.  An Ore set is a denominator set on its side when
     ass_r <= ass_l (left), respectively ass_l <= ass_r (right)."""
-    members = list(bits(smask))
     ass_l, ass_r = vanishing_masks(r, smask)
-    left_miss = _ore_witness(r, members, left=True)
-    right_miss = _ore_witness(r, members, left=False)
+    left_miss = _ore_witness(r, smask, left=True)
+    right_miss = _ore_witness(r, smask, left=False)
     left_ore, right_ore = left_miss is None, right_miss is None
     left_den = left_ore and not ass_r & ~ass_l
     right_den = right_ore and not ass_l & ~ass_r
@@ -307,19 +372,11 @@ def _absorbs_unit_inverses(loc: Localization, ideal_mask: Mask, bmask: Mask) -> 
 
 
 def _pushes_into_pulls(r: RingTable, smembers: list[int], target_mask: Mask) -> bool:
-    """{x : xs in target for some s in S} lies in {x : sx in target for some s}."""
-    pushed = pulled = 0
-    for x in r.elements():
-        row = r.mul[x]
-        for s in smembers:
-            if target_mask >> row[s] & 1:
-                pushed |= 1 << x
-                break
-        for s in smembers:
-            if target_mask >> r.mul[s][x] & 1:
-                pulled |= 1 << x
-                break
-    return not pushed & ~pulled
+    """{x : xs in target for some s in S} lies in {x : sx in target for some s}:
+    every slot of xS that meets the target has its slot of Sx meet it too."""
+    slots = _product_slots(r)
+    xs, sx = set_rows(r, mask_of(smembers))
+    return not _meets(slots, xs, target_mask) & ~_meets(slots, sx, target_mask)
 
 
 def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | None:
@@ -406,12 +463,9 @@ def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
         if not nm >> g & 1:
             raise RingError(f"generator {r.name(g)} is not normal")
     s = close_multiplicative(r, gmask)
-    members = s.members()
-    # s x t = 0 for some s, t in S exactly when some s x lies in ass_r(S)
+    # s x t = 0 for some s, t in S exactly when Sx meets ass_r(S)
     ass_r = vanishing_masks(r, s.mask)[1]
-    ass = mask_of(
-        x for x in r.elements() if any(ass_r >> r.mul[u][x] & 1 for u in members)
-    )
+    ass = _slot_members(r, _meets(_product_slots(r), set_rows(r, s.mask)[1], ass_r))
     if not is_two_sided_ideal_mask(r, ass):
         raise EngineInvariantError("normal-set vanishing ideal is not two-sided")
     if ass == r.full_mask():

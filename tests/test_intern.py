@@ -9,6 +9,7 @@ provenance: a row that passed is copied to the class, and after a fail each
 table of the class runs the checks on its own.
 """
 
+import contextlib
 import gc
 import weakref
 from collections import Counter
@@ -29,7 +30,7 @@ from orespec.finring import (
     make_upper_triangular,
     make_zmod,
 )
-from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
+from orespec.harness import CorpusConfig, Instance, build_corpus, render_machine, run_suite
 
 
 def _finite_corpus(cfg):
@@ -252,3 +253,37 @@ def test_a_serial_run_keeps_no_reference_to_its_tables():
     del corpus, ring
     gc.collect()
     assert ref() is None
+
+
+def _corpus_rows(corpus):
+    return [(inst.kind, inst.provenance, inst.expr) for inst in corpus]
+
+
+def test_build_corpus_audits_each_content_once_and_lists_the_same_instances(monkeypatch):
+    cfg = CorpusConfig()
+    calls = _count_audits(monkeypatch)
+    scoped = build_corpus(cfg)
+    assert sum(calls.values()) == len(calls) == 42  # 123 audits without the scope
+    monkeypatch.setattr(harness, "interning", contextlib.nullcontext)
+    calls.clear()
+    unscoped = build_corpus(cfg)
+    assert sum(calls.values()) > len(calls) == 42
+    assert _corpus_rows(scoped) == _corpus_rows(unscoped)
+    assert len(scoped) == 213
+
+
+def test_a_run_empties_the_memo_of_every_table_it_interned():
+    cfg = CorpusConfig(order_cap=8)
+    corpus = _finite_corpus(cfg)
+    first = render_machine(run_suite(corpus, cfg=cfg))
+    tables = [inst.build(cfg.order_cap) for inst in corpus]
+    assert all(not r.memo for r in tables)
+    with interning():
+        r = make_product(make_zmod(2), make_zmod(4))
+        centre = weakref.ref(centre_ring(r).centre)
+        assert r.memo
+    assert not r.memo
+    gc.collect()
+    assert centre() is None  # reached only through the memo
+    # the tables stay usable: their derived data is computed again
+    assert render_machine(run_suite(corpus, cfg=cfg)) == first

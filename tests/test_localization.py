@@ -287,10 +287,10 @@ def test_closure_extension_closes_at_most_n_minus_1_times_per_submonoid(
         corpus_tables, monkeypatch):
     calls = 0
 
-    def counting(r, gens):
+    def counting(r, gens, closed=0):
         nonlocal calls
         calls += 1
-        return closure_with_witness(r, gens)
+        return closure_with_witness(r, gens, closed)
 
     monkeypatch.setattr(localization, "closure_with_witness", counting)
     for r in _exhaustive_tables(corpus_tables):
