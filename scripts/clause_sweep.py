@@ -8,15 +8,23 @@ A clause site is a `yield "<clause>", ...` in `checks.py` or a
 exit of a yes/no test of the engine, such as the audit's generator test,
 named after its function.  For each site, one at a time, the
 sweep copies the checkout to a temporary directory, replaces that statement
-with `pass` there, and runs the tier-1 tests in the copy, stopping at the
-first failure.  The site is
-`killed` when some test fails (the first failing test id is printed) and
-`survived` when the suite stays green: no test notices that the clause is
-gone.  The checkout itself is never edited.
+with `pass` there, and tests the copy in stages, cheapest first, stopping
+at the first that fails:
 
-    python3 scripts/clause_sweep.py            # every site, about 25 min on 2 cores
+1. `report`: the machine report of the default corpus, all checks, whose
+   sha256 must equal the unmutated checkout's (about 1 s);
+2. `fail-paths`: `tests/test_fail_paths.py`, stopping at the first failure;
+3. `tier-1`: every test, stopping at the first failure.
+
+The site is `killed` when a stage fails (the stage and, for the test
+stages, the first failing test id are printed) and `survived` when all
+three pass: nothing notices that the clause is gone.  The checkout itself
+is never edited.
+
+    python3 scripts/clause_sweep.py            # every site
     python3 scripts/clause_sweep.py --list     # the sites only
     python3 scripts/clause_sweep.py --only checks.py:681
+    python3 scripts/clause_sweep.py --only centre.py --only finring.py
 
 Exits 0 when every site is killed, 1 otherwise.
 """
@@ -92,13 +100,32 @@ def mutant(source: str, stmt: ast.stmt) -> str:
     return "".join(lines[:first]) + head + "pass" + tail + "".join(lines[last + 1:])
 
 
-def run_tests(copy: pathlib.Path) -> str | None:
-    """The first failing test id in copy, or None when the suite passes."""
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
-        cwd=copy, env=env, capture_output=True, text=True)
+REPORT = """
+import hashlib
+from orespec.checks import COVERAGE
+from orespec.harness import CorpusConfig, build_corpus, render_machine, run_suite
+cfg = CorpusConfig()
+print(hashlib.sha256(render_machine(run_suite(build_corpus(cfg), COVERAGE, cfg)).encode()).hexdigest())
+"""
+
+
+def _run(tree: pathlib.Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
+
+
+def report_sha(tree: pathlib.Path) -> str:
+    """The sha256 of the default corpus's machine report in tree, or the
+    interpreter's exit status when it fails."""
+    proc = _run(tree, ["-c", REPORT])
+    return proc.stdout.strip() if proc.returncode == 0 else f"exit {proc.returncode}"
+
+
+def failing_test(tree: pathlib.Path, *paths: str) -> str | None:
+    """The first failing test id of paths in tree, or None when they pass."""
+    proc = _run(tree, ["-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+                       "--continue-on-collection-errors", *paths])
     if proc.returncode == 0:
         return None
     for line in proc.stdout.splitlines():
@@ -107,20 +134,33 @@ def run_tests(copy: pathlib.Path) -> str | None:
     return f"pytest exit {proc.returncode}"
 
 
+def first_kill(copy: pathlib.Path, sha: str) -> str | None:
+    """The first stage that fails in copy, with its failing test, or None."""
+    if report_sha(copy) != sha:
+        return "report"
+    for stage, paths in (("fail-paths", ["tests/test_fail_paths.py"]), ("tier-1", [])):
+        failing = failing_test(copy, *paths)
+        if failing:
+            return f"{stage:<10}  {failing}"
+    return None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--list", action="store_true", help="print the sites and run nothing")
-    ap.add_argument("--only", action="append", default=[], metavar="FILE:LINE",
-                    help="sweep only these sites (repeatable)")
+    ap.add_argument("--only", action="append", default=[], metavar="FILE[:LINE]",
+                    help="sweep only this site, or every site of FILE (repeatable)")
     args = ap.parse_args()
 
-    todo = [s for s in sites() if not args.only or f"{s[0]}:{s[1].lineno}" in args.only]
+    todo = [s for s in sites()
+            if not args.only or s[0] in args.only or f"{s[0]}:{s[1].lineno}" in args.only]
     if args.list:
         for name, stmt, clause in todo:
             print(f"{name}:{stmt.lineno}  {clause}")
         return 0
 
     survived = 0
+    sha = report_sha(ROOT)
     with tempfile.TemporaryDirectory(prefix="clause-sweep-") as tmp:
         copy = pathlib.Path(tmp) / "repo"
         for name, stmt, clause in todo:
@@ -129,9 +169,9 @@ def main() -> int:
                 ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
             path = copy / PACKAGE / name
             path.write_text(mutant(path.read_text(), stmt))
-            failing = run_tests(copy)
-            survived += failing is None
-            verdict = f"killed    {failing}" if failing else "survived"
+            kill = first_kill(copy, sha)
+            survived += kill is None
+            verdict = f"killed    {kill}" if kill else "survived"
             print(f"{name}:{stmt.lineno}  {clause!r}  {verdict}", flush=True)
     print(f"{len(todo)} sites: {len(todo) - survived} killed, {survived} survived")
     return 1 if survived else 0

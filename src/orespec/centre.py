@@ -33,6 +33,7 @@ from .ideals import (
     min_prime_masks,
     prime_flags,
     prime_masks,
+    _over,
 )
 from .localization import (
     MultSet,
@@ -151,7 +152,7 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
 
     # the localized fiber primes are two-sided and list the primes over the
     # extension, each once
-    fiber_target = tuple(pm for pm in prime_masks(t) if extension & ~pm == 0)
+    fiber_target = tuple(_over(prime_masks(t), extension))
     images = [localize_left_ideal(loc, pm) for pm in fiber_source]
     if not all(li.two_sided for li in images) or canonical(li.mask for li in images) != fiber_target:
         return "fiber bijection", where

@@ -32,6 +32,7 @@ from .finring import (
     RingHom,
     RingTable,
     bits,
+    element_invariants,
     inverse_table,
     is_commutative,
     make_quotient,
@@ -151,8 +152,7 @@ def _quotients_isomorphic(f: RingHom, g: RingHom) -> bool:
             table[y] = g(x)
         elif table[y] != g(x):
             return False
-    h = RingHom(f.target, g.target, tuple(table))
-    return h.is_bijective() and not h.verify()
+    return RingHom(f.target, g.target, tuple(table)).is_isomorphism()
 
 
 def _localized(r: RingTable, dens, masks):
@@ -172,9 +172,7 @@ def _image_class(hom: RingHom, smask: Mask):
 def _factor_matches(hom: RingHom, sigma: RingHom, jmask: Mask) -> bool:
     """R/p matches S^-1 R/J through the localization map sigma, where hom is
     the factor map R -> R/p."""
-    tq, thom = make_quotient(sigma.target, jmask)
-    through = RingHom(sigma.source, tq, tuple(thom(y) for y in sigma.map))
-    return _quotients_isomorphic(hom, through)
+    return _quotients_isomorphic(hom, sigma.then(make_quotient(sigma.target, jmask)[1]))
 
 
 def _localized_min_family(loc: Localization, pmasks) -> list[Mask]:
@@ -207,14 +205,10 @@ def check_a11(r: RingTable, cfg):
 @memo
 def _chain_limit(t: RingTable, jmask: Mask, u: int) -> Mask:
     """The limit of the ascending chain sum(J * u^j) of left ideals of t."""
-    order_u, power = 1, u
-    while power != t.one:
-        power = t.mul[power][u]
-        order_u += 1
-    # shifts J*u^j repeat after the unit's order, so the union over one
-    # period is the limit of the ascending chain
+    # shifts J*u^j repeat after the unit's order, the period of its powers,
+    # so the union over one period is the limit of the ascending chain
     chain = shift = jmask
-    for _ in range(order_u):
+    for _ in range(element_invariants(t)[u][2]):
         shift = ideal_closure_mask(t, mask_of(t.mul[x][u] for x in bits(shift)), LEFT)
         chain = additive_closure(t, chain | shift)
     return chain
@@ -489,8 +483,7 @@ def check_largest_set_preimage(r: RingTable, cfg):
                        f"a={list(bits(amask))} S={s.members()}")
         loc_max = localize(r, smax)
         qloc = localize(q, MultSet(q, units_mask(q)))
-        through = RingHom(r, qloc.target, tuple(qloc.sigma(hom(x)) for x in r.elements()))
-        if not _quotients_isomorphic(loc_max.sigma, through):
+        if not _quotients_isomorphic(loc_max.sigma, hom.then(qloc.sigma)):
             yield "largest quotient ring matches the factor's", f"a={list(bits(amask))}"
         yield
 
@@ -755,7 +748,7 @@ def check_unit_group_of_quotient(r: RingTable, cfg):
     if fractions != set(bits(units_mask(t))):
         yield "units are the one-sided fractions of the set", where
     again = localize(t, largest_regular_set(t))
-    if not (again.sigma.is_bijective() and not again.sigma.verify()):
+    if not again.sigma.is_isomorphism():
         yield "localizing twice changes nothing", where
     yield
 

@@ -180,6 +180,13 @@ class RingHom:
     def is_bijective(self) -> bool:
         return self.is_injective() and self.source.order == self.target.order
 
+    def is_isomorphism(self) -> bool:
+        return self.is_bijective() and not self.verify()
+
+    def then(self, g: RingHom) -> RingHom:
+        """g after self."""
+        return RingHom(self.source, g.target, tuple(g.map[y] for y in self.map))
+
 
 @memo
 def element_invariants(r: RingTable) -> tuple[tuple[int, int, int, bool, bool], ...]:
@@ -253,7 +260,7 @@ def isomorphism(a: RingTable, b: RingTable) -> RingHom | None:
         free = [x for x in a.elements() if fwd[x] < 0]
         if not free:
             hom = RingHom(a, b, tuple(fwd))
-            return hom if hom.is_bijective() and not hom.verify() else None
+            return hom if hom.is_isomorphism() else None
         x = min(free, key=lambda u: (len(cells[inv_a[u]]), u))  # fewest candidates first
         for y in cells[inv_a[x]]:
             if back[y] < 0:
@@ -465,13 +472,7 @@ def _built(key: tuple, build) -> RingTable:
 
 @memo
 def neg_table(r: RingTable) -> tuple[int, ...]:
-    out = [0] * r.order
-    for a in r.elements():
-        for b in r.elements():
-            if r.add[a][b] == r.zero:
-                out[a] = b
-                break
-    return tuple(out)
+    return tuple(row.index(r.zero) for row in r.add)
 
 
 def sub(r: RingTable, a: int, b: int) -> int:
@@ -728,13 +729,8 @@ def units_mask(r: RingTable) -> Mask:
 
 @memo
 def inverse_table(r: RingTable) -> dict[int, int]:
-    inv = {}
-    for x in bits(units_mask(r)):
-        for y in r.elements():
-            if r.mul[x][y] == r.one and r.mul[y][x] == r.one:
-                inv[x] = y
-                break
-    return inv
+    """The inverse of each unit: its right inverse, which is its left one."""
+    return {x: r.mul[x].index(r.one) for x in bits(units_mask(r))}
 
 
 @memo

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .checks import COVERAGE, Outcome, REGISTRY, decide
 from .dsl import RingExpr, evaluate, render
@@ -147,9 +147,6 @@ class Counterexample:
     clause: str
     detail: str = ""
 
-    def to_dict(self):
-        return {"provenance": self.provenance, "clause": self.clause, "detail": self.detail}
-
 
 @dataclass
 class CheckReport:
@@ -168,17 +165,10 @@ class CheckReport:
         return not self.counterexamples
 
     def to_dict(self):
-        return {
-            "theorem_id": self.theorem_id,
-            "track": self.track,
-            "description": self.description,
-            "note": self.note,
-            "considered": self.considered,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "cases": self.cases,
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
-        }
+        """The report body, without the wall time."""
+        body = asdict(self)
+        del body["wall_ms"]
+        return body
 
 
 AUDIT_ID = "axiom-audit"

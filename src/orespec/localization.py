@@ -240,8 +240,11 @@ def _meets(slots: tuple, rows: int, target: Mask) -> int:
     return ((rows & target * ones) + low) & high
 
 
-def _slot_members(r: RingTable, marks: int) -> Mask:
-    """The elements x whose slot top bit is set in marks."""
+def meeting(r: RingTable, smask: Mask, target: Mask, left: bool) -> Mask:
+    """The x whose Sx (left) or xS (right) meets target, read from the set's
+    packed rows."""
+    xs, sx = set_rows(r, smask)
+    marks = _meets(_product_slots(r), sx if left else xs, target)
     return mask_of(top // (r.order + 1) for top in bits(marks))
 
 
@@ -464,8 +467,7 @@ def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
             raise RingError(f"generator {r.name(g)} is not normal")
     s = close_multiplicative(r, gmask)
     # s x t = 0 for some s, t in S exactly when Sx meets ass_r(S)
-    ass_r = vanishing_masks(r, s.mask)[1]
-    ass = _slot_members(r, _meets(_product_slots(r), set_rows(r, s.mask)[1], ass_r))
+    ass = meeting(r, s.mask, vanishing_masks(r, s.mask)[1], left=True)
     if not is_two_sided_ideal_mask(r, ass):
         raise EngineInvariantError("normal-set vanishing ideal is not two-sided")
     if ass == r.full_mask():
@@ -480,9 +482,7 @@ def normal_closure(s: MultSet):
 
 def has_normal_multiples(s: MultSet) -> bool:
     """Every member x of s has a normal left multiple t*x with t in s."""
-    r, members = s.ring, s.members()
-    nm = normal_mask(r)
-    return all(any(nm >> r.mul[t][x] & 1 for t in members) for x in members)
+    return not s.mask & ~meeting(s.ring, s.mask, normal_mask(s.ring), left=True)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +567,5 @@ def _two_step_criterion(q: RingTable, s_img: Mask) -> bool:
     q2, hom2 = make_quotient(q, cbar)
     cls = ore_flags(q2, hom2.push_mask(s_img))
     lhs = regular_den(q2, cls)
-    rhs = all(
-        cbar >> x & 1
-        for x in q.elements()
-        if any(cbar >> q.mul[x][u] & 1 for u in bits(s_img))
-    )
+    rhs = not meeting(q, s_img, cbar, left=False) & ~cbar
     return lhs == rhs

@@ -295,9 +295,6 @@ class NCMonomial:
     def degree(self) -> int:
         return len(self.word) + sum(self.zexp)
 
-    def word_support(self) -> frozenset[int]:
-        return frozenset(self.word)
-
     def z_support(self) -> frozenset[int]:
         return frozenset(i + 1 for i, e in enumerate(self.zexp) if e)
 

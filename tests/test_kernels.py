@@ -1,9 +1,10 @@
 """The finite engine's mask kernels against the element-by-element loops they
 replace: the audit on additive generators against the scan of every triple,
 primality from row masks against the elementwise definitions, semi-naive
-closures against plain fixpoints, and the per-set rows against the products
-they pack.  The loops below are the oracles; each is written out from the
-definition and shares no code with the kernel it checks.
+closures against plain fixpoints, the per-set rows and the elements whose Sx
+or xS meets a mask against the products they pack, and composite maps
+against elementwise composition.  The loops below are the oracles; each is
+written out from the definition and shares no code with the kernel it checks.
 """
 
 import itertools
@@ -18,11 +19,13 @@ from orespec.finring import (
     is_two_sided_ideal_mask,
     make_quotient,
     mask_of,
+    normal_mask,
 )
 from orespec.ideals import PrimeReport, additive_closure, all_ideal_masks, prime_flags
 from orespec.localization import (
     _ore_witness,
     closure_with_witness,
+    meeting,
     mult_set_masks,
     set_rows,
 )
@@ -291,6 +294,13 @@ def _ore_witness_by_elements(r, smask, left):
     return None
 
 
+def _meeting_by_elements(r, smask, targets, left):
+    """For each target, the x with some sx (left) or xs (right) in it."""
+    near = [{r.mul[s][x] if left else r.mul[x][s] for s in bits(smask)} for x in r.elements()]
+    return [mask_of(x for x in r.elements() if any(target >> y & 1 for y in near[x]))
+            for target in targets]
+
+
 @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
 def test_the_ore_witness_is_the_first_of_the_elementwise_scan(corpus_tables, left):
     outcomes = set()
@@ -300,3 +310,36 @@ def test_the_ore_witness_is_the_first_of_the_elementwise_scan(corpus_tables, lef
             assert got == _ore_witness_by_elements(r, smask, left), (r.label, smask)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_meeting_matches_the_elementwise_scan(corpus_tables, left):
+    """Every enumerated set of every table, against zero, every ideal and the
+    normal elements."""
+    sizes = set()
+    for _, r in corpus_tables:
+        targets = (1 << r.zero, *all_ideal_masks(r), normal_mask(r))
+        for smask in mult_set_masks(r):
+            got = [meeting(r, smask, t, left) for t in targets]
+            assert got == _meeting_by_elements(r, smask, targets, left), (r.label, smask)
+            sizes.update(m.bit_count() for m in got)
+    assert {1, 16} <= sizes and len(sizes) > 8  # 0 is in every target
+
+
+def test_then_is_the_elementwise_composite_of_factor_maps(corpus_tables):
+    """R -> R/I -> (R/I)/(J/I) for ideals I within J: the composite maps x to
+    g(f(x)), is a homomorphism, and its kernel is J."""
+    composites = 0
+    for _, r in corpus_tables:
+        ideals = all_ideal_masks(r)[:-1]
+        for i, j in itertools.product(ideals, repeat=2):
+            if i & ~j:
+                continue
+            f = make_quotient(r, i)[1]
+            g = make_quotient(f.target, f.push_mask(j))[1]
+            h = f.then(g)
+            assert (h.source, h.target) == (r, g.target)
+            assert h.map == tuple(g(f(x)) for x in r.elements())
+            assert h.verify() == [] and h.kernel_mask() == j, (r.label, i, j)
+            composites += 1
+    assert composites > 300

@@ -1,7 +1,9 @@
-"""Every top-level function and class of the engine is used by the program.
+"""Every top-level function and class of the engine, and every method of its
+classes, is used by the program.
 
 A name counts as used when some module under `src/orespec/` or some script
-under `scripts/` reads it outside its own definition.  The package's
+under `scripts/` reads it outside its own definition; dunder methods are
+called by Python itself and are exempt.  The package's
 `__init__.py` does not count, and neither do the tests: a function that only
 a test calls is test code and lives with the test.  The two exceptions are
 independent oracles the tests compare engine routes against.
@@ -31,6 +33,17 @@ def _reads(node) -> Counter:
     )
 
 
+def _definitions(tree):
+    """The top-level functions and classes of a module, and the methods of its
+    classes other than dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def test_every_engine_name_is_used_outside_its_definition():
     trees = {p: ast.parse(p.read_text()) for p in _program_files()}
     everywhere = sum((_reads(t) for t in trees.values()), Counter())
@@ -38,9 +51,7 @@ def test_every_engine_name_is_used_outside_its_definition():
     for path, tree in trees.items():
         if path.parent != SRC:
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node in _definitions(tree):
             if node.name in KEPT_ORACLES:
                 continue
             # the reads outside a definition are all reads less its own
