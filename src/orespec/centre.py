@@ -153,7 +153,7 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
     # the localized fiber primes are two-sided and list the primes over the
     # extension, each once
     fiber_target = tuple(_over(prime_masks(t), extension))
-    images = [localize_left_ideal(loc, pm) for pm in fiber_source]
+    images = [localize_left_ideal(loc.sigma, pm) for pm in fiber_source]
     if not all(li.two_sided for li in images) or canonical(li.mask for li in images) != fiber_target:
         return "fiber bijection", where
 
@@ -185,7 +185,7 @@ def check_pierce(r: RingTable) -> tuple[str, str] | None:
             return "centres localize along the decomposition", where
         # primes meeting the central complement blow up to the whole ring,
         # so only the disjoint minimal primes can appear downstairs
-        family = {localize_left_ideal(loc, m).mask for m in min_RS(r, loc.mult_set)}
+        family = {localize_left_ideal(loc.sigma, m).mask for m in min_RS(r, loc.mult_set)}
         if not is_semiprime_ring(t) or set(min_prime_masks(t)) != family or len(family) > len(mins):
             return "central factors are semiprime with localized minimals", where
 

@@ -25,6 +25,7 @@ from .finring import (
     bits,
     centre_mask,
     is_commutative,
+    mask_of,
     units_mask,
 )
 from .harness import (
@@ -179,17 +180,17 @@ def _int_items(text: str, flag: str) -> list[int]:
     return out
 
 
-def _gens_list(text: str, r: RingTable) -> list[int]:
+def _gens_mask(text: str, r: RingTable) -> int:
     gens = _int_items(text, "--gens")
     for g in gens:
         if not 0 <= g < r.order:
             raise RingError(f"element id {g} is out of range for {r.label} of order {r.order}")
-    return gens
+    return mask_of(gens)
 
 
 def cmd_classify_set(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    s = close_multiplicative(r, _gens_list(args.gens, r))
+    s = close_multiplicative(r, _gens_mask(args.gens, r))
     cls = classify_set(s)
     print(f"set:        {s.members()}")
     print(f"left ore:   {cls.left_ore}\nright ore:  {cls.right_ore}")
@@ -201,7 +202,7 @@ def cmd_classify_set(args) -> int:
 
 def cmd_localize(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    s = close_multiplicative(r, _gens_list(args.gens, r))
+    s = close_multiplicative(r, _gens_mask(args.gens, r))
     loc = localize(r, s)
     print(f"set:           {s.members()}")
     print(f"ass ideal:     {_ideal_str(r, loc.ass_mask)}")
@@ -281,6 +282,8 @@ def cmd_an(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_sweep_budget(args)
+    if args.seed is not None and not args.inject_fault:
+        raise RingError("--seed is read only with --inject-fault")
     cfg = CorpusConfig(
         order_cap=args.max_order,
         exhaustive_mult_order=args.exhaustive_order,
@@ -382,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the claim-verification suite", parents=[finite, sweep])
     p.add_argument("--suite", default="all",
                    help="all | finite | monomial | comma-separated check ids")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the corrupted cell (with --inject-fault; default 0)")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one table cell first (self-test)")

@@ -275,13 +275,15 @@ def isomorphism(a: RingTable, b: RingTable) -> RingHom | None:
 # ---------------------------------------------------------------------------
 # axiom audit
 
+@memo
 def audit_ring(r: RingTable) -> list[str]:
     """Run the full ring-axiom audit and return all violations found.
 
     The audit never raises; constructors assert an empty result, while the
     verification harness runs it on every corpus instance so an injected
     table fault is reported as a counterexample instead of a wrong verdict.
-    The laws in three elements are decided on additive generators
+    Memoised on the table, so the harness reads a constructor's audit from
+    the memo.  The laws in three elements are decided on additive generators
     (`_triple_laws_hold`); only a table that fails there, or fails a law in
     one or two elements, is scanned over every triple for its violations.
     """
@@ -421,7 +423,10 @@ def interning():
     The objects themselves are shared, never their memo dicts: a memoised
     RingHom is bound to the identity of the ring it was built on.  When the
     block ends, the memo of every table it interned is emptied, and with it
-    the factor maps and centre tables that only those memos reach.
+    the factor maps that only those memos reach.  A centre table is audited
+    but never interned, so its own memo is not emptied, and the factor maps
+    in it point back at it: such a table is left as a reference cycle, which
+    Python's cyclic garbage collector frees later, not when the block ends.
     """
     seen: dict = {}
     token = _INTERN.set(seen)
@@ -431,12 +436,6 @@ def interning():
         _INTERN.reset(token)
         for table in seen.values():
             table.memo.clear()
-
-
-def is_interned(r: RingTable) -> bool:
-    """Whether r is the current run's table for its content (so audited)."""
-    seen = _INTERN.get()
-    return seen is not None and seen.get(content(r)) is r
 
 
 def _audited(r: RingTable) -> RingTable:
@@ -628,6 +627,7 @@ def product_hom(homs: list[RingHom]) -> RingHom:
     return RingHom(first.source, prod, combined)
 
 
+@memo
 def additive_span(r: RingTable, gens: Mask) -> Mask:
     """The additive subgroup generated by gens, one coset at a time: a
     generator g outside the subgroup H so far adds H + g, H + 2g, ... up to

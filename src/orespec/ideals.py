@@ -38,17 +38,12 @@ class PrimeReport:
 
 
 @memo
-def additive_closure(r: RingTable, mask: Mask) -> Mask:
-    return additive_span(r, mask)
-
-
-@memo
 def ideal_closure_mask(r: RingTable, gens: Mask, sidedness: str = TWO_SIDED) -> Mask:
     """Least left or two-sided ideal containing gens (fixpoint closure)."""
     right, left = products(r)[:2]
     mask = gens | 1 << r.zero
     while True:
-        new = additive_closure(r, mask)
+        new = additive_span(r, mask)
         for a in bits(new):
             new |= left[a] | right[a] if sidedness == TWO_SIDED else left[a]
         if new == mask:
@@ -74,7 +69,7 @@ def _closure_under(seeds, step) -> set[Mask]:
 @memo
 def all_ideal_masks(r: RingTable) -> tuple[Mask, ...]:
     principal = {ideal_closure_mask(r, 1 << x) for x in r.elements()}
-    seen = _closure_under(principal, lambda m, p: additive_closure(r, m | p))
+    seen = _closure_under(principal, lambda m, p: additive_span(r, m | p))
     return canonical(seen)
 
 
@@ -93,11 +88,11 @@ def ideal_product_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
         row = r.mul[x]
         for y in bits(b):
             gens |= 1 << row[y]
-    return additive_closure(r, gens)
+    return additive_span(r, gens)
 
 
 def ideal_sum_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
-    return additive_closure(r, a | b)
+    return additive_span(r, a | b)
 
 
 # ---------------------------------------------------------------------------

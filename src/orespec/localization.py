@@ -149,9 +149,8 @@ def closure_with_witness(r: RingTable, gens: Mask, closed: Mask = 0):
     return mask, None
 
 
-def close_multiplicative(r: RingTable, gens) -> MultSet:
-    """Multiplicative closure of gens plus 1; error if zero is absorbed."""
-    gmask = gens if isinstance(gens, int) else mask_of(gens)
+def close_multiplicative(r: RingTable, gmask: Mask) -> MultSet:
+    """Multiplicative closure of gmask plus 1; error if zero is absorbed."""
     mask, witness = closure_with_witness(r, gmask)
     if witness is not None:
         raise ZeroAbsorbedError(r, witness)
@@ -341,16 +340,12 @@ def _right_absorbed(r: RingTable, mask: Mask) -> bool:
     return not any(right[a] & ~mask for a in bits(mask))
 
 
-def localize_left_ideal(loc: Localization, source_mask: Mask) -> LocalizedLeftIdeal:
-    """The left ideal of the target generated by the image of a left or
-    two-sided ideal of the source, and whether it is two-sided."""
-    return _left_ideal_image(loc.sigma, source_mask)
-
-
 @memo
-def _left_ideal_image(sigma: RingHom, source_mask: Mask) -> LocalizedLeftIdeal:
-    """localize_left_ideal, memoised on the factor map: every set with the
-    same vanishing ideal shares sigma, since make_quotient is memoised."""
+def localize_left_ideal(sigma: RingHom, source_mask: Mask) -> LocalizedLeftIdeal:
+    """The left ideal of the target of the localization map sigma generated
+    by the image of a left or two-sided ideal of the source, and whether it
+    is two-sided.  Memoised on sigma: every set with the same vanishing
+    ideal shares it, since make_quotient is memoised."""
     t = sigma.target
     mask = ideal_closure_mask(t, sigma.push_mask(source_mask), LEFT)
     if source_mask & ~sigma.preimage_mask(mask):
@@ -404,7 +399,7 @@ def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | N
     if bmask == r.full_mask():
         return None
 
-    local = localize_left_ideal(loc, bmask)
+    local = localize_left_ideal(loc.sigma, bmask)
     c1 = local.two_sided
     c2 = _absorbs_unit_inverses(loc, local.mask, bmask)
     c3 = _pushes_into_pulls(r, smembers, bmask)
@@ -427,7 +422,7 @@ def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | N
 # prime structure under localization
 
 def respects_prime_structure(loc: Localization) -> bool:
-    return all(localize_left_ideal(loc, p).two_sided for p in prime_masks(loc.ring))
+    return all(localize_left_ideal(loc.sigma, p).two_sided for p in prime_masks(loc.ring))
 
 
 def min_RS(r: RingTable, s: MultSet) -> list[Mask]:
@@ -437,10 +432,10 @@ def min_RS(r: RingTable, s: MultSet) -> list[Mask]:
 
 def min_RS_id(loc: Localization) -> list[Mask]:
     """Minimal primes whose localized left ideal spans a proper two-sided ideal."""
-    r = loc.ring
+    r, t = loc.ring, loc.target
     out = [
         m for m in min_prime_masks(r)
-        if ideal_closure_mask(loc.target, localize_left_ideal(loc, m).mask) != loc.target.full_mask()
+        if ideal_closure_mask(t, localize_left_ideal(loc.sigma, m).mask) != t.full_mask()
     ]
     if set(min_RS(r, loc.mult_set)) - set(out):
         raise EngineInvariantError("min(R,S) escapes min(R,S,id)")
@@ -450,17 +445,14 @@ def min_RS_id(loc: Localization) -> list[Mask]:
 # ---------------------------------------------------------------------------
 # localization at normal-element sets
 
-def localize_normal(r: RingTable, gens) -> Localization:
-    """Invert a multiplicative set generated by normal elements.
+@memo
+def localize_normal(r: RingTable, gmask: Mask) -> Localization:
+    """Invert the multiplicative set generated by gmask, a mask of normal
+    elements.
 
     The vanishing ideal is {x : s x t = 0 for some s,t in S}; the target is
     the factor ring by it, where every image of S is again a unit.
     """
-    return _localize_normal_mask(r, gens if isinstance(gens, int) else mask_of(gens))
-
-
-@memo
-def _localize_normal_mask(r: RingTable, gmask: Mask) -> Localization:
     nm = normal_mask(r)
     for g in bits(gmask):
         if not nm >> g & 1:

@@ -285,6 +285,7 @@ def test_cli_a_non_integer_list_item_names_the_flag_and_the_item(capsys, argv, f
      "argument --format: not allowed with argument --explain"),
     (["verify", "--format", "text", "--explain", "A11Sep23:0"],
      "argument --explain: not allowed with argument --format"),
+    (["verify", "--seed", "3"], "--seed is read only with --inject-fault"),
 ])
 def test_cli_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, monkeypatch, argv, message):
     monkeypatch.setattr("orespec.cli.build_corpus", None)  # rejected before any corpus
@@ -319,6 +320,15 @@ def test_cli_verify_fault_injection_exit(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "counterexamples: 1" in out
+
+
+def test_cli_verify_fault_seed_defaults_to_zero(capsys):
+    argv = ["verify", "--max-order", "4", "--suite", "A11Sep23", "--inject-fault",
+            "--format", "machine"]
+    assert main(argv) == 1
+    default = capsys.readouterr().out
+    assert main(argv + ["--seed", "0"]) == 1
+    assert capsys.readouterr().out == default
 
 
 def test_cli_zmod_honours_the_order_cap(capsys, monkeypatch):

@@ -65,7 +65,7 @@ def test_localizing_away_the_matrix_factor(big_ring):
     from orespec.localization import close_multiplicative, localize
 
     m2_one = make_matrix_ring(2, make_gf(2)).one
-    s = close_multiplicative(big_ring, [m2_one * 2])  # (1,0) under lexicographic encoding
+    s = close_multiplicative(big_ring, 1 << m2_one * 2)  # (1,0) under lexicographic encoding
     loc = localize(big_ring, s)
     assert loc.target.order == 16
     assert sorted(bits(loc.ass_mask)) == [0, 1]  # the 0 x field slice
@@ -102,7 +102,7 @@ def test_a_false_claim_is_reported_not_swallowed(monkeypatch):
 
     monkeypatch.setitem(
         REGISTRY, "bogus",
-        (TheoremCheck("bogus", ("finite",), "deliberately false claim"), {"finite": bogus}),
+        (TheoremCheck(("finite",), "deliberately false claim"), {"finite": bogus}),
     )
     small = CorpusConfig(order_cap=6)
     reports = run_suite(build_corpus(small), ("bogus",), small)
@@ -122,7 +122,7 @@ def test_an_engine_bug_is_an_engine_error_counterexample(monkeypatch, capsys):
 
     monkeypatch.setitem(
         REGISTRY, "buggy",
-        (TheoremCheck("buggy", ("finite",), "a check with an engine bug"), {"finite": buggy}),
+        (TheoremCheck(("finite",), "a check with an engine bug"), {"finite": buggy}),
     )
     small = CorpusConfig(order_cap=6)
     for jobs in (1, 2):

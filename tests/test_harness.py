@@ -73,7 +73,7 @@ def test_coverage_is_the_pinned_catalogue():
 def _probe(monkeypatch, small_corpus, fn):
     """The report of fn registered as a finite check and run on one ring."""
     monkeypatch.setitem(REGISTRY, "probe",
-                        (TheoremCheck("probe", ("finite",), "protocol probe"), {"finite": fn}))
+                        (TheoremCheck(("finite",), "protocol probe"), {"finite": fn}))
     return run_suite(small_corpus[:1], ("probe",), SMALL)[1]
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from orespec.finring import (
     RingTable,
+    additive_span,
     audit_ring,
     bits,
     is_two_sided_ideal_mask,
@@ -21,7 +22,7 @@ from orespec.finring import (
     mask_of,
     normal_mask,
 )
-from orespec.ideals import PrimeReport, additive_closure, all_ideal_masks, prime_flags
+from orespec.ideals import PrimeReport, all_ideal_masks, prime_flags
 from orespec.localization import (
     _ore_witness,
     closure_with_witness,
@@ -227,7 +228,7 @@ def test_closures_match_the_plain_fixpoints(corpus_tables):
     witnesses = 0
     for _, r in corpus_tables:
         for gens in _seed_masks(r, rng):
-            assert additive_closure(r, gens) == _additive_fixpoint(r, gens), (r.label, gens)
+            assert additive_span(r, gens) == _additive_fixpoint(r, gens), (r.label, gens)
             full = _multiplicative_fixpoint(r, gens)
             mask, witness = closure_with_witness(r, gens)
             if full >> r.zero & 1:

@@ -25,7 +25,7 @@ def test_ring_and_its_derived_data_are_freed_together():
         for m in mins:
             # the localized ideal is memoised on sigma, and the factor match
             # on the factor map, keyed by sigma
-            li = localize_left_ideal(loc, m)
+            li = localize_left_ideal(loc.sigma, m)
             if li.mask != loc.target.full_mask():
                 _factor_matches(make_quotient(r, m)[1], loc.sigma, li.mask)
     assert prime_radical_mask(r) == 0b1000001  # {0, 6}

@@ -7,6 +7,13 @@ engine's answers is known without knowing the answers.
 (c) Swapping the factors of a product changes no verdict.
 (d) The opposite ring, with the multiplication table transposed, swaps the
     left and right outputs of the Ore classification.
+(f) A direct product A x B, with (x, y) encoded as x * |B| + y, has the
+    ideals I x J, the primes and minimal primes P x B and A x Q, and units,
+    centre, normal and regular elements that are products of the factors';
+    every S1 x S2 is Ore or a denominator set on a side exactly when both
+    factors are, with ass_l and ass_r the products of the factors', and
+    the localization at a left denominator set S1 x S2 is isomorphic to
+    S1^-1 A x S2^-1 B.
 (e) Interning tables within a run, and so running the checks once per
     table, changes no byte of the machine report, serial or pooled.
 (g) Running the checks once per isomorphism class of tables, and copying a
@@ -14,8 +21,10 @@ engine's answers is known without knowing the answers.
     machine report, serial or pooled.
 
 (a) and (d) run over every distinct finite table of the default corpus with
-a fixed seed, so a failure is reproducible; (b) and (c) over every monomial
-and every product instance of it.
+a fixed seed, so a failure is reproducible; (b), (c) and (f) over every
+monomial and every product instance of it.  (f) reads the factors' answers,
+not the product's other routes, so a defect that treats both factors alike
+still shows.
 """
 
 import contextlib
@@ -25,7 +34,18 @@ import random
 from orespec import harness
 from orespec.checks import COVERAGE
 from orespec.dsl import RingExpr, evaluate
-from orespec.finring import RingTable, audit_ring, content, isomorphism
+from orespec.finring import (
+    RingTable,
+    audit_ring,
+    bits,
+    centre_mask,
+    content,
+    isomorphism,
+    make_product,
+    normal_mask,
+    regular_mask,
+    units_mask,
+)
 from orespec.harness import (
     CorpusConfig,
     Instance,
@@ -34,7 +54,8 @@ from orespec.harness import (
     render_machine,
     run_suite,
 )
-from orespec.localization import mult_set_masks, ore_flags
+from orespec.ideals import all_ideal_masks, min_prime_masks, prime_masks
+from orespec.localization import MultSet, localize, mult_set_masks, ore_flags
 
 CFG = CorpusConfig()
 SEED = 1
@@ -115,6 +136,57 @@ def test_swapping_the_factors_of_a_product_changes_no_verdict():
             inst.provenance
         pairs += 1
     assert pairs == 27
+
+
+def _product_mask(ma: int, mb: int, nb: int) -> int:
+    """{(x, y) : x in ma, y in mb}, with (x, y) encoded as x * nb + y."""
+    return sum(1 << (x * nb + y) for x in bits(ma) for y in bits(mb))
+
+
+def test_a_product_has_the_ideals_primes_and_ore_sets_of_its_factors():
+    products = sets = localized = 0
+    one_sided = set()  # both verdicts must occur, or the conjunction shows nothing
+    for inst in build_corpus(CFG):
+        if inst.expr.kind != "prod":
+            continue
+        a, b = (evaluate(sub, CFG.order_cap) for sub in inst.expr.subs)
+        p = inst.build(CFG.order_cap)
+        where = inst.provenance
+
+        def times(ma, mb):
+            return _product_mask(ma, mb, b.order)
+
+        def family(fa, fb):
+            return {times(i, j) for i in fa for j in fb}
+
+        assert set(all_ideal_masks(p)) == family(all_ideal_masks(a), all_ideal_masks(b)), where
+        for primes in (prime_masks, min_prime_masks):
+            assert set(primes(p)) == family(primes(a), [b.full_mask()]) | \
+                family([a.full_mask()], primes(b)), (where, primes.__name__)
+        for elements in (units_mask, centre_mask, normal_mask, regular_mask):
+            assert elements(p) == times(elements(a), elements(b)), (where, elements.__name__)
+        for s1 in mult_set_masks(a, CFG.exhaustive_mult_order):
+            f1 = ore_flags(a, s1)
+            for s2 in mult_set_masks(b, CFG.exhaustive_mult_order):
+                f2 = ore_flags(b, s2)
+                got = ore_flags(p, times(s1, s2))
+                assert (got.left_ore, got.right_ore, got.left_den, got.right_den,
+                        got.ass_l_mask, got.ass_r_mask) == (
+                    f1.left_ore and f2.left_ore, f1.right_ore and f2.right_ore,
+                    f1.left_den and f2.left_den, f1.right_den and f2.right_den,
+                    times(f1.ass_l_mask, f2.ass_l_mask), times(f1.ass_r_mask, f2.ass_r_mask),
+                ), (where, s1, s2)
+                one_sided.add((got.left_den, got.right_den))
+                if got.left_den:  # S^-1 (A x B) is S1^-1 A x S2^-1 B
+                    twin = make_product(*(localize(r, MultSet(r, m)).target
+                                          for r, m in ((a, s1), (b, s2))), cap=None)
+                    target = localize(p, MultSet(p, times(s1, s2))).target
+                    assert isomorphism(target, twin) is not None, (where, s1, s2)
+                    localized += 1
+                sets += 1
+        products += 1
+    assert (products, sets, localized) == (33, 129, 121)
+    assert {(True, False), (True, True)} <= one_sided
 
 
 def test_the_opposite_ring_swaps_left_and_right_ore_flags(corpus_tables):

@@ -5,7 +5,9 @@ import pytest
 
 from orespec import monomial as mono
 from orespec.cli import main
+from orespec.dsl import parse_ring_expr
 from orespec.finring import subsets
+from orespec.harness import Instance, run_suite
 from orespec.monomial import (
     AnAlgebra,
     AnPrime,
@@ -112,6 +114,17 @@ def test_localize_regular_variable_keeps_minimal_primes():
     assert localize_monomial(r, [0]) is None
     assert saturate_monomial(r, [0]).gens == r.gens
     assert min_primes_monomial(r) == [frozenset({1}), frozenset({2})]
+
+
+@pytest.mark.parametrize("cid", ["A10Sep23", "c10Sep23"])
+def test_regular_variable_claims_need_a_squarefree_ideal(cid):
+    # v2 lies in no minimal cover of (v1*v2, v1^2), yet v1*v2 kills it: the
+    # covers find the regular variables of a squarefree ideal only
+    text = "mono(vars=2, gens=[v1*v2, v1^2])"
+    inst = Instance("monomial", text, parse_ring_expr(text))
+    assert regular_variables(inst.build()) == {1}
+    rep = run_suite([inst], (cid,))[1]
+    assert (rep.considered, rep.applicable, rep.counterexamples) == (1, 0, [])
 
 
 def test_localize_zero_divisor_variable():

@@ -1,9 +1,10 @@
-"""Every top-level function and class of the engine, and every method of its
-classes, is used by the program.
+"""Every top-level function and class of the engine, every method of its
+classes and every field of its dataclasses is used by the program.
 
 A name counts as used when some module under `src/orespec/` or some script
 under `scripts/` reads it outside its own definition; dunder methods are
-called by Python itself and are exempt.  The package's
+called by Python itself and are exempt.  A field counts as used when one of
+those files reads it as an attribute.  The package's
 `__init__.py` does not count, and neither do the tests: a function that only
 a test calls is test code and lives with the test.  The two exceptions are
 independent oracles the tests compare engine routes against.
@@ -18,6 +19,8 @@ SRC = ROOT / "src" / "orespec"
 
 # subset-scan lattice and lattice-quantified primality, kept for the tests
 KEPT_ORACLES = ("all_ideal_masks_exhaustive", "is_prime_lattice_test")
+# dataclasses.asdict writes every field of these into the machine report
+REPORTED = ("CheckReport", "Counterexample")
 
 
 def _program_files():
@@ -57,6 +60,28 @@ def test_every_engine_name_is_used_outside_its_definition():
             # the reads outside a definition are all reads less its own
             if everywhere[node.name] == _reads(node)[node.name]:
                 unused.append(f"{path.name}:{node.name}")
+    assert unused == []
+
+
+def _is_dataclass(node) -> bool:
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_as_an_attribute():
+    trees = {p: ast.parse(p.read_text()) for p in _program_files()}
+    attributes = Counter(
+        n.attr for t in trees.values() for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+    unused = [
+        f"{path.name}:{node.name}.{field.target.id}"
+        for path, tree in trees.items() if path.parent == SRC
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name not in REPORTED
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and not attributes[field.target.id]
+    ]
     assert unused == []
 
 
