@@ -141,19 +141,19 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
     cd = centre_ring(r)
     if not prime_flags(cd.centre, qmask).is_prime:
         raise RingError("central localization requires a prime of the centre")
-    loc = localize(r, central_mult_set(r, qmask))
-    t = loc.target
+    sigma = localize(r, central_mult_set(r, qmask))
+    t = sigma.target
     where = f"q={list(bits(qmask))}"
 
     fiber_source = [pm for pm, qm in rho(r).table if qm == qmask]
-    extension = ideal_closure_mask(t, loc.sigma.push_mask(cd.embedding.push_mask(qmask)))
+    extension = ideal_closure_mask(t, sigma.push_mask(cd.embedding.push_mask(qmask)))
     if bool(fiber_source) != (extension != t.full_mask()):
         return "prime is hit iff the extension is proper", where
 
     # the localized fiber primes are two-sided and list the primes over the
     # extension, each once
     fiber_target = tuple(_over(prime_masks(t), extension))
-    images = [localize_left_ideal(loc.sigma, pm) for pm in fiber_source]
+    images = [localize_left_ideal(sigma, pm) for pm in fiber_source]
     if not all(li.two_sided for li in images) or canonical(li.mask for li in images) != fiber_target:
         return "fiber bijection", where
 
@@ -172,24 +172,25 @@ def check_pierce(r: RingTable) -> tuple[str, str] | None:
     cd = centre_ring(r)
     mins = min_prime_masks(r)
     qmins = min_prime_masks(cd.centre)
-    locs = []
+    sigmas = []
     for qmask in qmins:
-        loc = localize(r, central_mult_set(r, qmask))
-        locs.append(loc)
-        t = loc.target
+        s = central_mult_set(r, qmask)
+        sigma = localize(r, s)
+        sigmas.append(sigma)
+        t = sigma.target
         where = f"q={list(bits(qmask))}"
         # kernel of Z(R) -> R_q must equal the kernel of Z(R) -> Z(R)_q
-        zloc = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~qmask))
-        if (loc.sigma.push_mask(centre_mask(r)) != centre_mask(t)
-                or cd.restrict_mask(loc.ass_mask) != zloc.ass_mask):
+        zsigma = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~qmask))
+        if (sigma.push_mask(centre_mask(r)) != centre_mask(t)
+                or cd.restrict_mask(sigma.kernel_mask()) != zsigma.kernel_mask()):
             return "centres localize along the decomposition", where
         # primes meeting the central complement blow up to the whole ring,
         # so only the disjoint minimal primes can appear downstairs
-        family = {localize_left_ideal(loc.sigma, m).mask for m in min_RS(r, loc.mult_set)}
+        family = {localize_left_ideal(sigma, m).mask for m in min_RS(r, s)}
         if not is_semiprime_ring(t) or set(min_prime_masks(t)) != family or len(family) > len(mins):
             return "central factors are semiprime with localized minimals", where
 
-    hom = product_hom([loc.sigma for loc in locs])
+    hom = product_hom(sigmas)
     where = f"q={[list(bits(qmask)) for qmask in qmins]}"
     if hom.verify() or not hom.is_injective():
         return "embedding into the central factors", where

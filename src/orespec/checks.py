@@ -64,7 +64,6 @@ from .ideals import (
     _products_reach,
 )
 from .localization import (
-    Localization,
     MultSet,
     ass_l_realizable_masks,
     check_A11_equivalence,
@@ -155,11 +154,11 @@ def _quotients_isomorphic(f: RingHom, g: RingHom) -> bool:
 
 
 def _localized(r: RingTable, dens, masks):
-    """(s, loc, m) for every set s of dens, its localization, and every mask."""
+    """(s, sigma, m) for every set s of dens, its localization, and every mask."""
     for s in dens:
-        loc = localize(r, s)
+        sigma = localize(r, s)
         for m in masks:
-            yield s, loc, m
+            yield s, sigma, m
 
 
 def _image_class(hom: RingHom, smask: Mask):
@@ -174,14 +173,14 @@ def _factor_matches(hom: RingHom, sigma: RingHom, jmask: Mask) -> bool:
     return _quotients_isomorphic(hom, sigma.then(make_quotient(sigma.target, jmask)[1]))
 
 
-def _localized_min_family(loc: Localization, pmasks) -> list[Mask]:
-    return [localize_left_ideal(loc.sigma, m).mask for m in pmasks]
+def _localized_min_family(sigma: RingHom, pmasks) -> list[Mask]:
+    return [localize_left_ideal(sigma, m).mask for m in pmasks]
 
 
-def _minimals_biject(loc: Localization, pmasks) -> bool:
+def _minimals_biject(sigma: RingHom, pmasks) -> bool:
     """The localized primes are distinct and are exactly min(S^-1 R)."""
-    family = _localized_min_family(loc, pmasks)
-    return len(set(family)) == len(pmasks) and set(min_prime_masks(loc.target)) == set(family)
+    family = _localized_min_family(sigma, pmasks)
+    return len(set(family)) == len(pmasks) and set(min_prime_masks(sigma.target)) == set(family)
 
 
 def _is_prime_ring(r: RingTable) -> bool:
@@ -197,8 +196,8 @@ def _spec_subset_budget(r: RingTable) -> bool:
 
 
 def check_a11(r: RingTable, cfg):
-    for _, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        yield check_A11_equivalence(loc, m)
+    for s, sigma, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        yield check_A11_equivalence(sigma, s.mask, m)
 
 
 @memo
@@ -216,15 +215,15 @@ def _chain_limit(t: RingTable, jmask: Mask, u: int) -> Mask:
 def check_a11_vacuity(r: RingTable, cfg):
     """Every localized-ideal chain sum(J * u^-j) cycles with the unit's order,
     so it stabilizes mechanically and the localized ideal must be two-sided."""
-    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+    for s, sigma, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
         if m == r.full_mask():
             continue
-        t = loc.target
+        t = sigma.target
         inv = inverse_table(t)
-        li = localize_left_ideal(loc.sigma, m)
+        li = localize_left_ideal(sigma, m)
         if li.two_sided:
             for sm in s.members():
-                if _chain_limit(t, li.mask, inv[loc.sigma(sm)]) != li.mask:
+                if _chain_limit(t, li.mask, inv[sigma(sm)]) != li.mask:
                     yield "a two-sided image absorbs its chain", f"s={sm} b={list(bits(m))}"
         else:
             yield "stabilized chains force a two-sided image", f"b={list(bits(m))} S={s.members()}"
@@ -235,34 +234,34 @@ def check_prime_target_regular(r: RingTable, cfg):
     if not _is_prime_ring(r):
         return
     for s in _zero_dens(r, cfg):
-        loc = localize(r, s)
-        if not _is_prime_ring(loc.target):
+        sigma = localize(r, s)
+        if not _is_prime_ring(sigma.target):
             yield "localized ring prime", f"S={s.members()}"
         yield
 
 
 def check_prime_localized_iff_ideal(r: RingTable, cfg):
-    for s, loc, pmask in _localized(r, _zero_dens(r, cfg), prime_masks(r)):
-        li = localize_left_ideal(loc.sigma, pmask)
-        contracted = loc.sigma.preimage_mask(li.mask)
+    for s, sigma, pmask in _localized(r, _zero_dens(r, cfg), prime_masks(r)):
+        li = localize_left_ideal(sigma, pmask)
+        contracted = sigma.preimage_mask(li.mask)
         branches = []
         if contracted == pmask:
             branches.append(pmask)
         if prime_flags(r, contracted).is_prime:
             branches.append(contracted)
         for _ in branches:
-            spec_member = li.two_sided and prime_flags(loc.target, li.mask).is_prime
+            spec_member = li.two_sided and prime_flags(sigma.target, li.mask).is_prime
             if spec_member != li.two_sided:
                 yield "prime localization iff two-sided", f"S={s.members()} p={list(bits(pmask))}"
             yield
 
 
 def check_contraction_recovers_prime(r: RingTable, cfg):
-    for s, loc, pmask in _localized(r, _dens(r, cfg), prime_masks(r)):
+    for s, sigma, pmask in _localized(r, _dens(r, cfg), prime_masks(r)):
         if pmask & s.mask:
             continue
-        li = localize_left_ideal(loc.sigma, pmask)
-        if loc.sigma.preimage_mask(li.mask) != pmask:
+        li = localize_left_ideal(sigma, pmask)
+        if sigma.preimage_mask(li.mask) != pmask:
             yield "contraction returns the prime", f"S={s.members()} p={list(bits(pmask))}"
         yield
 
@@ -272,27 +271,27 @@ def check_prime_vanishing_target(r: RingTable, cfg):
         cls = classify_set(s)
         if not prime_flags(r, cls.ass_l_mask).is_prime:
             continue
-        loc = localize(r, s)
-        if not _is_prime_ring(loc.target):
+        sigma = localize(r, s)
+        if not _is_prime_ring(sigma.target):
             yield "prime vanishing ideal forces a prime localization", f"S={s.members()}"
         yield
 
 
 def check_image_den_regular(r: RingTable, cfg):
-    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        if loc.ass_mask & ~m or m == r.full_mask():
+    for s, sigma, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        if sigma.kernel_mask() & ~m or m == r.full_mask():
             continue  # needs ass(S) <= b < R
-        if not check_epimorphic_den_b14(loc, m):
+        if not check_epimorphic_den_b14(sigma, s.mask, m):
             yield "image denominator iff regular image", f"S={s.members()} b={list(bits(m))}"
         yield
 
 
 def check_image_den_torsion(r: RingTable, cfg):
-    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        ab = ideal_sum_mask(r, loc.ass_mask, m)
+    for s, sigma, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        ab = ideal_sum_mask(r, sigma.kernel_mask(), m)
         if ab & s.mask or ab == r.full_mask():
             continue  # needs ass(S) + b proper and disjoint from S
-        if not check_epimorphic_den_c14(loc, m):
+        if not check_epimorphic_den_c14(sigma, s.mask, m):
             yield "two-step image criterion", f"S={s.members()} b={list(bits(m))}"
         yield
 
@@ -323,8 +322,8 @@ def check_prime_rich_equivalence(r: RingTable, cfg):
 
 
 def check_ideal_preservation(r: RingTable, cfg):
-    for s, loc, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        if not localize_left_ideal(loc.sigma, m).two_sided:
+    for s, sigma, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
+        if not localize_left_ideal(sigma, m).two_sided:
             yield "every localized ideal stays two-sided", f"S={s.members()} b={list(bits(m))}"
         yield
 
@@ -332,16 +331,16 @@ def check_ideal_preservation(r: RingTable, cfg):
 def check_min_primes_prime_rich(r: RingTable, cfg):
     rich = is_prime_rich(r)
     for s in _dens(r, cfg):
-        loc = localize(r, s)
-        if not (rich and respects_prime_structure(loc)):
+        sigma = localize(r, s)
+        if not (rich and respects_prime_structure(sigma)):
             continue
         mrs = min_RS(r, s)
-        family = _localized_min_family(loc, mrs)
-        if not all(prime_flags(loc.target, fm).is_prime for fm in family):
+        family = _localized_min_family(sigma, mrs)
+        if not all(prime_flags(sigma.target, fm).is_prime for fm in family):
             continue
-        minmask = set(min_prime_masks(loc.target))
+        minmask = set(min_prime_masks(sigma.target))
         fam_set = set(family)
-        minimal_members = set(_minimal_over(fam_set, 1 << loc.target.zero))
+        minimal_members = set(_minimal_over(fam_set, 1 << sigma.target.zero))
         if not mrs:
             yield "1 <= |min(R,S)| <= |min(R)|", f"S={s.members()}"
         if minmask != minimal_members:
@@ -363,12 +362,12 @@ def check_min_primes_noetherian(r: RingTable, cfg):
         cls = classify_set(s)
         if cls.ass_l_mask != 1 << r.zero or cls.ass_r_mask != 1 << r.zero:
             continue
-        loc = localize(r, s)
+        sigma = localize(r, s)
         mrs = min_RS(r, s)
-        family = set(_localized_min_family(loc, mrs))
+        family = set(_localized_min_family(sigma, mrs))
         if not mrs:
             yield "min(R,S) non-empty", f"S={s.members()}"
-        if set(min_prime_masks(loc.target)) != family:
+        if set(min_prime_masks(sigma.target)) != family:
             yield "localized minimal primes from min(R,S)", f"S={s.members()}"
         yield
 
@@ -395,12 +394,12 @@ def check_irredundant_characterization(r: RingTable, cfg):
 
 def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | None:
     """The first failed (clause, detail) for one regular denominator set."""
-    loc = localize(r, s)
-    t = loc.target
+    sigma = localize(r, s)
+    t = sigma.target
     if not is_semiprime_ring(t):
         return "localized ring semiprime", f"S={s.members()}"
     mins = min_prime_masks(r)
-    if not _minimals_biject(loc, mins):
+    if not _minimals_biject(sigma, mins):
         return "minimal primes biject under localization", f"S={s.members()}"
     for pmask in mins:
         q, hom = make_quotient(r, pmask)
@@ -408,8 +407,8 @@ def _check_regular_den_bijection(r: RingTable, s: MultSet) -> tuple[str, str] | 
         if not regular_den(q, cls):
             return ("image is a zero-vanishing denominator set of the factor",
                     f"S={s.members()} p={list(bits(pmask))}")
-        jmask = localize_left_ideal(loc.sigma, pmask).mask
-        if not _factor_matches(hom, loc.sigma, jmask):
+        jmask = localize_left_ideal(sigma, pmask).mask
+        if not _factor_matches(hom, sigma, jmask):
             return ("factor of the localization matches the localized factor",
                     f"S={s.members()} p={list(bits(pmask))}")
     return None
@@ -442,12 +441,12 @@ def check_semiprime_vanishing_bijection(r: RingTable, cfg):
         amask = cls.ass_l_mask
         if not prime_flags(r, amask).is_semiprime_ideal:
             continue  # vanishing ideal must be semiprime
-        loc = localize(r, s)
-        t = loc.target
+        sigma = localize(r, s)
+        t = sigma.target
         if not is_semiprime_ring(t):
             yield ("localization at a semiprime vanishing ideal is semiprime",
                    f"S={s.members()}")
-        if not _minimals_biject(loc, min_prime_masks_over(r, amask)):
+        if not _minimals_biject(sigma, min_prime_masks_over(r, amask)):
             yield "minimal primes over the vanishing ideal biject", f"S={s.members()}"
         yield
 
@@ -480,9 +479,8 @@ def check_largest_set_preimage(r: RingTable, cfg):
             if classify_set(s).ass_l_mask == amask and s.mask & ~smax.mask:
                 yield ("maximality of the unit preimage",
                        f"a={list(bits(amask))} S={s.members()}")
-        loc_max = localize(r, smax)
-        qloc = localize(q, MultSet(q, units_mask(q)))
-        if not _quotients_isomorphic(loc_max.sigma, hom.then(qloc.sigma)):
+        qsigma = localize(q, MultSet(q, units_mask(q)))
+        if not _quotients_isomorphic(localize(r, smax), hom.then(qsigma)):
             yield "largest quotient ring matches the factor's", f"a={list(bits(amask))}"
         yield
 
@@ -509,12 +507,12 @@ def check_prime_preimage_sets(r: RingTable, cfg):
         if cls.left_ore != criterion:
             yield "left Ore iff the difference criterion", f"p={list(bits(pmask))}"
         if cls.left_den:
-            loc = localize(r, tset)
-            li = localize_left_ideal(loc.sigma, pmask)
+            sigma = localize(r, tset)
+            li = localize_left_ideal(sigma, pmask)
             if not li.two_sided:
                 yield "localized prime is two-sided", f"p={list(bits(pmask))}"
             q, hom = make_quotient(r, pmask)
-            if not _factor_matches(hom, loc.sigma, li.mask):
+            if not _factor_matches(hom, sigma, li.mask):
                 yield ("factor of the prime localization is the prime factor",
                        f"p={list(bits(pmask))}")
             if alz == pmask:
@@ -532,16 +530,16 @@ def check_zero_divisor_den_equivalence(r: RingTable, cfg):
     if not is_semiprime_ring(r):
         return
     for s in _dens(r, cfg):
-        loc = localize(r, s)
-        t = loc.target
+        sigma = localize(r, s)
+        t = sigma.target
         mrs = min_RS(r, s)
         if not mrs:
             yield "min(R,S) non-empty on a semiprime ring", f"S={s.members()}"
-        family = _localized_min_family(loc, mrs)
+        family = _localized_min_family(sigma, mrs)
         st1 = is_semiprime_ring(t) and set(min_prime_masks(t)) == set(family)
         st2 = True
         for pmask, fm in zip(mrs, family):
-            li_two_sided = localize_left_ideal(loc.sigma, pmask).two_sided
+            li_two_sided = localize_left_ideal(sigma, pmask).two_sided
             factor_prime = prime_flags(t, fm).is_prime
             if not (li_two_sided and factor_prime):
                 st2 = False
@@ -561,9 +559,9 @@ def check_commutative_corollary(r: RingTable, cfg):
     if not (is_semiprime_ring(r) and is_commutative(r)):
         return
     for s in _dens(r, cfg):
-        loc = localize(r, s)
+        sigma = localize(r, s)
         mrs = min_RS(r, s)
-        if not (_minimals_biject(loc, mrs) and is_semiprime_ring(loc.target)):
+        if not (_minimals_biject(sigma, mrs) and is_semiprime_ring(sigma.target)):
             yield ("commutative localization preserves the minimal primes",
                    f"S={s.members()}")
         yield
@@ -574,18 +572,18 @@ def check_completely_prime_corollary(r: RingTable, cfg):
         return
     for s in _two_sided_dens(r, cfg):
         mrs = min_RS(r, s)
-        loc = localize(r, s)
-        t = loc.target
+        sigma = localize(r, s)
+        t = sigma.target
         hyp = all(
             prime_flags(r, m).is_completely_prime
-            and localize_left_ideal(loc.sigma, m).two_sided
+            and localize_left_ideal(sigma, m).two_sided
             for m in mrs
         )
         if not hyp:
             continue
-        ok = _minimals_biject(loc, mrs) and is_semiprime_ring(t) and all(
+        ok = _minimals_biject(sigma, mrs) and is_semiprime_ring(t) and all(
             fm == t.full_mask() or prime_flags(t, fm).is_completely_prime
-            for fm in _localized_min_family(loc, mrs)
+            for fm in _localized_min_family(sigma, mrs)
         )
         if not ok:
             yield "completely prime minimal primes descend", f"S={s.members()}"
@@ -598,9 +596,9 @@ def check_completely_prime_corollary(r: RingTable, cfg):
 
 def check_normal_set_localizes(r: RingTable, cfg):
     for smask in _normal_set_masks(r):
-        loc = localize_normal(r, smask)
-        t = loc.target
-        cls = _image_class(loc.sigma, smask)
+        sigma = localize_normal(r, smask)
+        t = sigma.target
+        cls = _image_class(sigma, smask)
         if not (regular_den(t, cls) and cls.right_den):
             yield ("image is a two-sided zero-vanishing denominator set",
                    f"S={sorted(bits(smask))}")
@@ -609,17 +607,17 @@ def check_normal_set_localizes(r: RingTable, cfg):
 
 def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
     """The first failed (clause, detail) for one normal multiplicative set."""
-    loc = localize_normal(r, smask)
-    amask = loc.ass_mask
+    sigma = localize_normal(r, smask)
+    amask = sigma.kernel_mask()
     mins = min_prime_masks_over(r, amask) if amask != r.full_mask() else ()
-    rbar = loc.target
-    pushes = [loc.sigma.push_mask(m) for m in mins]
+    rbar = sigma.target
+    pushes = [sigma.push_mask(m) for m in mins]
     if len(set(pushes)) != len(mins):
         return ("minimal primes inject into the localized spectrum",
                 f"S={sorted(bits(smask))}")
     nbar = prime_radical_mask(rbar)
     rtilde, tpi = make_quotient(rbar, nbar)
-    cls = _image_class(tpi, loc.sigma.push_mask(smask))
+    cls = _image_class(tpi, sigma.push_mask(smask))
     if not (regular_den(rtilde, cls) and cls.right_den):
         return ("reduced image is a zero-vanishing denominator set",
                 f"S={sorted(bits(smask))}")
@@ -631,7 +629,7 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
         qcls = _image_class(hom, smask)
         if not (regular_den(q, qcls) and qcls.right_den):
             return "factor image is a denominator set", f"p={list(bits(pmask))}"
-        if not _factor_matches(hom, loc.sigma, push):
+        if not _factor_matches(hom, sigma, push):
             return "factor rings of the localization agree", f"p={list(bits(pmask))}"
     if not is_nilpotent_ideal(rbar, nbar):
         return "radical of the image ring is nilpotent", f"S={sorted(bits(smask))}"
@@ -731,23 +729,22 @@ def check_centre_decomposition(r: RingTable, cfg):
 
 def check_unit_group_of_quotient(r: RingTable, cfg):
     s = largest_regular_set(r)
-    loc = localize(r, s)
-    t = loc.target
+    sigma = localize(r, s)
+    t = sigma.target
     where = f"S={s.members()}"
-    if loc.sigma.preimage_mask(units_mask(t)) != units_mask(r):
+    if sigma.preimage_mask(units_mask(t)) != units_mask(r):
         yield "largest set of the quotient contracts to the source's", where
     inv = inverse_table(t)
-    image = loc.sigma.push_mask(s.mask)
+    image = sigma.push_mask(s.mask)
     # units of a finite ring have finite order, so the monoid generated by
     # the images and their inverses is the group they generate
     group = closure_with_witness(t, image | mask_of(inv[g] for g in bits(image)))[0]
     if group != units_mask(t):
         yield "units generated by the set and its inverses", where
-    fractions = {t.mul[inv[loc.sigma(a)]][loc.sigma(b)] for a in s.members() for b in s.members()}
+    fractions = {t.mul[inv[sigma(a)]][sigma(b)] for a in s.members() for b in s.members()}
     if fractions != set(bits(units_mask(t))):
         yield "units are the one-sided fractions of the set", where
-    again = localize(t, largest_regular_set(t))
-    if not again.sigma.is_isomorphism():
+    if not localize(t, largest_regular_set(t)).is_isomorphism():
         yield "localizing twice changes nothing", where
     yield
 

@@ -24,6 +24,7 @@ from .finring import (
     SizeLimitError,
     bits,
     centre_mask,
+    interning,
     is_commutative,
     mask_of,
     units_mask,
@@ -203,13 +204,13 @@ def cmd_classify_set(args) -> int:
 def cmd_localize(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
     s = close_multiplicative(r, _gens_mask(args.gens, r))
-    loc = localize(r, s)
+    sigma = localize(r, s)
     print(f"set:           {s.members()}")
-    print(f"ass ideal:     {_ideal_str(r, loc.ass_mask)}")
-    print(f"target order:  {loc.target.order}")
+    print(f"ass ideal:     {_ideal_str(r, sigma.kernel_mask())}")
+    print(f"target order:  {sigma.target.order}")
     print(f"min(R,S):      {[_ideal_str(r, m) for m in min_RS(r, s)]}")
-    print(f"min(R,S,id):   {[_ideal_str(r, m) for m in min_RS_id(loc)]}")
-    print(f"localized min: {[_ideal_str(loc.target, m) for m in min_prime_masks(loc.target)]}")
+    print(f"min(R,S,id):   {[_ideal_str(r, m) for m in min_RS_id(sigma, s)]}")
+    print(f"localized min: {[_ideal_str(sigma.target, m) for m in min_prime_masks(sigma.target)]}")
     return EXIT_CLEAN
 
 
@@ -300,21 +301,22 @@ def cmd_verify(args) -> int:
         ids = tuple(_comma_items(suite, "--suite"))
     if args.explain and args.explain[0] not in (AUDIT_ID,) + ids:
         raise RingError(f"--explain {args.explain[0]!r} is not a check of this run")
-    corpus = build_corpus(cfg)
-    if args.inject_fault:
-        corpus = [inject_table_fault(corpus[0], cfg)] + corpus[1:]
-    reports = run_suite(corpus, ids, cfg, jobs=args.jobs)
-    if args.explain:
-        cid, k = args.explain
-        report = next(r for r in reports if r.theorem_id == cid)
-        if k >= len(report.counterexamples):
-            raise RingError(f"--explain {cid}:{k}: {cid} has"
-                            f" {len(report.counterexamples)} counterexamples")
-        print(explain(report, k, corpus, cfg))
-    elif args.format == "machine":
-        print(render_machine(reports))
-    else:
-        print(render_text(reports))
+    with interning():  # the run reuses the tables building the corpus audited
+        corpus = build_corpus(cfg)
+        if args.inject_fault:
+            corpus = [inject_table_fault(corpus[0], cfg)] + corpus[1:]
+        reports = run_suite(corpus, ids, cfg, jobs=args.jobs)
+        if args.explain:
+            cid, k = args.explain
+            report = next(r for r in reports if r.theorem_id == cid)
+            if k >= len(report.counterexamples):
+                raise RingError(f"--explain {cid}:{k}: {cid} has"
+                                f" {len(report.counterexamples)} counterexamples")
+            print(explain(report, k, corpus, cfg))
+        elif args.format == "machine":
+            print(render_machine(reports))
+        else:
+            print(render_text(reports))
     clean = all(r.clean() for r in reports)
     return EXIT_CLEAN if clean else EXIT_COUNTEREXAMPLE
 

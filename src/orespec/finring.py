@@ -188,6 +188,9 @@ class RingHom:
         return RingHom(self.source, g.target, tuple(g.map[y] for y in self.map))
 
 
+RingHom.kernel_mask = memo(RingHom.kernel_mask)  # in the class body, memo is the field
+
+
 @memo
 def element_invariants(r: RingTable) -> tuple[tuple[int, int, int, bool, bool], ...]:
     """Per element x, what any ring isomorphism preserves: the additive order
@@ -421,13 +424,18 @@ def interning():
     """Within the block, constructors share one table object per content.
 
     The objects themselves are shared, never their memo dicts: a memoised
-    RingHom is bound to the identity of the ring it was built on.  When the
-    block ends, the memo of every table it interned is emptied, and with it
+    RingHom is bound to the identity of the ring it was built on.  A block
+    opened inside another joins it, so a command that builds its corpus and
+    then runs it builds each content once.  When the outermost block ends,
+    the memo of every table it interned is emptied, and with it
     the factor maps that only those memos reach.  A centre table is audited
     but never interned, so its own memo is not emptied, and the factor maps
     in it point back at it: such a table is left as a reference cycle, which
     Python's cyclic garbage collector frees later, not when the block ends.
     """
+    if _INTERN.get() is not None:  # join the enclosing block
+        yield
+        return
     seen: dict = {}
     token = _INTERN.set(seen)
     try:

@@ -7,10 +7,10 @@ so an injected table fault surfaces as a counterexample of the audit report,
 never as a bogus theorem verdict.  Reports are deterministic for a fixed
 configuration regardless of the worker count: results are merged in corpus
 order and wall time lives outside the comparable body.  The checks run once
-per isomorphism class of finite tables, and once per payload object of the
-other kinds, and each instance gets the outcome under its own provenance:
-a row without a fail is copied to the other tables of its class, and after
-a fail each of them runs the checks on its own table.
+per isomorphism class of finite tables, and once per instance of the other
+kinds, and each instance gets the outcome under its own provenance: a row
+without a fail is copied to the other tables of its class, and after a fail
+each of them not on the first table object runs the checks on its own.
 """
 
 from __future__ import annotations
@@ -208,16 +208,20 @@ def _worker(args):
 
 
 def class_heads(rings: list[RingTable]) -> list[int]:
-    """For each table, the index of the first table isomorphic to it.  Only
-    tables with equal invariant keys are searched for an isomorphism."""
+    """For each table, the index of the first table isomorphic to it.  A table
+    object met before joins its class without a search, and only tables with
+    equal invariant keys are searched for an isomorphism."""
     firsts: dict[tuple, list[int]] = {}  # invariant key -> first index of each class
+    known: dict[int, int] = {}  # id(table) -> first index of its class
     out = []
     for i, r in enumerate(rings):
-        seen = firsts.setdefault(invariant_key(r), [])
-        head = next((j for j in seen if isomorphism(rings[j], r) is not None), None)
+        head = known.get(id(r))
         if head is None:
-            seen.append(i)
-            head = i
+            seen = firsts.setdefault(invariant_key(r), [])
+            head = next((j for j in seen if isomorphism(rings[j], r) is not None), i)
+            if head == i:
+                seen.append(i)
+            known[id(r)] = head
         out.append(head)
     return out
 
@@ -280,32 +284,28 @@ def run_suite(
             good.append(inst)
         audit.wall_ms = (time.perf_counter() - t0) * 1000
 
-        # A check reads only the payload, so the instances built on one object
-        # share its outcome: one head per object, its first instance.
-        heads: dict[int, int] = {}  # id(payload) -> index of its first instance
-        head_of = [heads.setdefault(id(inst.build(cfg.order_cap)), i)
-                   for i, inst in enumerate(good)]
-        # A claim is about the ring, so isomorphic tables share their outcome
-        # too: the checks run on the first head of each class, and the other
-        # heads copy its row if nothing failed, or else run on their own table.
-        first = {i: i for i in heads.values()}  # head -> first head of its class
-        finite = [i for i in first if isinstance(good[i].build(cfg.order_cap), RingTable)]
-        for i, k in zip(finite, class_heads([good[i].build(cfg.order_cap) for i in finite])):
-            first[i] = finite[k]
-        rows = _evaluate(good, [i for i in first if first[i] == i], ids, cfg, jobs)
+        # A claim is about the ring, so isomorphic tables share their outcome:
+        # the checks run on the first table of each class, and the others copy
+        # its row if nothing failed, or else run on their own table unless it
+        # is that same object.  Other kinds run once per instance.
+        payloads = [inst.build(cfg.order_cap) for inst in good]
+        head = list(range(len(good)))  # index -> index of the row it reports
+        finite = [i for i, p in enumerate(payloads) if isinstance(p, RingTable)]
+        for i, k in zip(finite, class_heads([payloads[i] for i in finite])):
+            head[i] = finite[k]
+        rows = _evaluate(good, [i for i, k in enumerate(head) if k == i], ids, cfg, jobs)
         failed = {i for i, row in rows.items() if any(o.status == "fail" for _, o, _ in row)}
-        rows.update(_evaluate(good, [i for i in first if i not in rows and first[i] in failed],
+        rows.update(_evaluate(good, [i for i, k in enumerate(head)
+                                     if k in failed and payloads[i] is not payloads[k]],
                               ids, cfg, jobs))
-        for i in first:
-            if i not in rows:
-                rows[i] = [(cid, outcome, 0.0) for cid, outcome, _ in rows[first[i]]]
 
-    for i, (inst, head) in enumerate(zip(good, head_of)):
-        for cid, outcome, dt in rows[head]:
+    for row in rows.values():  # each evaluation's time counts once
+        for cid, _, dt in row:
+            reports[cid].wall_ms += dt
+    for i, inst in enumerate(good):
+        for cid, outcome, _ in rows[i if i in rows else head[i]]:
             rep = reports[cid]
             rep.considered += 1
-            if i == head:  # each evaluation's time counts once
-                rep.wall_ms += dt
             if outcome.status == "na":
                 continue
             rep.applicable += 1
@@ -351,11 +351,11 @@ def explain(report: CheckReport, index: int, corpus: list[Instance],
         dens = left_denominator_sets(payload, cfg.exhaustive_mult_order)
         lines.append(f"den sets:   {len(dens)}")
         for s in dens[: min(len(dens), 6)]:
-            loc = localize(payload, s)
-            localized = [sorted(bits(localize_left_ideal(loc.sigma, m).mask)) for m in mins]
+            sigma = localize(payload, s)
+            localized = [sorted(bits(localize_left_ideal(sigma, m).mask)) for m in mins]
             lines.append(
-                f"  S={s.members()} ass={sorted(bits(loc.ass_mask))} "
-                f"target_order={loc.target.order} localized_minimals={localized}"
+                f"  S={s.members()} ass={sorted(bits(sigma.kernel_mask()))} "
+                f"target_order={sigma.target.order} localized_minimals={localized}"
             )
     else:
         lines.append(f"object:     {payload!r}")

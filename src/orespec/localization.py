@@ -92,17 +92,6 @@ class OreClass:
     violation: tuple | None = None  # first (reason, data) that broke a flag
 
 
-@dataclass(frozen=True)
-class Localization:
-    """A finite-ring localization realized as the factor by the vanishing ideal."""
-
-    ring: RingTable
-    mult_set: MultSet
-    ass_mask: Mask  # the vanishing ideal, the kernel of sigma
-    target: RingTable
-    sigma: RingHom
-
-
 @dataclass(frozen=True, slots=True)
 class LocalizedLeftIdeal:
     mask: Mask  # left ideal of the target generated by the image of the source
@@ -310,28 +299,28 @@ def left_denominator_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_
     return [MultSet(r, m) for m in left_denominator_masks(r, exhaustive_order)]
 
 
-def _factor_localization(r: RingTable, s: MultSet, ass: Mask) -> Localization:
-    """S^-1 R realized as R/ass, after checking that ker(sigma) is ass and that
-    every sigma(s) is a unit of the factor."""
+def _factor_localization(r: RingTable, smask: Mask, ass: Mask) -> RingHom:
+    """make_quotient's map sigma: R -> R/ass as the localization map, after
+    checking that ker(sigma) is ass and every sigma(s) a unit of the factor."""
     target, sigma = make_quotient(r, ass)
     if sigma.kernel_mask() != ass:
         raise EngineInvariantError("localization kernel differs from the vanishing ideal")
-    if sigma.push_mask(s.mask) & ~units_mask(target):
+    if sigma.push_mask(smask) & ~units_mask(target):
         raise EngineInvariantError("an image of S is not a unit of the localization")
-    return Localization(r, s, ass, target, sigma)
+    return sigma
 
 
 @memo
-def _localize_mask(r: RingTable, smask: Mask) -> Localization:
+def _localize_mask(r: RingTable, smask: Mask) -> RingHom:
     cls = ore_flags(r, smask)
     if not cls.left_den:
         reason, witness = cls.violation or ("left-denominator", None)
         raise NotDenominatorError(reason, witness)
-    return _factor_localization(r, MultSet(r, smask), cls.ass_l_mask)
+    return _factor_localization(r, smask, cls.ass_l_mask)
 
 
-def localize(r: RingTable, s: MultSet) -> Localization:
-    """Localize at a left denominator set; the target is R / ass_l(S)."""
+def localize(r: RingTable, s: MultSet) -> RingHom:
+    """The localization map R -> S^-1 R = R / ass_l(S) at a left denominator set."""
     return _localize_mask(r, s.mask)
 
 
@@ -356,28 +345,28 @@ def localize_left_ideal(sigma: RingHom, source_mask: Mask) -> LocalizedLeftIdeal
 # ---------------------------------------------------------------------------
 # the five-way localized-ideal criterion
 
-def _absorbs_unit_inverses(loc: Localization, ideal_mask: Mask, bmask: Mask) -> bool:
+def _absorbs_unit_inverses(sigma: RingHom, smask: Mask, ideal_mask: Mask, bmask: Mask) -> bool:
     """sigma(x) * sigma(s)^{-1} lies in the target's ideal_mask for every x in b
     and s in S; the product depends on x and s only through their images, so
     it runs over the distinct images."""
-    t = loc.target
+    t = sigma.target
     inv = inverse_table(t)
-    unit_inverses = [inv[u] for u in bits(loc.sigma.push_mask(loc.mult_set.mask))]
+    unit_inverses = [inv[u] for u in bits(sigma.push_mask(smask))]
     return all(
         ideal_mask >> t.mul[y][u] & 1
-        for y in bits(loc.sigma.push_mask(bmask)) for u in unit_inverses
+        for y in bits(sigma.push_mask(bmask)) for u in unit_inverses
     )
 
 
-def _pushes_into_pulls(r: RingTable, smembers: list[int], target_mask: Mask) -> bool:
+def _pushes_into_pulls(r: RingTable, smask: Mask, target_mask: Mask) -> bool:
     """{x : xs in target for some s in S} lies in {x : sx in target for some s}:
     every slot of xS that meets the target has its slot of Sx meet it too."""
     slots = _product_slots(r)
-    xs, sx = set_rows(r, mask_of(smembers))
+    xs, sx = set_rows(r, smask)
     return not _meets(slots, xs, target_mask) & ~_meets(slots, sx, target_mask)
 
 
-def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | None:
+def check_A11_equivalence(sigma: RingHom, smask: Mask, bmask: Mask) -> tuple[str, str] | None:
     """Five independent evaluations of 'the localized left ideal is two-sided':
     ("five-way agreement", witness) when they disagree, otherwise None.
 
@@ -394,35 +383,35 @@ def check_A11_equivalence(loc: Localization, bmask: Mask) -> tuple[str, str] | N
     (2) cannot disagree with the others.  It does independent work only on a
     one-sided b.
     """
-    r = loc.ring
-    smembers = loc.mult_set.members()
+    r = sigma.source
     if bmask == r.full_mask():
         return None
 
-    local = localize_left_ideal(loc.sigma, bmask)
+    local = localize_left_ideal(sigma, bmask)
     c1 = local.two_sided
-    c2 = _absorbs_unit_inverses(loc, local.mask, bmask)
-    c3 = _pushes_into_pulls(r, smembers, bmask)
-    ab = ideal_sum_mask(r, loc.ass_mask, bmask)
+    c2 = _absorbs_unit_inverses(sigma, smask, local.mask, bmask)
+    c3 = _pushes_into_pulls(r, smask, bmask)
+    ab = ideal_sum_mask(r, sigma.kernel_mask(), bmask)
     if ab == r.full_mask():
         c4 = c5 = True
     else:
-        c4 = _pushes_into_pulls(r, smembers, ab)
+        c4 = _pushes_into_pulls(r, smask, ab)
         q, hom = make_quotient(r, ab)
-        tor_l, tor_r = vanishing_masks(q, hom.push_mask(loc.mult_set.mask))
+        tor_l, tor_r = vanishing_masks(q, hom.push_mask(smask))
         c5 = tor_r & ~tor_l == 0
 
     conds = (c1, c2, c3, c4, c5)
     if len(set(conds)) == 1:
         return None
-    return "five-way agreement", f"conditions disagree: {conds} for S={smembers}, b={list(bits(bmask))}"
+    return ("five-way agreement",
+            f"conditions disagree: {conds} for S={list(bits(smask))}, b={list(bits(bmask))}")
 
 
 # ---------------------------------------------------------------------------
 # prime structure under localization
 
-def respects_prime_structure(loc: Localization) -> bool:
-    return all(localize_left_ideal(loc.sigma, p).two_sided for p in prime_masks(loc.ring))
+def respects_prime_structure(sigma: RingHom) -> bool:
+    return all(localize_left_ideal(sigma, p).two_sided for p in prime_masks(sigma.source))
 
 
 def min_RS(r: RingTable, s: MultSet) -> list[Mask]:
@@ -430,14 +419,14 @@ def min_RS(r: RingTable, s: MultSet) -> list[Mask]:
     return [m for m in min_prime_masks(r) if m & s.mask == 0]
 
 
-def min_RS_id(loc: Localization) -> list[Mask]:
+def min_RS_id(sigma: RingHom, s: MultSet) -> list[Mask]:
     """Minimal primes whose localized left ideal spans a proper two-sided ideal."""
-    r, t = loc.ring, loc.target
+    r, t = sigma.source, sigma.target
     out = [
         m for m in min_prime_masks(r)
-        if ideal_closure_mask(t, localize_left_ideal(loc.sigma, m).mask) != t.full_mask()
+        if ideal_closure_mask(t, localize_left_ideal(sigma, m).mask) != t.full_mask()
     ]
-    if set(min_RS(r, loc.mult_set)) - set(out):
+    if set(min_RS(r, s)) - set(out):
         raise EngineInvariantError("min(R,S) escapes min(R,S,id)")
     return out
 
@@ -446,9 +435,9 @@ def min_RS_id(loc: Localization) -> list[Mask]:
 # localization at normal-element sets
 
 @memo
-def localize_normal(r: RingTable, gmask: Mask) -> Localization:
-    """Invert the multiplicative set generated by gmask, a mask of normal
-    elements.
+def localize_normal(r: RingTable, gmask: Mask) -> RingHom:
+    """The localization map at the multiplicative set generated by gmask, a
+    mask of normal elements.
 
     The vanishing ideal is {x : s x t = 0 for some s,t in S}; the target is
     the factor ring by it, where every image of S is again a unit.
@@ -464,7 +453,7 @@ def localize_normal(r: RingTable, gmask: Mask) -> Localization:
         raise EngineInvariantError("normal-set vanishing ideal is not two-sided")
     if ass == r.full_mask():
         raise ZeroAbsorbedError(r, (r.one, r.one))
-    return _factor_localization(r, s, ass)
+    return _factor_localization(r, s.mask, ass)
 
 
 def normal_closure(s: MultSet):
@@ -524,28 +513,28 @@ def t_l(r: RingTable, pmask: Mask) -> MultSet:
 # ---------------------------------------------------------------------------
 # epimorphic images of denominator sets
 
-def check_epimorphic_den_b14(loc: Localization, bmask: Mask) -> bool:
+def check_epimorphic_den_b14(sigma: RingHom, smask: Mask, bmask: Mask) -> bool:
     """Image criterion for an ideal b with ass(S) <= b < R: the image of S is
     a zero-vanishing denominator set of R/b iff it consists of regular
     elements.  True when the two sides agree.
 
     S misses b: sigma(S) consists of units of R/ass, and b/ass is proper."""
-    q, hom = make_quotient(loc.ring, bmask)
-    s_img = hom.push_mask(loc.mult_set.mask)
+    q, hom = make_quotient(sigma.source, bmask)
+    s_img = hom.push_mask(smask)
     cls = ore_flags(q, s_img)
     lhs = regular_den(q, cls)
     rhs = s_img & ~regular_mask(q) == 0
     return lhs == rhs
 
 
-def check_epimorphic_den_c14(loc: Localization, bmask: Mask) -> bool:
+def check_epimorphic_den_c14(sigma: RingHom, smask: Mask, bmask: Mask) -> bool:
     """Two-step image criterion for an ideal b with ass(S) + b proper and
     disjoint from S: after factoring by the image's own vanishing ideal, the
     set is a zero-vanishing denominator set iff the intermediate ring has no
     right S-torsion.  True when the two sides agree."""
-    r = loc.ring
-    q, hom = make_quotient(r, ideal_sum_mask(r, loc.ass_mask, bmask))
-    return _two_step_criterion(q, hom.push_mask(loc.mult_set.mask))
+    r = sigma.source
+    q, hom = make_quotient(r, ideal_sum_mask(r, sigma.kernel_mask(), bmask))
+    return _two_step_criterion(q, hom.push_mask(smask))
 
 
 @memo

@@ -66,9 +66,9 @@ def test_localizing_away_the_matrix_factor(big_ring):
 
     m2_one = make_matrix_ring(2, make_gf(2)).one
     s = close_multiplicative(big_ring, 1 << m2_one * 2)  # (1,0) under lexicographic encoding
-    loc = localize(big_ring, s)
-    assert loc.target.order == 16
-    assert sorted(bits(loc.ass_mask)) == [0, 1]  # the 0 x field slice
+    sigma = localize(big_ring, s)
+    assert sigma.target.order == 16
+    assert sorted(bits(sigma.kernel_mask())) == [0, 1]  # the 0 x field slice
 
 
 def _relabel(r, perm):

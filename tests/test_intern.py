@@ -1,12 +1,14 @@
-"""Within a verification run, constructors share one table per content.
+"""Within an interning scope, constructors share one table per content.
 
-The intern table lives only while `run_suite` runs: outside it every
-constructor returns a fresh object, and after it the tables it interned can
-be freed.  Centre tables are audited but never interned, so the centre of a
+`build_corpus` and `run_suite` each open a scope when none is open, and
+`orespec verify` holds one scope over both, so a command builds and audits
+each content once.  Outside a scope every constructor returns a fresh
+object, and after the outermost scope the tables it interned can be freed.
+Centre tables are audited but never interned, so the centre of a
 commutative ring stays a table of its own.  The checks run once per
 isomorphism class of tables, and every instance reports under its own
 provenance: a row that passed is copied to the class, and after a fail each
-table of the class runs the checks on its own.
+instance on another table object of the class runs the checks on its own.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from orespec import finring, harness
+from orespec import cli, finring, harness
 from orespec.centre import centre_ring
 from orespec.checks import REGISTRY, TheoremCheck
 from orespec.dsl import parse_ring_expr
@@ -29,6 +31,7 @@ from orespec.finring import (
     make_product,
     make_upper_triangular,
     make_zmod,
+    units_mask,
 )
 from orespec.harness import CorpusConfig, Instance, build_corpus, render_machine, run_suite
 
@@ -61,6 +64,23 @@ def test_a_finite_run_audits_each_interned_content_once(monkeypatch):
     interned = {key: n for (key, centre), n in calls.items() if not centre}
     assert {content(inst.build(cfg.order_cap)) for inst in corpus} <= interned.keys()
     assert set(interned.values()) == {1}
+
+
+def test_a_verify_command_audits_each_content_once(monkeypatch, capsys):
+    # the corpus is built and run in one scope: 42 contents while it is
+    # built, and 4 more that the checks make, such as quotients
+    calls = _count_audits(monkeypatch)
+    assert cli.main(["verify", "--suite", "finite", "--format", "machine"]) == 0
+    capsys.readouterr()
+    interned = {key: n for (key, centre), n in calls.items() if not centre}
+    assert len(interned) == 46 and set(interned.values()) == {1}
+
+
+def test_describe_labels_the_ring_by_its_own_expression(capsys):
+    # only verify opens a scope; inside one, gf(2) would be zmod(2)'s table,
+    # and the product would be labelled prod(zmod(2), zmod(2))
+    assert cli.main(["describe", "prod(zmod(2), gf(2))"]) == 0
+    assert "ring:        prod(zmod(2), gf(2))\n" in capsys.readouterr().out
 
 
 def test_the_default_finite_pass_audits_under_a_hundred_tables(monkeypatch):
@@ -186,6 +206,16 @@ def test_inside_a_run_one_table_per_content():
         assert make_zmod(4) is not z2
     assert _INTERN.get() is None
     assert make_zmod(2) is not z2
+
+
+def test_a_nested_scope_joins_the_enclosing_one():
+    with interning():
+        z2 = make_zmod(2)
+        with interning():
+            assert make_gf(2) is z2
+            units_mask(z2)
+        assert z2.memo and make_zmod(2) is z2  # the inner end emptied nothing
+    assert _INTERN.get() is None and not z2.memo
 
 
 CONSTRUCTORS = [

@@ -18,7 +18,7 @@ from orespec.finring import (
     regular_mask,
     units_mask,
 )
-from orespec.harness import CorpusConfig
+from orespec.harness import CorpusConfig, class_heads
 from orespec.ideals import LEFT, all_ideal_masks, ideal_closure_mask, ideal_sum_mask
 from orespec.localization import (
     EXHAUSTIVE_MULT_ORDER,
@@ -108,42 +108,44 @@ def test_regular_den_is_a_set_of_regular_elements(z6, t2f2):
 
 
 def test_localize_examples(z6):
-    loc = localize(z6, close_multiplicative(z6, mask_of([2])))
-    assert loc.target.order == 3
-    assert loc.sigma.kernel_mask() == loc.ass_mask
-    two = loc.sigma(2)
-    assert any(loc.target.mul[two][y] == loc.target.one for y in loc.target.elements())
+    s = close_multiplicative(z6, mask_of([2]))
+    sigma = localize(z6, s)
+    assert sigma.target.order == 3
+    assert sigma.kernel_mask() == classify_set(s).ass_l_mask
+    two = sigma(2)
+    assert any(sigma.target.mul[two][y] == sigma.target.one for y in sigma.target.elements())
     assert localize(z6, close_multiplicative(z6, mask_of([3]))).target.order == 2
 
 
 def test_localizing_at_units_changes_nothing(z12):
-    loc = localize(z12, largest_regular_set(z12))
-    assert loc.target.order == z12.order
-    assert loc.sigma.is_bijective()
+    sigma = localize(z12, largest_regular_set(z12))
+    assert sigma.target.order == z12.order
+    assert sigma.is_bijective()
 
 
 def test_localized_ideals(z6):
-    loc = localize(z6, close_multiplicative(z6, mask_of([2])))
-    assert localize_left_ideal(loc.sigma, 1).mask == 1
+    sigma = localize(z6, close_multiplicative(z6, mask_of([2])))
+    assert localize_left_ideal(sigma, 1).mask == 1
     three = ideal_closure_mask(z6, 1 << 3)
-    li = localize_left_ideal(loc.sigma, three)
+    li = localize_left_ideal(sigma, three)
     assert li.mask == 1 and li.two_sided
-    assert localize_left_ideal(loc.sigma, three) is li  # memoised on the factor map
-    loc13 = localize(z6, close_multiplicative(z6, mask_of([3])))
-    assert localize_left_ideal(loc13.sigma, ideal_closure_mask(z6, 1 << 2)).mask == 1
+    assert localize_left_ideal(sigma, three) is li  # memoised on the factor map
+    sigma13 = localize(z6, close_multiplicative(z6, mask_of([3])))
+    assert localize_left_ideal(sigma13, ideal_closure_mask(z6, 1 << 2)).mask == 1
 
 
 def test_five_way_criterion_on_commutative_and_triangular(z6, t2f2):
     for r in (z6, t2f2):
         for s in left_denominator_sets(r):
-            loc = localize(r, s)
+            sigma = localize(r, s)
             for m in all_ideal_masks(r):
-                assert check_A11_equivalence(loc, m) is None
+                assert check_A11_equivalence(sigma, s.mask, m) is None
     # the whole ring is accepted by convention, and its localization is two-sided
-    loc = localize(z6, close_multiplicative(z6, mask_of([2])))
+    s = close_multiplicative(z6, mask_of([2]))
+    sigma = localize(z6, s)
     full = z6.full_mask()
-    assert check_A11_equivalence(loc, full) is None
-    assert localize_left_ideal(loc.sigma, full).two_sided
+    assert check_A11_equivalence(sigma, s.mask, full) is None
+    assert localize_left_ideal(sigma, full).two_sided
 
 
 def test_min_RS_and_prime_structure(z6):
@@ -151,24 +153,42 @@ def test_min_RS_and_prime_structure(z6):
     assert min_RS(z6, s24) == [mask_of([0, 3])]
     s13 = close_multiplicative(z6, mask_of([3]))
     assert min_RS(z6, s13) == [mask_of([0, 2, 4])]
-    loc = localize(z6, s24)
-    assert respects_prime_structure(loc)
-    assert set(min_RS(z6, s24)) <= set(min_RS_id(loc))
+    sigma = localize(z6, s24)
+    assert respects_prime_structure(sigma)
+    assert set(min_RS(z6, s24)) <= set(min_RS_id(sigma, s24))
+
+
+def test_a_localization_is_the_factor_map_at_its_vanishing_ideal(corpus_tables):
+    # make_quotient is memoised, so the sets with one vanishing ideal share
+    # one sigma, and with it their localized ideals
+    tables = [r for _, r in corpus_tables]
+    heads = set(class_heads(tables))
+    sets = sigmas = 0
+    for i, r in enumerate(tables):
+        dens = left_denominator_sets(r)
+        for s in dens:
+            sigma = localize(r, s)
+            assert sigma is make_quotient(r, classify_set(s).ass_l_mask)[1], (r.label, s)
+        if i in heads:
+            sets += len(dens)
+            sigmas += len({id(localize(r, s)) for s in dens})
+    assert len(heads) == 30 and (sets, sigmas) == (417, 75)
 
 
 def test_localize_normal_examples(z12, t2f2):
-    loc = localize_normal(z12, mask_of([2]))
-    assert set(loc.mult_set.members()) == {1, 2, 4, 8}
-    assert loc.ass_mask == mask_of([0, 3, 6, 9])
+    sigma = localize_normal(z12, mask_of([2]))
+    s = close_multiplicative(z12, mask_of([2]))
+    assert set(s.members()) == {1, 2, 4, 8}
+    assert sigma.kernel_mask() == mask_of([0, 3, 6, 9])
     # a central generator reduces to the one-sided vanishing ideal
-    assert loc.ass_mask == classify_set(loc.mult_set).ass_l_mask
-    loc_u = localize_normal(t2f2, mask_of([T2_UNIT_UPPER]))
-    assert loc_u.ass_mask == 1 << t2f2.zero and loc_u.target.order == t2f2.order
+    assert sigma.kernel_mask() == classify_set(s).ass_l_mask
+    sigma_u = localize_normal(t2f2, mask_of([T2_UNIT_UPPER]))
+    assert sigma_u.kernel_mask() == 1 << t2f2.zero and sigma_u.target.order == t2f2.order
 
 
 def test_localize_normal_is_memoised_per_generator_mask(z12):
-    loc = localize_normal(z12, 1 << 2)
-    assert localize_normal(z12, 1 << 2) is loc
+    sigma = localize_normal(z12, 1 << 2)
+    assert localize_normal(z12, 1 << 2) is sigma
 
 
 def test_localize_normal_rejects_non_normal_generators(t2f2):
@@ -202,10 +222,10 @@ def test_largest_set_assoc_and_unrealizable_ideals(z6, z12):
 
 def test_epimorphic_image_criterion(z12):
     s = largest_regular_set(z12)
-    loc = localize(z12, s)
+    sigma = localize(z12, s)
     four = ideal_closure_mask(z12, 1 << 4)
-    assert loc.ass_mask & ~four == 0 and four != z12.full_mask()  # ass(S) <= b < R
-    assert check_epimorphic_den_b14(loc, four)
+    assert sigma.kernel_mask() & ~four == 0 and four != z12.full_mask()  # ass(S) <= b < R
+    assert check_epimorphic_den_b14(sigma, s.mask, four)
     # the image of S in R/b is a zero-vanishing denominator set
     q, hom = make_quotient(z12, four)
     cls = classify_set(MultSet(q, hom.push_mask(s.mask)))
@@ -328,12 +348,12 @@ def _per_pair_push_condition(r, smembers, target_mask):
     return True
 
 
-def _per_pair_unit_inverses(loc, ideal_mask, bmask):
-    t = loc.target
+def _per_pair_unit_inverses(sigma, smask, ideal_mask, bmask):
+    t = sigma.target
     inv = inverse_table(t)
     return all(
-        ideal_mask >> t.mul[loc.sigma(x)][inv[loc.sigma(s)]] & 1
-        for x in bits(bmask) for s in loc.mult_set.members()
+        ideal_mask >> t.mul[sigma(x)][inv[sigma(s)]] & 1
+        for x in bits(bmask) for s in bits(smask)
     )
 
 
@@ -345,43 +365,44 @@ def test_a11_conditions_2_to_4_match_the_per_pair_loops(corpus_tables):
         for smask in mult_set_masks(r):
             members = list(bits(smask))
             for b in ideals:
-                got = localization._pushes_into_pulls(r, members, b)
+                got = localization._pushes_into_pulls(r, smask, b)
                 assert got == _per_pair_push_condition(r, members, b), (r.label, smask, b)
                 outcomes.add(("push", got))
         for s in left_denominator_sets(r):
-            loc = localize(r, s)
+            sigma = localize(r, s)
             members = s.members()
-            t = loc.target
+            t = sigma.target
             left_ideals = {ideal_closure_mask(t, 1 << x, LEFT) for x in t.elements()}
             for b in ideals:
-                ab = ideal_sum_mask(r, loc.ass_mask, b)
-                assert localization._pushes_into_pulls(r, members, ab) == \
+                ab = ideal_sum_mask(r, sigma.kernel_mask(), b)
+                assert localization._pushes_into_pulls(r, s.mask, ab) == \
                     _per_pair_push_condition(r, members, ab), (r.label, s, b)
                 # condition (2) with the localized ideal and the ideals of the
                 # target, every principal left ideal among them
-                for j in (localize_left_ideal(loc.sigma, b).mask, *all_ideal_masks(t), *left_ideals):
-                    got = localization._absorbs_unit_inverses(loc, j, b)
-                    assert got == _per_pair_unit_inverses(loc, j, b), (r.label, s, b, j)
+                for j in (localize_left_ideal(sigma, b).mask, *all_ideal_masks(t), *left_ideals):
+                    got = localization._absorbs_unit_inverses(sigma, s.mask, j, b)
+                    assert got == _per_pair_unit_inverses(sigma, s.mask, j, b), (r.label, s, b, j)
                     outcomes.add(("absorb", got))
             # on a two-sided b the inverses change nothing, so (2) also runs on
             # single elements, where they do
             for x in r.elements():
                 for j in left_ideals:
-                    got = localization._absorbs_unit_inverses(loc, j, 1 << x)
-                    assert got == _per_pair_unit_inverses(loc, j, 1 << x), (r.label, s, x, j)
+                    got = localization._absorbs_unit_inverses(sigma, s.mask, j, 1 << x)
+                    assert got == _per_pair_unit_inverses(sigma, s.mask, j, 1 << x), \
+                        (r.label, s, x, j)
     assert outcomes == {(c, v) for c in ("push", "absorb") for v in (True, False)}
 
 
 def _per_member_vacuity(r, cfg):
     """aA11Sep23 with the unit-order chain run once per member of S."""
-    for s, loc, m in checks._localized(r, checks._dens(r, cfg), all_ideal_masks(r)):
+    for s, sigma, m in checks._localized(r, checks._dens(r, cfg), all_ideal_masks(r)):
         if m == r.full_mask():
             continue
-        t = loc.target
+        t = sigma.target
         inv = inverse_table(t)
-        li = checks.localize_left_ideal(loc.sigma, m)
+        li = checks.localize_left_ideal(sigma, m)
         for sm in s.members():
-            u = inv[loc.sigma(sm)]
+            u = inv[sigma(sm)]
             order_u, power = 1, u
             while power != t.one:
                 power = t.mul[power][u]

@@ -21,19 +21,19 @@ def test_ring_and_its_derived_data_are_freed_together():
     dens = left_denominator_sets(r)
     assert len(dens) > 1
     for s in dens:
-        loc = localize(r, s)
+        sigma = localize(r, s)
         for m in mins:
             # the localized ideal is memoised on sigma, and the factor match
             # on the factor map, keyed by sigma
-            li = localize_left_ideal(loc.sigma, m)
-            if li.mask != loc.target.full_mask():
-                _factor_matches(make_quotient(r, m)[1], loc.sigma, li.mask)
+            li = localize_left_ideal(sigma, m)
+            if li.mask != sigma.target.full_mask():
+                _factor_matches(make_quotient(r, m)[1], sigma, li.mask)
     assert prime_radical_mask(r) == 0b1000001  # {0, 6}
     assert len([pm for pm, _ in rho(r).table if pm in mins]) == 2  # rho on min(R)
-    assert loc.sigma.memo
+    assert sigma.memo
 
-    refs = [weakref.ref(r), weakref.ref(loc.sigma)]
-    del r, dens, s, loc, li
+    refs = [weakref.ref(r), weakref.ref(sigma)]
+    del r, dens, s, sigma, li
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
 
