@@ -6,14 +6,15 @@ Useful for eyeballing what the verification suite actually quantifies over.
 a localization is the factor map at the set's vanishing ideal, so the sets
 with one vanishing ideal share one.  The totals are over every finite
 instance, and over the first instance of each isomorphism class, the tables
-a run evaluates.
+a run evaluates.  A reader that closes the output early (`| head -1`) ends
+the survey with exit code 2 and no traceback, as it ends the CLI.
 """
 
 import argparse
 import sys
 from collections import Counter
 
-from orespec.cli import positive_int
+from orespec.cli import closed_stdout, positive_int
 from orespec.finring import content, is_commutative
 from orespec.harness import CorpusConfig, build_corpus, class_heads
 from orespec.ideals import all_ideal_masks, is_semiprime_ring, min_prime_masks_over
@@ -24,8 +25,18 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-order", type=positive_int, default=16)
     args = ap.parse_args()
+    try:
+        survey(args.max_order)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        return closed_stdout()
+    return 0
 
-    cfg = CorpusConfig(order_cap=args.max_order)
+
+def survey(max_order: int) -> None:
+    """Print one row per finite instance of the corpus at this order cap,
+    then the totals."""
+    cfg = CorpusConfig(order_cap=max_order)
     corpus = build_corpus(cfg)
     finite = [(i.provenance, i.build(cfg.order_cap)) for i in corpus if i.kind == "finite"]
     contents = len({content(r) for _, r in finite})
@@ -54,7 +65,6 @@ def main() -> int:
     print()
     for key, total in sorted(tally.items()):
         print(f"total {key}: {total}")
-    return 0
 
 
 if __name__ == "__main__":

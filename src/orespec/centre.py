@@ -18,7 +18,7 @@ from .finring import (
     RingError,
     RingHom,
     RingTable,
-    _audited,
+    _audited_apart,
     bits,
     canonical,
     centre_mask,
@@ -65,7 +65,7 @@ def centre_ring(r: RingTable) -> CentreData:
     names = tuple(r.name(v) for v in elems)
     # audited but never interned: the centre of a commutative ring would be
     # the ring itself, and the centre criteria would compare it with itself
-    centre = _audited(RingTable(n, add, mul, index[r.zero], index[r.one],
+    centre = _audited_apart(RingTable(n, add, mul, index[r.zero], index[r.one],
                                 f"centre({r.label})", names))
     if not is_commutative(centre):
         raise EngineInvariantError("induced centre table is not commutative")

@@ -33,6 +33,7 @@ from .finring import (
     RingTable,
     additive_span,
     bits,
+    canonical,
     element_invariants,
     inverse_table,
     is_commutative,
@@ -41,7 +42,6 @@ from .finring import (
     memo,
     normal_mask,
     product_hom,
-    sub,
     subsets,
     units_mask,
 )
@@ -64,6 +64,7 @@ from .ideals import (
     _products_reach,
 )
 from .localization import (
+    EXHAUSTIVE_MULT_ORDER,
     MultSet,
     ass_l_realizable_masks,
     check_A11_equivalence,
@@ -79,6 +80,7 @@ from .localization import (
     localize_left_ideal,
     localize_normal,
     min_RS,
+    nonzero_submonoid_levels,
     normal_closure,
     regular_den,
     respects_prime_structure,
@@ -119,22 +121,40 @@ def _na(obj, cfg):
     return ()
 
 
-def _dens(r: RingTable, cfg) -> list[MultSet]:
+def _dens(r: RingTable, cfg) -> tuple[MultSet, ...]:
     return left_denominator_sets(r, cfg.exhaustive_mult_order)
 
 
-def _two_sided_dens(r: RingTable, cfg) -> list[MultSet]:
-    return [s for s in _dens(r, cfg) if classify_set(s).right_den]
-
-
-def _zero_dens(r: RingTable, cfg) -> list[MultSet]:
-    return [s for s in _dens(r, cfg) if classify_set(s).ass_l_mask == 1 << r.zero]
+@memo
+def _two_sided_dens(r: RingTable, cfg) -> tuple[MultSet, ...]:
+    return tuple(s for s in _dens(r, cfg) if classify_set(s).right_den)
 
 
 @memo
-def _normal_set_masks(r: RingTable) -> tuple[Mask, ...]:
-    """Closures of at most two nonzero normal elements."""
-    return submonoid_masks(r, [x for x in bits(normal_mask(r)) if x != r.zero], 2)
+def _dens_by_ass(r: RingTable, cfg) -> dict[Mask, tuple[MultSet, ...]]:
+    """The sets of _dens by their vanishing ideal ass_l, each group in the
+    order of _dens."""
+    groups: dict[Mask, list[MultSet]] = {}
+    for s in _dens(r, cfg):
+        groups.setdefault(classify_set(s).ass_l_mask, []).append(s)
+    return {ass: tuple(group) for ass, group in groups.items()}
+
+
+def _zero_dens(r: RingTable, cfg) -> tuple[MultSet, ...]:
+    return _dens_by_ass(r, cfg).get(1 << r.zero, ())
+
+
+@memo
+def _normal_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
+    """Closures of at most two nonzero normal elements.  When every element
+    is normal they are the closures of levels 0-2 of the ring's own
+    submonoid search, the one mult_set_masks lists at this exhaustive
+    order."""
+    normal = normal_mask(r)
+    if normal != r.full_mask():
+        return submonoid_masks(r, [x for x in bits(normal) if x != r.zero], 2)
+    levels = nonzero_submonoid_levels(r, None if r.order <= exhaustive_order else 2)
+    return canonical(m for m, level in levels.items() if level <= 2)
 
 
 def _quotients_isomorphic(f: RingHom, g: RingHom) -> bool:
@@ -161,8 +181,10 @@ def _localized(r: RingTable, dens, masks):
             yield s, sigma, m
 
 
+@memo
 def _image_class(hom: RingHom, smask: Mask):
-    """The Ore classification of the image of a set under hom."""
+    """The Ore classification of the image of a set under hom, memoised on
+    hom."""
     return classify_set(MultSet(hom.target, hom.push_mask(smask)))
 
 
@@ -214,20 +236,26 @@ def _chain_limit(t: RingTable, jmask: Mask, u: int) -> Mask:
 
 def check_a11_vacuity(r: RingTable, cfg):
     """Every localized-ideal chain sum(J * u^-j) cycles with the unit's order,
-    so it stabilizes mechanically and the localized ideal must be two-sided."""
-    for s, sigma, m in _localized(r, _dens(r, cfg), all_ideal_masks(r)):
-        if m == r.full_mask():
-            continue
+    so it stabilizes mechanically and the localized ideal must be two-sided.
+    The chain depends on a member s only through u = sigma(s)^-1, so it runs
+    once per distinct u, and a failure names the first member with that u."""
+    ideal_masks = [m for m in all_ideal_masks(r) if m != r.full_mask()]
+    for s in _dens(r, cfg):
+        sigma = localize(r, s)
         t = sigma.target
         inv = inverse_table(t)
-        li = localize_left_ideal(sigma, m)
-        if li.two_sided:
-            for sm in s.members():
-                if _chain_limit(t, li.mask, inv[sigma(sm)]) != li.mask:
-                    yield "a two-sided image absorbs its chain", f"s={sm} b={list(bits(m))}"
-        else:
-            yield "stabilized chains force a two-sided image", f"b={list(bits(m))} S={s.members()}"
-        yield
+        first = {}  # u -> the first member s of S with sigma(s)^-1 = u
+        for sm in s.members():
+            first.setdefault(inv[sigma(sm)], sm)
+        for m in ideal_masks:
+            li = localize_left_ideal(sigma, m)
+            if li.two_sided:
+                for u, sm in first.items():
+                    if _chain_limit(t, li.mask, u) != li.mask:
+                        yield "a two-sided image absorbs its chain", f"s={sm} b={list(bits(m))}"
+            else:
+                yield "stabilized chains force a two-sided image", f"b={list(bits(m))} S={s.members()}"
+            yield
 
 
 def check_prime_target_regular(r: RingTable, cfg):
@@ -475,14 +503,29 @@ def check_largest_set_preimage(r: RingTable, cfg):
         if hom.push_mask(smax.mask) != units_mask(q):
             yield ("preimage maps onto the factor's largest regular set",
                    f"a={list(bits(amask))}")
-        for s in _dens(r, cfg):
-            if classify_set(s).ass_l_mask == amask and s.mask & ~smax.mask:
+        for s in _dens_by_ass(r, cfg).get(amask, ()):
+            if s.mask & ~smax.mask:
                 yield ("maximality of the unit preimage",
                        f"a={list(bits(amask))} S={s.members()}")
         qsigma = localize(q, MultSet(q, units_mask(q)))
         if not _quotients_isomorphic(localize(r, smax), hom.then(qsigma)):
             yield "largest quotient ring matches the factor's", f"a={list(bits(amask))}"
         yield
+
+
+def _difference_criterion(r: RingTable, members, alz: Mask) -> bool:
+    """For every s among members and every x, some s'x - x's lies in alz,
+    with s' among members and x' in R.  s'x - x's = a for some a in alz
+    exactly when s'x = a + x's, so the criterion asks that every Tx, T the
+    members, meets alz + Rs; both are read elementwise from the tables."""
+    add, mul = r.add, r.mul
+    columns = [mask_of(mul[sp][x] for sp in members) for x in r.elements()]  # Tx
+    for s in members:
+        multiples = {mul[xp][s] for xp in r.elements()}  # Rs
+        reach = mask_of(add[a][y] for a in bits(alz) for y in multiples)  # alz + Rs
+        if not all(column & reach for column in columns):
+            return False
+    return True
 
 
 def check_prime_preimage_sets(r: RingTable, cfg):
@@ -498,13 +541,7 @@ def check_prime_preimage_sets(r: RingTable, cfg):
         if alz & ~pmask or arz & ~pmask:
             yield "vanishing sets stay inside the prime", f"p={list(bits(pmask))}"
         cls = classify_set(tset)
-        members = tset.members()
-        criterion = all(
-            any(alz >> sub(r, r.mul[sp][x], r.mul[xp][s]) & 1
-                for sp in members for xp in r.elements())
-            for s in members for x in r.elements()
-        )
-        if cls.left_ore != criterion:
+        if cls.left_ore != _difference_criterion(r, tset.members(), alz):
             yield "left Ore iff the difference criterion", f"p={list(bits(pmask))}"
         if cls.left_den:
             sigma = localize(r, tset)
@@ -516,8 +553,8 @@ def check_prime_preimage_sets(r: RingTable, cfg):
                 yield ("factor of the prime localization is the prime factor",
                        f"p={list(bits(pmask))}")
             if alz == pmask:
-                for s in _dens(r, cfg):
-                    if classify_set(s).ass_l_mask == pmask and s.mask & ~tset.mask:
+                for s in _dens_by_ass(r, cfg).get(pmask, ()):
+                    if s.mask & ~tset.mask:
                         yield ("unit preimage is the largest set at its prime",
                                f"p={list(bits(pmask))} S={s.members()}")
         yield
@@ -595,7 +632,7 @@ def check_completely_prime_corollary(r: RingTable, cfg):
 
 
 def check_normal_set_localizes(r: RingTable, cfg):
-    for smask in _normal_set_masks(r):
+    for smask in _normal_set_masks(r, cfg.exhaustive_mult_order):
         sigma = localize_normal(r, smask)
         t = sigma.target
         cls = _image_class(sigma, smask)
@@ -640,7 +677,7 @@ def _a2oct_finite(r: RingTable, smask: Mask) -> tuple[str, str] | None:
 
 
 def check_normal_localization_minimals(r: RingTable, cfg):
-    for smask in _normal_set_masks(r):
+    for smask in _normal_set_masks(r, cfg.exhaustive_mult_order):
         yield _a2oct_finite(r, smask)
 
 

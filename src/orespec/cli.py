@@ -402,6 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def closed_stdout() -> int:
+    """The exit code after the reader closed stdout, which is pointed at
+    devnull so that the flush at interpreter exit does not raise again
+    (Python docs, signal, SIGPIPE)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_USAGE
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
@@ -413,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe raises here, inside the try
         return code
     except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the flush at
-        # interpreter exit does not raise again (Python docs, signal, SIGPIPE)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_USAGE
+        return closed_stdout()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import inspect
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -56,12 +57,23 @@ class EngineInvariantError(RingError):
 # ---------------------------------------------------------------------------
 # bit-mask helpers
 
-def bits(mask: Mask):
-    """Yield the element ids present in a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# _BYTE_IDS[b] and _HIGH_IDS[b]: the ids of the set bits of a byte b, as bits
+# 0-7 and as bits 8-15 of a mask
+_BYTE_IDS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH_IDS = tuple(tuple(i + 8 for i in ids) for ids in _BYTE_IDS)
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digit -> its truth value
+
+
+def bits(mask: Mask) -> tuple[int, ...]:
+    """The element ids present in a mask, ascending, as a tuple: read from a
+    byte table below 2^8, from two below 2^16, and above from the mask's
+    binary digits, lowest first."""
+    if mask < 256:
+        return _BYTE_IDS[mask]
+    if mask < 65536:
+        return _BYTE_IDS[mask & 255] + _HIGH_IDS[mask >> 8]
+    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)  # flags[i]: bit i
+    return tuple(itertools.compress(range(len(flags)), flags))
 
 
 def mask_of(ids) -> Mask:
@@ -86,19 +98,47 @@ def subsets(items, smallest: int = 0):
 
 
 def memo(fn):
-    """Memoise fn(owner, *args) in owner.memo, keyed by (fn, *args).
+    """Memoise fn(owner, *args) in owner.memo[fn], a table keyed by args.
 
     Derived data lives in a dict owned by the object it is derived from, so it
     is freed together with that object instead of in a process-global cache.
-    The memoised function takes its arguments by position only.
+    Each memoised function has its own table in that dict, so a lookup builds
+    no key of (fn, *args).  Most memoised functions read the owner and one
+    more argument; their table is keyed by that argument itself, with no
+    tuple around it, and a function of the owner alone keeps its one value
+    in place of a table.  The memoised function takes its arguments by
+    position only.
     """
+    code = fn.__code__
+    fixed = not (fn.__defaults__ or code.co_kwonlyargcount or code.co_flags & inspect.CO_VARARGS)
+    if fixed and code.co_argcount == 1:
+        @functools.wraps(fn)
+        def cached_value(owner):
+            try:
+                return owner.memo[fn]
+            except KeyError:
+                value = owner.memo[fn] = fn(owner)
+                return value
+        return cached_value
+
+    if fixed and code.co_argcount == 2:
+        @functools.wraps(fn)
+        def cached_by_arg(owner, arg):
+            try:
+                return owner.memo[fn][arg]
+            except KeyError:
+                table = owner.memo.setdefault(fn, {})
+                value = table[arg] = fn(owner, arg)
+                return value
+        return cached_by_arg
+
     @functools.wraps(fn)
     def cached(owner, *args):
-        key = (fn, *args)
         try:
-            return owner.memo[key]
+            return owner.memo[fn][args]
         except KeyError:
-            value = owner.memo[key] = fn(owner, *args)
+            table = owner.memo.setdefault(fn, {})
+            value = table[args] = fn(owner, *args)
             return value
     return cached
 
@@ -146,14 +186,25 @@ class RingHom:
         return self.map[i]
 
     def verify(self) -> list[str]:
-        """Return the list of homomorphism-law violations (empty when valid)."""
+        """Return the list of homomorphism-law violations (empty when valid).
+
+        Each row of the source's tables is compared whole with the target's
+        row at its image; only a row that differs is walked cell by cell, to
+        name each failing pair.  (On a one-element source the whole-row
+        comparison never holds, and the walk decides.)"""
         s, t, m = self.source, self.target, self.map
         bad = []
         if m[s.zero] != t.zero:
             bad.append("map(0) != 0")
         if m[s.one] != t.one:
             bad.append("map(1) != 1")
+        image = m.__getitem__
+        at_images = operator.itemgetter(*m)  # a target row read at m(b) for every b
         for a in s.elements():
+            # m(a + b) == m(a) + m(b) and m(ab) == m(a)m(b) for every b
+            if (tuple(map(image, s.add[a])) == at_images(t.add[m[a]])
+                    and tuple(map(image, s.mul[a])) == at_images(t.mul[m[a]])):
+                continue
             for b in s.elements():
                 if m[s.add[a][b]] != t.add[m[a]][m[b]]:
                     bad.append(f"additivity fails at ({a},{b})")
@@ -172,7 +223,7 @@ class RingHom:
         return mask_of(i for i in self.source.elements() if target_mask >> self.map[i] & 1)
 
     def push_mask(self, source_mask: Mask) -> Mask:
-        return mask_of(self.map[i] for i in bits(source_mask))
+        return mask_of(map(self.map.__getitem__, bits(source_mask)))
 
     def is_injective(self) -> bool:
         return len(set(self.map)) == self.source.order
@@ -188,7 +239,10 @@ class RingHom:
         return RingHom(self.source, g.target, tuple(g.map[y] for y in self.map))
 
 
-RingHom.kernel_mask = memo(RingHom.kernel_mask)  # in the class body, memo is the field
+# in the class body, the name memo is the dataclass field
+RingHom.kernel_mask = memo(RingHom.kernel_mask)
+RingHom.preimage_mask = memo(RingHom.preimage_mask)
+RingHom.push_mask = memo(RingHom.push_mask)
 
 
 @memo
@@ -410,7 +464,8 @@ def _scan_triple_laws(r: RingTable, bad: list[str]) -> None:
                     return
 
 
-# content, and constructor call, -> the run's table; None outside a run
+# content, and constructor call, -> the run's table, plus the run's tables
+# kept apart; None outside a run
 _INTERN: contextvars.ContextVar[dict | None] = contextvars.ContextVar("intern", default=None)
 
 
@@ -427,11 +482,13 @@ def interning():
     RingHom is bound to the identity of the ring it was built on.  A block
     opened inside another joins it, so a command that builds its corpus and
     then runs it builds each content once.  When the outermost block ends,
-    the memo of every table it interned is emptied, and with it
-    the factor maps that only those memos reach.  A centre table is audited
-    but never interned, so its own memo is not emptied, and the factor maps
-    in it point back at it: such a table is left as a reference cycle, which
-    Python's cyclic garbage collector frees later, not when the block ends.
+    the memo of every table it interned is emptied, and with it the factor
+    maps that only those memos reach.  A centre table is audited but never
+    interned (`_audited_apart`); the block records it all the same and
+    empties its memo too, so the factor maps in that memo, which point back
+    at it, are freed when the block ends rather than left as reference
+    cycles for the cyclic garbage collector.  A memo is a dict of
+    per-function tables, and emptying it drops them all.
     """
     if _INTERN.get() is not None:  # join the enclosing block
         yield
@@ -450,6 +507,16 @@ def _audited(r: RingTable) -> RingTable:
     bad = audit_ring(r)
     if bad:
         raise EngineInvariantError(f"constructed table fails audit: {bad[0]}")
+    return r
+
+
+def _audited_apart(r: RingTable) -> RingTable:
+    """Audit a table that is never interned; within a run, the outermost
+    interning block still empties its memo when it ends."""
+    _audited(r)
+    seen = _INTERN.get()
+    if seen is not None:
+        seen["apart", r] = r  # a key no constructor or content lookup asks for
     return r
 
 
@@ -475,15 +542,6 @@ def _built(key: tuple, build) -> RingTable:
     if key not in seen:
         seen[key] = _checked(build())
     return seen[key]
-
-
-@memo
-def neg_table(r: RingTable) -> tuple[int, ...]:
-    return tuple(row.index(r.zero) for row in r.add)
-
-
-def sub(r: RingTable, a: int, b: int) -> int:
-    return r.add[a][neg_table(r)[b]]
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +589,6 @@ def _digits(idx: int, base: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _undigits(digits, base: int) -> int:
-    idx = 0
-    for d in reversed(digits):
-        idx = idx * base + d
-    return idx
-
-
 def _make_slot_ring(k: int, base: RingTable, triangular: bool, cap: int | None) -> RingTable:
     """k x k matrices over a commutative base with entries at every (row,
     column) slot, or only on and above the diagonal; an element's digits are
@@ -558,27 +609,32 @@ def _make_slot_ring(k: int, base: RingTable, triangular: bool, cap: int | None) 
         order = base.order ** nslots
         slots = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
         pos = {ij: s for s, ij in enumerate(slots)}
+        weights = [base.order ** s for s in range(nslots)]  # digit s counts base^s
         mats = [_digits(i, base.order, nslots) for i in range(order)]
+        badd, bmul, zero = base.add, base.mul, base.zero
 
         def at(m, i, j):
             s = pos.get((i, j))
-            return base.zero if s is None else m[s]
+            return zero if s is None else m[s]
 
-        def addm(a, b):
-            return _undigits([base.add[x][y] for x, y in zip(a, b)], base.order)
+        def undigits(digits) -> int:
+            return sum(map(operator.mul, digits, weights))
 
-        def mulm(a, b):
+        grids = [[[at(m, i, j) for j in range(k)] for i in range(k)] for m in mats]
+
+        def mulm(ga, gb):
             out = []
             for (i, j) in slots:
-                acc = base.zero
-                for t in range(k):
-                    acc = base.add[acc][base.mul[at(a, i, t)][at(b, t, j)]]
+                acc = zero
+                for t, x in enumerate(ga[i]):
+                    acc = badd[acc][bmul[x][gb[t][j]]]
                 out.append(acc)
-            return _undigits(out, base.order)
+            return undigits(out)
 
-        add = tuple(tuple(addm(a, b) for b in mats) for a in mats)
-        mul = tuple(tuple(mulm(a, b) for b in mats) for a in mats)
-        one = _undigits([base.one if i == j else base.zero for (i, j) in slots], base.order)
+        add = tuple(tuple(undigits([badd[x][y] for x, y in zip(a, b)]) for b in mats)
+                    for a in mats)
+        mul = tuple(tuple(mulm(ga, gb) for gb in grids) for ga in grids)
+        one = undigits([base.one if i == j else zero for (i, j) in slots])
         names = tuple(
             "[" + ";".join(
                 ",".join(base.name(at(m, i, j)) if (i, j) in pos else "." for j in range(k))
@@ -609,18 +665,18 @@ def make_product(a: RingTable, b: RingTable, cap: int | None = DEFAULT_ORDER_CAP
     def enc(x, y):
         return x * b.order + y
 
+    def rows(a_table, b_table):
+        """The rows of (x, y) at every (u, v): enc(a_table[x][u], b_table[y][v])."""
+        return tuple(
+            tuple(p + q for p in scaled for q in b_row)
+            for scaled in ([p * b.order for p in a_row] for a_row in a_table)
+            for b_row in b_table
+        )
+
     def build():
-        add = tuple(
-            tuple(enc(a.add[x][u], b.add[y][v]) for u in a.elements() for v in b.elements())
-            for x in a.elements() for y in b.elements()
-        )
-        mul = tuple(
-            tuple(enc(a.mul[x][u], b.mul[y][v]) for u in a.elements() for v in b.elements())
-            for x in a.elements() for y in b.elements()
-        )
         names = tuple(f"({a.name(x)},{b.name(y)})" for x in a.elements() for y in b.elements())
-        return RingTable(order, add, mul, enc(a.zero, b.zero), enc(a.one, b.one),
-                         f"prod({a.label}, {b.label})", names)
+        return RingTable(order, rows(a.add, b.add), rows(a.mul, b.mul), enc(a.zero, b.zero),
+                         enc(a.one, b.one), f"prod({a.label}, {b.label})", names)
     return _built(("prod", a, b), build)
 
 

@@ -44,8 +44,12 @@ def ideal_closure_mask(r: RingTable, gens: Mask, sidedness: str = TWO_SIDED) -> 
     mask = gens | 1 << r.zero
     while True:
         new = additive_span(r, mask)
-        for a in bits(new):
-            new |= left[a] | right[a] if sidedness == TWO_SIDED else left[a]
+        if sidedness == TWO_SIDED:
+            for a in bits(new):
+                new |= left[a] | right[a]
+        else:
+            for a in bits(new):
+                new |= left[a]
         if new == mask:
             return mask
         mask = new

@@ -23,7 +23,6 @@ from .finring import (
     inverse_table,
     is_two_sided_ideal_mask,
     make_quotient,
-    mask_of,
     memo,
     normal_mask,
     products,
@@ -114,8 +113,8 @@ def closure_with_witness(r: RingTable, gens: Mask, closed: Mask = 0):
     if mask >> zero & 1:
         return mask, (zero, zero)
     unit = 1 << r.one
-    old = list(bits(closed & ~unit))
-    new = list(bits(mask & ~closed & ~unit))
+    old = bits(closed & ~unit)
+    new = bits(mask & ~closed & ~unit)
     members = old + new
     while new:
         found = mask
@@ -131,9 +130,9 @@ def closure_with_witness(r: RingTable, gens: Mask, closed: Mask = 0):
                 if p == zero:
                     return found | 1 << zero, (b, a)
                 found |= 1 << p
-        new = list(bits(found & ~mask))
+        new = bits(found & ~mask)
         old = members
-        members = members + new
+        members += new
         mask = found
     return mask, None
 
@@ -150,20 +149,34 @@ def close_multiplicative(r: RingTable, gmask: Mask) -> MultSet:
 def mult_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     """All multiplicative submonoids (without 0) up to the exhaustive order;
     above it, only the closures of at most two nonzero elements."""
-    nonzero = [x for x in r.elements() if x != r.zero]
-    return submonoid_masks(r, nonzero, None if r.order <= exhaustive_order else 2)
+    return canonical(nonzero_submonoid_levels(r, None if r.order <= exhaustive_order else 2))
+
+
+@memo
+def nonzero_submonoid_levels(r: RingTable, depth: int | None) -> dict[Mask, int]:
+    """submonoid_levels over the pool of every nonzero element, the one
+    search of a ring: mult_set_masks lists it, and where every element is
+    normal, the closures of at most two normal elements are its levels 0-2."""
+    return submonoid_levels(r, [x for x in r.elements() if x != r.zero], depth)
 
 
 def submonoid_masks(r: RingTable, pool: list[int], depth: int | None) -> tuple[Mask, ...]:
-    """The zero-free multiplicative closures of subsets of pool, by closure
-    extension: breadth-first from the closure of {1}, each closure found is
-    extended by each pool element outside it and closed again, at most
-    len(pool) closures per closure found.  Breadth-first order reaches each
-    closure first at its least number of generators, and closure(closure(X)
-    + y) = closure(X + y), so depth=d gives the closures of at most d pool
-    elements; depth=None gives all of them."""
+    """The zero-free multiplicative closures of subsets of pool, at most
+    depth of them (all subsets when depth is None), in canonical order."""
+    return canonical(submonoid_levels(r, pool, depth))
+
+
+def submonoid_levels(r: RingTable, pool: list[int], depth: int | None) -> dict[Mask, int]:
+    """The zero-free multiplicative closures of subsets of pool, each with
+    the level of the search that first reached it, by closure extension:
+    breadth-first from the closure of {1}, each closure found is extended by
+    each pool element outside it and closed again, at most len(pool)
+    closures per closure found.  Breadth-first order reaches each closure
+    first at its least number of generators, which is its level, and
+    closure(closure(X) + y) = closure(X + y), so depth=d gives the closures
+    of at most d pool elements; depth=None gives all of them."""
     start, witness = closure_with_witness(r, 0)
-    found = set() if witness else {start}
+    found = {} if witness else {start: 0}
     frontier = list(found)
     level = 0
     while frontier and (depth is None or level < depth):
@@ -175,10 +188,10 @@ def submonoid_masks(r: RingTable, pool: list[int], depth: int | None) -> tuple[M
                     continue
                 closed, witness = closure_with_witness(r, mask | 1 << x, mask)
                 if witness is None and closed not in found:
-                    found.add(closed)
+                    found[closed] = level
                     nxt.append(closed)
         frontier = nxt
-    return canonical(found)
+    return found
 
 
 def vanishing_masks(r: RingTable, smask: Mask) -> tuple[Mask, Mask]:
@@ -233,25 +246,30 @@ def meeting(r: RingTable, smask: Mask, target: Mask, left: bool) -> Mask:
     packed rows."""
     xs, sx = set_rows(r, smask)
     marks = _meets(_product_slots(r), sx if left else xs, target)
-    return mask_of(top // (r.order + 1) for top in bits(marks))
+    width, found = r.order + 1, 0
+    while marks:  # one round per marked slot
+        top = marks & -marks
+        found |= 1 << (top.bit_length() - 1) // width
+        marks ^= top
+    return found
 
 
 def _ore_witness(r: RingTable, smask: Mask, left: bool) -> tuple[int, int] | None:
     """The first (x, s) in x-major order where Sx misses Rs (left) or xS
     misses sR (right), or None."""
-    slots = _product_slots(r)
+    ones, low, high = _product_slots(r)[2:]
     xs, sx = set_rows(r, smask)
     rows = sx if left else xs
     multiples = products(r)[1 if left else 0]
-    high = slots[4]
-    misses = [(s, high & ~_meets(slots, rows, multiples[s])) for s in bits(smask)]
-    first = 0
-    for _, missed in misses:
-        first |= missed
-    if not first:
+    met = high  # the top bits of the slots x that meet every target as in _meets
+    for s in bits(smask):
+        met &= (rows & multiples[s] * ones) + low
+    if met == high:
         return None
-    top = first & -first  # the top bit of the least slot x that some s misses
-    return (top.bit_length() - 1) // (r.order + 1), next(s for s, m in misses if m & top)
+    missed = high & ~met
+    top = missed & -missed  # the top bit of the least slot x that some s misses
+    s = next(s for s in bits(smask) if not (rows & multiples[s] * ones) + low & top)
+    return (top.bit_length() - 1) // (r.order + 1), s
 
 
 @memo
@@ -268,8 +286,8 @@ def ore_flags(r: RingTable, smask: Mask) -> OreClass:
     violation = (
         ("left-ore", left_miss) if not left_ore else
         ("right-ore", right_miss) if not right_ore else
-        ("left-denominator", next(bits(ass_r & ~ass_l))) if not left_den else
-        ("right-denominator", next(bits(ass_l & ~ass_r))) if not right_den else None
+        ("left-denominator", bits(ass_r & ~ass_l)[0]) if not left_den else
+        ("right-denominator", bits(ass_l & ~ass_r)[0]) if not right_den else None
     )
     if left_ore and not is_two_sided_ideal_mask(r, ass_l):
         raise EngineInvariantError("ass_l of a left Ore set is not a two-sided ideal")
@@ -295,8 +313,9 @@ def left_denominator_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT
     )
 
 
-def left_denominator_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> list[MultSet]:
-    return [MultSet(r, m) for m in left_denominator_masks(r, exhaustive_order)]
+@memo
+def left_denominator_sets(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[MultSet, ...]:
+    return tuple(MultSet(r, m) for m in left_denominator_masks(r, exhaustive_order))
 
 
 def _factor_localization(r: RingTable, smask: Mask, ass: Mask) -> RingHom:
@@ -345,25 +364,49 @@ def localize_left_ideal(sigma: RingHom, source_mask: Mask) -> LocalizedLeftIdeal
 # ---------------------------------------------------------------------------
 # the five-way localized-ideal criterion
 
-def _absorbs_unit_inverses(sigma: RingHom, smask: Mask, ideal_mask: Mask, bmask: Mask) -> bool:
-    """sigma(x) * sigma(s)^{-1} lies in the target's ideal_mask for every x in b
-    and s in S; the product depends on x and s only through their images, so
-    it runs over the distinct images."""
-    t = sigma.target
-    inv = inverse_table(t)
-    unit_inverses = [inv[u] for u in bits(sigma.push_mask(smask))]
-    return all(
-        ideal_mask >> t.mul[y][u] & 1
-        for y in bits(sigma.push_mask(bmask)) for u in unit_inverses
-    )
+@memo
+def _a11_reads(sigma: RingHom, smask: Mask) -> tuple:
+    """What check_A11_equivalence reads of a set S, once per (sigma, S): the
+    inverses of the distinct images sigma(s), the source's product slots,
+    S's packed rows xS and Sx, and ker sigma."""
+    r = sigma.source
+    inv = inverse_table(sigma.target)
+    unit_inverses = tuple(inv[u] for u in bits(sigma.push_mask(smask)))
+    return (unit_inverses, _product_slots(r), *set_rows(r, smask), sigma.kernel_mask())
 
 
-def _pushes_into_pulls(r: RingTable, smask: Mask, target_mask: Mask) -> bool:
+def _absorbs_unit_inverses(sigma: RingHom, unit_inverses, ideal_mask: Mask, bmask: Mask) -> bool:
+    """sigma(x) * u lies in the target's ideal_mask for every x in b and every
+    u among unit_inverses, the inverses sigma(s)^{-1} of a set; the product
+    depends on x only through its image, so it runs over the distinct
+    images."""
+    mul = sigma.target.mul
+    for y in bits(sigma.push_mask(bmask)):
+        row = mul[y]
+        for u in unit_inverses:
+            if not ideal_mask >> row[u] & 1:
+                return False
+    return True
+
+
+def _pushes_into_pulls(slots: tuple, xs: int, sx: int, target_mask: Mask) -> bool:
     """{x : xs in target for some s in S} lies in {x : sx in target for some s}:
-    every slot of xS that meets the target has its slot of Sx meet it too."""
-    slots = _product_slots(r)
-    xs, sx = set_rows(r, smask)
+    every slot of xS that meets the target has its slot of Sx meet it too.
+    slots is `_product_slots` of the ring, and xs and sx are S's `set_rows`."""
     return not _meets(slots, xs, target_mask) & ~_meets(slots, sx, target_mask)
+
+
+@memo
+def _sum_conditions(r: RingTable, smask: Mask, ab: Mask) -> tuple[bool, bool]:
+    """Conditions (4) and (5) of check_A11_equivalence at ab = ass + b.  They
+    read S and ab alone, so the ideals b with one sum share them; both hold
+    when ab is the whole ring."""
+    if ab == r.full_mask():
+        return True, True
+    c4 = _pushes_into_pulls(_product_slots(r), *set_rows(r, smask), ab)
+    q, hom = make_quotient(r, ab)
+    tor_l, tor_r = vanishing_masks(q, hom.push_mask(smask))
+    return c4, tor_r & ~tor_l == 0
 
 
 def check_A11_equivalence(sigma: RingHom, smask: Mask, bmask: Mask) -> tuple[str, str] | None:
@@ -387,18 +430,12 @@ def check_A11_equivalence(sigma: RingHom, smask: Mask, bmask: Mask) -> tuple[str
     if bmask == r.full_mask():
         return None
 
+    unit_inverses, slots, xs, sx, ass = _a11_reads(sigma, smask)
     local = localize_left_ideal(sigma, bmask)
     c1 = local.two_sided
-    c2 = _absorbs_unit_inverses(sigma, smask, local.mask, bmask)
-    c3 = _pushes_into_pulls(r, smask, bmask)
-    ab = ideal_sum_mask(r, sigma.kernel_mask(), bmask)
-    if ab == r.full_mask():
-        c4 = c5 = True
-    else:
-        c4 = _pushes_into_pulls(r, smask, ab)
-        q, hom = make_quotient(r, ab)
-        tor_l, tor_r = vanishing_masks(q, hom.push_mask(smask))
-        c5 = tor_r & ~tor_l == 0
+    c2 = _absorbs_unit_inverses(sigma, unit_inverses, local.mask, bmask)
+    c3 = _pushes_into_pulls(slots, xs, sx, bmask)
+    c4, c5 = _sum_conditions(r, smask, ideal_sum_mask(r, ass, bmask))
 
     conds = (c1, c2, c3, c4, c5)
     if len(set(conds)) == 1:

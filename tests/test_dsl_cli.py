@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import importlib.util
 import io
 import json
 import os
@@ -491,6 +493,30 @@ def test_cli_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert code == 2
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_corpus_survey_closed_stdout_exits_2(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("corpus_survey",
+                                                  ROOT / "scripts" / "corpus_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    with open(tmp_path / "stdout", "w") as fh:  # the descriptor pointed at devnull
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        monkeypatch.setattr(sys, "argv", ["corpus_survey.py", "--max-order", "4"])
+        assert survey.main() == 2
 
 
 @pytest.mark.parametrize("script", ["corpus_survey.py"])

@@ -2,33 +2,55 @@
 replace: the audit on additive generators against the scan of every triple,
 primality from row masks against the elementwise definitions, semi-naive
 closures against plain fixpoints, the per-set rows and the elements whose Sx
-or xS meets a mask against the products they pack, and composite maps
-against elementwise composition.  The loops below are the oracles; each is
-written out from the definition and shares no code with the kernel it checks.
+or xS meets a mask against the products they pack, composite maps against
+elementwise composition, `bits` against the lowest-bit loop, the row-wise
+homomorphism test against the pairwise one, memoised images and preimages
+against the element loops, product and matrix tables against their cellwise
+formulas, the levels of the shared submonoid search against the search cut
+at that depth, and 19Sep23's difference criterion against the pairwise
+differences.  The loops below are the oracles; each is written out
+from the definition and shares no code with the kernel it checks.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
+from orespec import checks
+from orespec.centre import centre_ring
 from orespec.finring import (
+    RingHom,
     RingTable,
     additive_span,
     audit_ring,
     bits,
+    canonical,
+    interning,
     is_two_sided_ideal_mask,
+    make_gf,
+    make_matrix_ring,
+    make_product,
     make_quotient,
+    make_upper_triangular,
+    make_zmod,
     mask_of,
     normal_mask,
 )
+from orespec.harness import CorpusConfig
 from orespec.ideals import PrimeReport, all_ideal_masks, prime_flags
 from orespec.localization import (
+    EXHAUSTIVE_MULT_ORDER,
     _ore_witness,
+    classify_set,
     closure_with_witness,
     meeting,
     mult_set_masks,
+    nonzero_submonoid_levels,
     set_rows,
+    submonoid_masks,
 )
 
 
@@ -344,3 +366,184 @@ def test_then_is_the_elementwise_composite_of_factor_maps(corpus_tables):
             assert h.verify() == [] and h.kernel_mask() == j, (r.label, i, j)
             composites += 1
     assert composites > 300
+
+
+def _bits_by_lowest_bit(mask):
+    """The set bits of a mask, ascending, one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_is_the_ascending_tuple_of_set_bits():
+    for mask in range(1 << 16):  # the one- and two-table ranges, 0 included
+        got = bits(mask)
+        assert type(got) is tuple and list(got) == _bits_by_lowest_bit(mask), mask
+    rng = random.Random(70)
+    for width in range(17, 71):  # the byte loop
+        for mask in (rng.getrandbits(width) | 1 << width - 1, 1 << width - 1, (1 << width) - 1):
+            got = bits(mask)
+            assert type(got) is tuple and list(got) == _bits_by_lowest_bit(mask), mask
+
+
+def _verify_by_pairs(h):
+    """The homomorphism laws checked pair by pair, in the order of verify."""
+    s, t, m = h.source, h.target, h.map
+    bad = []
+    if m[s.zero] != t.zero:
+        bad.append("map(0) != 0")
+    if m[s.one] != t.one:
+        bad.append("map(1) != 1")
+    for a in range(s.order):
+        for b in range(s.order):
+            if m[s.add[a][b]] != t.add[m[a]][m[b]]:
+                bad.append(f"additivity fails at ({a},{b})")
+            if m[s.mul[a][b]] != t.mul[m[a]][m[b]]:
+                bad.append(f"multiplicativity fails at ({a},{b})")
+    return bad
+
+
+def _factor_maps(corpus_tables, max_order=16):
+    for _, r in corpus_tables:
+        if r.order <= max_order:
+            for i in all_ideal_masks(r)[:-1]:
+                yield make_quotient(r, i)[1]
+
+
+def test_verify_by_rows_names_the_faults_of_the_pairwise_loop(corpus_tables):
+    faults = 0
+    for f in _factor_maps(corpus_tables):
+        assert f.verify() == _verify_by_pairs(f) == [], f.source.label
+    for f in _factor_maps(corpus_tables, max_order=8):
+        s, t = f.source, f.target
+        # every one-entry change of the map
+        for x in range(s.order):
+            for y in range(t.order):
+                if y != f.map[x]:
+                    g = RingHom(s, t, f.map[:x] + (y,) + f.map[x + 1:])
+                    assert g.verify() == _verify_by_pairs(g), (s.label, x, y)
+                    faults += bool(g.verify())
+        # every one-cell change of the source's tables
+        for cells in _single_cell_corruptions(s) if s.order <= 6 else ():
+            g = RingHom(_corrupted(s, cells), t, f.map)
+            assert g.verify() == _verify_by_pairs(g), (s.label, cells)
+            faults += bool(g.verify())
+    assert faults > 1000
+
+
+def test_memoised_images_and_preimages_match_the_loops(corpus_tables):
+    rng = random.Random(198)
+    for f in _factor_maps(corpus_tables):
+        s, t = f.source, f.target
+        for mask in [0, s.full_mask()] + [rng.getrandbits(s.order) for _ in range(8)]:
+            pushed = mask_of(f(x) for x in range(s.order) if mask >> x & 1)
+            assert f.push_mask(mask) == f.push_mask(mask) == pushed
+        for mask in [0, t.full_mask()] + [rng.getrandbits(t.order) for _ in range(8)]:
+            pulled = mask_of(x for x in range(s.order) if mask >> f(x) & 1)
+            assert f.preimage_mask(mask) == f.preimage_mask(mask) == pulled
+
+
+def test_product_and_matrix_tables_match_their_cellwise_formulas():
+    a, b = make_zmod(3), make_upper_triangular(2, make_gf(2))
+    p = make_product(a, b, cap=None)
+    for x, y, u, v in itertools.product(range(3), range(8), range(3), range(8)):
+        row, col = x * 8 + y, u * 8 + v
+        assert p.add[row][col] == a.add[x][u] * 8 + b.add[y][v]
+        assert p.mul[row][col] == a.mul[x][u] * 8 + b.mul[y][v]
+    for k, base, triangular in ((2, make_gf(2), False), (2, make_zmod(3), True),
+                                (3, make_gf(2), True)):
+        build = make_upper_triangular if triangular else make_matrix_ring
+        r = build(k, base, cap=None)
+        slots = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
+        q = base.order
+
+        def matrix(x):  # the element's entries, digit s the s-th slot, base q
+            entries = [[base.zero] * k for _ in range(k)]
+            for s, (i, j) in enumerate(slots):
+                entries[i][j] = x // q ** s % q
+            return entries
+
+        def element(entries):
+            return sum(entries[i][j] * q ** s for s, (i, j) in enumerate(slots))
+
+        for x, y in itertools.product(range(r.order), repeat=2):
+            mx, my = matrix(x), matrix(y)
+            total = [[base.add[mx[i][j]][my[i][j]] for j in range(k)] for i in range(k)]
+            prod = [[base.zero] * k for _ in range(k)]
+            for i, j, t in itertools.product(range(k), repeat=3):
+                prod[i][j] = base.add[prod[i][j]][base.mul[mx[i][t]][my[t][j]]]
+            assert r.add[x][y] == element(total) and r.mul[x][y] == element(prod), (r.label, x, y)
+
+
+def test_the_search_levels_give_the_closures_of_at_most_d_elements(corpus_tables):
+    for _, r in corpus_tables:
+        nonzero = [x for x in range(r.order) if x != r.zero]
+        normal = [x for x in bits(normal_mask(r)) if x != r.zero]
+        exhaustive = r.order <= EXHAUSTIVE_MULT_ORDER
+        levels = nonzero_submonoid_levels(r, None if exhaustive else 2)
+        for d in (0, 1, 2, 3) if exhaustive else (0, 1, 2):
+            within = canonical(m for m, level in levels.items() if level <= d)
+            assert within == submonoid_masks(r, nonzero, d), (r.label, d)
+        assert checks._normal_set_masks(r) == submonoid_masks(r, normal, 2), r.label
+
+
+def test_the_filtered_denominator_families_keep_the_order_of_dens(corpus_tables):
+    cfg = CorpusConfig()
+    for _, r in corpus_tables:
+        dens = checks._dens(r, cfg)
+        assert checks._dens(r, cfg) is dens  # built once per ring
+        groups = checks._dens_by_ass(r, cfg)
+        for ass, group in groups.items():
+            assert group == tuple(s for s in dens if classify_set(s).ass_l_mask == ass)
+        assert sum(map(len, groups.values())) == len(dens)
+        assert checks._zero_dens(r, cfg) == \
+            tuple(s for s in dens if classify_set(s).ass_l_mask == 1 << r.zero)
+        assert checks._two_sided_dens(r, cfg) == \
+            tuple(s for s in dens if classify_set(s).right_den)
+
+
+def test_a_scope_empties_every_memo_table_and_frees_its_centre_tables():
+    gc.disable()  # what the scope frees must not wait for the cyclic collector
+    try:
+        with interning():
+            r = make_product(make_zmod(2), make_zmod(4))
+            centre = centre_ring(r).centre
+            ideal = all_ideal_masks(centre)[1]
+            make_quotient(centre, ideal)  # a map back to centre
+            # two levels: a table per function of more arguments, keyed by the
+            # argument; a function of the table alone holds its value
+            assert ideal in centre.memo[make_quotient.__wrapped__]
+            assert r.memo[centre_ring.__wrapped__].centre is centre
+            freed = weakref.ref(centre)
+            del centre
+        assert not r.memo
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def _difference_criterion_by_pairs(r, members, alz):
+    """Every s'x - x's with s, s' among members, read pair by pair."""
+    neg = [row.index(r.zero) for row in r.add]
+    return all(
+        any(alz >> r.add[r.mul[sp][x]][neg[r.mul[xp][s]]] & 1
+            for sp in members for xp in range(r.order))
+        for s in members for x in range(r.order)
+    )
+
+
+def test_the_difference_criterion_matches_the_pairwise_differences(corpus_tables):
+    outcomes = set()
+    for _, r in corpus_tables:
+        if r.order > 8:
+            continue
+        for smask in mult_set_masks(r):
+            members = bits(smask)
+            for alz in (1 << r.zero, *all_ideal_masks(r)[1:-1]):
+                got = checks._difference_criterion(r, members, alz)
+                assert got == _difference_criterion_by_pairs(r, members, alz), (r.label, smask, alz)
+                outcomes.add(got)
+    assert outcomes == {True, False}
