@@ -6,6 +6,12 @@ restriction to minimal primes may fail to be well-defined or surjective.
 Two of the four equivalent criteria for that failure mode are predicates
 here; the map itself gives the other two, and the checks compare all four,
 never assume they agree.
+
+The centre itself is its embedding Z(R) -> R, whose source is the table
+induced on the central elements.  That table is checked as a quotient is:
+within a run it is the run's table of its content, so the centre of a
+commutative ring is the ring itself and its lattice, primes and
+localizations are computed once.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .finring import (
     RingError,
     RingHom,
     RingTable,
-    _audited_apart,
+    _checked,
     bits,
     canonical,
     centre_mask,
@@ -44,32 +50,19 @@ from .localization import (
 )
 
 
-@dataclass(frozen=True)
-class CentreData:
-    centre: RingTable          # induced table on the central elements
-    embedding: RingHom         # centre -> ring
-
-    def restrict_mask(self, ambient_mask: Mask) -> Mask:
-        """Intersection with the centre, re-indexed into the centre ring."""
-        return self.embedding.preimage_mask(ambient_mask)
-
-
 @memo
-def centre_ring(r: RingTable) -> CentreData:
-    zmask = centre_mask(r)
-    elems = list(bits(zmask))
+def centre_ring(r: RingTable) -> RingHom:
+    """The embedding of the centre, Z(R) -> R."""
+    elems = bits(centre_mask(r))
     index = {v: i for i, v in enumerate(elems)}
-    n = len(elems)
     add = tuple(tuple(index[r.add[a][b]] for b in elems) for a in elems)
     mul = tuple(tuple(index[r.mul[a][b]] for b in elems) for a in elems)
     names = tuple(r.name(v) for v in elems)
-    # audited but never interned: the centre of a commutative ring would be
-    # the ring itself, and the centre criteria would compare it with itself
-    centre = _audited_apart(RingTable(n, add, mul, index[r.zero], index[r.one],
+    centre = _checked(RingTable(len(elems), add, mul, index[r.zero], index[r.one],
                                 f"centre({r.label})", names))
     if not is_commutative(centre):
         raise EngineInvariantError("induced centre table is not commutative")
-    return CentreData(centre, RingHom(centre, r, tuple(elems)))
+    return RingHom(centre, r, elems)
 
 
 @dataclass(frozen=True)
@@ -81,14 +74,14 @@ class RestrictionMap:
 
 @memo
 def rho(r: RingTable) -> RestrictionMap:
-    cd = centre_ring(r)
-    table = tuple((pm, cd.restrict_mask(pm)) for pm in prime_masks(r))
+    iota = centre_ring(r)
+    table = tuple((pm, iota.preimage_mask(pm)) for pm in prime_masks(r))
     # p intersect Z(R) is always prime in the centre ring
-    if not all(prime_flags(cd.centre, qm).is_prime for _, qm in table):
+    if not all(prime_flags(iota.source, qm).is_prime for _, qm in table):
         raise EngineInvariantError("restriction of a prime is not prime in the centre")
     minset = set(min_prime_masks(r))
     min_table = tuple((pm, qm) for pm, qm in table if pm in minset)
-    centre_mins = set(min_prime_masks(cd.centre))
+    centre_mins = set(min_prime_masks(iota.source))
     well = all(qm in centre_mins for _, qm in min_table)
     surj = centre_mins <= {qm for _, qm in min_table}
     return RestrictionMap(table, well, surj)
@@ -96,8 +89,8 @@ def rho(r: RingTable) -> RestrictionMap:
 
 def _central_regulars(r: RingTable) -> Mask:
     """The regular elements of the centre ring, as a mask of the ring."""
-    cd = centre_ring(r)
-    return cd.embedding.push_mask(regular_mask(cd.centre))
+    iota = centre_ring(r)
+    return iota.push_mask(regular_mask(iota.source))
 
 
 def central_regulars_stay_regular(r: RingTable) -> bool:
@@ -126,8 +119,8 @@ def rho_criteria(r: RingTable) -> tuple[bool, bool, bool, bool]:
 
 def central_mult_set(r: RingTable, qmask: Mask) -> MultSet:
     """The complement of a prime of the centre ring, as a set of the ring."""
-    cd = centre_ring(r)
-    s = MultSet(r, cd.embedding.push_mask(cd.centre.full_mask() & ~qmask))
+    iota = centre_ring(r)
+    s = MultSet(r, iota.push_mask(iota.source.full_mask() & ~qmask))
     cls = classify_set(s)
     if not (cls.left_den and cls.right_den):
         raise EngineInvariantError("central set fails the denominator check")
@@ -138,15 +131,15 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
     """Localize at the central complement of a prime q of the centre: the first
     broken (clause, detail) of the image criterion, the fiber bijection onto
     the primes over R_q * q, and the minimal prime in a hit fiber, or None."""
-    cd = centre_ring(r)
-    if not prime_flags(cd.centre, qmask).is_prime:
+    iota = centre_ring(r)
+    if not prime_flags(iota.source, qmask).is_prime:
         raise RingError("central localization requires a prime of the centre")
     sigma = localize(r, central_mult_set(r, qmask))
     t = sigma.target
     where = f"q={list(bits(qmask))}"
 
     fiber_source = [pm for pm, qm in rho(r).table if qm == qmask]
-    extension = ideal_closure_mask(t, sigma.push_mask(cd.embedding.push_mask(qmask)))
+    extension = ideal_closure_mask(t, sigma.push_mask(iota.push_mask(qmask)))
     if bool(fiber_source) != (extension != t.full_mask()):
         return "prime is hit iff the extension is proper", where
 
@@ -169,9 +162,10 @@ def check_pierce(r: RingTable) -> tuple[str, str] | None:
     """Decompose a semiprime ring whose central regulars stay regular along the
     minimal primes q of its centre: the first broken (clause, detail) of the
     decomposition, or None."""
-    cd = centre_ring(r)
+    iota = centre_ring(r)
+    z = iota.source
     mins = min_prime_masks(r)
-    qmins = min_prime_masks(cd.centre)
+    qmins = min_prime_masks(z)
     sigmas = []
     for qmask in qmins:
         s = central_mult_set(r, qmask)
@@ -180,9 +174,9 @@ def check_pierce(r: RingTable) -> tuple[str, str] | None:
         t = sigma.target
         where = f"q={list(bits(qmask))}"
         # kernel of Z(R) -> R_q must equal the kernel of Z(R) -> Z(R)_q
-        zsigma = localize(cd.centre, MultSet(cd.centre, cd.centre.full_mask() & ~qmask))
+        zsigma = localize(z, MultSet(z, z.full_mask() & ~qmask))
         if (sigma.push_mask(centre_mask(r)) != centre_mask(t)
-                or cd.restrict_mask(sigma.kernel_mask()) != zsigma.kernel_mask()):
+                or iota.preimage_mask(sigma.kernel_mask()) != zsigma.kernel_mask()):
             return "centres localize along the decomposition", where
         # primes meeting the central complement blow up to the whole ring,
         # so only the disjoint minimal primes can appear downstairs

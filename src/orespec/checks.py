@@ -319,7 +319,7 @@ def check_image_den_torsion(r: RingTable, cfg):
         ab = ideal_sum_mask(r, sigma.kernel_mask(), m)
         if ab & s.mask or ab == r.full_mask():
             continue  # needs ass(S) + b proper and disjoint from S
-        if not check_epimorphic_den_c14(sigma, s.mask, m):
+        if not check_epimorphic_den_c14(r, s.mask, ab):
             yield "two-step image criterion", f"S={s.members()} b={list(bits(m))}"
         yield
 
@@ -722,8 +722,7 @@ def check_an_central_variant(a: mono.AnAlgebra, cfg):
 
 
 def check_central_fibers(r: RingTable, cfg):
-    cd = centre_ring(r)
-    for qmask in prime_masks(cd.centre):
+    for qmask in prime_masks(centre_ring(r).source):
         yield central_localize(r, qmask)
 
 
@@ -748,11 +747,11 @@ def check_restriction_surjective(r: RingTable, cfg):
 def check_centre_semiprime(r: RingTable, cfg):
     if not is_semiprime_ring(r):
         return
-    cd = centre_ring(r)
-    if not is_semiprime_ring(cd.centre):
-        yield "centre of a semiprime ring is semiprime", f"Z={list(cd.embedding.map)}"
+    iota = centre_ring(r)
+    if not is_semiprime_ring(iota.source):
+        yield "centre of a semiprime ring is semiprime", f"Z={list(iota.map)}"
     hit = {qm for _, qm in rho(r).table}
-    image_minimals = set(min_prime_masks(cd.centre)) & hit
+    image_minimals = set(min_prime_masks(iota.source)) & hit
     if len(image_minimals) > len(min_prime_masks(r)):
         yield ("hit central minimal primes within the bound",
                f"hit={sorted(list(bits(qm)) for qm in image_minimals)}")

@@ -216,18 +216,18 @@ def cmd_localize(args) -> int:
 
 def cmd_centre(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    cd = centre_ring(r)
-    print(f"centre order: {cd.centre.order}")
-    print(f"members:      {[cd.centre.name(i) for i in cd.centre.elements()]}")
-    for m in min_prime_masks(cd.centre):
-        print(f"min prime:    {_ideal_str(cd.centre, m)}")
+    centre = centre_ring(r).source
+    print(f"centre order: {centre.order}")
+    print(f"members:      {[centre.name(i) for i in centre.elements()]}")
+    for m in min_prime_masks(centre):
+        print(f"min prime:    {_ideal_str(centre, m)}")
     return EXIT_CLEAN
 
 
 def cmd_rho(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
     rm = rho(r)
-    centre = centre_ring(r).centre
+    centre = centre_ring(r).source
     for pm, qm in rm.table:
         print(f"{_ideal_str(r, pm)} -> {_ideal_str(centre, qm)}")
     print(f"well-defined on minimals: {rm.well_defined}")

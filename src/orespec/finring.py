@@ -464,8 +464,7 @@ def _scan_triple_laws(r: RingTable, bad: list[str]) -> None:
                     return
 
 
-# content, and constructor call, -> the run's table, plus the run's tables
-# kept apart; None outside a run
+# content, and constructor call, -> the run's table; None outside a run
 _INTERN: contextvars.ContextVar[dict | None] = contextvars.ContextVar("intern", default=None)
 
 
@@ -483,12 +482,11 @@ def interning():
     opened inside another joins it, so a command that builds its corpus and
     then runs it builds each content once.  When the outermost block ends,
     the memo of every table it interned is emptied, and with it the factor
-    maps that only those memos reach.  A centre table is audited but never
-    interned (`_audited_apart`); the block records it all the same and
-    empties its memo too, so the factor maps in that memo, which point back
-    at it, are freed when the block ends rather than left as reference
-    cycles for the cyclic garbage collector.  A memo is a dict of
-    per-function tables, and emptying it drops them all.
+    maps that only those memos reach; a map in a table's memo that points
+    back at the table is freed then rather than left as a reference cycle
+    for the cyclic garbage collector.  Quotients and centres are interned
+    as constructed tables are.  A memo is a dict of per-function tables, and
+    emptying it drops them all.
     """
     if _INTERN.get() is not None:  # join the enclosing block
         yield
@@ -507,16 +505,6 @@ def _audited(r: RingTable) -> RingTable:
     bad = audit_ring(r)
     if bad:
         raise EngineInvariantError(f"constructed table fails audit: {bad[0]}")
-    return r
-
-
-def _audited_apart(r: RingTable) -> RingTable:
-    """Audit a table that is never interned; within a run, the outermost
-    interning block still empties its memo when it ends."""
-    _audited(r)
-    seen = _INTERN.get()
-    if seen is not None:
-        seen["apart", r] = r  # a key no constructor or content lookup asks for
     return r
 
 

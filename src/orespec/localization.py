@@ -564,13 +564,13 @@ def check_epimorphic_den_b14(sigma: RingHom, smask: Mask, bmask: Mask) -> bool:
     return lhs == rhs
 
 
-def check_epimorphic_den_c14(sigma: RingHom, smask: Mask, bmask: Mask) -> bool:
-    """Two-step image criterion for an ideal b with ass(S) + b proper and
-    disjoint from S: after factoring by the image's own vanishing ideal, the
-    set is a zero-vanishing denominator set iff the intermediate ring has no
-    right S-torsion.  True when the two sides agree."""
-    r = sigma.source
-    q, hom = make_quotient(r, ideal_sum_mask(r, sigma.kernel_mask(), bmask))
+def check_epimorphic_den_c14(r: RingTable, smask: Mask, abmask: Mask) -> bool:
+    """Two-step image criterion for the ideal ass(S) + b of R, given as
+    abmask, proper and disjoint from S: after factoring by the image's own
+    vanishing ideal, the set is a zero-vanishing denominator set iff the
+    intermediate ring has no right S-torsion.  True when the two sides
+    agree."""
+    q, hom = make_quotient(r, abmask)
     return _two_step_criterion(q, hom.push_mask(smask))
 
 

@@ -15,28 +15,28 @@ from orespec.localization import localize
 
 
 def test_centre_of_commutative_ring_is_itself(z6):
-    cd = centre_ring(z6)
-    assert cd.centre.order == z6.order
-    assert content(cd.centre) == content(z6)
+    iota = centre_ring(z6)
+    assert iota.source.order == z6.order
+    assert content(iota.source) == content(z6)
 
 
 def test_centre_of_matrix_ring_is_the_prime_field(m2f2):
-    cd = centre_ring(m2f2)
-    assert cd.centre.order == 2
-    assert cd.embedding.verify() == []
+    iota = centre_ring(m2f2)
+    assert iota.source.order == 2
+    assert iota.verify() == []
 
 
 def test_centre_of_product_is_the_product_of_centres(t2f2):
     p = make_product(make_zmod(3), t2f2, cap=None)
-    cd = centre_ring(p)
-    assert cd.centre.order == 3 * centre_ring(t2f2).centre.order
+    iota = centre_ring(p)
+    assert iota.source.order == 3 * centre_ring(t2f2).source.order
 
 
 def test_restriction_lands_in_central_primes(m2f2, t2f2, sample_rings):
     for r in sample_rings:
-        cd = centre_ring(r)
+        iota = centre_ring(r)
         for pm in min_prime_masks(r):
-            assert cd.restrict_mask(pm) in prime_masks(cd.centre)
+            assert iota.preimage_mask(pm) in prime_masks(iota.source)
 
 
 def _min_table(r):
@@ -68,7 +68,6 @@ def test_rho_criteria_agreement(z6, m2f2, sample_rings):
 
 
 def test_central_localization_of_zmod6(z6):
-    cd = centre_ring(z6)
     q = mask_of([0, 2, 4])
     assert central_localize(z6, q) is None
     s = central_mult_set(z6, q)
@@ -80,14 +79,14 @@ def test_central_localization_of_zmod6(z6):
 
 def test_central_localization_at_zero_of_a_field():
     f = make_gf(4)
-    q = 1 << centre_ring(f).centre.zero
+    q = 1 << centre_ring(f).source.zero
     assert central_localize(f, q) is None
     assert localize(f, central_mult_set(f, q)).target.order == f.order
     assert q in {qm for _, qm in rho(f).table}
 
 
 def test_central_localization_of_matrix_ring(m2f2):
-    q = 1 << centre_ring(m2f2).centre.zero
+    q = 1 << centre_ring(m2f2).source.zero
     assert central_localize(m2f2, q) is None
     assert localize(m2f2, central_mult_set(m2f2, q)).target.order == m2f2.order
     assert [pm for pm, qm in rho(m2f2).table if qm == q] == [1]
@@ -98,7 +97,7 @@ def test_pierce_decomposition_examples(z6):
     for r, factors in ((z6, 2), (make_product(make_gf(2), make_gf(3)), 2), (make_gf(4), 1)):
         assert is_semiprime_ring(r) and central_regulars_stay_regular(r)
         assert check_pierce(r) is None
-        assert len(min_prime_masks(centre_ring(r).centre)) == factors
+        assert len(min_prime_masks(centre_ring(r).source)) == factors
 
 
 def test_pierce_not_applicable_off_semiprime(z12):

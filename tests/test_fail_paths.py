@@ -73,8 +73,17 @@ def _quotient(r):
     return content(r) in QUOTIENTS
 
 
+# The contents of the centres of the finite instances, likewise: within a run
+# a centre is the run's table of its content, and the centre of a commutative
+# ring is the ring itself.
+CENTRES = frozenset(
+    content(centre.centre_ring(inst.build(CFG.order_cap)).source)
+    for inst in _corpus() if inst.kind == "finite"
+)
+
+
 def _centre(r):
-    return r.label.startswith("centre(")
+    return content(r) in CENTRES
 
 
 def _zero_at_top_degree(fn):
@@ -205,8 +214,8 @@ CLAUSE_LIES = [
     pytest.param([(centre, "ideal_closure_mask", lambda fn: lambda r, m, *side: r.full_mask())],
                  {"A25Sep23": "prime is hit iff the extension is proper"},
                  id="central_extension"),
-    pytest.param([(centre, "min_prime_masks",
-                   _on_rings(lambda r: not _centre(r), lambda fn: lambda r: ()))],
+    # central_localize reads the minimal primes of r alone
+    pytest.param([(centre, "min_prime_masks", lambda fn: lambda r: ())],
                  {"A25Sep23": "a minimal prime lies in every hit fiber"},
                  id="hit_fiber_minimal"),
     pytest.param([(centre, "product_hom", _constant_hom)],

@@ -4,8 +4,8 @@
 `orespec verify` holds one scope over both, so a command builds and audits
 each content once.  Outside a scope every constructor returns a fresh
 object, and after the outermost scope the tables it interned can be freed.
-Centre tables are audited but never interned, so the centre of a
-commutative ring stays a table of its own.  The checks run once per
+Quotients and centres are interned too, so within a scope the centre of a
+commutative ring is the ring itself.  The checks run once per
 isomorphism class of tables, and every instance reports under its own
 provenance: a row that passed is copied to the class, and after a fail each
 instance on another table object of the class runs the checks on its own.
@@ -24,8 +24,10 @@ from orespec.checks import REGISTRY, TheoremCheck
 from orespec.dsl import parse_ring_expr
 from orespec.finring import (
     _INTERN,
+    centre_mask,
     content,
     interning,
+    is_commutative,
     make_gf,
     make_matrix_ring,
     make_product,
@@ -41,13 +43,13 @@ def _finite_corpus(cfg):
 
 
 def _count_audits(monkeypatch) -> Counter:
-    """Audits that run, per (content, is a centre table), from every caller;
-    a call the memo answers runs none."""
+    """Audits that run, per content, from every caller; a call the memo
+    answers runs none."""
     calls = Counter()
     audit = finring.audit_ring.__wrapped__
 
     def counting(r):
-        calls[content(r), r.label.startswith("centre(")] += 1
+        calls[content(r)] += 1
         return audit(r)
 
     counted = finring.memo(counting)
@@ -61,19 +63,18 @@ def test_a_finite_run_audits_each_interned_content_once(monkeypatch):
     corpus = _finite_corpus(cfg)
     calls = _count_audits(monkeypatch)
     run_suite(corpus, cfg=cfg)
-    interned = {key: n for (key, centre), n in calls.items() if not centre}
-    assert {content(inst.build(cfg.order_cap)) for inst in corpus} <= interned.keys()
-    assert set(interned.values()) == {1}
+    assert {content(inst.build(cfg.order_cap)) for inst in corpus} <= calls.keys()
+    assert set(calls.values()) == {1}
 
 
 def test_a_verify_command_audits_each_content_once(monkeypatch, capsys):
     # the corpus is built and run in one scope: 42 contents while it is
-    # built, and 4 more that the checks make, such as quotients
+    # built, and 4 more that the checks make, such as quotients; every
+    # centre is a table of one of these contents
     calls = _count_audits(monkeypatch)
     assert cli.main(["verify", "--suite", "finite", "--format", "machine"]) == 0
     capsys.readouterr()
-    interned = {key: n for (key, centre), n in calls.items() if not centre}
-    assert len(interned) == 46 and set(interned.values()) == {1}
+    assert len(calls) == sum(calls.values()) == 46
 
 
 def test_describe_labels_the_ring_by_its_own_expression(capsys):
@@ -255,15 +256,18 @@ def test_outside_a_run_every_constructor_call_builds_and_audits(monkeypatch, lab
     calls = _count_audits(monkeypatch)
     first, second = construct(), construct()
     assert first is not second and first.label == second.label == label
-    assert built[label] == calls[content(first), False] == 2
+    assert built[label] == calls[content(first)] == 2
 
 
-def test_the_centre_of_a_commutative_ring_stays_its_own_table():
+def test_the_centre_is_its_embedding_and_a_commutative_ring_its_own_centre():
+    cfg = CorpusConfig()
     with interning():
-        r = make_zmod(6)
-        centre = centre_ring(r).centre
-        assert content(centre) == content(r)
-        assert centre is not r
+        for inst in _finite_corpus(cfg):
+            r = inst.build(cfg.order_cap)
+            iota = centre_ring(r)
+            assert iota.target is r and iota.verify() == [] and iota.is_injective()
+            assert iota.image_mask() == centre_mask(r)
+            assert (iota.source is r) == is_commutative(r), inst.provenance
 
 
 def test_an_injected_fault_is_audited_in_the_run():
@@ -311,9 +315,10 @@ def test_a_run_empties_the_memo_of_every_table_it_interned():
     tables = [inst.build(cfg.order_cap) for inst in corpus]
     assert all(not r.memo for r in tables)
     with interning():
-        r = make_product(make_zmod(2), make_zmod(4))
-        centre = weakref.ref(centre_ring(r).centre)
-        assert r.memo
+        # a noncommutative ring, so its centre is a table of its own
+        r = make_product(make_zmod(2), make_upper_triangular(2, make_gf(2)))
+        centre = weakref.ref(centre_ring(r).source)
+        assert centre().order == 4 and r.memo
     assert not r.memo
     gc.collect()
     assert centre() is None  # reached only through the memo

@@ -509,14 +509,16 @@ def test_a_scope_empties_every_memo_table_and_frees_its_centre_tables():
     gc.disable()  # what the scope frees must not wait for the cyclic collector
     try:
         with interning():
-            r = make_product(make_zmod(2), make_zmod(4))
-            centre = centre_ring(r).centre
+            # a noncommutative ring, whose centre of order 4 has a proper
+            # nonzero ideal
+            r = make_product(make_zmod(2), make_upper_triangular(2, make_gf(2)))
+            centre = centre_ring(r).source
             ideal = all_ideal_masks(centre)[1]
             make_quotient(centre, ideal)  # a map back to centre
             # two levels: a table per function of more arguments, keyed by the
             # argument; a function of the table alone holds its value
             assert ideal in centre.memo[make_quotient.__wrapped__]
-            assert r.memo[centre_ring.__wrapped__].centre is centre
+            assert r.memo[centre_ring.__wrapped__].source is centre
             freed = weakref.ref(centre)
             del centre
         assert not r.memo
