@@ -80,11 +80,10 @@ from .localization import (
     localize_left_ideal,
     localize_normal,
     min_RS,
-    nonzero_submonoid_levels,
     normal_closure,
     regular_den,
     respects_prime_structure,
-    submonoid_masks,
+    submonoid_levels,
     t_l,
     vanishing_masks,
 )
@@ -146,14 +145,11 @@ def _zero_dens(r: RingTable, cfg) -> tuple[MultSet, ...]:
 
 @memo
 def _normal_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
-    """Closures of at most two nonzero normal elements.  When every element
-    is normal they are the closures of levels 0-2 of the ring's own
-    submonoid search, the one mult_set_masks lists at this exhaustive
-    order."""
-    normal = normal_mask(r)
-    if normal != r.full_mask():
-        return submonoid_masks(r, [x for x in bits(normal) if x != r.zero], 2)
-    levels = nonzero_submonoid_levels(r, None if r.order <= exhaustive_order else 2)
+    """Closures of at most two nonzero normal elements: levels 0-2 of the
+    submonoid search over the normal pool, cut where mult_set_masks cuts its
+    search, so when every element is normal the two read one search."""
+    pool = normal_mask(r) & ~(1 << r.zero)
+    levels = submonoid_levels(r, pool, None if r.order <= exhaustive_order else 2)
     return canonical(m for m, level in levels.items() if level <= 2)
 
 
@@ -684,7 +680,7 @@ def check_normal_localization_minimals(r: RingTable, cfg):
 def check_monomial_localization_bijection(r: mono.CommMonomialRing, cfg):
     for combo in subsets(range(r.nvars), 1):
         try:
-            yield mono.localize_monomial(r, combo)
+            yield mono.localize_monomial(r, mask_of(combo))
         except mono.CollapsedLocalizationError:
             continue
 
@@ -786,9 +782,9 @@ def check_unit_group_of_quotient(r: RingTable, cfg):
 
 
 def check_laurent_units(r: mono.CommMonomialRing, cfg):
-    regs = frozenset(mono.regular_variables(r))
+    regs = mono.regular_variables(r)
     bound = 2
-    ranges = [range(-bound, bound + 1) if i in regs else range(0, bound + 1)
+    ranges = [range(-bound, bound + 1) if regs >> i & 1 else range(0, bound + 1)
               for i in range(r.nvars)]
 
     def nonzero(exps) -> bool:
@@ -800,10 +796,10 @@ def check_laurent_units(r: mono.CommMonomialRing, cfg):
         # route one: search for an actual inverse monomial in the grid
         inverse = tuple(-e for e in exps)
         invertible = all(-bound <= e <= bound for e in inverse) and \
-            all(inverse[i] >= 0 for i in range(r.nvars) if i not in regs) and \
+            all(inverse[i] >= 0 for i in range(r.nvars) if not regs >> i & 1) and \
             nonzero(inverse)
         # route two: Laurent monomials in the inverted variables, s^-1 t form
-        laurent = all(e == 0 for i, e in enumerate(exps) if i not in regs)
+        laurent = all(e == 0 for i, e in enumerate(exps) if not regs >> i & 1)
         if invertible != laurent:
             yield "localized monomial units are the inverted-variable fractions", f"exp={exps}"
     yield
@@ -817,25 +813,25 @@ def check_pairing_algebra(a: mono.AnAlgebra, cfg):
     yield mono.an_verify(a)
 
 
-def _localize_regular(r: mono.CommMonomialRing, regs):
+def _localize_regular(r: mono.CommMonomialRing, vmask: Mask):
     """One case: invert variables that are regular, so that no generator
     meets them and the saturation is the ideal itself."""
-    if any(mono.support(g) & set(regs) for g in r.gens):
-        yield "regular variables meet no generator", f"V={sorted(v + 1 for v in regs)}"
-    yield mono.localize_monomial(r, regs)
+    if any(mono.support(g) & vmask for g in r.gens):
+        yield "regular variables meet no generator", f"V={[v + 1 for v in bits(vmask)]}"
+    yield mono.localize_monomial(r, vmask)
 
 
 def check_regular_var_bijection(r: mono.CommMonomialRing, cfg):
     if not mono.is_squarefree(r):
         return
-    for combo in subsets(sorted(mono.regular_variables(r))):
-        yield from _localize_regular(r, combo)
+    for combo in subsets(bits(mono.regular_variables(r))):
+        yield from _localize_regular(r, mask_of(combo))
 
 
 def check_all_regular_var_localization(r: mono.CommMonomialRing, cfg):
     if not mono.is_squarefree(r):
         return  # regular_variables is exact on squarefree ideals only
-    yield from _localize_regular(r, sorted(mono.regular_variables(r)))
+    yield from _localize_regular(r, mono.regular_variables(r))
 
 
 # ---------------------------------------------------------------------------

@@ -247,17 +247,18 @@ def cmd_mono(args) -> int:
     obj = evaluate(expr, None)
     if args.action == "minprimes":
         for cover in min_primes_monomial(obj):
-            print("(" + ",".join(f"v{i + 1}" for i in sorted(cover)) + ")")
+            print("(" + ",".join(f"v{i + 1}" for i in bits(cover)) + ")")
         return EXIT_CLEAN
     variables = [v - 1 for v in _int_items(args.invert or "", "--invert")]
     for v in variables:
         if not 0 <= v < obj.nvars:
             raise RingError(f"--invert index {v + 1} is outside 1..{obj.nvars}")
-    sat = saturate_monomial(obj, variables)
+    vmask = mask_of(variables)
+    sat = saturate_monomial(obj, vmask)
     print(f"saturation:    {[render_monomial(g) for g in sat.gens]}")
     for name, ring in (("min source:   ", obj), ("min saturated:", sat)):
-        print(f"{name} {[sorted(v + 1 for v in c) for c in min_primes_monomial(ring)]}")
-    failed = localize_monomial(obj, variables)
+        print(f"{name} {[[v + 1 for v in bits(c)] for c in min_primes_monomial(ring)]}")
+    failed = localize_monomial(obj, vmask)
     if failed:
         print("FAILURE: {}: {}".format(*failed))
         return EXIT_COUNTEREXAMPLE
@@ -428,10 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SizeLimitError, DegreeBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except RingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (RingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

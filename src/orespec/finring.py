@@ -485,8 +485,9 @@ def interning():
     maps that only those memos reach; a map in a table's memo that points
     back at the table is freed then rather than left as a reference cycle
     for the cyclic garbage collector.  Quotients and centres are interned
-    as constructed tables are.  A memo is a dict of per-function tables, and
-    emptying it drops them all.
+    as constructed tables are, and monomial quotients by their ideal
+    (`interned`).  A memo is a dict of per-function tables, and emptying it
+    drops them all.
     """
     if _INTERN.get() is not None:  # join the enclosing block
         yield
@@ -518,6 +519,12 @@ def _checked(r: RingTable) -> RingTable:
     if key not in seen:
         seen[key] = _audited(r)
     return seen[key]
+
+
+def interned(obj):
+    """Within an interning block, the block's first object equal to obj."""
+    seen = _INTERN.get()
+    return obj if seen is None else seen.setdefault(obj, obj)
 
 
 def _built(key: tuple, build) -> RingTable:

@@ -149,32 +149,20 @@ def close_multiplicative(r: RingTable, gmask: Mask) -> MultSet:
 def mult_set_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     """All multiplicative submonoids (without 0) up to the exhaustive order;
     above it, only the closures of at most two nonzero elements."""
-    return canonical(nonzero_submonoid_levels(r, None if r.order <= exhaustive_order else 2))
+    nonzero = r.full_mask() & ~(1 << r.zero)
+    return canonical(submonoid_levels(r, nonzero, None if r.order <= exhaustive_order else 2))
 
 
 @memo
-def nonzero_submonoid_levels(r: RingTable, depth: int | None) -> dict[Mask, int]:
-    """submonoid_levels over the pool of every nonzero element, the one
-    search of a ring: mult_set_masks lists it, and where every element is
-    normal, the closures of at most two normal elements are its levels 0-2."""
-    return submonoid_levels(r, [x for x in r.elements() if x != r.zero], depth)
-
-
-def submonoid_masks(r: RingTable, pool: list[int], depth: int | None) -> tuple[Mask, ...]:
-    """The zero-free multiplicative closures of subsets of pool, at most
-    depth of them (all subsets when depth is None), in canonical order."""
-    return canonical(submonoid_levels(r, pool, depth))
-
-
-def submonoid_levels(r: RingTable, pool: list[int], depth: int | None) -> dict[Mask, int]:
-    """The zero-free multiplicative closures of subsets of pool, each with
-    the level of the search that first reached it, by closure extension:
-    breadth-first from the closure of {1}, each closure found is extended by
-    each pool element outside it and closed again, at most len(pool)
-    closures per closure found.  Breadth-first order reaches each closure
-    first at its least number of generators, which is its level, and
-    closure(closure(X) + y) = closure(X + y), so depth=d gives the closures
-    of at most d pool elements; depth=None gives all of them."""
+def submonoid_levels(r: RingTable, pool: Mask, depth: int | None) -> dict[Mask, int]:
+    """The zero-free multiplicative closures of subsets of the pool mask,
+    each with the level of the search that first reached it, by closure
+    extension: breadth-first from the closure of {1}, each closure found is
+    extended by each pool element outside it and closed again, at most
+    |pool| closures per closure found.  Breadth-first order reaches each
+    closure first at its least number of generators, which is its level,
+    and closure(closure(X) + y) = closure(X + y), so depth=d gives the
+    closures of at most d pool elements; depth=None gives all of them."""
     start, witness = closure_with_witness(r, 0)
     found = {} if witness else {start: 0}
     frontier = list(found)
@@ -183,9 +171,7 @@ def submonoid_levels(r: RingTable, pool: list[int], depth: int | None) -> dict[M
         level += 1
         nxt = []
         for mask in frontier:
-            for x in pool:
-                if mask >> x & 1:
-                    continue
+            for x in bits(pool & ~mask):
                 closed, witness = closure_with_witness(r, mask | 1 << x, mask)
                 if witness is None and closed not in found:
                     found[closed] = level
@@ -515,6 +501,7 @@ def largest_regular_set(r: RingTable) -> MultSet:
     return s
 
 
+@memo
 def ass_l_realizable_masks(r: RingTable, exhaustive_order: int = EXHAUSTIVE_MULT_ORDER) -> tuple[Mask, ...]:
     """All ideals arising as ass_l of an enumerated left denominator set."""
     return tuple(sorted({

@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .finring import RingError, mask_of, memo, subsets
+from .finring import RingError, bits, interned, mask_of, memo, subsets
 
 
 class UnitIdealError(RingError):
@@ -94,6 +94,7 @@ class CommMonomialRing:
     nvars: int
     gens: tuple[tuple[int, ...], ...]
     degree_bound: int
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"CommMonomialRing(vars={self.nvars}, gens={[render_monomial(g) for g in self.gens]})"
@@ -114,72 +115,69 @@ def make_monomial_ring(nvars: int, gens) -> CommMonomialRing:
         if len(g) != nvars or any(e < 0 for e in g):
             raise RingError(f"bad exponent vector {g}")
         norm.append(g)
-    return CommMonomialRing(nvars, minimize_generators(norm), default_degree_bound(nvars))
+    return interned(CommMonomialRing(nvars, minimize_generators(norm), default_degree_bound(nvars)))
 
 
 def monomial_in_ideal(exp: tuple[int, ...], gens) -> bool:
     return any(_divides(g, exp) for g in gens)
 
 
-def support(exp: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(i for i, e in enumerate(exp) if e)
+def support(exp: tuple[int, ...]) -> int:
+    """The variables of a monomial as a mask, bit i for v_{i+1}, as every set
+    of variables here is."""
+    return mask_of(i for i, e in enumerate(exp) if e)
 
 
-def min_primes_monomial(r: CommMonomialRing) -> list[frozenset[int]]:
-    """Minimal variable subsets hitting every generator support (vertex covers).
+@memo
+def min_primes_monomial(r: CommMonomialRing) -> tuple[int, ...]:
+    """Minimal variable sets hitting every generator support (vertex covers).
 
-    Brute force over all subsets; make_monomial_ring caps the variable count.
+    Brute force over all subsets, smallest first, so a cover is minimal when
+    it holds no cover found before it; make_monomial_ring caps the variables.
     """
-    if any(not support(g) for g in r.gens):
-        raise UnitIdealError("a constant generator makes the ideal improper")
     supports = [support(g) for g in r.gens]
+    if not all(supports):
+        raise UnitIdealError("a constant generator makes the ideal improper")
     covers = []
     for comb in subsets(range(r.nvars)):
-        c = frozenset(comb)
-        if all(c & s for s in supports) and not any(k < c for k in covers):
+        c = mask_of(comb)
+        if all(c & s for s in supports) and not any(k & c == k for k in covers):
             covers.append(c)
-    return sorted(covers, key=lambda c: (len(c), sorted(c)))
+    return tuple(covers)
 
 
 def is_squarefree(r: CommMonomialRing) -> bool:
     return all(all(e <= 1 for e in g) for g in r.gens)
 
 
-def regular_variables(r: CommMonomialRing) -> frozenset[int]:
+def regular_variables(r: CommMonomialRing) -> int:
     """Variables lying in no minimal cover; exactly the regular ones when the
     ideal is squarefree (radical)."""
-    hit = frozenset().union(*min_primes_monomial(r)) if r.gens else frozenset()
-    return frozenset(range(r.nvars)) - hit
+    return (1 << r.nvars) - 1 & ~mask_of(v for c in min_primes_monomial(r) for v in bits(c))
 
 
-def saturate_monomial(r: CommMonomialRing, variables) -> CommMonomialRing:
-    """Strip the chosen variables from every generator and re-minimize.
+def saturate_monomial(r: CommMonomialRing, vmask: int) -> CommMonomialRing:
+    """Strip the variables of vmask from every generator and re-minimize.
 
     For monomial ideals this is exactly the saturation by the product of the
     variables; a generator supported inside the set collapses to a constant,
     which means the localized ring would be zero.
     """
-    vset = frozenset(variables)
     stripped = []
     for g in r.gens:
-        h = tuple(0 if i in vset else e for i, e in enumerate(g))
-        if not support(h):
+        if not support(g) & ~vmask:
             raise CollapsedLocalizationError(
                 f"generator {render_monomial(g)} is supported inside the inverted variables"
             )
-        stripped.append(h)
-    return CommMonomialRing(r.nvars, minimize_generators(stripped), r.degree_bound)
+        stripped.append(tuple(0 if vmask >> i & 1 else e for i, e in enumerate(g)))
+    return interned(CommMonomialRing(r.nvars, minimize_generators(stripped), r.degree_bound))
 
 
-def saturation_membership_oracle(r: CommMonomialRing, variables, exp: tuple[int, ...]) -> bool:
+def saturation_membership_oracle(r: CommMonomialRing, vmask: int, exp: tuple[int, ...]) -> bool:
     """m lies in the saturation iff m * (prod of variables)^k lies in I for
     some k; bounded brute force, exact for monomial ideals at these degrees."""
-    vset = sorted(frozenset(variables))
-    exp = list(exp)
     bound = max((max(g) for g in r.gens), default=0) + 1
-    boosted = tuple(
-        e + (bound if i in vset else 0) for i, e in enumerate(exp)
-    )
+    boosted = tuple(e + (bound if vmask >> i & 1 else 0) for i, e in enumerate(exp))
     return monomial_in_ideal(boosted, r.gens)
 
 
@@ -200,14 +198,14 @@ def monomials_up_to(nvars: int, degree: int):
         yield from exponent_vectors(total, nvars)
 
 
-def _min_covers_avoiding(r: CommMonomialRing, vset: frozenset[int]) -> list[frozenset[int]]:
-    """Minimal variable sets that avoid vset and meet every support of the
-    generators of r: the minimal primes of the localization at vset.
+def _min_covers_avoiding(r: CommMonomialRing, vmask: int) -> list[int]:
+    """Minimal variable sets that avoid vmask and meet every support of the
+    generators of r: the minimal primes of the localization at vmask.
 
     Built one generator at a time (Berge's transversal recursion), so it
     shares no code path with the subset sweep of min_primes_monomial.
     """
-    covers = {frozenset()}
+    covers = {0}
     for g in r.gens:
         s = support(g)
         grown = set()
@@ -215,41 +213,39 @@ def _min_covers_avoiding(r: CommMonomialRing, vset: frozenset[int]) -> list[froz
             if c & s:
                 grown.add(c)
             else:
-                grown.update(c | {v} for v in s - vset)
-        covers = {c for c in grown if not any(k < c for k in grown)}
-    return sorted(covers, key=lambda c: (len(c), sorted(c)))
+                grown.update(c | 1 << v for v in bits(s & ~vmask))
+        covers = {c for c in grown if not any(k != c and k & c == k for k in grown)}
+    return sorted(covers, key=lambda c: (c.bit_count(), bits(c)))
 
 
-def localize_monomial(r: CommMonomialRing, variables) -> tuple[str, str] | None:
-    """Invert a set of variables: the first broken (clause, detail), or None.
+@memo
+def localize_monomial(r: CommMonomialRing, vmask: int) -> tuple[str, str] | None:
+    """Invert the variables of vmask: the first broken (clause, detail), or None.
 
     The vanishing ideal is the saturation.  The minimal primes over it must
     be the minimal covers avoiding the variables, which are the minimal
     primes of the localization, and its members must be the monomials the
     bounded oracle puts in it.
     """
-    vset = frozenset(variables)
-    where = f"V={sorted(v + 1 for v in vset)}"
-    sat = saturate_monomial(r, vset)
-    if set(min_primes_monomial(sat)) != set(_min_covers_avoiding(r, vset)):
+    where = f"V={[v + 1 for v in bits(vmask)]}"
+    sat = saturate_monomial(r, vmask)
+    if set(min_primes_monomial(sat)) != set(_min_covers_avoiding(r, vmask)):
         return "minimal primes over the saturation biject", where
     for exp in monomials_up_to(r.nvars, r.degree_bound):
-        if monomial_in_ideal(exp, sat.gens) != saturation_membership_oracle(r, vset, exp):
+        if monomial_in_ideal(exp, sat.gens) != saturation_membership_oracle(r, vmask, exp):
             return "saturation membership", f"{where}: mismatch at {render_monomial(exp)}"
     return None
 
 
 def all_squarefree_ideals(nvars: int):
-    """Every squarefree monomial ideal: antichains of nonempty variable subsets."""
-    faces = [frozenset(c) for c in subsets(range(nvars), 1)]
+    """Every squarefree monomial ideal: antichains of nonempty variable sets."""
+    faces = range(1, 1 << nvars)
     out = []
     for code in range(1 << len(faces)):
         chosen = [s for i, s in enumerate(faces) if code >> i & 1]
-        if any(a < b or b < a for a in chosen for b in chosen if a != b):
-            continue
-        gens = tuple(sorted(tuple(1 if i in s else 0 for i in range(nvars)) for s in chosen))
-        out.append(gens)
-    return sorted(set(out))
+        if not any(a != b and a & b == a for a in chosen for b in chosen):
+            out.append(tuple(sorted(tuple(s >> i & 1 for i in range(nvars)) for s in chosen)))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +290,6 @@ class NCMonomial:
 
     def degree(self) -> int:
         return len(self.word) + sum(self.zexp)
-
-    def z_support(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, e in enumerate(self.zexp) if e)
 
     def __eq__(self, other):
         if not isinstance(other, NCMonomial):
@@ -391,32 +384,30 @@ def an_monomials(a: AnAlgebra):
                         yield NCMonomial(word, zexp, False, wmask, zmask)
 
 
+def _paired(a: AnAlgebra) -> int:
+    """The mask of the paired indices 1..pairs."""
+    return (1 << a.pairs + 1) - 2
+
+
 @dataclass(frozen=True)
 class AnPrime:
-    """The prime generated by x_i for paired i in I and z_j for j outside I."""
+    """The prime generated by x_i for paired i in I and z_j for j outside I,
+    with I and its complement as the masks imask and cmask."""
 
-    algebra: AnAlgebra
-    I: frozenset[int]
-    imask: int = field(init=False, repr=False, compare=False)
-    cmask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "imask", mask_of(self.I))
-        object.__setattr__(self, "cmask", mask_of(self.complement()))
-
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(1, self.algebra.pairs + 1)) - self.I
+    imask: int
+    cmask: int
 
     def contains(self, m: NCMonomial) -> bool:
         return m.is_zero or bool(m.wmask & self.imask or m.zmask & self.cmask)
 
     def __repr__(self):
-        gens = [f"x{i}" for i in sorted(self.I)] + [f"z{j}" for j in sorted(self.complement())]
+        gens = [f"x{i}" for i in bits(self.imask)] + [f"z{j}" for j in bits(self.cmask)]
         return "(" + ",".join(gens) + ")" if gens else "(0)"
 
 
 def an_min_primes(a: AnAlgebra) -> list[AnPrime]:
-    return [AnPrime(a, frozenset(s)) for s in subsets(range(1, a.pairs + 1))]
+    full = _paired(a)
+    return [AnPrime(i, full & ~i) for i in map(mask_of, subsets(range(1, a.pairs + 1)))]
 
 
 @memo
@@ -491,7 +482,7 @@ def an_verify(a: AnAlgebra) -> tuple[str, str] | None:
 
     for p in primes:
         for q in primes:
-            if p.I != q.I and not any(p.contains(m) and not q.contains(m) for m in monos):
+            if p.imask != q.imask and not any(p.contains(m) and not q.contains(m) for m in monos):
                 return "incomparable primes", f"{p} is contained in {q} at degree <= {d}"
 
     for m in monos:
@@ -505,11 +496,10 @@ def an_verify(a: AnAlgebra) -> tuple[str, str] | None:
                 f"{m} does not commute with {g}" if g else f"{m} is central")
 
     for p in primes:
-        ci = p.complement()
         for m in monos:
-            if not m.word and p.contains(m) != bool(m.z_support() & ci):
+            if not m.word and p.contains(m) != bool(m.zmask & p.cmask):
                 return "prime meets the centre", (
-                    f"{p} meets the centre off (z_j : j in {sorted(ci)}) at {m}")
+                    f"{p} meets the centre off (z_j : j in {list(bits(p.cmask))}) at {m}")
 
     zmonos = [m for m in monos if not m.word and m.degree() > 0]
     for m1 in zmonos:
@@ -518,11 +508,11 @@ def an_verify(a: AnAlgebra) -> tuple[str, str] | None:
                 return "centre is a domain", f"{m1} * {m2} = 0"
 
     # rho(p) = p meet Z is minimal in the domain Z iff it is zero
-    full = frozenset(range(1, a.pairs + 1))
-    defined = {p.I for p in primes if not any(p.contains(m) for m in zmonos)}
-    if defined != {full}:
+    full = _paired(a)
+    defined = [p.imask for p in primes if not any(p.contains(m) for m in zmonos)]
+    if defined != [full]:
         return "restriction map", (
-            f"defined at {[sorted(i) for i in defined]}, not only at {sorted(full)}")
+            f"defined at {[list(bits(i)) for i in defined]}, not only at {list(bits(full))}")
 
     if a.pairs >= 1:
         z1, x1 = an_z(a, 1), an_x(a, 1)
@@ -543,42 +533,42 @@ def an_localize_normal(a: AnAlgebra, variables) -> tuple[str, str] | None:
     and they biject with the minimal primes of the localized model (the same
     algebra on the surviving pairs, with the inverted z's now units).
     """
-    V = frozenset(variables)
-    if not V or not V <= frozenset(range(1, a.pairs + 1)):
+    variables = tuple(variables)
+    if not variables or not all(1 <= v <= a.pairs for v in variables):
         raise RingError("invert a non-empty subset of the paired indices")
-    return _an_localize_verdict(a, V)
+    return _an_localize_verdict(a, mask_of(variables))
 
 
 @memo
-def _an_localize_verdict(a: AnAlgebra, V: frozenset[int]) -> tuple[str, str] | None:
+def _an_localize_verdict(a: AnAlgebra, vmask: int) -> tuple[str, str] | None:
     # elements with s*m*t = 0 for z-power products s,t are exactly those whose
     # word meets V (choose s,t supported on all of V); products are exact
     # above the degree bound, and whether s*m*t is zero depends only on m's
     # class, so scanning one representative per class is sound
-    zfull = NCMonomial((), tuple(1 if (i + 1) in V else 0 for i in range(a.pairs)))
-    vmask = mask_of(V)
+    V = bits(vmask)
+    zfull = NCMonomial((), tuple(vmask >> i & 1 for i in range(1, a.pairs + 1)))
     for m in _an_class_representatives(a):
         killed = an_multiply(a, an_multiply(a, zfull, m), zfull).is_zero
         if killed != bool(m.wmask & vmask):
-            return "vanishing ideal", f"V={sorted(V)}: mismatch at {m}"
+            return "vanishing ideal", f"V={list(V)}: mismatch at {m}"
 
     over = [p for p in an_min_primes(a) if all(p.contains(an_x(a, v)) for v in V)]
     expected = 1 << (a.pairs - len(V))
     if len(over) != expected:
         return "primes over the vanishing ideal", (
-            f"V={sorted(V)}: expected {expected}, got {len(over)}")
+            f"V={list(V)}: expected {expected}, got {len(over)}")
 
     # the localized image of a prime is generated by the surviving x_i and z_j
     # it contains, relabeled; it is the prime p_I of the localized model when
     # its z's are exactly those outside I
-    survivors = sorted(frozenset(range(1, a.pairs + 1)) - V)
+    survivors = bits(_paired(a) & ~vmask)
     localized = AnAlgebra(len(survivors), a.degree_bound, len(survivors) + SPARE_LETTERS)
 
-    def kept(gen, p: AnPrime) -> frozenset[int]:
-        return frozenset(new + 1 for new, old in enumerate(survivors) if p.contains(gen(a, old)))
+    def kept(gen, p: AnPrime) -> int:
+        return mask_of(new + 1 for new, old in enumerate(survivors) if p.contains(gen(a, old)))
 
     images = {(kept(an_x, p), kept(an_z, p)) for p in over}
-    targets = {(q.I, q.complement()) for q in an_min_primes(localized)}
+    targets = {(q.imask, q.cmask) for q in an_min_primes(localized)}
     if len(images) != len(over) or images != targets:
-        return "prime bijection", f"V={sorted(V)}: prime map to the localized model"
+        return "prime bijection", f"V={list(V)}: prime map to the localized model"
     return None

@@ -1,4 +1,9 @@
-"""A fixed fifty-expression corpus for parse/render round-trip checks."""
+"""A fixed fifty-expression corpus for parse/render round-trip checks, and
+seeded draws of off-corpus monomial quotients."""
+
+import random
+
+from orespec.monomial import render_monomial
 
 FIXED_EXPRESSIONS = [
     "zmod(2)", "zmod(3)", "zmod(4)", "zmod(5)", "zmod(6)", "zmod(7)", "zmod(8)",
@@ -20,3 +25,20 @@ FIXED_EXPRESSIONS = [
     "prod(tri(2, gf(2)), zmod(2))",
     "mono(vars=2, gens=[v1^3, v1*v2^2])",
 ]
+
+
+def random_mono_expressions(seed: int, count: int) -> list[str]:
+    """count distinct mono(...) expressions drawn at seed: 1-3 variables and
+    1-3 generators with exponents 0-3, none of them constant, distinct by
+    rendered text, in the order drawn."""
+    rng = random.Random(seed)
+    drawn: dict[str, None] = {}
+    while len(drawn) < count:
+        nvars, ngens = rng.randint(1, 3), rng.randint(1, 3)
+        gens = []
+        while len(gens) < ngens:
+            exp = tuple(rng.randint(0, 3) for _ in range(nvars))
+            if any(exp):
+                gens.append(render_monomial(exp))
+        drawn.setdefault(f"mono(vars={nvars}, gens=[{', '.join(gens)}])")
+    return list(drawn)

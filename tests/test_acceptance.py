@@ -11,7 +11,7 @@ import pytest
 
 from expr_corpus import FIXED_EXPRESSIONS
 from orespec.dsl import parse_ring_expr, render
-from orespec.finring import regular_mask, units_mask
+from orespec.finring import bits, mask_of, regular_mask, units_mask
 from orespec.harness import (
     CorpusConfig,
     build_corpus,
@@ -42,7 +42,6 @@ from orespec.monomial import (
     min_primes_monomial,
     regular_variables,
     saturate_monomial,
-    support,
 )
 
 CFG = CorpusConfig()
@@ -100,22 +99,23 @@ def test_criterion_2(corpus):
     for n in (1, 2, 3):
         for gens in all_squarefree_ideals(n):
             r = make_monomial_ring(n, gens)
-            covers = min_primes_monomial(r)
+            covers = [set(bits(c)) for c in min_primes_monomial(r)]
             oracle = [
-                frozenset(c)
+                set(c)
                 for size in range(n + 1)
                 for c in itertools.combinations(range(n), size)
-                if all(frozenset(c) & support(g) for g in r.gens)
+                if all(set(c) & {i for i, e in enumerate(g) if e} for g in r.gens)
             ]
             oracle_min = sorted(
                 (c for c in oracle if not any(o < c for o in oracle)),
                 key=lambda c: (len(c), sorted(c)),
             )
             assert covers == oracle_min
-            for size in range(len(regular_variables(r)) + 1):
-                for combo in itertools.combinations(sorted(regular_variables(r)), size):
-                    assert localize_monomial(r, combo) is None
-                    assert saturate_monomial(r, combo).gens == r.gens
+            regular = bits(regular_variables(r))
+            for size in range(len(regular) + 1):
+                for combo in itertools.combinations(regular, size):
+                    assert localize_monomial(r, mask_of(combo)) is None
+                    assert saturate_monomial(r, mask_of(combo)).gens == r.gens
                     checked += 1
     assert checked > 0
     assert time.perf_counter() - t0 < 60
@@ -141,7 +141,8 @@ def test_criterion_4(corpus):
         for size in range(1, n + 1):
             for combo in itertools.combinations(range(1, n + 1), size):
                 assert an_localize_normal(a, combo) is None
-                assert len([p for p in an_min_primes(a) if set(combo) <= p.I]) == 1 << (n - size)
+                assert len([p for p in an_min_primes(a) if not mask_of(combo) & ~p.imask]) == \
+                    1 << (n - size)
     track = [i for i in corpus if i.kind in ("monomial", "an")]
     reports = run_suite(track, ("A2Oct23",), CFG)
     _clean(reports)

@@ -5,8 +5,9 @@
 each content once.  Outside a scope every constructor returns a fresh
 object, and after the outermost scope the tables it interned can be freed.
 Quotients and centres are interned too, so within a scope the centre of a
-commutative ring is the ring itself.  The checks run once per
-isomorphism class of tables, and every instance reports under its own
+commutative ring is the ring itself; so are monomial quotients, so the
+covers and localizations of an ideal are computed once.  The checks run
+once per isomorphism class of tables, and every instance reports under its own
 provenance: a row that passed is copied to the class, and after a fail each
 instance on another table object of the class runs the checks on its own.
 """
@@ -18,7 +19,8 @@ from collections import Counter
 
 import pytest
 
-from orespec import cli, finring, harness
+from orespec import checks, cli, finring, harness, localization
+from orespec import monomial as mono
 from orespec.centre import centre_ring
 from orespec.checks import REGISTRY, TheoremCheck
 from orespec.dsl import parse_ring_expr
@@ -42,20 +44,27 @@ def _finite_corpus(cfg):
     return [inst for inst in build_corpus(cfg) if inst.kind == "finite"]
 
 
-def _count_audits(monkeypatch) -> Counter:
-    """Audits that run, per content, from every caller; a call the memo
-    answers runs none."""
+def _count_runs(monkeypatch, module, name, key, readers=()) -> Counter:
+    """Runs of the body of the memoised module.name, per key(*args), from
+    every caller that reads it from module or from one of readers; a call
+    the memo answers runs none."""
     calls = Counter()
-    audit = finring.audit_ring.__wrapped__
+    body = getattr(module, name).__wrapped__
 
-    def counting(r):
-        calls[content(r)] += 1
-        return audit(r)
+    def counting(*args):
+        calls[key(*args)] += 1
+        return body(*args)
 
     counted = finring.memo(counting)
-    monkeypatch.setattr(finring, "audit_ring", counted)  # constructors and centre_ring
-    monkeypatch.setattr(harness, "audit_ring", counted)  # run_suite's audit loop
+    for reader in (module, *readers):
+        monkeypatch.setattr(reader, name, counted)
     return calls
+
+
+def _count_audits(monkeypatch) -> Counter:
+    """Audits that run, per content: from the constructors and centre_ring,
+    and from run_suite's audit loop."""
+    return _count_runs(monkeypatch, finring, "audit_ring", content, (harness,))
 
 
 def test_a_finite_run_audits_each_interned_content_once(monkeypatch):
@@ -65,6 +74,21 @@ def test_a_finite_run_audits_each_interned_content_once(monkeypatch):
     run_suite(corpus, cfg=cfg)
     assert {content(inst.build(cfg.order_cap)) for inst in corpus} <= calls.keys()
     assert set(calls.values()) == {1}
+
+
+def test_a_default_run_evaluates_each_concept_once(monkeypatch):
+    # before the monomial track was memoised on interned rings, a default
+    # run made 230 localizations of 176 (ring, V) pairs and swept the
+    # covers of 26 ideals 218 times
+    covers = _count_runs(monkeypatch, mono, "min_primes_monomial", lambda r: r)
+    localized = _count_runs(monkeypatch, mono, "localize_monomial", lambda r, v: (r, v))
+    searches = _count_runs(monkeypatch, localization, "submonoid_levels",
+                           lambda r, pool, depth: (content(r), pool, depth), (checks,))
+    cfg = CorpusConfig()
+    run_suite(build_corpus(cfg), cfg=cfg)
+    for calls in (covers, localized, searches):
+        assert calls and set(calls.values()) == {1}
+    assert (len(covers), len(localized)) == (26, 176)
 
 
 def test_a_verify_command_audits_each_content_once(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from orespec import monomial as mono
 from orespec.cli import main
 from orespec.dsl import parse_ring_expr
-from orespec.finring import subsets
+from orespec.finring import bits, mask_of, subsets
 from orespec.harness import Instance, run_suite
 from orespec.monomial import (
     AnAlgebra,
@@ -39,6 +39,7 @@ from orespec.monomial import (
     saturate_monomial,
     support,
 )
+from expr_corpus import random_mono_expressions
 from test_fail_paths import _zero_at_top_degree
 
 # ---------------------------------------------------------------------------
@@ -46,28 +47,33 @@ from test_fail_paths import _zero_at_top_degree
 
 
 def cover_oracle(r):
-    """Independent brute force over every variable subset."""
-    supports = [support(g) for g in r.gens]
+    """Independent brute force over every variable subset, as sets of
+    variable indices."""
+    supports = [{i for i, e in enumerate(g) if e} for g in r.gens]
     covers = [
-        frozenset(c)
+        set(c)
         for size in range(r.nvars + 1)
         for c in itertools.combinations(range(r.nvars), size)
-        if all(frozenset(c) & s for s in supports)
+        if all(set(c) & s for s in supports)
     ]
     return sorted(
-        (c for c in covers if not any(o < c for o in covers)),
-        key=lambda c: (len(c), sorted(c)),
+        (sorted(c) for c in covers if not any(o < c for o in covers)),
+        key=lambda c: (len(c), c),
     )
+
+
+def _sets(masks):
+    return [list(bits(m)) for m in masks]
 
 
 def test_min_primes_of_a_single_edge():
     r = make_monomial_ring(2, [(1, 1)])
-    assert min_primes_monomial(r) == [frozenset({0}), frozenset({1})]
+    assert min_primes_monomial(r) == (0b01, 0b10)
 
 
 def test_zero_ideal_is_a_domain():
     r = make_monomial_ring(2, [])
-    assert min_primes_monomial(r) == [frozenset()]
+    assert min_primes_monomial(r) == (0,)
 
 
 def test_two_disjoint_edges_have_four_covers():
@@ -79,9 +85,9 @@ def test_min_primes_match_the_brute_force_oracle():
     for n in (1, 2, 3):
         for gens in all_squarefree_ideals(n):
             r = make_monomial_ring(n, gens)
-            assert min_primes_monomial(r) == cover_oracle(r)
+            assert _sets(min_primes_monomial(r)) == cover_oracle(r)
     mixed = make_monomial_ring(3, [(2, 1, 0), (0, 1, 2)])
-    assert min_primes_monomial(mixed) == cover_oracle(mixed)
+    assert _sets(min_primes_monomial(mixed)) == cover_oracle(mixed)
 
 
 def test_unit_ideal_is_rejected():
@@ -91,29 +97,29 @@ def test_unit_ideal_is_rejected():
 
 def test_saturation_strips_exponents():
     r = make_monomial_ring(3, [(0, 2, 1), (0, 1, 2)])
-    assert saturate_monomial(r, [1]).gens == ((0, 0, 1),)
-    assert saturate_monomial(r, []).gens == r.gens
+    assert saturate_monomial(r, 0b10).gens == ((0, 0, 1),)
+    assert saturate_monomial(r, 0).gens == r.gens
     r2 = make_monomial_ring(2, [(1, 1)])
-    assert saturate_monomial(r2, [0]).gens == ((0, 1),)
+    assert saturate_monomial(r2, 0b1).gens == ((0, 1),)
 
 
 def test_saturation_collapse_is_an_error():
     with pytest.raises(CollapsedLocalizationError):
-        saturate_monomial(make_monomial_ring(2, [(1, 0)]), [0])
+        saturate_monomial(make_monomial_ring(2, [(1, 0)]), 0b1)
 
 
 def test_saturation_against_degree_bounded_membership():
     r = make_monomial_ring(3, [(1, 2, 0), (0, 1, 1)])
-    assert saturate_monomial(r, [1]).gens == ((0, 0, 1), (1, 0, 0))
-    assert localize_monomial(r, [1]) is None
+    assert saturate_monomial(r, 0b10).gens == ((0, 0, 1), (1, 0, 0))
+    assert localize_monomial(r, 0b10) is None
 
 
 def test_localize_regular_variable_keeps_minimal_primes():
     r = make_monomial_ring(3, [(0, 1, 1)])  # k[u,y,z]/(yz), u regular
-    assert regular_variables(r) == {0}
-    assert localize_monomial(r, [0]) is None
-    assert saturate_monomial(r, [0]).gens == r.gens
-    assert min_primes_monomial(r) == [frozenset({1}), frozenset({2})]
+    assert regular_variables(r) == 0b001
+    assert localize_monomial(r, 0b001) is None
+    assert saturate_monomial(r, 0b001).gens == r.gens
+    assert min_primes_monomial(r) == (0b010, 0b100)
 
 
 @pytest.mark.parametrize("cid", ["A10Sep23", "c10Sep23"])
@@ -122,28 +128,28 @@ def test_regular_variable_claims_need_a_squarefree_ideal(cid):
     # covers find the regular variables of a squarefree ideal only
     text = "mono(vars=2, gens=[v1*v2, v1^2])"
     inst = Instance("monomial", text, parse_ring_expr(text))
-    assert regular_variables(inst.build()) == {1}
+    assert regular_variables(inst.build()) == 0b10
     rep = run_suite([inst], (cid,))[1]
     assert (rep.considered, rep.applicable, rep.counterexamples) == (1, 0, [])
 
 
 def test_localize_zero_divisor_variable():
     r = make_monomial_ring(2, [(1, 1)])
-    assert localize_monomial(r, [0]) is None
-    sat = saturate_monomial(r, [0])
+    assert localize_monomial(r, 0b01) is None
+    sat = saturate_monomial(r, 0b01)
     assert sat.gens != r.gens
-    assert min_primes_monomial(sat) == [frozenset({1})]
+    assert min_primes_monomial(sat) == (0b10,)
 
 
 def test_localize_nothing_is_the_identity():
     r = make_monomial_ring(2, [(1, 1)])
-    assert localize_monomial(r, []) is None
-    assert saturate_monomial(r, []).gens == r.gens
+    assert localize_monomial(r, 0) is None
+    assert saturate_monomial(r, 0).gens == r.gens
 
 
 @pytest.mark.parametrize("target, lie, clause", [
     # one minimal cover of the localization goes missing
-    pytest.param("_min_covers_avoiding", lambda fn: lambda r, vset: fn(r, vset)[:-1],
+    pytest.param("_min_covers_avoiding", lambda fn: lambda r, vmask: fn(r, vmask)[:-1],
                  "minimal primes over the saturation biject", id="covers_avoiding"),
     # the oracle puts every monomial in the saturation
     pytest.param("saturation_membership_oracle", lambda fn: lambda r, v, exp: True,
@@ -152,12 +158,12 @@ def test_localize_nothing_is_the_identity():
 def test_localize_monomial_reads_each_route(monkeypatch, target, lie, clause):
     r = make_monomial_ring(2, [(1, 1)])
     monkeypatch.setattr(mono, target, lie(getattr(mono, target)))
-    assert localize_monomial(r, [0])[0] == clause
+    assert localize_monomial(r, 0b1)[0] == clause
 
 
 def test_cli_mono_localize_fails_on_a_lying_cover_search(capsys, monkeypatch):
     covers = mono._min_covers_avoiding
-    monkeypatch.setattr(mono, "_min_covers_avoiding", lambda r, vset: covers(r, vset)[:-1])
+    monkeypatch.setattr(mono, "_min_covers_avoiding", lambda r, vmask: covers(r, vmask)[:-1])
     assert main(["mono", "localize", "mono(vars=2, gens=[v1*v2])", "--invert", "1"]) == 1
     assert "FAILURE: minimal primes over the saturation biject: V=[1]" in capsys.readouterr().out
 
@@ -177,9 +183,9 @@ def test_localize_commutes_with_taking_radicals():
         )
 
     cases = [
-        (make_monomial_ring(3, [(2, 1, 0), (0, 1, 2)]), [2]),
-        (make_monomial_ring(3, [(0, 3, 0), (1, 0, 2)]), [0]),
-        (make_monomial_ring(2, [(1, 2)]), [0]),
+        (make_monomial_ring(3, [(2, 1, 0), (0, 1, 2)]), 0b100),
+        (make_monomial_ring(3, [(0, 3, 0), (1, 0, 2)]), 0b001),
+        (make_monomial_ring(2, [(1, 2)]), 0b01),
     ]
     for r, v in cases:
         reduced_first = saturate_monomial(radical(r), v)
@@ -202,6 +208,18 @@ def test_radical_iff_squarefree_at_bounded_degree():
             if sum(m) > 0
         )
         assert radical_equal == is_squarefree(r)
+
+
+def test_a_seeded_off_corpus_monomial_stage_is_clean():
+    # the default corpus holds squarefree ideals only; these draws put
+    # non-squarefree generators through the covers and the saturations, and
+    # reach the is_squarefree guard and collapsed localizations
+    texts = random_mono_expressions(seed=1, count=150)
+    corpus = [Instance("monomial", text, parse_ring_expr(text)) for text in texts]
+    reports = {rep.theorem_id: rep for rep in run_suite(corpus)[1:]}
+    assert [cx for rep in reports.values() for cx in rep.counterexamples] == []
+    for cid in ("A10Sep23", "c10Sep23", "A2Oct23"):
+        assert 0 < reports[cid].applicable < reports[cid].considered == 150, cid
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +250,7 @@ def test_min_prime_index_sets():
 def test_prime_membership_rule():
     a = an_build(2, 6)
     p = an_min_primes(a)[1]  # smallest nonempty index set
-    assert p.I == frozenset({1})
+    assert (p.imask, p.cmask) == (0b010, 0b100)
     assert p.contains(an_x(a, 1))
     assert not p.contains(an_x(a, 2))
     assert p.contains(an_z(a, 2))
@@ -261,7 +279,7 @@ def test_without_spare_letters_the_centre_grows():
 def test_localize_at_central_variables(n, v, count):
     a = an_build(n, default_degree_bound(n))
     assert an_localize_normal(a, v) is None
-    assert len([p for p in an_min_primes(a) if v <= p.I]) == count
+    assert len([p for p in an_min_primes(a) if not mask_of(v) & ~p.imask]) == count
 
 
 def test_localize_at_central_variables_is_memoised_per_set(monkeypatch):
@@ -375,7 +393,7 @@ def _full_an_verify(a):
             return "domain quotients", f"quotient by {p} has zero divisors: {witness}"
     for p in primes:
         for q in primes:
-            if p.I != q.I and not any(p.contains(m) and not q.contains(m) for m in monos):
+            if p.imask != q.imask and not any(p.contains(m) and not q.contains(m) for m in monos):
                 return "incomparable primes", f"{p} is contained in {q} at degree <= {d}"
     for m in monos:
         if m.degree() > 0 and all(p.contains(m) for p in primes):
@@ -386,21 +404,20 @@ def _full_an_verify(a):
             return "centre is the z-polynomials", (
                 f"{m} does not commute with {g}" if g else f"{m} is central")
     for p in primes:
-        ci = p.complement()
         for m in monos:
-            if not m.word and p.contains(m) != bool(m.z_support() & ci):
+            if not m.word and p.contains(m) != bool(m.zmask & p.cmask):
                 return "prime meets the centre", (
-                    f"{p} meets the centre off (z_j : j in {sorted(ci)}) at {m}")
+                    f"{p} meets the centre off (z_j : j in {list(bits(p.cmask))}) at {m}")
     zmonos = [m for m in monos if not m.word and m.degree() > 0]
     for m1 in zmonos:
         for m2 in zmonos:
             if m1.degree() + m2.degree() <= d and an_multiply(a, m1, m2).is_zero:
                 return "centre is a domain", f"{m1} * {m2} = 0"
-    full = frozenset(range(1, a.pairs + 1))
-    defined = {p.I for p in primes if not any(p.contains(m) for m in zmonos)}
-    if defined != {full}:
+    full = mask_of(range(1, a.pairs + 1))
+    defined = [p.imask for p in primes if not any(p.contains(m) for m in zmonos)]
+    if defined != [full]:
         return "restriction map", (
-            f"defined at {[sorted(i) for i in defined]}, not only at {sorted(full)}")
+            f"defined at {[list(bits(i)) for i in defined]}, not only at {list(bits(full))}")
     if a.pairs >= 1:
         z1, x1 = an_z(a, 1), an_x(a, 1)
         z1_regular = all(
@@ -429,7 +446,7 @@ def test_class_scans_match_the_full_scans(monkeypatch, n, lie, masked):
     assert any(witnesses) == masked
     mismatches = []
     for V in map(frozenset, subsets(range(1, n + 1), 1)):
-        verdict = mono._an_localize_verdict(a, V)
+        verdict = mono._an_localize_verdict(a, mask_of(V))
         full = _full_vanishing_mismatch(a, V)
         assert verdict == full if full else verdict is None
         mismatches.append(full)
@@ -473,7 +490,7 @@ def _bits(indices):
 def test_masks_are_the_supports(n, d):
     for m in an_monomials(an_build(n, d)):
         assert m.wmask == _bits(set(m.word))
-        assert m.zmask == _bits(m.z_support())
+        assert m.zmask == _bits(i + 1 for i, e in enumerate(m.zexp) if e)
 
 
 def _reference_product(m1, m2):
