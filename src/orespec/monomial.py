@@ -24,7 +24,6 @@ Everything in this module is checked at a bounded total degree; reports say
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -51,11 +50,14 @@ SPARE_LETTERS = 2
 # 2 shared cores)
 MAX_MONO_VARS = 16
 
-# the pairing-algebra scans run over the (degree, wmask, zmask) classes, and
-# enumerating the classes is linear in the normal forms: an(2, 8) has 97,679
-# normal forms and an(3, 7) 122,068, verified in 0.13 s and 0.34 s (Python
-# 3.11, 2 shared cores); an(3, 8) has 583,355 and an(4, 8) 2,566,955
-# (an_monomial_count)
+# the pairing-algebra scans run over the first normal forms of the
+# (degree, wmask, zmask) classes, built in closed form, so their cost follows
+# the classes and their products, not the normal forms: an(2, 8) has 97,679
+# normal forms in 232 classes and an(3, 7) 122,068 in 533, and `an verify`
+# takes 0.016 s and 0.055 s on them (process CPU, Python 3.11, 2 shared
+# cores); an(3, 8) has 583,355 and an(4, 8) 2,566,955 (an_monomial_count).
+# The bound on the normal forms stays: it fixes which algebras are verified
+# and what exits 3
 MAX_AN_MONOMIALS = 125_000
 
 
@@ -77,7 +79,7 @@ def default_degree_bound(nvars: int) -> int:
 # commutative monomial quotients
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def minimize_generators(gens) -> tuple[tuple[int, ...], ...]:
@@ -173,11 +175,18 @@ def saturate_monomial(r: CommMonomialRing, vmask: int) -> CommMonomialRing:
     return interned(CommMonomialRing(r.nvars, minimize_generators(stripped), r.degree_bound))
 
 
+@memo
+def _saturation_boost(r: CommMonomialRing, vmask: int) -> tuple[int, ...]:
+    """The exponents of (prod of the variables of vmask)^k, with k one more
+    than the largest exponent of a generator."""
+    k = max((max(g) for g in r.gens), default=0) + 1
+    return tuple(k if vmask >> i & 1 else 0 for i in range(r.nvars))
+
+
 def saturation_membership_oracle(r: CommMonomialRing, vmask: int, exp: tuple[int, ...]) -> bool:
     """m lies in the saturation iff m * (prod of variables)^k lies in I for
     some k; bounded brute force, exact for monomial ideals at these degrees."""
-    bound = max((max(g) for g in r.gens), default=0) + 1
-    boosted = tuple(e + (bound if vmask >> i & 1 else 0) for i, e in enumerate(exp))
+    boosted = tuple(map(operator.add, exp, _saturation_boost(r, vmask)))
     return monomial_in_ideal(boosted, r.gens)
 
 
@@ -196,6 +205,12 @@ def monomials_up_to(nvars: int, degree: int):
     """All exponent vectors of total degree <= degree, by degree."""
     for total in range(degree + 1):
         yield from exponent_vectors(total, nvars)
+
+
+@memo
+def _scan_monomials(r: CommMonomialRing) -> tuple[tuple[int, ...], ...]:
+    """The monomials every localization of r checks membership on."""
+    return tuple(monomials_up_to(r.nvars, r.degree_bound))
 
 
 def _min_covers_avoiding(r: CommMonomialRing, vmask: int) -> list[int]:
@@ -231,7 +246,7 @@ def localize_monomial(r: CommMonomialRing, vmask: int) -> tuple[str, str] | None
     sat = saturate_monomial(r, vmask)
     if set(min_primes_monomial(sat)) != set(_min_covers_avoiding(r, vmask)):
         return "minimal primes over the saturation biject", where
-    for exp in monomials_up_to(r.nvars, r.degree_bound):
+    for exp in _scan_monomials(r):
         if monomial_in_ideal(exp, sat.gens) != saturation_membership_oracle(r, vmask, exp):
             return "saturation membership", f"{where}: mismatch at {render_monomial(exp)}"
     return None
@@ -371,19 +386,6 @@ def an_multiply(a: AnAlgebra, m1: NCMonomial, m2: NCMonomial) -> NCMonomial:
                       False, wmask, zmask)
 
 
-def an_monomials(a: AnAlgebra):
-    """All nonzero normal forms of total degree <= the bound, deterministic order."""
-    letters = range(1, a.letters + 1)
-    for total in range(a.degree_bound + 1):
-        for wlen in range(total + 1):
-            zparts = [(zexp, _z_mask(zexp)) for zexp in exponent_vectors(total - wlen, a.pairs)]
-            for word in itertools.product(letters, repeat=wlen):
-                wmask = mask_of(word)
-                for zexp, zmask in zparts:
-                    if not wmask & zmask:
-                        yield NCMonomial(word, zexp, False, wmask, zmask)
-
-
 def _paired(a: AnAlgebra) -> int:
     """The mask of the paired indices 1..pairs."""
     return (1 << a.pairs + 1) - 2
@@ -426,8 +428,9 @@ def noncommuting_generator(a: AnAlgebra, m: NCMonomial) -> str | None:
 
 @memo
 def _an_class_representatives(a: AnAlgebra) -> list[NCMonomial]:
-    """The first normal form of each (degree, wmask, zmask) class, in
-    an_monomials order: every scan of the pairing algebra runs over these.
+    """The first normal form of each (degree, wmask, zmask) class, in the
+    enumeration order of the normal forms (by degree, then word length, then
+    word, then z exponents): every scan of the pairing algebra runs over these.
 
     Whether a product is zero or lies in a p_I depends only on the factors'
     masks, and so does commutation: m commutes with every z_i, and with x_j
@@ -435,11 +438,27 @@ def _an_class_representatives(a: AnAlgebra) -> list[NCMonomial]:
     a letter only when it is a power of it: Lyndon and Schutzenberger, 1962).
     So every clause answers alike on a class, and its first member is the
     first to fail.  The degree is in the key because a product's degree is
-    the sum of its factors' degrees."""
-    reps: dict[tuple[int, int, int], NCMonomial] = {}
-    for m in an_monomials(a):
-        reps.setdefault((m.degree(), m.wmask, m.zmask), m)
-    return list(reps.values())
+    the sum of its factors' degrees.
+
+    Each first member is built directly.  A class of degree t with letters W
+    and no z's holds words of length t only, and the first is min(W) repeated
+    t - |W| + 1 times followed by the rest of W ascending.  With z's in Z the
+    shortest word comes first: sorted(W), then the least exponent vector on Z
+    of degree t - |W|, which is 1 on every z but the last of Z."""
+    d, zero = a.degree_bound, (0,) * a.pairs
+    heads = []
+    for word in subsets(range(1, a.letters + 1)):
+        wmask = mask_of(word)
+        # the empty word with no z's is the one form of degree 0
+        heads += [NCMonomial(word[:1] * (t - len(word)) + word, zero, False, wmask, 0)
+                  for t in range(len(word), d + 1 if word else 1)]
+        for zs in subsets(bits(_paired(a) & ~wmask), 1):
+            zmask, last = mask_of(zs), zs[-1] - 1
+            ones = tuple(int(zmask >> i & 1) for i in range(1, a.pairs + 1))
+            heads += [NCMonomial(word, ones[:last] + (e,) + ones[last + 1:], False, wmask, zmask)
+                      for e in range(1, d - len(word) - len(zs) + 2)]
+    heads.sort(key=lambda m: (m.degree(), len(m.word), m.word, m.zexp))
+    return heads
 
 
 def _zero_divisor(a: AnAlgebra, p: AnPrime) -> str | None:

@@ -1,5 +1,6 @@
-"""A fixed fifty-expression corpus for parse/render round-trip checks, and
-seeded draws of off-corpus monomial quotients."""
+"""A fixed fifty-expression corpus for parse/render round-trip checks,
+seeded draws of off-corpus monomial quotients, and seeded character edits
+of the fixed corpus."""
 
 import random
 
@@ -42,3 +43,29 @@ def random_mono_expressions(seed: int, count: int) -> list[str]:
                 gens.append(render_monomial(exp))
         drawn.setdefault(f"mono(vars={nvars}, gens=[{', '.join(gens)}])")
     return list(drawn)
+
+
+# the digits, punctuation and keyword letters of the expression language,
+# and "-" and "_", which no valid expression holds; the digits come twice,
+# so that more edits keep a text that parses
+EDIT_ALPHABET = "0123456789" * 2 + "()[],=*^ vzmodgfqutrnpa-_"
+
+
+def edited_expressions(seed: int, count: int) -> list[str]:
+    """count texts drawn at seed, each a FIXED_EXPRESSIONS entry with one to
+    three characters deleted, inserted or replaced, in the order drawn."""
+    rng = random.Random(seed)
+    edited = []
+    for _ in range(count):
+        text = rng.choice(FIXED_EXPRESSIONS)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            kind = rng.choice(("delete", "insert", "replace"))
+            if kind == "insert":
+                text = text[:i] + rng.choice(EDIT_ALPHABET) + text[i:]
+            elif kind == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + rng.choice(EDIT_ALPHABET) + text[i + 1:]
+        edited.append(text)
+    return edited

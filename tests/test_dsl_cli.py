@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from orespec.cli import main
 from orespec.dsl import ParseError, RingExpr, evaluate, parse_ring_expr, render
 from orespec.monomial import DegreeBudgetError
 
-from expr_corpus import FIXED_EXPRESSIONS
+from expr_corpus import FIXED_EXPRESSIONS, edited_expressions
 
 
 def test_fixed_corpus_is_big_enough():
@@ -189,6 +190,28 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert main(["localize", "zmod(6)", "--gens", "2,3"]) == 2
     capsys.readouterr()
+
+
+# every subcommand that reads an expression, with the flags it needs
+_EXPR_COMMANDS = (
+    (["describe"], []), (["ideals"], []), (["minprimes"], []), (["multsets"], []),
+    (["centre"], []), (["rho"], []), (["classify-set"], ["--gens", "1"]),
+    (["localize"], ["--gens", "1"]), (["mono", "minprimes"], []),
+    (["mono", "localize"], ["--invert", "1"]),
+)
+
+
+def test_seeded_edits_of_the_fixed_corpus_exit_with_a_documented_code():
+    # 300 one- to three-character edits at seed 1, fixed before the first
+    # run, each passed to the subcommands in turn; most do not parse, and
+    # some still build a ring or hit a budget
+    codes = Counter()
+    for k, text in enumerate(edited_expressions(seed=1, count=300)):
+        head, tail = _EXPR_COMMANDS[k % len(_EXPR_COMMANDS)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes[main([*head, text, *tail])] += 1
+    assert set(codes) <= {0, 1, 2, 3}
+    assert codes[0] and codes[2] and codes[3], codes
 
 
 def test_zero_exponent_is_a_parse_error(capsys):

@@ -82,13 +82,16 @@ def test_a_default_run_evaluates_each_concept_once(monkeypatch):
     # covers of 26 ideals 218 times
     covers = _count_runs(monkeypatch, mono, "min_primes_monomial", lambda r: r)
     localized = _count_runs(monkeypatch, mono, "localize_monomial", lambda r, v: (r, v))
+    scans = _count_runs(monkeypatch, mono, "_scan_monomials", lambda r: r)
     searches = _count_runs(monkeypatch, localization, "submonoid_levels",
                            lambda r, pool, depth: (content(r), pool, depth), (checks,))
     cfg = CorpusConfig()
     run_suite(build_corpus(cfg), cfg=cfg)
-    for calls in (covers, localized, searches):
+    for calls in (covers, localized, searches, scans):
         assert calls and set(calls.values()) == {1}
-    assert (len(covers), len(localized)) == (26, 176)
+    # one scan list per monomial ring, not one per localization
+    assert (len(covers), len(localized), len(scans)) == (26, 176, 26)
+    assert scans.keys() == {r for r, v in localized}
 
 
 def test_a_verify_command_audits_each_content_once(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from orespec import monomial as mono
 from orespec.cli import main
 from orespec.dsl import parse_ring_expr
-from orespec.finring import bits, mask_of, subsets
+from orespec.finring import bits, mask_of, memo, subsets
 from orespec.harness import Instance, run_suite
 from orespec.monomial import (
     AnAlgebra,
@@ -20,7 +20,6 @@ from orespec.monomial import (
     an_localize_normal,
     an_min_primes,
     an_monomial_count,
-    an_monomials,
     an_multiply,
     an_verify,
     an_x,
@@ -122,10 +121,12 @@ def test_localize_regular_variable_keeps_minimal_primes():
     assert min_primes_monomial(r) == (0b010, 0b100)
 
 
-@pytest.mark.parametrize("cid", ["A10Sep23", "c10Sep23"])
+@pytest.mark.parametrize("cid", ["A10Sep23", "c10Sep23", "4Jul10"])
 def test_regular_variable_claims_need_a_squarefree_ideal(cid):
     # v2 lies in no minimal cover of (v1*v2, v1^2), yet v1*v2 kills it: the
-    # covers find the regular variables of a squarefree ideal only
+    # covers find the regular variables of a squarefree ideal only.  Without
+    # the guard 4Jul10 inverted v2 here, counted v1*v2^-1 as nonzero though
+    # v1 = v1*v2*v2^-1 = 0, and reported one clean case
     text = "mono(vars=2, gens=[v1*v2, v1^2])"
     inst = Instance("monomial", text, parse_ring_expr(text))
     assert regular_variables(inst.build()) == 0b10
@@ -210,6 +211,18 @@ def test_radical_iff_squarefree_at_bounded_degree():
         assert radical_equal == is_squarefree(r)
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_the_memoised_scan_list_is_monomials_up_to(nvars):
+    r = make_monomial_ring(nvars, [(1,) * nvars])
+    d = r.degree_bound
+    scan = mono._scan_monomials(r)
+    assert scan == tuple(monomials_up_to(nvars, d))
+    assert mono._scan_monomials(r) is scan
+    grid = {e for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) <= d}
+    assert len(scan) == len(grid) and set(scan) == grid
+    assert [sum(e) for e in scan] == sorted(sum(e) for e in scan)
+
+
 def test_a_seeded_off_corpus_monomial_stage_is_clean():
     # the default corpus holds squarefree ideals only; these draws put
     # non-squarefree generators through the covers and the saturations, and
@@ -218,12 +231,28 @@ def test_a_seeded_off_corpus_monomial_stage_is_clean():
     corpus = [Instance("monomial", text, parse_ring_expr(text)) for text in texts]
     reports = {rep.theorem_id: rep for rep in run_suite(corpus)[1:]}
     assert [cx for rep in reports.values() for cx in rep.counterexamples] == []
-    for cid in ("A10Sep23", "c10Sep23", "A2Oct23"):
+    for cid in ("A10Sep23", "c10Sep23", "A2Oct23", "4Jul10"):
         assert 0 < reports[cid].applicable < reports[cid].considered == 150, cid
 
 
 # ---------------------------------------------------------------------------
 # the noncommutative pairing algebra
+
+
+def an_monomials(a):
+    """All nonzero normal forms of total degree <= the bound: by degree, then
+    word length, then word, then z exponents.  The reference enumeration
+    the class heads and the class scans are checked against."""
+    letters = range(1, a.letters + 1)
+    for total in range(a.degree_bound + 1):
+        for wlen in range(total + 1):
+            zparts = [(zexp, mask_of(i + 1 for i, e in enumerate(zexp) if e))
+                      for zexp in exponent_vectors(total - wlen, a.pairs)]
+            for word in itertools.product(letters, repeat=wlen):
+                wmask = mask_of(word)
+                for zexp, zmask in zparts:
+                    if not wmask & zmask:
+                        yield NCMonomial(word, zexp, False, wmask, zmask)
 
 
 def test_pairing_relations():
@@ -465,17 +494,46 @@ def test_commutation_is_constant_on_each_class(n):
 
 
 def test_a_fresh_verification_enumerates_the_normal_forms_once(monkeypatch):
+    # every scan of one algebra reads one class list, built on first use
     calls = []
+    body = mono._an_class_representatives.__wrapped__
 
     def counting(a):
         calls.append(a)
-        return an_monomials(a)
+        return body(a)
 
-    monkeypatch.setattr(mono, "an_monomials", counting)
+    monkeypatch.setattr(mono, "_an_class_representatives", memo(counting))
     a = an_build(2, default_degree_bound(2))
     assert an_verify(a) is None
     assert an_localize_normal(a, {1}) is None
     assert calls == [a]
+
+
+def _form(m):
+    return m.word, m.zexp, m.is_zero, m.wmask, m.zmask
+
+
+def test_the_class_heads_are_the_first_members_in_enumeration_order():
+    # one reference enumeration per n, at its largest admitted degree: the
+    # enumeration at a lower degree is its prefix of lower-degree forms
+    for n in range(5):
+        admitted = []
+        for d in range(1, 9):
+            try:
+                admitted.append(an_build(n, d))
+            except DegreeBudgetError:
+                pass
+        firsts = {}
+        for m in an_monomials(admitted[-1]):
+            firsts.setdefault((m.degree(), m.wmask, m.zmask), m)
+        for a in admitted:
+            heads = [_form(m) for m in firsts.values() if m.degree() <= a.degree_bound]
+            assert [_form(m) for m in mono._an_class_representatives(a)] == heads, a
+
+
+def test_class_counts_at_the_default_degree():
+    assert [len(mono._an_class_representatives(an_build(n, default_degree_bound(n))))
+            for n in (1, 2, 3)] == [58, 162, 319]
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +622,9 @@ def test_monomial_count_reference_values():
 
 def test_an_budget_is_checked_before_any_enumeration(capsys, monkeypatch):
     def no_enumeration(*args):
-        raise AssertionError("monomials were enumerated despite the budget")
+        raise AssertionError("class heads were built despite the budget")
 
-    monkeypatch.setattr(mono, "an_monomials", no_enumeration)
+    monkeypatch.setattr(mono, "_an_class_representatives", no_enumeration)
     assert main(["an", "verify", "--n", "4", "--degree", "8"]) == 3
     assert "2566955 monomials" in capsys.readouterr().err
     with pytest.raises(DegreeBudgetError):
