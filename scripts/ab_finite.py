@@ -7,9 +7,10 @@ Each round starts one fresh interpreter per checkout, in alternating order
 (parent first in even rounds, change first in odd ones), and runs that
 checkout's own `perfbench/rep.py` on the workload, so each side measures its
 own code with its own harness.  Every interpreter reports the wall time of
-`run_suite` (rep.py's `verify_s`), the process CPU time spent inside
-`run_suite` (read with `time.process_time`; on a pooled workload this misses
-the workers' CPU) and rep.py's `peak_rss_mb`.  The script prints the median
+`run_suite` (rep.py's `verify_s`), the CPU time spent inside `run_suite`
+(this process's `time.process_time` plus the user and system time of the
+worker processes it forked and reaped, read from `RUSAGE_CHILDREN`) and
+rep.py's `peak_rss_mb`.  The script prints the median
 and the minimum of each for each side, the report sha256 of each side, and
 the number of rounds the change was lower on each measure.  Process CPU is
 the steadier of the two times on a shared machine: another tenant's load
@@ -35,20 +36,23 @@ import tempfile
 from statistics import median
 
 # Runs inside the fresh interpreter: load rep.py from the checkout, count
-# run_suite's process CPU, and print one JSON line.
+# the CPU of run_suite and of the workers it reaped, and print one JSON line.
 DRIVER = r"""
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, "perfbench")
 import rep
 import orespec.harness as harness
 spent = [0.0]
 run_suite = harness.run_suite
+def children_cpu():
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
 def timed(*args, **kwargs):
-    t0 = time.process_time()
+    t0, c0 = time.process_time(), children_cpu()
     try:
         return run_suite(*args, **kwargs)
     finally:
-        spent[0] += time.process_time() - t0
+        spent[0] += time.process_time() - t0 + children_cpu() - c0
 harness.run_suite = timed
 out = rep.run(json.loads(sys.argv[1]))
 print(json.dumps({"verify_s": out["verify_s"], "cpu_s": spent[0],

@@ -486,7 +486,8 @@ def interning():
     back at the table is freed then rather than left as a reference cycle
     for the cyclic garbage collector.  Quotients and centres are interned
     as constructed tables are, and monomial quotients by their ideal
-    (`interned`).  A memo is a dict of per-function tables, and emptying it
+    (`interned`), as are other immutable values shared within a run, which
+    have no memo.  A memo is a dict of per-function tables, and emptying it
     drops them all.
     """
     if _INTERN.get() is not None:  # join the enclosing block
@@ -498,8 +499,9 @@ def interning():
         yield
     finally:
         _INTERN.reset(token)
-        for table in seen.values():
-            table.memo.clear()
+        for obj in seen.values():
+            if hasattr(obj, "memo"):
+                obj.memo.clear()
 
 
 def _audited(r: RingTable) -> RingTable:

@@ -4,20 +4,26 @@ Instances are described by expressions of the ring DSL; the expression text is
 the provenance, and rebuilding from it alone reproduces the instance exactly.
 Every finite instance passes the full axiom audit before any claim check runs,
 so an injected table fault surfaces as a counterexample of the audit report,
-never as a bogus theorem verdict.  Reports are deterministic for a fixed
-configuration regardless of the worker count: results are merged in corpus
-order and wall time lives outside the comparable body.  The checks run once
-per isomorphism class of finite tables, and once per instance of the other
-kinds, and each instance gets the outcome under its own provenance: a row
-without a fail is copied to the other tables of its class, and after a fail
-each of them not on the first table object runs the checks on its own.
+never as a bogus theorem verdict.  With jobs above 1 the calling process
+forks at most jobs - 1 children, one per task at most, and runs a stripe of
+the tasks itself; a child that dies raises RingError, never a hang.  Reports
+are deterministic for a fixed configuration regardless of the worker count:
+results are merged in corpus order and wall time lives outside the
+comparable body.  The checks run once per isomorphism class of finite
+tables, and once per instance of the other kinds, and each instance gets
+the outcome under its own provenance: a row without a fail is copied to the
+other tables of its class, and after a fail each of them not on the first
+table object runs the checks on its own.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 
 from .checks import COVERAGE, Outcome, REGISTRY, decide
@@ -197,16 +203,6 @@ def _run_checks_on_instance(inst: Instance, ids: tuple[str, ...], cfg: CorpusCon
     return out
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker(args):
-    idx, ids = args
-    inst = _WORKER_STATE["corpus"][idx]
-    cfg = _WORKER_STATE["cfg"]
-    return idx, _run_checks_on_instance(inst, ids, cfg)
-
-
 def class_heads(rings: list[RingTable]) -> list[int]:
     """For each table, the index of the first table isomorphic to it.  A table
     object met before joins its class without a search, and only tables with
@@ -228,20 +224,69 @@ def class_heads(rings: list[RingTable]) -> list[int]:
 
 def _evaluate(good: list[Instance], todo: list[int], ids: tuple[str, ...],
               cfg: CorpusConfig, jobs: int) -> dict:
-    """The checks' rows for the instances at the indices todo, serially or in
-    a pool of at most jobs workers."""
-    tasks = [(i, ids) for i in todo]
-    workers = min(jobs, len(tasks))  # no idle workers, and none without a task
+    """The checks' rows for the instances at the indices todo.
+
+    With workers = min(jobs, len(todo)) above 1, this process forks
+    workers - 1 children and is worker 0 itself: worker w runs the fixed
+    stripe todo[::-1][w::workers] (reversed corpus order starts the
+    monomial and pairing tasks first), and each child sends its rows back
+    pickled through a pipe of its own.  A child that exits nonzero, is
+    killed or sends a short result raises RingError once every child is
+    reaped; any exception here kills and reaps the children not yet reaped.
+    """
+    workers = min(jobs, len(todo))  # no idle workers, and none without a task
     if workers <= 1:
         return {i: _run_checks_on_instance(good[i], ids, cfg) for i in todo}
-    _WORKER_STATE["corpus"] = good
-    _WORKER_STATE["cfg"] = cfg
+    stripes = [todo[::-1][w::workers] for w in range(workers)]
+    children: dict = {}  # pid -> read end of its pipe, until it is reaped
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            return dict(pool.map(_worker, tasks))
+        for stripe in stripes[1:]:
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_stripe_and_exit(rfd, wfd, good, stripe, ids, cfg)
+            children[pid] = os.fdopen(rfd, "rb")
+            os.close(wfd)
+        rows = {i: _run_checks_on_instance(good[i], ids, cfg) for i in stripes[0]}
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise RingError(f"worker process {pid} "
+                                + (f"was killed by signal {-code}" if code < 0
+                                   else f"exited with status {code}"))
+            try:
+                rows.update(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                raise RingError(f"worker process {pid} exited with status 0 "
+                                f"but sent a short result ({len(data)} bytes)") from None
+        return rows
     finally:
-        _WORKER_STATE.clear()
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_stripe_and_exit(rfd: int, wfd: int, good: list[Instance], stripe: list[int],
+                         ids: tuple[str, ...], cfg: CorpusConfig):
+    """A forked child's whole life: pickle the stripe's rows into its pipe
+    and leave through os._exit, 0 on success and 1 on any exception, so that
+    no code of the parent's stack runs again in the child."""
+    code = 1
+    try:
+        os.close(rfd)  # the parent is the pipe's reader
+        rows = {i: _run_checks_on_instance(good[i], ids, cfg) for i in stripe}
+        with os.fdopen(wfd, "wb") as out:
+            pickle.dump(rows, out)
+        code = 0
+    except Exception:
+        traceback.print_exc()  # the parent reports the exit status
+    finally:
+        os._exit(code)
 
 
 def run_suite(

@@ -209,8 +209,10 @@ def monomials_up_to(nvars: int, degree: int):
 
 @memo
 def _scan_monomials(r: CommMonomialRing) -> tuple[tuple[int, ...], ...]:
-    """The monomials every localization of r checks membership on."""
-    return tuple(monomials_up_to(r.nvars, r.degree_bound))
+    """The monomials every localization of r checks membership on; within
+    an interning block, one tuple for all rings of r's variable count and
+    degree bound."""
+    return interned(tuple(monomials_up_to(r.nvars, r.degree_bound)))
 
 
 def _min_covers_avoiding(r: CommMonomialRing, vmask: int) -> list[int]:

@@ -1,11 +1,16 @@
 import json
+import os
 import pathlib
+import pickle
+import re
+import signal
 import time
 
 import pytest
 
 from orespec import harness
 from orespec.checks import COVERAGE, REGISTRY, TheoremCheck
+from orespec.cli import main
 from orespec.dsl import evaluate, parse_ring_expr
 from orespec.finring import RingError, RingTable
 from orespec.harness import (
@@ -199,48 +204,106 @@ def test_vacuous_hypotheses_report_not_applicable(small_corpus):
     assert rep.considered == 0 and rep.applicable == 0 and rep.passed == 0
 
 
-class _InProcessPools:
-    """Stands in for the multiprocessing module: records each pool's size and
-    maps in this process."""
+def _count_forks(monkeypatch):
+    """Record each os.fork call in the returned list, then fork."""
+    forks = []
+    fork = os.fork
 
-    def __init__(self):
-        self.sizes = []
+    def counted():
+        forks.append(os.getpid())
+        return fork()
 
-    def get_context(self, method):
-        return self
-
-    def Pool(self, workers):
-        self.sizes.append(workers)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return list(map(fn, items))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def test_the_pool_has_at_most_one_worker_per_task(monkeypatch):
-    pools = _InProcessPools()
-    monkeypatch.setattr(harness, "multiprocessing", pools)
+    forks = _count_forks(monkeypatch)
     cfg = CorpusConfig(order_cap=4)
     corpus = [Instance("finite", text, parse_ring_expr(text))
               for text in ("zmod(2)", "zmod(3)", "gf(2)", "zmod(4)")]
     serial = render_machine(run_suite(corpus, FAST_IDS, cfg, jobs=1))
+    assert forks == []
     assert render_machine(run_suite(corpus, FAST_IDS, cfg, jobs=200)) == serial
-    assert pools.sizes == [3]  # gf(2) runs on zmod(2)'s table
+    # three tasks, as gf(2) runs on zmod(2)'s table: this process runs one
+    assert len(forks) == 2
 
 
 def test_a_run_without_tasks_still_reports_its_audit(monkeypatch):
-    pools = _InProcessPools()
-    monkeypatch.setattr(harness, "multiprocessing", pools)
+    forks = _count_forks(monkeypatch)
     cfg = CorpusConfig(order_cap=4)
     corpus = [inject_table_fault(Instance("finite", text, parse_ring_expr(text)), cfg)
               for text in ("zmod(3)", "zmod(4)")]
     audit, *reports = run_suite(corpus, FAST_IDS, cfg, jobs=2)
-    assert pools.sizes == []
+    assert forks == []
     assert (audit.considered, audit.passed, len(audit.counterexamples)) == (2, 0, 2)
     assert [r.considered for r in reports] == [0] * len(FAST_IDS)
+
+
+FOUR = ("zmod(2)", "zmod(3)", "zmod(4)", "zmod(5)")  # four tasks, two per stripe at jobs=2
+
+
+def _in_child(monkeypatch, act):
+    """Patch the harness so that act(inst) runs first in each forked child."""
+    parent = os.getpid()
+    run_checks = harness._run_checks_on_instance
+
+    def patched(inst, ids, cfg):
+        if os.getpid() != parent:
+            act(inst)
+        return run_checks(inst, ids, cfg)
+
+    monkeypatch.setattr(harness, "_run_checks_on_instance", patched)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("act, named", [
+    (lambda inst: os._exit(7), r"exited with status 7\b"),
+    (lambda inst: os.kill(os.getpid(), signal.SIGKILL), r"killed by signal 9\b"),
+])
+def test_a_dying_worker_raises_instead_of_hanging(monkeypatch, act, named):
+    _in_child(monkeypatch, act)
+    corpus = [Instance("finite", text, parse_ring_expr(text)) for text in FOUR]
+    t0 = time.monotonic()
+    with pytest.raises(RingError, match=named):
+        run_suite(corpus, FAST_IDS, CorpusConfig(order_cap=5), jobs=2)
+    assert time.monotonic() - t0 < 5
+    _assert_no_child_left()
+
+
+def test_the_cli_reports_a_dying_worker_as_an_error(monkeypatch, capsys):
+    _in_child(monkeypatch, lambda inst: os._exit(7))
+    assert main(["verify", "--max-order", "4", "--suite", "finite", "--jobs", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"error: worker process \d+ exited with status 7\n", out.err)
+    _assert_no_child_left()
+
+
+def test_a_short_result_from_a_worker_raises(monkeypatch):
+    monkeypatch.setattr(pickle, "dump", lambda obj, out: out.write(pickle.dumps(obj)[:-3]))
+    corpus = [Instance("finite", text, parse_ring_expr(text)) for text in FOUR]
+    with pytest.raises(RingError, match=r"status 0 but sent a short result"):
+        run_suite(corpus, FAST_IDS, CorpusConfig(order_cap=5), jobs=2)
+    _assert_no_child_left()
+
+
+def test_an_exception_in_this_process_kills_and_reaps_the_children(monkeypatch):
+    parent = os.getpid()
+
+    def interrupted_here(inst, ids, cfg):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child outlives the test unless it is killed
+
+    monkeypatch.setattr(harness, "_run_checks_on_instance", interrupted_here)
+    corpus = [Instance("finite", text, parse_ring_expr(text)) for text in FOUR]
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(corpus, FAST_IDS, CorpusConfig(order_cap=5), jobs=2)
+    assert time.monotonic() - t0 < 5
+    _assert_no_child_left()

@@ -3,10 +3,14 @@
 Covers the engine under `src/orespec/`, the scripts and the tests.  A name
 counts as read when the file loads it (`name` or `name.attr`) anywhere, or
 lists it in `__all__`.  `from __future__` imports are directives, not names.
+Importing the command line loads no module it does not use.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).parents[1]
 SCANNED = (ROOT / "src" / "orespec", ROOT / "scripts", ROOT / "tests")
@@ -38,3 +42,10 @@ def test_no_unread_imports():
         for line, name in _unread_imports(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    code = "import sys, orespec.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr

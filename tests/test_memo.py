@@ -3,14 +3,16 @@
 import gc
 import pathlib
 import re
+import sys
 import weakref
 
 from orespec.centre import rho
 from orespec.checks import _factor_matches
-from orespec.finring import make_quotient, make_zmod
+from orespec.finring import interning, make_quotient, make_zmod
 from orespec.harness import CorpusConfig, build_corpus, run_suite
 from orespec.ideals import min_prime_masks_over, prime_radical_mask
 from orespec.localization import left_denominator_sets, localize, localize_left_ideal
+from orespec.monomial import _scan_monomials, make_monomial_ring
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "orespec"
 
@@ -62,6 +64,19 @@ def test_a_pooled_run_keeps_no_reference_to_its_corpus():
     del corpus, ring
     gc.collect()
     assert ref() is None
+
+
+def test_a_run_shares_one_monomial_scan_per_variable_count_and_frees_it():
+    with interning():
+        a = make_monomial_ring(2, [(1, 1)])
+        scan = _scan_monomials(a)
+        assert _scan_monomials(make_monomial_ring(2, [(2, 0)])) is scan
+        assert _scan_monomials(make_monomial_ring(3, [(1, 1, 0)])) is not scan
+    assert not a.memo
+    assert sys.getrefcount(scan) == 2  # this name and the argument: the run let go
+    with interning():
+        again = _scan_monomials(make_monomial_ring(2, [(1, 1)]))
+    assert again == scan and again is not scan  # a run's value, not the process's
 
 
 def test_no_process_global_caches_in_the_engine():
