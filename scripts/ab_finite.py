@@ -10,11 +10,14 @@ own code with its own harness.  Every interpreter reports the wall time of
 `run_suite` (rep.py's `verify_s`), the CPU time spent inside `run_suite`
 (this process's `time.process_time` plus the user and system time of the
 worker processes it forked and reaped, read from `RUSAGE_CHILDREN`) and
-rep.py's `peak_rss_mb`.  The script prints the median
-and the minimum of each for each side, the report sha256 of each side, and
-the number of rounds the change was lower on each measure.  Process CPU is
-the steadier of the two times on a shared machine: another tenant's load
-stretches wall time more than CPU time.
+rep.py's `peak_rss_mb`.  The script prints, for each side, the median, the
+quartiles and the minimum of each, the number of rounds the change was lower
+on each measure (ties count for neither side), and whether the change meets
+the rule for claiming a gain: lower in at least 90 % of the rounds, and the
+medians farther apart than the parent's interquartile range.  It also prints
+the report sha256 of each side.  Process CPU is the steadier of the two
+times on a shared machine: another tenant's load stretches wall time more
+than CPU time.
 
 Each checkout caches its bytecode, and the standard library's, in a
 temporary directory of its own (`PYTHONPYCACHEPREFIX`, with
@@ -33,7 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from statistics import median
+from statistics import median, quantiles
 
 # Runs inside the fresh interpreter: load rep.py from the checkout, count
 # the CPU of run_suite and of the workers it reaped, and print one JSON line.
@@ -62,6 +65,23 @@ print(json.dumps({"verify_s": out["verify_s"], "cpu_s": spent[0],
 
 # (key, name, unit) of each measure the summary compares
 MEASURES = (("verify_s", "wall", "s"), ("cpu_s", "cpu", "s"), ("peak_rss_mb", "rss", "MB"))
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles, by the inclusive method, which stays
+    within the sample's range on a few rounds."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def verdict(par: list[float], chg: list[float]) -> tuple[int, bool]:
+    """The rounds the change was lower, and whether that and the median gap
+    meet the rule for claiming a lower value."""
+    won = sum(c < p for p, c in zip(par, chg))
+    q1, q3 = quartiles(par)
+    return won, won >= 0.9 * len(par) and median(par) - median(chg) > q3 - q1
 
 
 def environment(tree: str, cache: str) -> dict:
@@ -116,11 +136,15 @@ def main(argv=None) -> int:
     for key, name, unit in MEASURES:
         par = [r[key] for r in runs["parent"]]
         chg = [r[key] for r in runs["change"]]
-        won = sum(c < p for p, c in zip(par, chg))
+        won, met = verdict(par, chg)
+        (p1, p3), (c1, c3) = quartiles(par), quartiles(chg)
         print(f"{name:>4}: median {median(par):.3f} -> {median(chg):.3f} {unit} "
               f"({median(chg) / median(par) - 1:+.1%}), "
+              f"quartiles {p1:.3f}-{p3:.3f} -> {c1:.3f}-{c3:.3f} {unit}, "
               f"min {min(par):.3f} -> {min(chg):.3f} {unit} ({min(chg) / min(par) - 1:+.1%}); "
-              f"change lower in {won} of {args.rounds} rounds")
+              f"change lower in {won} of {args.rounds} rounds; "
+              f"lower in >= 90 % of rounds and median gap > parent IQR: "
+              f"{'met' if met else 'not met'}")
     for side in ("parent", "change"):
         shas = sorted({s for r in runs[side] for s in r["shas"]})
         print(f"{side} report sha256: {', '.join(shas)}")

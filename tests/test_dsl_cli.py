@@ -548,3 +548,17 @@ def test_scripts_reject_max_order_below_one(script):
                           env=ENV, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert "--max-order: must be at least 1" in done.stderr
+
+
+def test_ab_finite_claims_a_gain_only_under_the_pair_rule():
+    spec = importlib.util.spec_from_file_location("ab_finite", ROOT / "scripts" / "ab_finite.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    parent = [1.00, 1.02, 1.04, 1.06, 1.08, 1.10, 1.12, 1.14, 1.16, 1.18]
+    assert ab.quartiles(parent) == pytest.approx((1.045, 1.135))
+    assert ab.verdict(parent, [p - 0.2 for p in parent]) == (10, True)
+    # lower in every round, but by less than the parent's interquartile range
+    assert ab.verdict(parent, [p - 0.05 for p in parent]) == (10, False)
+    # far lower in 8 rounds of 10; ties count for neither side
+    assert ab.verdict(parent, [p - 0.2 for p in parent[:8]] + parent[8:]) == (8, False)
+    assert ab.quartiles([0.5]) == (0.5, 0.5)

@@ -19,10 +19,17 @@ engine's answers is known without knowing the answers.
 (g) Running the checks once per isomorphism class of tables, and copying a
     row that passed to the other tables of the class, changes no byte of the
     machine report, serial or at jobs=2.
+(i) A finite ring is Artinian, so its Jacobson radical
+    J = {x : 1 - yx is a unit for every y} is its prime radical, R/J is
+    semisimple, and the minimal primes of R are the preimages of the
+    annihilators {x : ex = 0} of the primitive central idempotents e of R/J
+    (Lam, GTM 131, sections 4 and 10).  This route reads the unit mask, the
+    tables and one quotient, never the ideal lattice.
 
 (a) and (d) run over every distinct finite table of the default corpus with
 a fixed seed, so a failure is reproducible; (b), (c) and (f) over every
-monomial and every product instance of it.  (f) reads the factors' answers,
+monomial and every product instance of it; (i) over the first table of each
+isomorphism class.  (f) reads the factors' answers,
 not the product's other routes, so a defect that treats both factors alike
 still shows.
 """
@@ -42,6 +49,7 @@ from orespec.finring import (
     content,
     isomorphism,
     make_product,
+    make_quotient,
     normal_mask,
     regular_mask,
     units_mask,
@@ -51,10 +59,11 @@ from orespec.harness import (
     Instance,
     _run_checks_on_instance,
     build_corpus,
+    class_heads,
     render_machine,
     run_suite,
 )
-from orespec.ideals import all_ideal_masks, min_prime_masks, prime_masks
+from orespec.ideals import all_ideal_masks, min_prime_masks, prime_masks, prime_radical_mask
 from orespec.localization import MultSet, localize, mult_set_masks, ore_flags
 
 CFG = CorpusConfig()
@@ -241,3 +250,37 @@ def test_class_evaluation_changes_no_byte_of_the_report(monkeypatch):
     by_class = [serial, render_machine(run_suite(finite(), cfg=cfg, jobs=2))]
     monkeypatch.setattr(harness, "isomorphism", lambda a, b: None)
     assert reports() == by_class
+
+
+def _jacobson_radical_mask(r: RingTable) -> int:
+    """{x : 1 - yx is a unit for every y}."""
+    units = units_mask(r)
+    one_minus = [0] * r.order  # one_minus[t] + t == 1
+    for a in r.elements():
+        one_minus[r.add[a].index(r.one)] = a
+    return sum(1 << x for x in r.elements()
+               if all(units >> one_minus[r.mul[y][x]] & 1 for y in r.elements()))
+
+
+def _primitive_central_idempotents(q: RingTable) -> list[int]:
+    central = [e for e in bits(centre_mask(q)) if q.mul[e][e] == e and e != q.zero]
+    # f <= e when fe = f; a primitive one has no central idempotent below it
+    return [e for e in central if not any(f != e and q.mul[f][e] == f for f in central)]
+
+
+def test_the_idempotent_route_gives_the_prime_radical_and_the_minimal_primes(corpus_tables):
+    tables = [r for _, r in corpus_tables]
+    heads = [r for i, (r, k) in enumerate(zip(tables, class_heads(tables))) if i == k]
+    split = 0
+    for r in heads:
+        jac = _jacobson_radical_mask(r)
+        assert jac == prime_radical_mask(r), r.label
+        q, hom = make_quotient(r, jac)
+        idempotents = _primitive_central_idempotents(q)
+        preimages = {hom.preimage_mask(sum(1 << x for x in q.elements() if q.mul[e][x] == q.zero))
+                     for e in idempotents}
+        assert len(preimages) == len(idempotents)
+        assert preimages == set(min_prime_masks(r)), r.label
+        split += len(idempotents) > 1
+    assert len(heads) == 30
+    assert split > 0  # some head has several minimal primes, so e is not always 1

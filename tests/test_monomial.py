@@ -7,7 +7,7 @@ from orespec import monomial as mono
 from orespec.cli import main
 from orespec.dsl import parse_ring_expr
 from orespec.finring import bits, mask_of, memo, subsets
-from orespec.harness import Instance, run_suite
+from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
 from orespec.monomial import (
     AnAlgebra,
     AnPrime,
@@ -311,16 +311,57 @@ def test_localize_at_central_variables(n, v, count):
     assert len([p for p in an_min_primes(a) if not mask_of(v) & ~p.imask]) == count
 
 
-def test_localize_at_central_variables_is_memoised_per_set(monkeypatch):
-    a = an_build(2, 6)
-    assert an_localize_normal(a, {1}) is None
+def _counted_products(monkeypatch) -> list:
+    """A list that grows by one on every call of monomial.an_multiply."""
     products = []
     multiply = mono.an_multiply
     monkeypatch.setattr(mono, "an_multiply", lambda *args: products.append(1) or multiply(*args))
+    return products
+
+
+def test_localize_at_central_variables_is_memoised_per_set(monkeypatch):
+    a = an_build(2, 6)
+    assert an_localize_normal(a, {1}) is None
+    products = _counted_products(monkeypatch)
     assert an_localize_normal(a, (1,)) is None
     assert products == []
     assert an_localize_normal(a, {2}) is None
     assert products
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_domain_scan_forms_each_product_once(monkeypatch, n):
+    # one product per degree-feasible pair of class heads that lie outside
+    # a common prime, however many primes that is
+    a = an_build(n, default_degree_bound(n))
+    primes = an_min_primes(a)
+    heads = mono._an_class_representatives(a)
+    pairs = sum(1 for m1 in heads for m2 in heads
+                if m1.degree() + m2.degree() <= a.degree_bound
+                and any(not p.contains(m1) and not p.contains(m2) for p in primes))
+    products = _counted_products(monkeypatch)
+    assert mono._zero_divisors(a, primes) == [None] * len(primes)
+    assert len(products) == pairs == {1: 857, 2: 4029, 3: 7168}[n]
+
+
+def test_a_fresh_verification_forms_14701_products(monkeypatch):
+    products = _counted_products(monkeypatch)
+    counts = []
+    for n in (1, 2, 3):
+        assert an_verify(an_build(n, default_degree_bound(n))) is None
+        counts.append(len(products))
+        products.clear()
+    assert counts == [1086, 4808, 8807]
+
+
+def test_a_default_run_of_the_pairing_algebras_forms_20335_products(monkeypatch):
+    # perfbench's monomial.an_products on the default corpus, which only the
+    # an instances reach: an_verify's 14,701 and the localizations' and the
+    # checks' own scans
+    corpus = [inst for inst in build_corpus(CorpusConfig()) if inst.kind == "an"]
+    products = _counted_products(monkeypatch)
+    run_suite(corpus)
+    assert len(corpus) == 3 and len(products) == 20_335
 
 
 @pytest.mark.parametrize("lie, clause", [
@@ -364,7 +405,7 @@ def test_products_above_the_degree_bound_stay_exact():
 
 def _full_zero_divisor(a, p):
     """The first product of two normal forms outside p that lands in p, over
-    every pair, in the order of _zero_divisor's degree buckets."""
+    every pair, in the order of one prime's degree buckets."""
     outside = [m for m in an_monomials(a) if not p.contains(m)]
     by_degree = {d: [m for m in outside if m.degree() == d]
                  for d in dict.fromkeys(m.degree() for m in outside)}
@@ -470,7 +511,7 @@ def test_class_scans_match_the_full_scans(monkeypatch, n, lie, masked):
         monkeypatch.setattr(mono, "an_multiply", lie(mono.an_multiply))
     a = an_build(n, default_degree_bound(n))  # fresh, so no memoised verdict answers
     assert an_verify(a) == _full_an_verify(a)
-    witnesses = [mono._zero_divisor(a, p) for p in an_min_primes(a)]
+    witnesses = mono._zero_divisors(a, an_min_primes(a))
     assert witnesses == [_full_zero_divisor(a, p) for p in an_min_primes(a)]
     assert any(witnesses) == masked
     mismatches = []
