@@ -4,9 +4,11 @@
 A clause site is a `yield "<clause>", ...` in `checks.py` or a
 `return "<clause>", ...` in an evaluator of `checks.py`, `localization.py`,
 `centre.py`, `ideals.py` or `monomial.py`.  A decision site is a
-`return False` in `finring.py`, `ideals.py` or `localization.py`: the early
-exit of a yes/no test of the engine, such as the audit's generator test,
-named after its function.  For each site, one at a time, the
+`return False` in `finring.py`, `ideals.py` or `localization.py`, the early
+exit of a yes/no test of the engine, or a `return <message>` of an engine
+test that returns its first fault (`audit_ring`, `_triple_law_violation`
+and `RingHom.verify` in `finring.py`); a decision site is named after its
+function.  For each site, one at a time, the
 sweep copies the checkout to a temporary directory, replaces that statement
 with `pass` there, and tests the copy in stages, cheapest first, stopping
 at the first that fails:
@@ -50,6 +52,7 @@ TARGETS = {
     "monomial.py": ast.Return,
 }
 DECISIONS = ("finring.py", "ideals.py", "localization.py")
+FAULT_TESTS = {"finring.py": ("audit_ring", "_triple_law_violation", "verify")}
 
 
 def _clause(node) -> str | None:
@@ -60,6 +63,17 @@ def _clause(node) -> str | None:
         if isinstance(first, ast.Constant) and isinstance(first.value, str):
             return first.value
     return None
+
+
+def _decides(node, returns_faults: bool) -> bool:
+    """Whether node is a decision site: a `return False`, or in a test that
+    returns its first fault, a return of anything but None."""
+    if not isinstance(node, ast.Return) or node.value is None:
+        return False
+    value = node.value
+    if returns_faults:
+        return not (isinstance(value, ast.Constant) and value.value is None)
+    return isinstance(value, ast.Constant) and value.value is False
 
 
 def sites() -> list[tuple[str, ast.stmt, str]]:
@@ -83,10 +97,10 @@ def sites() -> list[tuple[str, ast.stmt, str]]:
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
-                            and node.value.value is False):
+                    if _decides(node, fn.name in FAULT_TESTS.get(name, ())):
                         owner[node] = fn.name
-        out += [(name, node, f"{fn}: return False") for node, fn in owner.items()]
+        out += [(name, node, f"{fn}: return {ast.unparse(node.value)}")
+                for node, fn in owner.items()]
     files = list(dict.fromkeys([*TARGETS, *DECISIONS]))
     return sorted(out, key=lambda s: (files.index(s[0]), s[1].lineno))
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .finring import (
     DEFAULT_ORDER_CAP,
+    GF_ORDERS,
     RingError,
     RingTable,
     SizeLimitError,
@@ -317,13 +318,12 @@ def _finite_operand(kind: str, expr: RingExpr, cap: int | None) -> RingTable:
 def evaluate(expr: RingExpr, cap: int | None = DEFAULT_ORDER_CAP):
     """Evaluate to a RingTable, CommMonomialRing, or AnAlgebra."""
     k = expr.kind
-    if k == "zmod":
+    if k in ("zmod", "gf"):
         n = expr.ints[0]
-        if cap is not None and n > cap:
-            raise SizeLimitError(f"zmod({n}) has order {n} > cap {cap}")
-        return make_zmod(n)
-    if k == "gf":
-        return make_gf(expr.ints[0])
+        # gf(q) for a q that make_gf does not build is a usage error at every cap
+        if cap is not None and n > cap and (k == "zmod" or n in GF_ORDERS):
+            raise SizeLimitError(f"{k}({n}) has order {n} > cap {cap}")
+        return make_zmod(n) if k == "zmod" else make_gf(n)
     if k == "mat":
         return make_matrix_ring(expr.ints[0], _finite_operand(k, expr.subs[0], cap), cap)
     if k == "tri":

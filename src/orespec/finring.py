@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 Mask = int
 
 DEFAULT_ORDER_CAP = 16
+GF_ORDERS = (2, 3, 4)  # the fields `make_gf` builds
 
 
 class RingError(Exception):
@@ -185,19 +186,20 @@ class RingHom:
     def __call__(self, i: int) -> int:
         return self.map[i]
 
-    def verify(self) -> list[str]:
-        """Return the list of homomorphism-law violations (empty when valid).
+    def verify(self) -> str | None:
+        """The first homomorphism-law fault of the map, or None when it is a
+        unital ring homomorphism.
 
         Each row of the source's tables is compared whole with the target's
         row at its image; only a row that differs is walked cell by cell, to
-        name each failing pair.  (On a one-element source the whole-row
+        name its first failing pair, so the fault is the first of the
+        pairwise loop over (a, b).  (On a one-element source the whole-row
         comparison never holds, and the walk decides.)"""
         s, t, m = self.source, self.target, self.map
-        bad = []
         if m[s.zero] != t.zero:
-            bad.append("map(0) != 0")
+            return "map(0) != 0"
         if m[s.one] != t.one:
-            bad.append("map(1) != 1")
+            return "map(1) != 1"
         image = m.__getitem__
         at_images = operator.itemgetter(*m)  # a target row read at m(b) for every b
         for a in s.elements():
@@ -207,10 +209,10 @@ class RingHom:
                 continue
             for b in s.elements():
                 if m[s.add[a][b]] != t.add[m[a]][m[b]]:
-                    bad.append(f"additivity fails at ({a},{b})")
+                    return f"additivity fails at ({a},{b})"
                 if m[s.mul[a][b]] != t.mul[m[a]][m[b]]:
-                    bad.append(f"multiplicativity fails at ({a},{b})")
-        return bad
+                    return f"multiplicativity fails at ({a},{b})"
+        return None
 
     def image_mask(self) -> Mask:
         return mask_of(self.map)
@@ -232,7 +234,7 @@ class RingHom:
         return self.is_injective() and self.source.order == self.target.order
 
     def is_isomorphism(self) -> bool:
-        return self.is_bijective() and not self.verify()
+        return self.is_bijective() and self.verify() is None
 
     def then(self, g: RingHom) -> RingHom:
         """g after self."""
@@ -278,7 +280,7 @@ def isomorphism(a: RingTable, b: RingTable) -> RingHom | None:
     unused element of b with its invariants in turn, and the partial map is
     closed under both operations, so each choice fixes the subring it
     generates and a conflict prunes the branch.  A map is returned only if it
-    is bijective and RingHom.verify() finds no fault, so an invariant that is
+    is bijective and RingHom.verify() returns None, so an invariant that is
     wrong could only miss an isomorphism, never report a false one.
     """
     if invariant_key(a) != invariant_key(b):
@@ -333,45 +335,41 @@ def isomorphism(a: RingTable, b: RingTable) -> RingHom | None:
 # axiom audit
 
 @memo
-def audit_ring(r: RingTable) -> list[str]:
-    """Run the full ring-axiom audit and return all violations found.
+def audit_ring(r: RingTable) -> str | None:
+    """The first ring-axiom violation of the table, or None when it is a ring.
 
-    The audit never raises; constructors assert an empty result, while the
-    verification harness runs it on every corpus instance so an injected
+    The audit never raises; constructors assert that it returns None, while
+    the verification harness runs it on every corpus instance so an injected
     table fault is reported as a counterexample instead of a wrong verdict.
     Memoised on the table, so the harness reads a constructor's audit from
-    the memo.  The laws in three elements are decided on additive generators
-    (`_triple_laws_hold`); only a table that fails there, or fails a law in
-    one or two elements, is scanned over every triple for its violations.
+    the memo.  The laws in one or two elements are read directly and return
+    at their first failure; on a table that passes them, the laws in three
+    elements are decided on additive generators (`_triple_law_violation`).
     """
     n = r.order
     add, mul = r.add, r.mul
-    bad = []
     if n < 2:
-        return ["order < 2"]
+        return "order < 2"
     if len(add) != n or len(mul) != n or any(len(row) != n for row in add + mul):
-        return ["table shape mismatch"]
+        return "table shape mismatch"
     for row in add + mul:
         if min(row) < 0 or max(row) >= n:
-            return [f"entry {next(v for v in row if not 0 <= v < n)} out of range"]
+            return f"entry {next(v for v in row if not 0 <= v < n)} out of range"
     z, e = r.zero, r.one
     if z == e:
-        bad.append("zero == one")
+        return "zero == one"
     columns = tuple(zip(*add))
     for a in range(n):
         if add[a][z] != a or add[z][a] != a:
-            bad.append(f"zero is not an additive identity at {a}")
+            return f"zero is not an additive identity at {a}"
         if mul[a][e] != a or mul[e][a] != a:
-            bad.append(f"one is not a multiplicative identity at {a}")
+            return f"one is not a multiplicative identity at {a}"
         if z not in add[a]:
-            bad.append(f"{a} has no additive inverse")
+            return f"{a} has no additive inverse"
         if add[a] != columns[a]:
-            for b in range(n):
-                if add[a][b] != add[b][a]:
-                    bad.append(f"addition not commutative at ({a},{b})")
-    if bad or not _triple_laws_hold(r):
-        _scan_triple_laws(r, bad)
-    return bad
+            b = next(b for b in range(n) if add[a][b] != add[b][a])
+            return f"addition not commutative at ({a},{b})"
+    return _triple_law_violation(r)
 
 
 def _additive_generators(r: RingTable) -> list[int]:
@@ -400,11 +398,14 @@ def _additive_generators(r: RingTable) -> list[int]:
     return gens
 
 
-def _triple_laws_hold(r: RingTable) -> bool:
-    """Additive and multiplicative associativity and both distributive laws,
-    on a table whose laws in one or two elements hold (identities, additive
-    inverses, commutative addition), with the moving element a generator g
-    of (R, +).  This suffices:
+def _triple_law_violation(r: RingTable) -> str | None:
+    """The first failure of additive or multiplicative associativity or of
+    a distributive law, or None, on a table whose laws in one or two
+    elements hold (identities, additive inverses, commutative addition).
+    The moving element is a generator g of (R, +), and each law is compared
+    a whole row at a time: the first row that differs names its first
+    failing cell, as (x, g, y), or as (a, b, c) with a and b generators for
+    multiplicative associativity.  Generators suffice:
 
     * the x with (u + x) + v = u + (x + v) for all u, v are closed under
       + (Light's test), so containing the generators they are all of R;
@@ -425,43 +426,30 @@ def _triple_laws_hold(r: RingTable) -> bool:
         plus_g = operator.itemgetter(*add[g])  # reads a row at g + y, for every y
         for x in range(r.order):
             # (x + g) + y == x + (g + y)
-            if add[add[x][g]] != plus_g(add[x]):
-                return False
-            # x(y + g) == xy + xg and (y + g)x == yx + gx, with + commutative
+            lhs, rhs = add[add[x][g]], plus_g(add[x])
+            if lhs != rhs:
+                return _violation("addition not associative", x, g, lhs, rhs)
+            # x(g + y) == xg + xy and (g + y)x == gx + yx
             row, col = mul[x], columns[x]
-            if plus_g(row) != by_row[x](add[row[g]]):
-                return False
-            if plus_g(col) != by_column[x](add[col[g]]):
-                return False
+            lhs, rhs = plus_g(row), by_row[x](add[row[g]])
+            if lhs != rhs:
+                return _violation("left distributivity fails", x, g, lhs, rhs)
+            lhs, rhs = plus_g(col), by_column[x](add[col[g]])
+            if lhs != rhs:
+                return _violation("right distributivity fails", x, g, lhs, rhs)
     for a in gens:
         for b in gens:
             # (ab)c == a(bc) for every c
-            if mul[mul[a][b]] != by_row[b](mul[a]):
-                return False
-    return True
+            lhs, rhs = mul[mul[a][b]], by_row[b](mul[a])
+            if lhs != rhs:
+                return _violation("multiplication not associative", a, b, lhs, rhs)
+    return None
 
 
-def _scan_triple_laws(r: RingTable, bad: list[str]) -> None:
-    """Append the violations of the laws in three elements to bad, over
-    every triple in order, until more than eight violations are listed."""
-    n = r.order
-    add, mul = r.add, r.mul
-    for a in range(n):
-        adda, mula = add[a], mul[a]
-        for b in range(n):
-            ab_add, ab_mul = adda[b], mula[b]
-            addb, mulb = add[b], mul[b]
-            for c in range(n):
-                if add[ab_add][c] != adda[addb[c]]:
-                    bad.append(f"addition not associative at ({a},{b},{c})")
-                if mul[ab_mul][c] != mula[mulb[c]]:
-                    bad.append(f"multiplication not associative at ({a},{b},{c})")
-                if mul[a][addb[c]] != add[mula[b]][mula[c]]:
-                    bad.append(f"left distributivity fails at ({a},{b},{c})")
-                if mul[addb[c]][a] != add[mul[b][a]][mul[c][a]]:
-                    bad.append(f"right distributivity fails at ({a},{b},{c})")
-                if len(bad) > 8:
-                    return
+def _violation(law: str, a: int, b: int, lhs: tuple, rhs: tuple) -> str:
+    """law's message at (a, b, c), c the first index where the rows differ."""
+    c = next(c for c, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+    return f"{law} at ({a},{b},{c})"
 
 
 # content, and constructor call, -> the run's table; None outside a run
@@ -505,9 +493,9 @@ def interning():
 
 
 def _audited(r: RingTable) -> RingTable:
-    bad = audit_ring(r)
-    if bad:
-        raise EngineInvariantError(f"constructed table fails audit: {bad[0]}")
+    fault = audit_ring(r)
+    if fault is not None:
+        raise EngineInvariantError(f"constructed table fails audit: {fault}")
     return r
 
 
@@ -557,11 +545,11 @@ def make_zmod(n: int, label: str | None = None) -> RingTable:
 
 
 def make_gf(q: int) -> RingTable:
-    """The field with q elements, q in {2, 3, 4}."""
+    """The field with q elements, q in GF_ORDERS."""
+    if q not in GF_ORDERS:
+        raise InvalidOrderError(f"gf supports q in {{2,3,4}}, got {q}")
     if q in (2, 3):
         return make_zmod(q, label=f"gf({q})")
-    if q != 4:
-        raise InvalidOrderError(f"gf supports q in {{2,3,4}}, got {q}")
     # F4 as F2[x]/(x^2+x+1); id = c0 + 2*c1 encodes c0 + c1*x.
     def mul4(a, b):
         a0, a1 = a & 1, a >> 1

@@ -30,6 +30,7 @@ from .checks import COVERAGE, Outcome, REGISTRY, decide
 from .dsl import RingExpr, evaluate, render
 from .finring import (
     DEFAULT_ORDER_CAP,
+    GF_ORDERS,
     RingError,
     RingTable,
     audit_ring,
@@ -78,7 +79,7 @@ class Instance:
 
 def _finite_base_exprs(cfg: CorpusConfig) -> list[RingExpr]:
     out = [RingExpr("zmod", (n,)) for n in range(2, min(MAX_MODULAR, cfg.order_cap) + 1)]
-    out += [RingExpr("gf", (q,)) for q in (2, 3, 4) if q <= cfg.order_cap]
+    out += [RingExpr("gf", (q,)) for q in GF_ORDERS if q <= cfg.order_cap]
     if 16 <= cfg.order_cap:
         out.append(RingExpr("mat", (2,), (RingExpr("gf", (2,)),)))
     if 8 <= cfg.order_cap:
@@ -319,11 +320,10 @@ def run_suite(
                 audit.considered += 1
                 audit.applicable += 1
                 audit.cases += 1
-                bad = audit_ring(payload)  # a constructor's table answers from its memo
-                if bad:
+                fault = audit_ring(payload)  # a constructor's table answers from its memo
+                if fault is not None:
                     audit.counterexamples.append(
-                        Counterexample(inst.provenance, "axiom-audit", bad[0])
-                    )
+                        Counterexample(inst.provenance, "axiom-audit", fault))
                     continue
                 audit.passed += 1
             good.append(inst)
@@ -385,10 +385,10 @@ def explain(report: CheckReport, index: int, corpus: list[Instance],
     inst = next(i for i in corpus if i.provenance == cx.provenance)
     payload = inst.build(cfg.order_cap)
     if isinstance(payload, RingTable):
-        bad = audit_ring(payload)
+        fault = audit_ring(payload)
         lines.append(f"order:      {payload.order}")
-        if bad:
-            lines.append(f"audit:      {bad[0]}")
+        if fault is not None:
+            lines.append(f"audit:      {fault}")
             return "\n".join(lines)
         lines.append(f"units:      {sorted(bits(units_mask(payload)))}")
         mins = min_prime_masks(payload)

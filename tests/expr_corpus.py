@@ -1,6 +1,7 @@
 """A fixed fifty-expression corpus for parse/render round-trip checks,
-seeded draws of off-corpus monomial quotients, and seeded character edits
-of the fixed corpus."""
+seven non-commutative tables beyond the default order cap, seeded draws of
+off-corpus monomial quotients, and seeded character edits of the fixed
+corpus."""
 
 import random
 
@@ -25,6 +26,15 @@ FIXED_EXPRESSIONS = [
     "quot(prod(zmod(3), zmod(4)), gens=[6])",
     "prod(tri(2, gf(2)), zmod(2))",
     "mono(vars=2, gens=[v1^3, v1*v2^2])",
+]
+
+# non-commutative tables of order 27-64, built from the existing constructors:
+# most default class heads are commutative, and several claims meet at most
+# one non-commutative head at the default cap
+NONCOMMUTATIVE_EXPRESSIONS = [
+    "tri(2, gf(3))", "prod(zmod(2), mat(2, gf(2)))",
+    "prod(gf(2), prod(gf(2), tri(2, gf(2))))", "tri(3, gf(2))", "tri(2, zmod(4))",
+    "tri(2, gf(4))", "prod(tri(2, gf(2)), tri(2, gf(2)))",
 ]
 
 

@@ -367,6 +367,28 @@ def test_cli_zmod_honours_the_order_cap(capsys, monkeypatch):
     assert "zmod(40) has order 40 > cap 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["describe", "gf(4)", "--max-order", "2"], "gf(4) has order 4 > cap 2"),
+    (["describe", "gf(3)", "--max-order", "2"], "gf(3) has order 3 > cap 2"),
+    (["multsets", "gf(4)", "--max-order", "3"], "gf(4) has order 4 > cap 3"),
+    (["rho", "quot(gf(4), gens=[])", "--max-order", "2"], "gf(4) has order 4 > cap 2"),
+], ids=["describe-gf4", "describe-gf3", "multsets-gf4", "rho-quot-gf4"])
+def test_cli_gf_honours_the_order_cap(capsys, monkeypatch, argv, message):
+    def no_table(n, label=None):
+        raise AssertionError(f"a table of order {n} built despite the cap")
+
+    monkeypatch.setattr("orespec.dsl.make_zmod", no_table)
+    monkeypatch.setattr("orespec.dsl.make_gf", no_table)
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["1", "4", "16", "64"])
+def test_cli_gf_of_an_unbuilt_order_is_a_usage_error_at_every_cap(capsys, cap):
+    assert main(["describe", "gf(5)", "--max-order", cap]) == 2
+    assert "gf supports q in {2,3,4}, got 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["mat(120, gf(2))", "mat(5000, gf(2))", "tri(170, gf(2))"])
 def test_cli_matrix_size_budget_is_checked_before_any_slot(capsys, text):
     # the order 2^(k*k) has thousands of digits; the message must not spell it out

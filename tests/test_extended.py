@@ -1,10 +1,12 @@
-"""Coverage beyond the default corpus: the order-32 witness and fail paths.
+"""Coverage beyond the default corpus: the order-32 witness, the
+non-commutative stage, and fail paths.
 
 The default cap keeps every corpus ring at order <= 16, where no semiprime
 noncommutative ring admits a denominator set with zero divisors (the smallest
 such instance is a matrix ring times a field, order 32).  These tests drive
 that instance directly so the zero-divisor statements are exercised on a
-genuinely noncommutative semiprime ring, and they force the harness down its
+genuinely noncommutative semiprime ring, run every check on seven
+non-commutative tables of order 27-64, and force the harness down its
 failure path with a deliberately false claim.
 """
 
@@ -32,6 +34,8 @@ from orespec.finring import (
 from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
 from orespec.ideals import is_semiprime_ring
 from orespec.localization import classify_set, left_denominator_sets
+
+from expr_corpus import NONCOMMUTATIVE_EXPRESSIONS
 
 CFG = CorpusConfig()
 
@@ -82,12 +86,44 @@ def _relabel(r, perm):
                      f"{r.label}~")
 
 
+# applicable instances of each check on NONCOMMUTATIVE_EXPRESSIONS at cap 64
+NONCOMMUTATIVE_APPLICABLE = {
+    "A11Sep23": 7, "aA11Sep23": 7, "a6Oct23": 7, "Aa6Oct23": 7, "Xa10Sep23": 6,
+    "b14Oct23": 7, "c14Oct23": 7, "A29Sep23": 7, "aA29Sep23": 7, "B29Sep23": 7,
+    "29Sep23": 7, "a29Sep23": 7, "b10Sep23": 1, "A10Sep23": 1, "c10Sep23": 1,
+    "aA10Sep23": 6, "A15Sep23": 7, "a20Sep23": 7, "19Sep23": 1, "28Sep23": 1,
+    "b28Sep23": 1, "10Jan19": 7, "A2Oct23": 7, "a5Oct23": 7, "A25Sep23": 7,
+    "aB25Sep23": 1, "B25Sep23": 1, "a25Sep23": 1, "aC25Sep23": 1, "4Jul10": 7,
+}
+# the checks applicable on none of the tables, and why
+NONCOMMUTATIVE_NEVER_APPLICABLE = {
+    "a10Sep23": "needs a prime ring; a finite prime ring is a matrix ring over a "
+                "field, and each table here is triangular or a product",
+    "a28Sep23": "needs a commutative ring",
+    "b29Sep23": "runs on the pairing algebra an only",
+}
+
+
+def test_the_noncommutative_stage_is_clean():
+    cfg = CorpusConfig(order_cap=64)
+    corpus = [Instance("finite", text, parse_ring_expr(text))
+              for text in NONCOMMUTATIVE_EXPRESSIONS]
+    audit, *reports = run_suite(corpus, None, cfg)
+    assert not any(is_commutative(inst.build(cfg.order_cap)) for inst in corpus)
+    assert (audit.passed, audit.counterexamples) == (7, [])
+    assert [cx for rep in reports for cx in rep.counterexamples] == []
+    applicable = {rep.theorem_id: rep.applicable for rep in reports}
+    never = {cid for cid, n in applicable.items() if n == 0}
+    assert never == set(NONCOMMUTATIVE_NEVER_APPLICABLE)
+    assert {cid: n for cid, n in applicable.items() if n} == NONCOMMUTATIVE_APPLICABLE
+
+
 def test_products_of_a_ring_whose_zero_is_not_id_0():
     # the DSL always puts zero at id 0; a relabelled table does not
     r = _relabel(make_zmod(6), (2, 3, 5, 0, 4, 1))
-    assert audit_ring(r) == [] and r.zero == 2
+    assert audit_ring(r) is None and r.zero == 2
     p = make_product(r, make_zmod(2))
-    assert p.zero == r.zero * 2 and audit_ring(p) == []
+    assert p.zero == r.zero * 2 and audit_ring(p) is None
     # both checks build products of factor rings of r, whose zeros sit off id 0
     inst = Instance("finite", "zmod(6)", parse_ring_expr("zmod(6)"), r)
     reports = run_suite([inst], ("A15Sep23", "aC25Sep23"), CFG)

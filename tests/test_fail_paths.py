@@ -337,8 +337,9 @@ def test_the_lies_reach_every_check():
 
 
 def test_no_check_accumulates_failures():
-    # a check returns its first broken clause; it never collects a list
-    accumulator = re.compile(r"\bfailures\s*(=\s*\[|\.append\b)")
+    # a check returns its first broken clause, and an engine test such as
+    # the axiom audit or RingHom.verify its first fault; none collects a list
+    accumulator = re.compile(r"\b(failures|bad)\s*(=\s*\[|\.append\b)")
     src = pathlib.Path(__file__).parents[1] / "src" / "orespec"
     offenders = [
         f"{path.name}:{n}"

@@ -74,7 +74,7 @@ def test_units_of_a_field_are_all_nonzero():
 
 def test_gf4_is_a_field_with_frobenius_fixed_points():
     f = make_gf(4)
-    assert audit_ring(f) == []
+    assert audit_ring(f) is None
     assert is_commutative(f)
     # t^2 = t + 1 under the chosen encoding, so squaring permutes {t, t+1}
     assert f.mul[2][2] == 3
@@ -109,14 +109,14 @@ def test_triangular_ring_basics(t2f2):
 def test_product_is_crt_isomorphic_to_zmod6():
     p = make_product(make_zmod(2), make_zmod(3))
     crt = RingHom(make_zmod(6), p, tuple((x % 2) * 3 + (x % 3) for x in range(6)))
-    assert crt.verify() == []
+    assert crt.verify() is None
     assert crt.is_bijective()
 
 
 def test_the_search_finds_the_crt_isomorphism():
     z6, p = make_zmod(6), make_product(make_zmod(3), make_gf(2))
     hom = isomorphism(z6, p)
-    assert hom is not None and hom.is_bijective() and hom.verify() == []
+    assert hom is not None and hom.is_bijective() and hom.verify() is None
     assert isomorphism(z6, make_zmod(6)).map == tuple(range(6))  # the only automorphism
 
 
@@ -125,10 +125,10 @@ def test_zmod4_gf4_and_z2_squared_are_pairwise_non_isomorphic():
     for a, b in itertools.permutations(rings, 2):
         assert isomorphism(a, b) is None, (a.label, b.label)
         # by brute force: none of the 24 bijections is a ring homomorphism
-        assert not any(RingHom(a, b, perm).verify() == []
+        assert not any(RingHom(a, b, perm).verify() is None
                        for perm in itertools.permutations(range(4))), (a.label, b.label)
     for r in rings:
-        assert isomorphism(r, r).verify() == []
+        assert isomorphism(r, r).verify() is None
 
 
 def test_product_projections_are_homomorphisms():
@@ -140,7 +140,7 @@ def test_product_projections_are_homomorphisms():
         p, a, b = (evaluate(x, cfg.order_cap) for x in (e, *e.subs))
         to_a = RingHom(p, a, tuple(x // b.order for x in p.elements()))
         to_b = RingHom(p, b, tuple(x % b.order for x in p.elements()))
-        assert to_a.verify() == [] and to_b.verify() == [], p.label
+        assert to_a.verify() is None and to_b.verify() is None, p.label
     assert len(products) == 33
 
 
@@ -154,7 +154,7 @@ def test_quotient_of_zmod12_by_6_is_zmod6(z12):
     six = ideal_closure_mask(z12, 1 << 6)
     q, hom = make_quotient(z12, six)
     assert q.order == 6
-    assert hom.verify() == []
+    assert hom.verify() is None
     canonical = RingHom(z12, make_zmod(6), tuple(x % 6 for x in range(12)))
     # same kernel, so the induced comparison map is an isomorphism
     assert hom.kernel_mask() == canonical.kernel_mask()
@@ -189,7 +189,7 @@ def test_quotient_composition(n, a, b):
     for x in range(n):
         table[hd(x)] = through(x)
     iso = RingHom(direct, q2, tuple(table[i] for i in range(direct.order)))
-    assert iso.verify() == [] and iso.is_bijective()
+    assert iso.verify() is None and iso.is_bijective()
 
 
 def test_regular_elements_equal_units(sample_rings):
@@ -220,7 +220,7 @@ def test_centre_of_matrix_and_triangular_rings(m2f2, t2f2):
 
 def test_constructed_tables_pass_audit(sample_rings):
     for r in sample_rings:
-        assert audit_ring(r) == []
+        assert audit_ring(r) is None
 
 
 @given(st.integers(2, 9), st.data())
@@ -234,7 +234,7 @@ def test_audit_catches_any_single_cell_fault(n, data):
         for x in range(n)
     )
     broken = RingTable(n, r.add, mul, 0, 1, f"broken-zmod({n})")
-    assert audit_ring(broken) != []
+    assert audit_ring(broken) is not None
 
 
 def test_element_sets_are_bound_and_sized(z6):

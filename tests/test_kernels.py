@@ -53,41 +53,65 @@ from orespec.localization import (
 )
 
 
+# each law in three elements, as a test of (r, a, b, c) that is true when
+# the law fails at (a, b, c)
+TRIPLE_LAWS = {
+    "addition not associative":
+        lambda r, a, b, c: r.add[r.add[a][b]][c] != r.add[a][r.add[b][c]],
+    "multiplication not associative":
+        lambda r, a, b, c: r.mul[r.mul[a][b]][c] != r.mul[a][r.mul[b][c]],
+    "left distributivity fails":
+        lambda r, a, b, c: r.mul[a][r.add[b][c]] != r.add[r.mul[a][b]][r.mul[a][c]],
+    "right distributivity fails":
+        lambda r, a, b, c: r.mul[r.add[b][c]][a] != r.add[r.mul[b][a]][r.mul[c][a]],
+}
+
+
 def _audit_by_triples(r):
-    """The ring-axiom audit that reads every triple of elements."""
+    """The first ring-axiom violation of a scan that reads every element,
+    then every pair and then every triple of elements, or None."""
     n, add, mul = r.order, r.add, r.mul
     if n < 2:
-        return ["order < 2"]
+        return "order < 2"
     if len(add) != n or len(mul) != n or any(len(row) != n for row in add + mul):
-        return ["table shape mismatch"]
+        return "table shape mismatch"
     for row in add + mul:
         for v in row:
             if not 0 <= v < n:
-                return [f"entry {v} out of range"]
+                return f"entry {v} out of range"
     z, e = r.zero, r.one
-    bad = ["zero == one"] if z == e else []
+    if z == e:
+        return "zero == one"
     for a in range(n):
         if add[a][z] != a or add[z][a] != a:
-            bad.append(f"zero is not an additive identity at {a}")
+            return f"zero is not an additive identity at {a}"
         if mul[a][e] != a or mul[e][a] != a:
-            bad.append(f"one is not a multiplicative identity at {a}")
+            return f"one is not a multiplicative identity at {a}"
         if all(add[a][b] != z for b in range(n)):
-            bad.append(f"{a} has no additive inverse")
+            return f"{a} has no additive inverse"
         for b in range(n):
             if add[a][b] != add[b][a]:
-                bad.append(f"addition not commutative at ({a},{b})")
+                return f"addition not commutative at ({a},{b})"
     for a, b, c in itertools.product(range(n), repeat=3):
-        if add[add[a][b]][c] != add[a][add[b][c]]:
-            bad.append(f"addition not associative at ({a},{b},{c})")
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            bad.append(f"multiplication not associative at ({a},{b},{c})")
-        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-            bad.append(f"left distributivity fails at ({a},{b},{c})")
-        if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]:
-            bad.append(f"right distributivity fails at ({a},{b},{c})")
-        if len(bad) > 8:
-            return bad
-    return bad
+        for law, fails in TRIPLE_LAWS.items():
+            if fails(r, a, b, c):
+                return f"{law} at ({a},{b},{c})"
+    return None
+
+
+def _audit_agrees_with_the_scan(r):
+    """audit_ring(r), checked against the scan: it flags r exactly when the
+    scan does; a law in one or two elements is the scan's first violation;
+    and a law in three elements fails at the elements it names."""
+    got, first = audit_ring(r), _audit_by_triples(r)
+    assert (got is None) == (first is None), (r.label, got, first)
+    if first is not None and first.count(",") < 2:
+        assert got == first, (r.label, got, first)
+    elif got is not None:
+        law, at = got.split(" at ")
+        a, b, c = map(int, at.strip("()").split(","))
+        assert TRIPLE_LAWS[law](r, a, b, c), (r.label, got)
+    return got
 
 
 def _corrupted(r, cells):
@@ -112,15 +136,13 @@ def test_the_audit_matches_the_triple_scan_on_every_one_cell_corruption(corpus_t
     verdicts = set()
     count = triple_only = 0
     for r in tables:
-        assert audit_ring(r) == _audit_by_triples(r) == []
+        assert audit_ring(r) is _audit_by_triples(r) is None
         for cells in _single_cell_corruptions(r):
-            broken = _corrupted(r, cells)
-            got = audit_ring(broken)
-            assert got == _audit_by_triples(broken), (r.label, cells)
-            verdicts.add(bool(got))
+            got = _audit_agrees_with_the_scan(_corrupted(r, cells))
+            verdicts.add(got is not None)
             count += 1
             # only a law in three elements breaks: the generator test decides
-            triple_only += all(m.count(",") == 2 for m in got)
+            triple_only += got is not None and got.count(",") == 2
     assert count == 7576
     assert verdicts == {True}  # one changed cell always breaks a law
     assert triple_only > 1000
@@ -130,7 +152,7 @@ def test_the_audit_matches_the_triple_scan_on_seeded_corruptions_up_to_order_16(
     rng = random.Random(20231011)
     tables = [r for _, r in corpus_tables if r.order > 8]
     assert {r.order for r in tables} == set(range(9, 17))
-    messages = set()
+    named, scanned = set(), set()  # the laws of the audit's details and of the scan's
     for r in tables:
         for size in (1, 2):
             for _ in range(12):
@@ -141,12 +163,32 @@ def test_the_audit_matches_the_triple_scan_on_seeded_corruptions_up_to_order_16(
                     v = rng.choice([v for v in range(r.order) if v != getattr(r, name)[a][b]])
                     cells.append((name, a, b, v))
                 broken = _corrupted(r, cells)
-                got = audit_ring(broken)
-                assert got == _audit_by_triples(broken), (r.label, cells)
-                messages.update(m.split(" at ")[0] for m in got)
-    # the laws in three elements are reached, not only the cheap ones
-    assert {"multiplication not associative", "left distributivity fails",
-            "right distributivity fails", "addition not associative"} <= messages
+                named.add(_audit_agrees_with_the_scan(broken).split(" at ")[0])
+                scanned.add(_audit_by_triples(broken).split(" at ")[0])
+    # the laws in three elements are reached, not only the cheap ones: the
+    # scan's first violations reach all four, and the audit names three of
+    # them first (a corrupted product breaks a distributive law before the
+    # audit reads associativity; ONE_LAW_BROKEN names that law on its own)
+    assert set(TRIPLE_LAWS) <= scanned
+    assert {"left distributivity fails", "right distributivity fails",
+            "addition not associative"} <= named
+
+
+Z2_ADD, Z2_MUL = ((0, 1), (1, 0)), ((0, 0), (0, 1))
+# tables that are no ring of their order before any law is read, each with
+# the fault the audit names first
+NO_RING_OF_ITS_ORDER = [
+    ("order < 2", RingTable(1, ((0,),), ((0,),), 0, 0, "one element")),
+    ("table shape mismatch", RingTable(2, ((0, 1), (1,)), Z2_MUL, 0, 1, "short row")),
+    ("entry 2 out of range", RingTable(2, ((0, 1), (1, 2)), Z2_MUL, 0, 1, "entry 2")),
+    ("zero == one", RingTable(2, Z2_ADD, Z2_MUL, 0, 0, "zero is one")),
+]
+
+
+@pytest.mark.parametrize("fault, table", NO_RING_OF_ITS_ORDER,
+                         ids=[table.label for _, table in NO_RING_OF_ITS_ORDER])
+def test_a_table_that_is_no_ring_of_its_order_is_named_before_any_law(fault, table):
+    assert _audit_agrees_with_the_scan(table) == fault
 
 
 def _table(n, add, mul, zero, one):
@@ -180,9 +222,8 @@ ONE_LAW_BROKEN = [
 
 @pytest.mark.parametrize("law, table", ONE_LAW_BROKEN, ids=[law for law, _ in ONE_LAW_BROKEN])
 def test_each_law_in_three_elements_is_decided_on_its_own(law, table):
-    got = audit_ring(table)
-    assert got == _audit_by_triples(table)
-    assert got and {m.split(" at ")[0] for m in got} == {law}
+    got = _audit_agrees_with_the_scan(table)
+    assert got is not None and got.split(" at ")[0] == law
 
 
 def _prime_flags_by_elements(r, p):
@@ -362,7 +403,7 @@ def test_then_is_the_elementwise_composite_of_factor_maps(corpus_tables):
             h = f.then(g)
             assert (h.source, h.target) == (r, g.target)
             assert h.map == tuple(g(f(x)) for x in r.elements())
-            assert h.verify() == [] and h.kernel_mask() == j, (r.label, i, j)
+            assert h.verify() is None and h.kernel_mask() == j, (r.label, i, j)
             composites += 1
     assert composites > 300
 
@@ -415,7 +456,7 @@ def _factor_maps(corpus_tables, max_order=16):
 def test_verify_by_rows_names_the_faults_of_the_pairwise_loop(corpus_tables):
     faults = 0
     for f in _factor_maps(corpus_tables):
-        assert f.verify() == _verify_by_pairs(f) == [], f.source.label
+        assert f.verify() is None and _verify_by_pairs(f) == [], f.source.label
     for f in _factor_maps(corpus_tables, max_order=8):
         s, t = f.source, f.target
         # every one-entry change of the map
@@ -423,13 +464,13 @@ def test_verify_by_rows_names_the_faults_of_the_pairwise_loop(corpus_tables):
             for y in range(t.order):
                 if y != f.map[x]:
                     g = RingHom(s, t, f.map[:x] + (y,) + f.map[x + 1:])
-                    assert g.verify() == _verify_by_pairs(g), (s.label, x, y)
-                    faults += bool(g.verify())
+                    assert g.verify() == next(iter(_verify_by_pairs(g)), None), (s.label, x, y)
+                    faults += g.verify() is not None
         # every one-cell change of the source's tables
         for cells in _single_cell_corruptions(s) if s.order <= 6 else ():
             g = RingHom(_corrupted(s, cells), t, f.map)
-            assert g.verify() == _verify_by_pairs(g), (s.label, cells)
-            faults += bool(g.verify())
+            assert g.verify() == next(iter(_verify_by_pairs(g)), None), (s.label, cells)
+            faults += g.verify() is not None
     assert faults > 1000
 
 

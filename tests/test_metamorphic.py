@@ -103,7 +103,7 @@ def test_relabelling_elements_changes_no_verdict(corpus_tables):
         perm = list(r.elements())
         rng.shuffle(perm)
         twin = _relabel(r, perm)
-        assert audit_ring(twin) == [], r.label
+        assert audit_ring(twin) is None, r.label
         moved_zero += perm[r.zero] != r.zero
         assert _verdicts(inst, twin) == _verdicts(inst, r), r.label
     assert moved_zero >= 30  # the relation reaches tables whose zero is not id 0
@@ -116,7 +116,7 @@ def test_a_table_is_isomorphic_to_its_relabelled_twin(corpus_tables):
         rng.shuffle(perm)
         twin = _relabel(r, perm)
         hom = isomorphism(r, twin)
-        assert hom is not None and hom.is_bijective() and hom.verify() == [], r.label
+        assert hom is not None and hom.is_bijective() and hom.verify() is None, r.label
 
 
 def test_permuting_monomial_variables_changes_no_verdict():
