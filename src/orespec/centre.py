@@ -3,9 +3,9 @@
 The restriction map carries a prime of the ambient ring to its intersection
 with the centre; it always lands in primes of the centre ring, but its
 restriction to minimal primes may fail to be well-defined or surjective.
-Two of the four equivalent criteria for that failure mode are predicates
-here; the map itself gives the other two, and the checks compare all four,
-never assume they agree.
+`rho` is the map's table, and `rho_criteria` computes the four equivalent
+criteria for that failure mode from it and the regular elements; the
+checks compare all four, never assume they agree.
 
 The centre itself is its embedding Z(R) -> R, whose source is the table
 induced on the central elements.  That table is checked as a quotient is:
@@ -15,8 +15,6 @@ localizations are computed once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .finring import (
     EngineInvariantError,
@@ -65,26 +63,16 @@ def centre_ring(r: RingTable) -> RingHom:
     return RingHom(centre, r, elems)
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
-    table: tuple[tuple[Mask, Mask], ...]  # (prime mask, restricted mask) over Spec(R)
-    well_defined: bool                    # every minimal prime restricts minimally
-    surjective_onto_min: bool             # every minimal central prime is hit
-
-
 @memo
-def rho(r: RingTable) -> RestrictionMap:
+def rho(r: RingTable) -> tuple[tuple[Mask, Mask], ...]:
+    """The restriction p -> p meet Z(R) over Spec(R), as (prime mask,
+    restricted mask) pairs."""
     iota = centre_ring(r)
     table = tuple((pm, iota.preimage_mask(pm)) for pm in prime_masks(r))
     # p intersect Z(R) is always prime in the centre ring
     if not all(prime_flags(iota.source, qm).is_prime for _, qm in table):
         raise EngineInvariantError("restriction of a prime is not prime in the centre")
-    minset = set(min_prime_masks(r))
-    min_table = tuple((pm, qm) for pm, qm in table if pm in minset)
-    centre_mins = set(min_prime_masks(iota.source))
-    well = all(qm in centre_mins for _, qm in min_table)
-    surj = centre_mins <= {qm for _, qm in min_table}
-    return RestrictionMap(table, well, surj)
+    return table
 
 
 def _central_regulars(r: RingTable) -> Mask:
@@ -107,11 +95,14 @@ def central_regulars_miss_min_primes(r: RingTable) -> bool:
 
 def rho_criteria(r: RingTable) -> tuple[bool, bool, bool, bool]:
     """The four criteria that agree on a semiprime ring: central regulars
-    stay regular, they miss min(R), rho is well defined on min(R), and it is
+    stay regular, they miss min(R), rho is well defined on min(R) (every
+    minimal prime restricts to a minimal prime of the centre), and it is
     onto the minimal primes of the centre."""
-    rm = rho(r)
+    mins = min_prime_masks(r)
+    hit = {qm for pm, qm in rho(r) if pm in mins}
+    centre_mins = set(min_prime_masks(centre_ring(r).source))
     return (central_regulars_stay_regular(r), central_regulars_miss_min_primes(r),
-            rm.well_defined, rm.surjective_onto_min)
+            hit <= centre_mins, centre_mins <= hit)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +129,7 @@ def central_localize(r: RingTable, qmask: Mask) -> tuple[str, str] | None:
     t = sigma.target
     where = f"q={list(bits(qmask))}"
 
-    fiber_source = [pm for pm, qm in rho(r).table if qm == qmask]
+    fiber_source = [pm for pm, qm in rho(r) if qm == qmask]
     extension = ideal_closure_mask(t, sigma.push_mask(iota.push_mask(qmask)))
     if bool(fiber_source) != (extension != t.full_mask()):
         return "prime is hit iff the extension is proper", where

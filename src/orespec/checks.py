@@ -746,7 +746,7 @@ def check_centre_semiprime(r: RingTable, cfg):
     iota = centre_ring(r)
     if not is_semiprime_ring(iota.source):
         yield "centre of a semiprime ring is semiprime", f"Z={list(iota.map)}"
-    hit = {qm for _, qm in rho(r).table}
+    hit = {qm for _, qm in rho(r)}
     image_minimals = set(min_prime_masks(iota.source)) & hit
     if len(image_minimals) > len(min_prime_masks(r)):
         yield ("hit central minimal primes within the bound",

@@ -10,12 +10,7 @@ import argparse
 import os
 import sys
 
-from .centre import (
-    central_regulars_miss_min_primes,
-    central_regulars_stay_regular,
-    centre_ring,
-    rho,
-)
+from .centre import centre_ring, rho, rho_criteria
 from .dsl import ParseError, evaluate, parse_ring_expr
 from .finring import (
     DEFAULT_ORDER_CAP,
@@ -226,15 +221,15 @@ def cmd_centre(args) -> int:
 
 def cmd_rho(args) -> int:
     r = _eval_ring(args.expr, args.max_order)
-    rm = rho(r)
     centre = centre_ring(r).source
-    for pm, qm in rm.table:
+    for pm, qm in rho(r):
         print(f"{_ideal_str(r, pm)} -> {_ideal_str(centre, qm)}")
-    print(f"well-defined on minimals: {rm.well_defined}")
-    print(f"surjective onto minimals: {rm.surjective_onto_min}")
+    stay, miss, well, onto = rho_criteria(r)
+    print(f"well-defined on minimals: {well}")
+    print(f"surjective onto minimals: {onto}")
     if is_semiprime_ring(r):
-        print(f"central regulars stay regular: {central_regulars_stay_regular(r)}")
-        print(f"central regulars miss min(R):  {central_regulars_miss_min_primes(r)}")
+        print(f"central regulars stay regular: {stay}")
+        print(f"central regulars miss min(R):  {miss}")
     return EXIT_CLEAN
 
 

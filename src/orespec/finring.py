@@ -452,7 +452,8 @@ def _violation(law: str, a: int, b: int, lhs: tuple, rhs: tuple) -> str:
     return f"{law} at ({a},{b},{c})"
 
 
-# content, and constructor call, -> the run's table; None outside a run
+# key -> the run's value: a content or a constructor call -> the run's
+# table, and other keys -> values shared within a run; None outside a run
 _INTERN: contextvars.ContextVar[dict | None] = contextvars.ContextVar("intern", default=None)
 
 
@@ -472,11 +473,11 @@ def interning():
     the memo of every table it interned is emptied, and with it the factor
     maps that only those memos reach; a map in a table's memo that points
     back at the table is freed then rather than left as a reference cycle
-    for the cyclic garbage collector.  Quotients and centres are interned
-    as constructed tables are, and monomial quotients by their ideal
-    (`interned`), as are other immutable values shared within a run, which
-    have no memo.  A memo is a dict of per-function tables, and emptying it
-    drops them all.
+    for the cyclic garbage collector.  Every shared value is looked up
+    through `interned(key, build)`: tables by content and by constructor
+    call, monomial quotients by their ideal, and other immutable values,
+    which have no memo, by a key naming them.  A memo is a dict of
+    per-function tables, and emptying it drops them all.
     """
     if _INTERN.get() is not None:  # join the enclosing block
         yield
@@ -499,34 +500,22 @@ def _audited(r: RingTable) -> RingTable:
     return r
 
 
+def interned(key, build):
+    """Within an interning block, the value build() gave at the block's first
+    ask for key; outside one, build().  A content key starts with an int and
+    every other key with a string, so they never collide."""
+    seen = _INTERN.get()
+    if seen is None:
+        return build()
+    if key not in seen:
+        seen[key] = build()
+    return seen[key]
+
+
 def _checked(r: RingTable) -> RingTable:
     """Audit a constructed table; within a run, audit each content once and
     return the run's first table of r's content."""
-    seen = _INTERN.get()
-    if seen is None:
-        return _audited(r)
-    key = content(r)
-    if key not in seen:
-        seen[key] = _audited(r)
-    return seen[key]
-
-
-def interned(obj):
-    """Within an interning block, the block's first object equal to obj."""
-    seen = _INTERN.get()
-    return obj if seen is None else seen.setdefault(obj, obj)
-
-
-def _built(key: tuple, build) -> RingTable:
-    """The table build() constructs, checked; within a run, a constructor
-    call already made with the same key (its name and operands) returns the
-    run's table without building it again."""
-    seen = _INTERN.get()
-    if seen is None:
-        return _audited(build())
-    if key not in seen:
-        seen[key] = _checked(build())
-    return seen[key]
+    return interned(content(r), lambda: _audited(r))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +530,7 @@ def make_zmod(n: int, label: str | None = None) -> RingTable:
         add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
         mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
         return RingTable(n, add, mul, 0, 1, label or f"zmod({n})")
-    return _built(("zmod", n), build)
+    return interned(("zmod", n), lambda: _checked(build()))
 
 
 def make_gf(q: int) -> RingTable:
@@ -563,7 +552,7 @@ def make_gf(q: int) -> RingTable:
         add = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
         mul = tuple(tuple(mul4(a, b) for b in range(4)) for a in range(4))
         return RingTable(4, add, mul, 0, 1, "gf(4)", ("0", "1", "t", "t+1"))
-    return _built(("gf", 4), build)
+    return interned(("gf", 4), lambda: _checked(build()))
 
 
 def _digits(idx: int, base: int, k: int) -> tuple[int, ...]:
@@ -628,7 +617,7 @@ def _make_slot_ring(k: int, base: RingTable, triangular: bool, cap: int | None) 
             for m in mats
         )
         return RingTable(order, add, mul, 0, one, f"{tag}({k}, {base.label})", names)
-    return _built((tag, k, base), build)
+    return interned((tag, k, base), lambda: _checked(build()))
 
 
 def make_matrix_ring(k: int, base: RingTable, cap: int | None = DEFAULT_ORDER_CAP) -> RingTable:
@@ -662,7 +651,7 @@ def make_product(a: RingTable, b: RingTable, cap: int | None = DEFAULT_ORDER_CAP
         names = tuple(f"({a.name(x)},{b.name(y)})" for x in a.elements() for y in b.elements())
         return RingTable(order, rows(a.add, b.add), rows(a.mul, b.mul), enc(a.zero, b.zero),
                          enc(a.one, b.one), f"prod({a.label}, {b.label})", names)
-    return _built(("prod", a, b), build)
+    return interned(("prod", a, b), lambda: _checked(build()))
 
 
 def product_hom(homs: list[RingHom]) -> RingHom:

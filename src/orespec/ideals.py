@@ -2,8 +2,7 @@
 
 The two-sided ideal lattice is produced by closing the principal ideals under
 pairwise sums (every ideal is a sum of principal ideals).  Primality uses the
-elementwise criterion (aRb contained in P); the quantifier-over-ideals variant
-is kept as an independent oracle for small orders.
+elementwise criterion (aRb contained in P).
 """
 
 from __future__ import annotations
@@ -13,14 +12,11 @@ from dataclasses import dataclass
 
 from .finring import (
     EngineInvariantError,
-    ImproperIdealError,
     Mask,
-    RingError,
     RingTable,
     additive_span,
     bits,
     canonical,
-    is_two_sided_ideal_mask,
     make_quotient,
     memo,
     products,
@@ -77,14 +73,6 @@ def all_ideal_masks(r: RingTable) -> tuple[Mask, ...]:
     return canonical(seen)
 
 
-def all_ideal_masks_exhaustive(r: RingTable) -> tuple[Mask, ...]:
-    """Subset-scan oracle for the ideal lattice; only sensible at tiny orders."""
-    if r.order > 12:
-        raise RingError("exhaustive ideal scan is limited to order <= 12")
-    out = [m for m in range(1 << r.order) if is_two_sided_ideal_mask(r, m)]
-    return canonical(out)
-
-
 @memo
 def ideal_product_mask(r: RingTable, a: Mask, b: Mask) -> Mask:
     gens = 0
@@ -134,18 +122,6 @@ def prime_flags(r: RingTable, mask: Mask) -> PrimeReport:
     if (completely and not prime) or (prime and not semi):
         raise EngineInvariantError("prime classification monotonicity violated")
     return PrimeReport(prime, completely, semi)
-
-
-def is_prime_lattice_test(r: RingTable, pmask: Mask) -> bool:
-    """Oracle: P is prime iff AB <= P forces A <= P or B <= P over the lattice."""
-    if pmask == r.full_mask():
-        raise ImproperIdealError("cannot classify the whole ring")
-    notin = [m for m in all_ideal_masks(r) if m & ~pmask]
-    for a in notin:
-        for b in notin:
-            if ideal_product_mask(r, a, b) & ~pmask == 0:
-                return False
-    return True
 
 
 @memo

@@ -113,7 +113,9 @@ def make_monomial_ring(nvars: int, gens) -> CommMonomialRing:
         if len(g) != nvars or any(e < 0 for e in g):
             raise RingError(f"bad exponent vector {g}")
         norm.append(g)
-    return interned(CommMonomialRing(nvars, minimize_generators(norm), default_degree_bound(nvars)))
+    gens = minimize_generators(norm)
+    return interned(("mono", nvars, gens),
+                    lambda: CommMonomialRing(nvars, gens, default_degree_bound(nvars)))
 
 
 def monomial_in_ideal(exp: tuple[int, ...], gens) -> bool:
@@ -173,7 +175,9 @@ def saturate_monomial(r: CommMonomialRing, vmask: int) -> CommMonomialRing:
                 f"generator {render_monomial(g)} is supported inside the inverted variables"
             )
         stripped.append(tuple(0 if vmask >> i & 1 else e for i, e in enumerate(g)))
-    return interned(CommMonomialRing(r.nvars, minimize_generators(stripped), r.degree_bound))
+    gens = minimize_generators(stripped)
+    return interned(("mono", r.nvars, gens),
+                    lambda: CommMonomialRing(r.nvars, gens, r.degree_bound))
 
 
 @memo
@@ -208,12 +212,12 @@ def monomials_up_to(nvars: int, degree: int):
         yield from exponent_vectors(total, nvars)
 
 
-@memo
 def _scan_monomials(r: CommMonomialRing) -> tuple[tuple[int, ...], ...]:
     """The monomials every localization of r checks membership on; within
-    an interning block, one tuple for all rings of r's variable count and
+    an interning block, built once for all rings of r's variable count and
     degree bound."""
-    return interned(tuple(monomials_up_to(r.nvars, r.degree_bound)))
+    return interned(("scan", r.nvars, r.degree_bound),
+                    lambda: tuple(monomials_up_to(r.nvars, r.degree_bound)))
 
 
 def _min_covers_avoiding(r: CommMonomialRing, vmask: int) -> list[int]:

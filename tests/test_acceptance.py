@@ -10,6 +10,7 @@ import time
 import pytest
 
 from expr_corpus import FIXED_EXPRESSIONS
+from test_ideals import is_prime_lattice_test
 from orespec.dsl import parse_ring_expr, render
 from orespec.finring import bits, mask_of, regular_mask, units_mask
 from orespec.harness import (
@@ -21,7 +22,6 @@ from orespec.harness import (
 )
 from orespec.ideals import (
     all_ideal_masks,
-    is_prime_lattice_test,
     is_prime_rich,
     is_semiprime_ring,
     min_prime_masks_over,

@@ -6,6 +6,7 @@ from orespec.centre import (
     centre_ring,
     check_pierce,
     rho,
+    rho_criteria,
 )
 from orespec.checks import check_centre_decomposition, decide
 from orespec.finring import content, make_gf, make_product, make_zmod, mask_of
@@ -42,29 +43,27 @@ def test_restriction_lands_in_central_primes(m2f2, t2f2, sample_rings):
 def _min_table(r):
     """rho restricted to min(R): (minimal prime mask, restricted mask) pairs."""
     mins = set(min_prime_masks(r))
-    return tuple((pm, qm) for pm, qm in rho(r).table if pm in mins)
+    return tuple((pm, qm) for pm, qm in rho(r) if pm in mins)
 
 
 def test_rho_tables(z6, m2f2, t2f2):
-    assert rho(z6).well_defined and rho(z6).surjective_onto_min
+    # well defined on min(R) and onto the minimal primes of the centre
+    assert rho_criteria(z6)[2:] == (True, True)
     assert _min_table(m2f2) == ((1, 1),)  # (0) restricts to (0)
     # both minimal primes meet the two-element centre in zero only
     assert {qm for _, qm in _min_table(t2f2)} == {1}
-    assert rho(t2f2).well_defined and rho(t2f2).surjective_onto_min
-
-
-def _criteria(r):
-    rm = rho(r)
-    return (central_regulars_stay_regular(r), central_regulars_miss_min_primes(r),
-            rm.well_defined, rm.surjective_onto_min)
+    assert rho_criteria(t2f2)[2:] == (True, True)
 
 
 def test_rho_criteria_agreement(z6, m2f2, sample_rings):
     for r in (z6, m2f2):
-        assert _criteria(r) == (True,) * 4
+        assert rho_criteria(r) == (True,) * 4
     for r in sample_rings:
         if is_semiprime_ring(r):
-            assert len(set(_criteria(r))) == 1, r.label
+            criteria = rho_criteria(r)
+            assert len(set(criteria)) == 1, r.label
+            assert criteria[:2] == (central_regulars_stay_regular(r),
+                                    central_regulars_miss_min_primes(r))
 
 
 def test_central_localization_of_zmod6(z6):
@@ -82,14 +81,14 @@ def test_central_localization_at_zero_of_a_field():
     q = 1 << centre_ring(f).source.zero
     assert central_localize(f, q) is None
     assert localize(f, central_mult_set(f, q)).target.order == f.order
-    assert q in {qm for _, qm in rho(f).table}
+    assert q in {qm for _, qm in rho(f)}
 
 
 def test_central_localization_of_matrix_ring(m2f2):
     q = 1 << centre_ring(m2f2).source.zero
     assert central_localize(m2f2, q) is None
     assert localize(m2f2, central_mult_set(m2f2, q)).target.order == m2f2.order
-    assert [pm for pm, qm in rho(m2f2).table if qm == q] == [1]
+    assert [pm for pm, qm in rho(m2f2) if qm == q] == [1]
 
 
 def test_pierce_decomposition_examples(z6):

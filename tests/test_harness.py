@@ -5,6 +5,7 @@ import pickle
 import re
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -229,15 +230,31 @@ def test_the_pool_has_at_most_one_worker_per_task(monkeypatch):
     assert len(forks) == 2
 
 
+# tables with 2 to 4 additive generators, so a corrupted cell can reach the
+# audit's generator test, unlike in zmod(n)
+SEVERAL_GENERATORS = ("prod(zmod(2), zmod(2))", "gf(4)", "mat(2, gf(2))", "tri(2, gf(2))",
+                      "prod(zmod(2), zmod(4))")
+
+
 def test_a_run_without_tasks_still_reports_its_audit(monkeypatch):
     forks = _count_forks(monkeypatch)
-    cfg = CorpusConfig(order_cap=4)
-    corpus = [inject_table_fault(Instance("finite", text, parse_ring_expr(text)), cfg)
-              for text in ("zmod(3)", "zmod(4)")]
-    audit, *reports = run_suite(corpus, FAST_IDS, cfg, jobs=2)
+    texts = ("zmod(3)", "zmod(4)") + SEVERAL_GENERATORS
+    laws = Counter()
+    for seed in range(12):
+        cfg = CorpusConfig(order_cap=16, seed=seed)
+        corpus = [inject_table_fault(Instance("finite", text, parse_ring_expr(text)), cfg)
+                  for text in texts]
+        audit, *reports = run_suite(corpus, FAST_IDS, cfg, jobs=2)
+        # one counterexample per corrupted table, and no check considers one
+        assert (audit.considered, audit.passed) == (len(texts), 0)
+        assert [cx.provenance for cx in audit.counterexamples] == list(texts)
+        assert {cx.clause for cx in audit.counterexamples} == {AUDIT_ID}
+        assert [r.considered for r in reports] == [0] * len(FAST_IDS)
+        laws.update(cx.detail.split(" fails")[0].split(" at ")[0]
+                    for cx in audit.counterexamples[2:])
     assert forks == []
-    assert (audit.considered, audit.passed, len(audit.counterexamples)) == (2, 0, 2)
-    assert [r.considered for r in reports] == [0] * len(FAST_IDS)
+    assert laws == {"left distributivity": 30, "right distributivity": 11,
+                    "one is not a multiplicative identity": 19}
 
 
 FOUR = ("zmod(2)", "zmod(3)", "zmod(4)", "zmod(5)")  # four tasks, two per stripe at jobs=2

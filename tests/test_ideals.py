@@ -1,6 +1,8 @@
 import math
 
 from orespec.finring import (
+    canonical,
+    is_two_sided_ideal_mask,
     make_gf,
     make_product,
     make_zmod,
@@ -9,12 +11,10 @@ from orespec.finring import (
 from orespec.ideals import (
     PrimeReport,
     all_ideal_masks,
-    all_ideal_masks_exhaustive,
     ideal_closure_mask,
     ideal_product_mask,
     is_irredundant_masks,
     is_nilpotent_ideal,
-    is_prime_lattice_test,
     is_prime_rich,
     is_semiprime_ring,
     min_prime_exponent,
@@ -28,6 +28,22 @@ from orespec.ideals import (
     strongly_nilpotent_mask,
 )
 from orespec.localization import vanishing_masks
+
+
+def all_ideal_masks_exhaustive(r):
+    """Oracle for the ideal lattice: every subset of a ring of order at most
+    12 that is a two-sided ideal, in the lattice's order."""
+    assert r.order <= 12
+    return canonical(m for m in range(1 << r.order) if is_two_sided_ideal_mask(r, m))
+
+
+def is_prime_lattice_test(r, pmask):
+    """Oracle for primality: a proper P is prime iff AB <= P forces A <= P or
+    B <= P, A and B ranging over the ideal lattice."""
+    assert pmask != r.full_mask()
+    notin = [m for m in all_ideal_masks(r) if m & ~pmask]
+    return not any(ideal_product_mask(r, a, b) & ~pmask == 0 for a in notin for b in notin)
+
 
 M2_E11 = 1  # [[1,0],[0,0]] in mat(2, gf(2)) row-major little-endian digits
 T2_E12 = 2

@@ -31,7 +31,7 @@ def test_ring_and_its_derived_data_are_freed_together():
             if li.mask != sigma.target.full_mask():
                 _factor_matches(make_quotient(r, m)[1], sigma, li.mask)
     assert prime_radical_mask(r) == 0b1000001  # {0, 6}
-    assert len([pm for pm, _ in rho(r).table if pm in mins]) == 2  # rho on min(R)
+    assert len([pm for pm, _ in rho(r) if pm in mins]) == 2  # rho on min(R)
     assert sigma.memo
 
     refs = [weakref.ref(r), weakref.ref(sigma)]

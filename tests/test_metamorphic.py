@@ -19,6 +19,18 @@ engine's answers is known without knowing the answers.
 (g) Running the checks once per isomorphism class of tables, and copying a
     row that passed to the other tables of the class, changes no byte of the
     machine report, serial or at jobs=2.
+(h) A matrix ring over a commutative base R is read through its
+    constructor's encoding: digit s of an element id, in base |R|, is the
+    entry at slot s, the slots taken row by row (on and above the diagonal
+    only, for T_n).  The ideals of M_n(R) are the M_n(I) and its primes and
+    minimal primes the M_n(P); the ideals of T_n(R) are the families of
+    ideals I_ij at its slots that grow up each column and along each row
+    (for T_2, [[I1, I2], [0, I3]] with I1, I3 in I2), and its primes and
+    minimal primes hold every matrix whose entry at one diagonal slot lies
+    in a prime, or a minimal prime, of R, so |Spec T_n(R)| = n |Spec R|.
+    The centre is the scalar matrices, and the units are the matrices with
+    a unit determinant, or for T_n with unit diagonal entries (Lam, GTM 131,
+    sections 1 and 10).  This route reads only the base ring's answers.
 (i) A finite ring is Artinian, so its Jacobson radical
     J = {x : 1 - yx is a unit for every y} is its prime radical, R/J is
     semisimple, and the minimal primes of R are the preimages of the
@@ -29,7 +41,8 @@ engine's answers is known without knowing the answers.
 (a) and (d) run over every distinct finite table of the default corpus with
 a fixed seed, so a failure is reproducible; (b), (c) and (f) over every
 monomial and every product instance of it; (i) over the first table of each
-isomorphism class.  (f) reads the factors' answers,
+isomorphism class and the seven non-commutative tables of order 27-64;
+(h) over every mat and tri instance of the corpus and of those tables.  (f) reads the factors' answers,
 not the product's other routes, so a defect that treats both factors alike
 still shows.
 """
@@ -40,7 +53,7 @@ import random
 
 from orespec import harness
 from orespec.checks import COVERAGE
-from orespec.dsl import RingExpr, evaluate
+from orespec.dsl import RingExpr, evaluate, parse_ring_expr
 from orespec.finring import (
     RingTable,
     audit_ring,
@@ -65,6 +78,8 @@ from orespec.harness import (
 )
 from orespec.ideals import all_ideal_masks, min_prime_masks, prime_masks, prime_radical_mask
 from orespec.localization import MultSet, localize, mult_set_masks, ore_flags
+
+from expr_corpus import NONCOMMUTATIVE_EXPRESSIONS
 
 CFG = CorpusConfig()
 SEED = 1
@@ -268,19 +283,94 @@ def _primitive_central_idempotents(q: RingTable) -> list[int]:
     return [e for e in central if not any(f != e and q.mul[f][e] == f for f in central)]
 
 
+def _assert_the_idempotent_route(r: RingTable) -> int:
+    """Relation (i) on r; the number of its minimal primes."""
+    jac = _jacobson_radical_mask(r)
+    assert jac == prime_radical_mask(r), r.label
+    q, hom = make_quotient(r, jac)
+    idempotents = _primitive_central_idempotents(q)
+    preimages = {hom.preimage_mask(sum(1 << x for x in q.elements() if q.mul[e][x] == q.zero))
+                 for e in idempotents}
+    assert len(preimages) == len(idempotents)
+    assert preimages == set(min_prime_masks(r)), r.label
+    return len(idempotents)
+
+
 def test_the_idempotent_route_gives_the_prime_radical_and_the_minimal_primes(corpus_tables):
     tables = [r for _, r in corpus_tables]
     heads = [r for i, (r, k) in enumerate(zip(tables, class_heads(tables))) if i == k]
-    split = 0
-    for r in heads:
-        jac = _jacobson_radical_mask(r)
-        assert jac == prime_radical_mask(r), r.label
-        q, hom = make_quotient(r, jac)
-        idempotents = _primitive_central_idempotents(q)
-        preimages = {hom.preimage_mask(sum(1 << x for x in q.elements() if q.mul[e][x] == q.zero))
-                     for e in idempotents}
-        assert len(preimages) == len(idempotents)
-        assert preimages == set(min_prime_masks(r)), r.label
-        split += len(idempotents) > 1
     assert len(heads) == 30
-    assert split > 0  # some head has several minimal primes, so e is not always 1
+    # some head has several minimal primes, so e is not always 1
+    assert max(_assert_the_idempotent_route(r) for r in heads) > 1
+    # nothing else computes min(R) a second way at orders 27-64
+    stage = [evaluate(parse_ring_expr(text), 64) for text in NONCOMMUTATIVE_EXPRESSIONS]
+    assert [_assert_the_idempotent_route(r) for r in stage] == [2, 2, 4, 3, 2, 2, 4]
+
+
+def _matrix_instances():
+    """Each mat and tri instance of the default corpus and of the
+    non-commutative tables, as (expression, table)."""
+    exprs = [inst.expr for inst in build_corpus(CFG) if inst.kind == "finite"]
+    exprs += [parse_ring_expr(text) for text in NONCOMMUTATIVE_EXPRESSIONS]
+    return [(e, evaluate(e, 64)) for e in exprs if e.kind in ("mat", "tri")]
+
+
+def _determinant(base: RingTable, m: dict, n: int) -> int:
+    """The determinant of the n x n matrix m ({(i, j): entry}) over base,
+    by the Leibniz formula."""
+    neg = {a: next(b for b in base.elements() if base.add[a][b] == base.zero)
+           for a in base.elements()}
+    det = base.zero
+    for perm in itertools.permutations(range(n)):
+        term = base.one
+        for i, j in enumerate(perm):
+            term = base.mul[term][m[i, j]]
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        det = base.add[det][neg[term] if odd else term]
+    return det
+
+
+def test_a_matrix_ring_has_the_ideals_centre_and_units_of_its_entries():
+    cases = _matrix_instances()
+    assert [r.label for _, r in cases] == [
+        "mat(2, gf(2))", "tri(2, gf(2))", "tri(2, gf(3))", "tri(3, gf(2))", "tri(2, zmod(4))",
+        "tri(2, gf(4))"]
+    for expr, r in cases:
+        n, base, tri = expr.ints[0], evaluate(expr.subs[0], 64), expr.kind == "tri"
+        slots = [(i, j) for i in range(n) for j in range(i if tri else 0, n)]
+        entries = [{ij: x // base.order ** s % base.order for s, ij in enumerate(slots)}
+                   for x in r.elements()]
+
+        def mask(holds):
+            return sum(1 << x for x, m in enumerate(entries) if holds(m))
+
+        def within(ideal_at):  # every entry lies in the ideal of its slot
+            return mask(lambda m: all(ideal_at[ij] >> e & 1 for ij, e in m.items()))
+
+        if tri:
+            families = [dict(zip(slots, f))
+                        for f in itertools.product(all_ideal_masks(base), repeat=len(slots))]
+            grows = [f for f in families
+                     if all(f[i, j] & ~f[i - 1, j] == 0 for i, j in slots if i > 0)
+                     and all(f[i, j] & ~f[i, j + 1] == 0 for i, j in slots if j < n - 1)]
+            ideals = {within(f) for f in grows}
+
+            def spec(primes):
+                return {mask(lambda m: pm >> m[d, d] & 1) for d in range(n) for pm in primes}
+
+            units = mask(lambda m: all(units_mask(base) >> m[d, d] & 1 for d in range(n)))
+        else:
+            ideals = {within(dict.fromkeys(slots, im)) for im in all_ideal_masks(base)}
+
+            def spec(primes):
+                return {within(dict.fromkeys(slots, pm)) for pm in primes}
+
+            units = mask(lambda m: units_mask(base) >> _determinant(base, m, n) & 1)
+        assert sorted(all_ideal_masks(r)) == sorted(ideals), r.label
+        assert sorted(prime_masks(r)) == sorted(spec(prime_masks(base))), r.label
+        assert len(prime_masks(r)) == (n if tri else 1) * len(prime_masks(base))
+        assert sorted(min_prime_masks(r)) == sorted(spec(min_prime_masks(base))), r.label
+        scalars = mask(lambda m: all(e == (m[0, 0] if i == j else base.zero)
+                                     for (i, j), e in m.items()))
+        assert centre_mask(r) == scalars, r.label
+        assert units_mask(r) == units, r.label

@@ -6,7 +6,7 @@ import pytest
 from orespec import monomial as mono
 from orespec.cli import main
 from orespec.dsl import parse_ring_expr
-from orespec.finring import bits, mask_of, memo, subsets
+from orespec.finring import bits, interning, mask_of, memo, subsets
 from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
 from orespec.monomial import (
     AnAlgebra,
@@ -215,9 +215,10 @@ def test_radical_iff_squarefree_at_bounded_degree():
 def test_the_memoised_scan_list_is_monomials_up_to(nvars):
     r = make_monomial_ring(nvars, [(1,) * nvars])
     d = r.degree_bound
-    scan = mono._scan_monomials(r)
+    with interning():
+        scan = mono._scan_monomials(r)
+        assert mono._scan_monomials(r) is scan
     assert scan == tuple(monomials_up_to(nvars, d))
-    assert mono._scan_monomials(r) is scan
     grid = {e for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) <= d}
     assert len(scan) == len(grid) and set(scan) == grid
     assert [sum(e) for e in scan] == sorted(sum(e) for e in scan)

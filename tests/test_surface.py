@@ -6,8 +6,8 @@ under `scripts/` reads it outside its own definition; dunder methods are
 called by Python itself and are exempt.  A field counts as used when one of
 those files reads it as an attribute.  The package's
 `__init__.py` does not count, and neither do the tests: a function that only
-a test calls is test code and lives with the test.  The two exceptions are
-independent oracles the tests compare engine routes against.
+a test calls is test code and lives with the test, as the oracles the tests
+compare engine routes against do.
 """
 
 import ast
@@ -17,8 +17,6 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = ROOT / "src" / "orespec"
 
-# subset-scan lattice and lattice-quantified primality, kept for the tests
-KEPT_ORACLES = ("all_ideal_masks_exhaustive", "is_prime_lattice_test")
 # dataclasses.asdict writes every field of these into the machine report
 REPORTED = ("CheckReport", "Counterexample")
 
@@ -55,8 +53,6 @@ def test_every_engine_name_is_used_outside_its_definition():
         if path.parent != SRC:
             continue
         for node in _definitions(tree):
-            if node.name in KEPT_ORACLES:
-                continue
             # the reads outside a definition are all reads less its own
             if everywhere[node.name] == _reads(node)[node.name]:
                 unused.append(f"{path.name}:{node.name}")
@@ -112,3 +108,16 @@ def test_no_check_yields_from_a_loop_that_ignores_its_variable():
         and loop.target.id == "_" and _yields(loop.body)
     ]
     assert tuple(found) == YIELDING_DISCARD_LOOPS
+
+
+def test_only_the_intern_helpers_read_the_intern_table():
+    # a run shares its values through one keyed lookup, `interned`, in the
+    # scope `interning` opens; no other function reads the table
+    readers = {
+        f"{path.name}:{node.name}"
+        for path in _program_files() for node in ast.parse(path.read_text()).body
+        if any(isinstance(n, ast.Name) and n.id == "_INTERN" and isinstance(n.ctx, ast.Load)
+               or isinstance(n, ast.Attribute) and n.attr == "_INTERN"
+               for n in ast.walk(node))
+    }
+    assert readers == {"finring.py:interning", "finring.py:interned"}
