@@ -7,11 +7,12 @@ A clause site is a `yield "<clause>", ...` in `checks.py` or a
 `return False` in `finring.py`, `ideals.py` or `localization.py`, the early
 exit of a yes/no test of the engine, or a `return <message>` of an engine
 test that returns its first fault (`audit_ring`, `_triple_law_violation`
-and `RingHom.verify` in `finring.py`); a decision site is named after its
-function.  For each site, one at a time, the
-sweep copies the checkout to a temporary directory, replaces that statement
-with `pass` there, and tests the copy in stages, cheapest first, stopping
-at the first that fails:
+and `RingHom.verify` in `finring.py`).  A refusal site is a `raise` or a
+`fail(...)` statement in `dsl.py`, the reader's and the evaluator's refusals
+of an input.  Decision and refusal sites are named after their function.
+For each site, one at a time, the sweep copies the checkout to a temporary
+directory, replaces that statement with `pass` there, and tests the copy in
+stages, cheapest first, stopping at the first that fails:
 
 1. `report`: the machine report of the default corpus, all checks, whose
    sha256 must equal the unmutated checkout's (about 1 s);
@@ -20,13 +21,16 @@ at the first that fails:
 
 The site is `killed` when a stage fails (the stage and, for the test
 stages, the first failing test id are printed) and `survived` when all
-three pass: nothing notices that the clause is gone.  The checkout itself
-is never edited.
+three pass: nothing notices that the clause is gone.  A stage that runs
+longer than STAGE_TIMEOUT seconds is stopped and the site counted as killed
+by `timeout` (a reader without its refusal of a character may never end).
+The checkout itself is never edited.
 
     python3 scripts/clause_sweep.py            # every site
     python3 scripts/clause_sweep.py --list     # the sites only
     python3 scripts/clause_sweep.py --only checks.py:681
     python3 scripts/clause_sweep.py --only centre.py --only finring.py
+    python3 scripts/clause_sweep.py --only dsl.py
 
 Exits 0 when every site is killed, 1 otherwise.
 """
@@ -53,6 +57,8 @@ TARGETS = {
 }
 DECISIONS = ("finring.py", "ideals.py", "localization.py")
 FAULT_TESTS = {"finring.py": ("audit_ring", "_triple_law_violation", "verify")}
+REFUSALS = ("dsl.py",)
+STAGE_TIMEOUT = 300  # seconds; a tier-1 run takes well under a minute
 
 
 def _clause(node) -> str | None:
@@ -76,6 +82,13 @@ def _decides(node, returns_faults: bool) -> bool:
     return isinstance(value, ast.Constant) and value.value is False
 
 
+def _refuses(node) -> bool:
+    """Whether node is a refusal site: a `raise` or a `fail(...)` statement."""
+    return isinstance(node, ast.Raise) or (
+        isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name) and node.value.func.id == "fail")
+
+
 def sites() -> list[tuple[str, ast.stmt, str]]:
     """(file name, statement, clause) for every clause site, in file order."""
     out = []
@@ -91,17 +104,17 @@ def sites() -> list[tuple[str, ast.stmt, str]]:
             clause = _clause(expr)
             if clause is not None:
                 out.append((name, node, clause))
-    for name in DECISIONS:
+    for name in (*DECISIONS, *REFUSALS):
         tree = ast.parse((ROOT / PACKAGE / name).read_text())
-        owner = {}  # return statement -> its innermost function; outer ones come first
+        owner = {}  # site -> its innermost function; outer ones come first
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if _decides(node, fn.name in FAULT_TESTS.get(name, ())):
+                    if (_refuses(node) if name in REFUSALS
+                            else _decides(node, fn.name in FAULT_TESTS.get(name, ()))):
                         owner[node] = fn.name
-        out += [(name, node, f"{fn}: return {ast.unparse(node.value)}")
-                for node, fn in owner.items()]
-    files = list(dict.fromkeys([*TARGETS, *DECISIONS]))
+        out += [(name, node, f"{fn}: {ast.unparse(node)}") for node, fn in owner.items()]
+    files = list(dict.fromkeys([*TARGETS, *DECISIONS, *REFUSALS]))
     return sorted(out, key=lambda s: (files.index(s[0]), s[1].lineno))
 
 
@@ -126,7 +139,7 @@ print(hashlib.sha256(render_machine(run_suite(build_corpus(cfg), COVERAGE, cfg))
 def _run(tree: pathlib.Path, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, *args], cwd=tree, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=STAGE_TIMEOUT)
 
 
 def report_sha(tree: pathlib.Path) -> str:
@@ -149,13 +162,18 @@ def failing_test(tree: pathlib.Path, *paths: str) -> str | None:
 
 
 def first_kill(copy: pathlib.Path, sha: str) -> str | None:
-    """The first stage that fails in copy, with its failing test, or None."""
-    if report_sha(copy) != sha:
-        return "report"
-    for stage, paths in (("fail-paths", ["tests/test_fail_paths.py"]), ("tier-1", [])):
-        failing = failing_test(copy, *paths)
-        if failing:
-            return f"{stage:<10}  {failing}"
+    """The first stage that fails or times out in copy, with its failing
+    test, or None."""
+    stage = "report"
+    try:
+        if report_sha(copy) != sha:
+            return stage
+        for stage, paths in (("fail-paths", ["tests/test_fail_paths.py"]), ("tier-1", [])):
+            failing = failing_test(copy, *paths)
+            if failing:
+                return f"{stage:<10}  {failing}"
+    except subprocess.TimeoutExpired:
+        return f"timeout     {stage} ran past {STAGE_TIMEOUT} s"
     return None
 
 

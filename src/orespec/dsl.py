@@ -7,15 +7,16 @@
     value    := integer | "[" [item ("," item)*] "]"
     item     := integer | monomial
     monomial := factor ("*" factor)*
-    factor   := name index ("^" integer)?      -- e.g. v1, v2^3; exponent >= 1
+    factor   := "v" index ["^" integer]      -- e.g. v1, v2^3; index, exponent >= 1
 
 Whitespace-insensitive; parse errors carry (line, column) into the source.
+Each keyword appears once, and constructors nest at most MAX_DEPTH deep.
 Rendering produces a canonical text that reparses to an equal expression.
 """
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 
 from .finring import (
@@ -57,7 +58,27 @@ class RingExpr:
     gens: tuple = ()  # element ids for quot, exponent tuples for mono
 
 
-CONSTRUCTORS = ("zmod", "gf", "mat", "tri", "prod", "quot", "mono", "an")
+# kind -> (integer arguments, operand expressions, sorted keywords, usage)
+SIGNATURES = {
+    "zmod": (1, 0, (), "a single integer argument"),
+    "gf": (1, 0, (), "a single integer argument"),
+    "mat": (1, 1, (), "(k, expr)"),
+    "tri": (1, 1, (), "(k, expr)"),
+    "prod": (0, 2, (), "(expr, expr)"),
+    "quot": (0, 1, ("gens",), "(expr, gens=[ids])"),
+    "mono": (0, 0, ("gens", "vars"), "(vars=n, gens=[monomials])"),
+    "an": (0, 0, ("n",), "(n=k)"),
+}
+
+# far deeper than any corpus expression (at most 4 constructors), and shallow
+# enough that parse, render and evaluate stay inside Python's default
+# recursion limit, which the reader alone reaches near 330
+MAX_DEPTH = 200
+
+# ASCII only: other scripts' digits and letters are not part of the language;
+# the alternatives cover every character, so the matches leave no gaps
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],=*^])"
+                    r"|(?P<newline>\n)|(?P<bad>\S)|\s")
 
 
 @dataclass
@@ -68,48 +89,17 @@ class _Token:
     column: int
 
 
-# ASCII only: other scripts' digits and letters are not part of the language
-_WORD = frozenset(string.ascii_letters + string.digits + "_")
-
-
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c in string.digits:
-            j = i
-            while j < len(text) and text[j] in string.digits:
-                j += 1
-            out.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _WORD:
-            j = i
-            while j < len(text) and text[j] in _WORD:
-                j += 1
-            out.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in "()[],=*^":
-            out.append(_Token("punct", c, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    out.append(_Token("punct", "<end>", line, col))
+    line, start = 1, 0  # the current line and the index of its first character
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "newline":
+            line, start = line + 1, m.end()
+        elif m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - start + 1)
+        elif m.lastgroup:
+            out.append(_Token(m.lastgroup, m.group(), line, m.start() - start + 1))
+    out.append(_Token("punct", "<end>", line, len(text) - start + 1))
     return out
 
 
@@ -125,6 +115,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # constructors open at pos
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -140,128 +131,51 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
+    def separated(self, item, sep: str, close: str | None = None) -> list:
+        """item (sep item)*, then the close token; a closed list may be empty."""
+        items = []
+        if not (close and self.at(close)):
+            items.append(item())
+            while self.at(sep):
+                self.take()
+                items.append(item())
+        if close:
+            self.take(text=close)
+        return items
+
     # ---- grammar ----
 
     def expr(self) -> RingExpr:
         tok = self.take("name")
         kind = tok.text
-        if kind not in CONSTRUCTORS:
+        if kind not in SIGNATURES:
             raise ParseError(f"unknown constructor {kind!r}", tok.line, tok.column)
-        self.take(text="(")
-        ints: list[int] = []
-        subs: list[RingExpr] = []
-        kwargs: dict[str, object] = {}
-        if not self.at(")"):
-            while True:
-                self.argument(ints, subs, kwargs)
-                if self.at(","):
-                    self.take(text=",")
-                    continue
-                break
-        self.take(text=")")
-        return self.assemble(kind, ints, subs, kwargs, tok)
 
-    def argument(self, ints, subs, kwargs):
-        tok = self.peek()
-        if tok.kind == "int":
-            ints.append(int(self.take("int").text))
-            return
-        if tok.kind == "name":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.text == "=":
-                key = self.take("name").text
-                self.take(text="=")
-                kwargs[key] = self.value(key, tok)
-                return
-            subs.append(self.expr())
-            return
-        raise ParseError(f"expected an argument, found {tok.text!r}", tok.line, tok.column)
-
-    def value(self, key: str, where: _Token):
-        tok = self.peek()
-        if tok.kind == "int":
-            return int(self.take("int").text)
-        if tok.text == "[":
-            self.take(text="[")
-            items = []
-            if not self.at("]"):
-                while True:
-                    items.append(self.item())
-                    if self.at(","):
-                        self.take(text=",")
-                        continue
-                    break
-            self.take(text="]")
-            return tuple(items)
-        raise ParseError(f"expected a value for {key}=", tok.line, tok.column)
-
-    def item(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            return int(self.take("int").text)
-        if tok.kind == "name":
-            return self.monomial()
-        raise ParseError(f"expected a list item, found {tok.text!r}", tok.line, tok.column)
-
-    def monomial(self) -> tuple[tuple[int, int], ...]:
-        """A product of indexed variables, as sorted (index, exponent) pairs."""
-        powers: dict[int, int] = {}
-        while True:
-            tok = self.take("name")
-            digits = ""
-            stem = tok.text
-            while stem and stem[-1] in string.digits:
-                digits = stem[-1] + digits
-                stem = stem[:-1]
-            if not digits:
-                raise ParseError(f"variable {tok.text!r} has no index", tok.line, tok.column)
-            idx = int(digits)
-            if idx < 1:
-                raise ParseError("variable indices are 1-based", tok.line, tok.column)
-            exp = 1
-            if self.at("^"):
-                self.take(text="^")
-                etok = self.take("int")
-                exp = int(etok.text)
-                if exp == 0:
-                    raise ParseError("exponents must be at least 1", etok.line, etok.column)
-            powers[idx] = powers.get(idx, 0) + exp
-            if self.at("*"):
-                self.take(text="*")
-                continue
-            break
-        return tuple(sorted(powers.items()))
-
-    def assemble(self, kind, ints, subs, kwargs, tok) -> RingExpr:
         def fail(msg):
             raise ParseError(f"{kind}: {msg}", tok.line, tok.column)
 
-        if kind in ("zmod", "gf"):
-            if len(ints) != 1 or subs or kwargs:
-                fail("expects a single integer argument")
-            return RingExpr(kind, (ints[0],))
-        if kind in ("mat", "tri"):
-            if len(ints) != 1 or len(subs) != 1 or kwargs:
-                fail("expects (k, expr)")
-            return RingExpr(kind, (ints[0],), (subs[0],))
-        if kind == "prod":
-            if ints or len(subs) != 2 or kwargs:
-                fail("expects (expr, expr)")
-            return RingExpr(kind, (), tuple(subs))
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            fail(f"nesting deeper than {MAX_DEPTH} constructors")
+        self.take(text="(")
+        args = self.separated(self.argument, ",", ")")
+        self.depth -= 1
+        ints = tuple(a for a in args if isinstance(a, int))
+        subs = tuple(a for a in args if isinstance(a, RingExpr))
+        keys = sorted(a[0] for a in args if isinstance(a, tuple))
+        kwargs = dict(a for a in args if isinstance(a, tuple))
+        nints, nsubs, keywords, usage = SIGNATURES[kind]
+        if (len(ints), len(subs), keys) != (nints, nsubs, list(keywords)):
+            fail(f"expects {usage}")  # a repeated keyword too
         if kind == "quot":
-            if ints or len(subs) != 1 or set(kwargs) != {"gens"}:
-                fail("expects (expr, gens=[ids])")
             gens = kwargs["gens"]
             if not isinstance(gens, tuple) or not all(isinstance(g, int) for g in gens):
                 fail("gens must be a list of element ids")
-            return RingExpr(kind, (), (subs[0],), gens)
+            return RingExpr(kind, (), subs, gens)
         if kind == "mono":
-            if ints or subs or set(kwargs) != {"vars", "gens"}:
-                fail("expects (vars=n, gens=[monomials])")
-            nvars = kwargs["vars"]
+            nvars, gens = kwargs["vars"], kwargs["gens"]
             if not isinstance(nvars, int) or nvars < 1:
                 fail("vars must be a positive integer")
-            gens = kwargs["gens"]
             if not isinstance(gens, tuple):
                 fail("gens must be a list")
             for g in gens:
@@ -272,13 +186,62 @@ class _Parser:
             check_var_count(nvars)  # before any nvars-long vector is built
             return RingExpr(kind, (nvars,), (), tuple(_exponent_vector(g, nvars) for g in gens))
         if kind == "an":
-            if ints or subs or set(kwargs) != {"n"}:
-                fail("expects (n=k)")
             n = kwargs["n"]
-            if not isinstance(n, int) or n < 0:
+            if not isinstance(n, int):
                 fail("n must be a non-negative integer")
             return RingExpr(kind, (n,))
-        fail("unhandled constructor")
+        return RingExpr(kind, ints, subs)
+
+    def argument(self):
+        """An integer, an operand expression, or a (key, value) pair."""
+        tok = self.peek()
+        if tok.kind == "int":
+            return int(self.take().text)
+        if tok.kind == "name" and self.tokens[self.pos + 1].text == "=":
+            self.pos += 2
+            return tok.text, self.value(tok.text)
+        if tok.kind == "name":
+            return self.expr()
+        raise ParseError(f"expected an argument, found {tok.text!r}", tok.line, tok.column)
+
+    def value(self, key: str):
+        tok = self.peek()
+        if tok.kind == "int":
+            return int(self.take().text)
+        if tok.text == "[":
+            self.take()
+            return tuple(self.separated(self.item, ",", "]"))
+        raise ParseError(f"expected a value for {key}=", tok.line, tok.column)
+
+    def item(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            return int(self.take().text)
+        if tok.kind == "name":
+            powers: dict[int, int] = {}
+            for idx, exp in self.separated(self.factor, "*"):
+                powers[idx] = powers.get(idx, 0) + exp
+            return tuple(sorted(powers.items()))  # a monomial as sorted (index, exponent) pairs
+        raise ParseError(f"expected a list item, found {tok.text!r}", tok.line, tok.column)
+
+    def factor(self) -> tuple[int, int]:
+        tok = self.take("name")
+        stem = tok.text.rstrip("0123456789")
+        if stem == tok.text:
+            raise ParseError(f"variable {tok.text!r} has no index", tok.line, tok.column)
+        idx = int(tok.text[len(stem):])
+        if idx < 1:
+            raise ParseError("variable indices are 1-based", tok.line, tok.column)
+        if stem != "v":
+            raise ParseError(f"variable {tok.text!r} is not v<index>", tok.line, tok.column)
+        exp = 1
+        if self.at("^"):
+            self.take()
+            etok = self.take("int")
+            exp = int(etok.text)
+            if exp == 0:
+                raise ParseError("exponents must be at least 1", etok.line, etok.column)
+        return idx, exp
 
 
 def parse_ring_expr(text: str) -> RingExpr:

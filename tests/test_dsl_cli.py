@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orespec.cli import main
-from orespec.dsl import ParseError, RingExpr, evaluate, parse_ring_expr, render
+from orespec.dsl import MAX_DEPTH, ParseError, RingExpr, evaluate, parse_ring_expr, render
 from orespec.monomial import DegreeBudgetError
 
 from expr_corpus import FIXED_EXPRESSIONS, edited_expressions
@@ -54,6 +54,102 @@ def test_parse_error_positions():
         parse_ring_expr("zmod(2) zmod(3)")
     with pytest.raises(ParseError):
         parse_ring_expr("mono(vars=2, gens=[v9])")
+    # a line starts after each newline; every other character, a tab, a
+    # carriage return or a no-break space too, is one column
+    for text, where in [("quot(zmod(12),\n\tgens=[\u00b2])", (2, 8)),
+                        ("prod(zmod(2),\r\n  zmod(3)", (2, 10)),
+                        ("mono(vars=2,\n gens=[v1^0])", (2, 11)),
+                        ("zmod(2)\n\n  x", (3, 3)),
+                        ("prod(zmod(2),\xa0\xa0#)", (1, 16))]:
+        with pytest.raises(ParseError) as exc:
+            parse_ring_expr(text)
+        assert (exc.value.line, exc.value.column) == where, text
+
+
+# one input per refusal of the reader and the evaluator, with its exit code
+# and the whole message
+@pytest.mark.parametrize("text, code, err", [
+    ("zmod(#)", 2, "parse error: unexpected character '#' at line 1, column 6"),
+    ("zmod 2", 2, "parse error: expected (, found '2' at line 1, column 6"),
+    ("nosuch(3)", 2, "parse error: unknown constructor 'nosuch' at line 1, column 1"),
+    ("zmod(,)", 2, "parse error: expected an argument, found ',' at line 1, column 6"),
+    ("an(n=)", 2, "parse error: expected a value for n= at line 1, column 6"),
+    ("quot(zmod(4), gens=[,])", 2, "parse error: expected a list item, found ',' at line 1, column 21"),
+    ("mono(vars=1, gens=[v])", 2, "parse error: variable 'v' has no index at line 1, column 20"),
+    ("mono(vars=2, gens=[v0])", 2, "parse error: variable indices are 1-based at line 1, column 20"),
+    ("mono(vars=2, gens=[v1^0])", 2, "parse error: exponents must be at least 1 at line 1, column 23"),
+    ("zmod(2, 3)", 2, "parse error: zmod: expects a single integer argument at line 1, column 1"),
+    ("mat(2)", 2, "parse error: mat: expects (k, expr) at line 1, column 1"),
+    ("prod(zmod(2), zmod(3), zmod(5))", 2, "parse error: prod: expects (expr, expr) at line 1, column 1"),
+    ("quot(zmod(4))", 2, "parse error: quot: expects (expr, gens=[ids]) at line 1, column 1"),
+    ("quot(zmod(4), gens=[v1])", 2,
+     "parse error: quot: gens must be a list of element ids at line 1, column 1"),
+    ("mono(vars=2)", 2,
+     "parse error: mono: expects (vars=n, gens=[monomials]) at line 1, column 1"),
+    ("mono(vars=0, gens=[])", 2, "parse error: mono: vars must be a positive integer at line 1, column 1"),
+    ("mono(vars=2, gens=3)", 2, "parse error: mono: gens must be a list at line 1, column 1"),
+    ("mono(vars=2, gens=[3])", 2,
+     "parse error: mono: mono generators must be monomials at line 1, column 1"),
+    ("mono(vars=2, gens=[v9])", 2,
+     "parse error: mono: variable index exceeds vars=2 at line 1, column 1"),
+    ("an(3)", 2, "parse error: an: expects (n=k) at line 1, column 1"),
+    ("an(n=[1])", 2, "parse error: an: n must be a non-negative integer at line 1, column 1"),
+    ("zmod(2) zmod(3)", 2, "parse error: trailing input 'zmod' at line 1, column 9"),
+    ("prod(an(n=1), zmod(2))", 2, "error: prod applies to finite rings, not an(n=1)"),
+    ("quot(zmod(4), gens=[9])", 2,
+     "error: quot: element id 9 is out of range for zmod(4) of order 4"),
+    ("zmod(40)", 3, "budget exceeded: zmod(40) has order 40 > cap 16"),
+])
+def test_each_refusal_exits_with_its_code_and_message(capsys, text, code, err):
+    assert main(["describe", text]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "quot(zmod(12), gens=[6], gens=[4])", "an(n=1, n=3)", "mono(vars=3, vars=2, gens=[])",
+])
+def test_a_repeated_keyword_is_a_parse_error(capsys, text):
+    assert main(["describe", text]) == 2
+    kind = text.split("(")[0]
+    assert capsys.readouterr().err.startswith(f"parse error: {kind}: expects (")
+
+
+@pytest.mark.parametrize("text, name, column", [
+    ("mono(vars=2, gens=[v1v2])", "v1v2", 20),
+    ("mono(vars=2, gens=[x1*zz2])", "x1", 20),
+    ("mono(vars=2, gens=[v1*zz2])", "zz2", 23),
+    ("mono(vars=2, gens=[v1_2])", "v1_2", 20),
+])
+def test_a_variable_is_v_and_its_index(capsys, text, name, column):
+    assert main(["mono", "minprimes", text]) == 2
+    assert capsys.readouterr().err == (f"parse error: variable {name!r} is not v<index>"
+                                       f" at line 1, column {column}\n")
+
+
+def _nested(depth):
+    return "quot(" * (depth - 1) + "zmod(2)" + ", gens=[])" * (depth - 1)
+
+
+def test_nesting_is_bounded(capsys):
+    text = _nested(MAX_DEPTH)
+    expr = parse_ring_expr(text)
+    assert render(expr) == text and evaluate(expr).order == 2
+    assert main(["describe", text]) == 0
+    capsys.readouterr()
+    # the constructor past the bound is refused, before any operand is read
+    for deeper, column in [(_nested(MAX_DEPTH + 1), 5 * MAX_DEPTH + 1),
+                           ("prod(" * 1000, 5 * MAX_DEPTH + 1),
+                           ("mat(1, " * 1000 + "zmod(2)" + ")" * 1000, 7 * MAX_DEPTH + 1)]:
+        assert main(["describe", deeper]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"nesting deeper than {MAX_DEPTH} constructors at line 1, column {column}\n")
+
+
+def test_the_cli_evaluates_an_expression_at_the_nesting_bound():
+    done = subprocess.run([sys.executable, "-m", "orespec.cli", "describe", _nested(MAX_DEPTH)],
+                          env=ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and "order:       2" in done.stdout, done.stderr
 
 
 @pytest.mark.parametrize("text, column", [
@@ -395,6 +491,13 @@ def test_cli_matrix_size_budget_is_checked_before_any_slot(capsys, text):
     assert main(["describe", text]) == 3
     err = capsys.readouterr().err
     assert "> cap 16" in err and len(err) < 100, err
+
+
+@pytest.mark.parametrize("text", ["mat(1, tri(2, gf(2)))", "tri(1, tri(2, gf(2)))",
+                                  "mat(2, tri(2, gf(2)))"])
+def test_cli_matrix_rings_need_a_commutative_base(capsys, text):
+    assert main(["ideals", text, "--max-order", "64"]) == 2
+    assert "only built over commutative bases" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["mat(0, gf(2))", "tri(0, gf(2))"])
