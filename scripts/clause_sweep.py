@@ -9,7 +9,11 @@ exit of a yes/no test of the engine, or a `return <message>` of an engine
 test that returns its first fault (`audit_ring`, `_triple_law_violation`
 and `RingHom.verify` in `finring.py`).  A refusal site is a `raise` or a
 `fail(...)` statement in `dsl.py`, the reader's and the evaluator's refusals
-of an input.  Decision and refusal sites are named after their function.
+of an input, or a `raise RingError(...)` or `raise SizeLimitError(...)` in
+`finring.py`, `localization.py`, `monomial.py`, `centre.py`, `harness.py` or
+`cli.py`, the engine's and the front end's refusals of a request that
+breaks a hypothesis or a budget.  Decision and refusal sites are named
+after their function.
 For each site, one at a time, the sweep copies the checkout to a temporary
 directory, replaces that statement with `pass` there, and tests the copy in
 stages, cheapest first, stopping at the first that fails:
@@ -24,6 +28,9 @@ stages, the first failing test id are printed) and `survived` when all
 three pass: nothing notices that the clause is gone.  A stage that runs
 longer than STAGE_TIMEOUT seconds is stopped and the site counted as killed
 by `timeout` (a reader without its refusal of a character may never end).
+Each stage runs with at most STAGE_MEMORY bytes of address space, so a
+mutant without a size budget fails with a MemoryError instead of filling
+the machine's memory.
 The checkout itself is never edited.
 
     python3 scripts/clause_sweep.py            # every site
@@ -31,6 +38,7 @@ The checkout itself is never edited.
     python3 scripts/clause_sweep.py --only checks.py:681
     python3 scripts/clause_sweep.py --only centre.py --only finring.py
     python3 scripts/clause_sweep.py --only dsl.py
+    python3 scripts/clause_sweep.py --only harness.py --only cli.py
 
 Exits 0 when every site is killed, 1 otherwise.
 """
@@ -41,6 +49,7 @@ import argparse
 import ast
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -57,8 +66,11 @@ TARGETS = {
 }
 DECISIONS = ("finring.py", "ideals.py", "localization.py")
 FAULT_TESTS = {"finring.py": ("audit_ring", "_triple_law_violation", "verify")}
-REFUSALS = ("dsl.py",)
+REFUSALS = ("dsl.py", "finring.py", "localization.py", "monomial.py", "centre.py",
+            "harness.py", "cli.py")
+REFUSED = ("RingError", "SizeLimitError")  # the refusals outside dsl.py
 STAGE_TIMEOUT = 300  # seconds; a tier-1 run takes well under a minute
+STAGE_MEMORY = 1_500_000_000  # bytes; a tier-1 run passes within it
 
 
 def _clause(node) -> str | None:
@@ -82,8 +94,12 @@ def _decides(node, returns_faults: bool) -> bool:
     return isinstance(value, ast.Constant) and value.value is False
 
 
-def _refuses(node) -> bool:
-    """Whether node is a refusal site: a `raise` or a `fail(...)` statement."""
+def _refuses(node, name: str) -> bool:
+    """Whether node is a refusal site of module name: in dsl.py a `raise` or a
+    `fail(...)` statement, elsewhere a raise of a class in REFUSED."""
+    if name != "dsl.py":
+        return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name) and node.exc.func.id in REFUSED)
     return isinstance(node, ast.Raise) or (
         isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
         and isinstance(node.value.func, ast.Name) and node.value.func.id == "fail")
@@ -104,14 +120,14 @@ def sites() -> list[tuple[str, ast.stmt, str]]:
             clause = _clause(expr)
             if clause is not None:
                 out.append((name, node, clause))
-    for name in (*DECISIONS, *REFUSALS):
+    for name in dict.fromkeys((*DECISIONS, *REFUSALS)):
         tree = ast.parse((ROOT / PACKAGE / name).read_text())
         owner = {}  # site -> its innermost function; outer ones come first
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if (_refuses(node) if name in REFUSALS
-                            else _decides(node, fn.name in FAULT_TESTS.get(name, ()))):
+                    if (name in REFUSALS and _refuses(node, name) or name in DECISIONS
+                            and _decides(node, fn.name in FAULT_TESTS.get(name, ()))):
                         owner[node] = fn.name
         out += [(name, node, f"{fn}: {ast.unparse(node)}") for node, fn in owner.items()]
     files = list(dict.fromkeys([*TARGETS, *DECISIONS, *REFUSALS]))
@@ -139,7 +155,9 @@ print(hashlib.sha256(render_machine(run_suite(build_corpus(cfg), COVERAGE, cfg))
 def _run(tree: pathlib.Path, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, *args], cwd=tree, env=env,
-                          capture_output=True, text=True, timeout=STAGE_TIMEOUT)
+                          capture_output=True, text=True, timeout=STAGE_TIMEOUT,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (STAGE_MEMORY, STAGE_MEMORY)))
 
 
 def report_sha(tree: pathlib.Path) -> str:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 clean, 1 counterexample found, 2 usage or parse error (also when
-the reader closes stdout early), 3 size/degree budget exceeded.
+Exit codes: 0 clean, 1 counterexample found (or an engine cross-check failed),
+2 usage or parse error (also when the reader closes stdout early), 3 size
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .centre import centre_ring, rho, rho_criteria
 from .dsl import ParseError, evaluate, parse_ring_expr
 from .finring import (
     DEFAULT_ORDER_CAP,
+    EngineInvariantError,
     RingError,
     RingTable,
     SizeLimitError,
@@ -54,7 +56,6 @@ from .localization import (
     ore_flags,
 )
 from .monomial import (
-    DegreeBudgetError,
     an_build,
     an_min_primes,
     an_verify,
@@ -84,6 +85,12 @@ def _eval_ring(text: str, cap: int) -> RingTable:
 # gf(2))) at N = 16, but 101,455 submonoids and about 3 minutes for
 # prod(tri(2, gf(2)), tri(2, gf(2))) at N = 64.
 MAX_EXHAUSTIVE_ORDER = 16
+
+
+# describe and ideals on zmod(1024) took 3.3 and 4.0 s with a 97 MB peak
+# (Python 3.11, 2 shared cores), and each doubling of the order costs about
+# 4x; past this --max-order is refused before any table is built
+MAX_ORDER = 1024
 
 
 def _check_sweep_budget(args) -> None:
@@ -299,16 +306,14 @@ def cmd_verify(args) -> int:
         raise RingError(f"--explain {args.explain[0]!r} is not a check of this run")
     with interning():  # the run reuses the tables building the corpus audited
         corpus = build_corpus(cfg)
-        if args.inject_fault:
-            corpus = [inject_table_fault(corpus[0], cfg)] + corpus[1:]
+        if args.inject_fault:  # seed k corrupts finite instance k modulo their count
+            finite = [i for i, inst in enumerate(corpus) if inst.kind == "finite"] or [0]
+            k = finite[(args.seed or 0) % len(finite)]
+            corpus[k] = inject_table_fault(corpus[k], cfg)
         reports = run_suite(corpus, ids, cfg, jobs=args.jobs)
         if args.explain:
             cid, k = args.explain
-            report = next(r for r in reports if r.theorem_id == cid)
-            if k >= len(report.counterexamples):
-                raise RingError(f"--explain {cid}:{k}: {cid} has"
-                                f" {len(report.counterexamples)} counterexamples")
-            print(explain(report, k, corpus, cfg))
+            print(explain(next(r for r in reports if r.theorem_id == cid), k, corpus, cfg))
         elif args.format == "machine":
             print(render_machine(reports))
         else:
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand declares only the flags it reads
     finite = argparse.ArgumentParser(add_help=False)
     finite.add_argument("--max-order", type=positive_int, default=DEFAULT_ORDER_CAP,
-                        help="order cap for finite constructions")
+                        help=f"order cap for finite constructions (at most {MAX_ORDER})")
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--exhaustive-order", type=positive_int, default=EXHAUSTIVE_MULT_ORDER,
                        help="largest order with exhaustive multiplicative-set enumeration")
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="all | finite | monomial | comma-separated check ids")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed of the corrupted cell (with --inject-fault; default 0)")
+                   help="seed of the corrupted table and cell (with --inject-fault; default 0)")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one table cell first (self-test)")
@@ -407,23 +412,27 @@ def closed_stdout() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_CLEAN
-    try:
+        args = build_parser().parse_args(argv)
+        # every subcommand that reads --max-order declares it; mono and an do not
+        if getattr(args, "max_order", 0) > MAX_ORDER:
+            raise SizeLimitError(f"--max-order {args.max_order} > {MAX_ORDER}")
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, inside the try
         return code
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return EXIT_USAGE if exc.code else EXIT_CLEAN
     except BrokenPipeError:
         return closed_stdout()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SizeLimitError, DegreeBudgetError) as exc:
+    except SizeLimitError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except EngineInvariantError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_COUNTEREXAMPLE
     except (RingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

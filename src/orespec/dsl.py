@@ -75,6 +75,10 @@ SIGNATURES = {
 # recursion limit, which the reader alone reaches near 330
 MAX_DEPTH = 200
 
+# Python's default limit on the digits int() converts; a number past it is
+# refused at its token, an integer or a variable's index
+MAX_DIGITS = 4300
+
 # ASCII only: other scripts' digits and letters are not part of the language;
 # the alternatives cover every character, so the matches leave no gaps
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],=*^])"
@@ -99,6 +103,10 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - start + 1)
         elif m.lastgroup:
             out.append(_Token(m.lastgroup, m.group(), line, m.start() - start + 1))
+            digits = len(m.group()) - len(m.group().rstrip("0123456789"))
+            if digits > MAX_DIGITS:
+                raise ParseError(f"a number of {digits} digits exceeds {MAX_DIGITS}",
+                                 line, out[-1].column)
     out.append(_Token("punct", "<end>", line, len(text) - start + 1))
     return out
 

@@ -35,20 +35,8 @@ class RingError(Exception):
     """Base class for errors raised by the ring engine."""
 
 
-class InvalidOrderError(RingError):
-    pass
-
-
 class SizeLimitError(RingError):
-    """A construction would exceed the configured order cap."""
-
-
-class SidednessError(RingError):
-    """An ideal does not have the sidedness required by an operation."""
-
-
-class ImproperIdealError(RingError):
-    """The whole ring was passed where a proper ideal is required."""
+    """A size budget: an order cap, a variable count or a monomial count."""
 
 
 class EngineInvariantError(RingError):
@@ -524,7 +512,7 @@ def _checked(r: RingTable) -> RingTable:
 def make_zmod(n: int, label: str | None = None) -> RingTable:
     """The ring of integers modulo n, with canonical ids 0..n-1."""
     if n < 2:
-        raise InvalidOrderError(f"zmod order must be >= 2, got {n}")
+        raise RingError(f"zmod order must be >= 2, got {n}")
 
     def build():
         add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
@@ -536,7 +524,7 @@ def make_zmod(n: int, label: str | None = None) -> RingTable:
 def make_gf(q: int) -> RingTable:
     """The field with q elements, q in GF_ORDERS."""
     if q not in GF_ORDERS:
-        raise InvalidOrderError(f"gf supports q in {{2,3,4}}, got {q}")
+        raise RingError(f"gf supports q in {{2,3,4}}, got {q}")
     if q in (2, 3):
         return make_zmod(q, label=f"gf({q})")
     # F4 as F2[x]/(x^2+x+1); id = c0 + 2*c1 encodes c0 + c1*x.
@@ -569,7 +557,7 @@ def _make_slot_ring(k: int, base: RingTable, triangular: bool, cap: int | None) 
     its slot entries in row-major order."""
     tag, noun = ("tri", "triangular") if triangular else ("mat", "matrix")
     if k < 1:
-        raise InvalidOrderError(f"{tag} needs a matrix size k >= 1, got k = {k}")
+        raise RingError(f"{tag} needs a matrix size k >= 1, got k = {k}")
     if centre_mask(base) != base.full_mask():
         raise RingError(f"{noun} rings are only built over commutative bases")
     nslots = k * (k + 1) // 2 if triangular else k * k
@@ -703,9 +691,9 @@ def make_quotient(r: RingTable, ideal_mask: Mask) -> tuple[RingTable, RingHom]:
     r, so repeated quotients by the same ideal share one table object.
     """
     if not is_two_sided_ideal_mask(r, ideal_mask):
-        raise SidednessError("quotient requires a two-sided ideal")
+        raise RingError("quotient requires a two-sided ideal")
     if ideal_mask == r.full_mask():
-        raise ImproperIdealError("cannot quotient by the whole ring")
+        raise RingError("cannot quotient by the whole ring")
     rep = [-1] * r.order
     reps = []
     for x in r.elements():

@@ -368,15 +368,15 @@ def explain(report: CheckReport, index: int, corpus: list[Instance],
             cfg: CorpusConfig | None = None) -> str:
     """Render one counterexample: the recipe, the failed clause, and the
     intermediate objects of the instance that ran, looked up in the corpus
-    the report came from by its provenance."""
-    if not report.counterexamples:
-        return "no counterexamples"
-    if not 0 <= index < len(report.counterexamples):
-        raise IndexError(f"counterexample index {index} out of range")
+    the report came from by its provenance.  An index past the report's
+    counterexamples is an error that names their count."""
+    cid, count = report.theorem_id, len(report.counterexamples)
+    if not 0 <= index < count:
+        raise RingError(f"--explain {cid}:{index}: {cid} has {count} counterexamples")
     cx = report.counterexamples[index]
     cfg = cfg or CorpusConfig()
     lines = [
-        f"check:      {report.theorem_id}",
+        f"check:      {cid}",
         f"instance:   {cx.provenance}",
         f"clause:     {cx.clause}",
     ]

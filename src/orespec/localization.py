@@ -51,19 +51,6 @@ class ZeroAbsorbedError(RingError):
         )
 
 
-class NotDenominatorError(RingError):
-    """The set fails the left Ore or left denominator condition."""
-
-    def __init__(self, reason, witness):
-        self.reason = reason
-        self.witness = witness
-        super().__init__(f"{reason} fails at {witness}")
-
-
-class NotInAssError(RingError):
-    """The ideal is not the vanishing ideal of any denominator set."""
-
-
 @dataclass(frozen=True)
 class MultSet:
     """A multiplicative subset: contains 1, omits 0, closed under products."""
@@ -320,7 +307,7 @@ def _localize_mask(r: RingTable, smask: Mask) -> RingHom:
     cls = ore_flags(r, smask)
     if not cls.left_den:
         reason, witness = cls.violation or ("left-denominator", None)
-        raise NotDenominatorError(reason, witness)
+        raise RingError(f"{reason} fails at {witness}")
     return _factor_localization(r, smask, cls.ass_l_mask)
 
 
@@ -519,7 +506,7 @@ def largest_set_assoc(r: RingTable, amask: Mask, exhaustive_order: int = EXHAUST
     """Largest left denominator set with vanishing ideal a: the preimage of the
     units of R/a.  Errors when a is not realizable as a vanishing ideal."""
     if amask not in ass_l_realizable_masks(r, exhaustive_order):
-        raise NotInAssError(f"ideal {list(bits(amask))} is not an attained vanishing ideal")
+        raise RingError(f"ideal {list(bits(amask))} is not an attained vanishing ideal")
     s = MultSet(r, _unit_preimage(r, amask))
     cls = classify_set(s)
     if not cls.left_den or cls.ass_l_mask != amask:

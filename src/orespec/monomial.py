@@ -28,19 +28,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .finring import RingError, bits, interned, mask_of, memo, subsets
-
-
-class UnitIdealError(RingError):
-    """A monomial ideal contains a constant, so the quotient collapses."""
+from .finring import RingError, SizeLimitError, bits, interned, mask_of, memo, subsets
 
 
 class CollapsedLocalizationError(RingError):
     """The inverted variables meet the ideal; the localized ring is zero."""
-
-
-class DegreeBudgetError(RingError):
-    pass
 
 
 SPARE_LETTERS = 2
@@ -64,7 +56,7 @@ MAX_AN_MONOMIALS = 125_000
 def check_var_count(nvars: int) -> None:
     """Refuse a monomial quotient too wide for the minimal-cover sweep."""
     if nvars > MAX_MONO_VARS:
-        raise DegreeBudgetError(f"{nvars} variables > {MAX_MONO_VARS}")
+        raise SizeLimitError(f"{nvars} variables > {MAX_MONO_VARS}")
 
 
 def default_degree_bound(nvars: int) -> int:
@@ -142,7 +134,7 @@ def min_primes_monomial(r: CommMonomialRing) -> tuple[int, ...]:
     """
     supports = [support(g) for g in r.gens]
     if not all(supports):
-        raise UnitIdealError("a constant generator makes the ideal improper")
+        raise RingError("a constant generator makes the ideal improper")
     covers = []
     for comb in subsets(range(r.nvars)):
         c = mask_of(comb)
@@ -354,13 +346,13 @@ def an_build(n: int, d: int) -> AnAlgebra:
     if n < 0 or d < 1:
         raise RingError(f"the pairing algebra needs n >= 0 and degree >= 1, got n={n}, degree={d}")
     if n > 4:
-        raise DegreeBudgetError("the pairing algebra is built for n <= 4")
+        raise SizeLimitError("the pairing algebra is built for n <= 4")
     if d > 8:
-        raise DegreeBudgetError("degree bound is capped at 8")
+        raise SizeLimitError("degree bound is capped at 8")
     count = an_monomial_count(n, d)
     if count > MAX_AN_MONOMIALS:
-        raise DegreeBudgetError(f"an(n={n}) has {count} monomials of degree <= {d}"
-                                f" > {MAX_AN_MONOMIALS}")
+        raise SizeLimitError(f"an(n={n}) has {count} monomials of degree <= {d}"
+                             f" > {MAX_AN_MONOMIALS}")
     return AnAlgebra(n, d, n + SPARE_LETTERS)
 
 

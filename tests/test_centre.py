@@ -1,3 +1,5 @@
+import pytest
+
 from orespec.centre import (
     central_localize,
     central_mult_set,
@@ -9,7 +11,7 @@ from orespec.centre import (
     rho_criteria,
 )
 from orespec.checks import check_centre_decomposition, decide
-from orespec.finring import content, make_gf, make_product, make_zmod, mask_of
+from orespec.finring import RingError, content, make_gf, make_product, make_zmod, mask_of
 from orespec.harness import CorpusConfig
 from orespec.ideals import is_semiprime_ring, min_prime_masks, prime_masks
 from orespec.localization import localize
@@ -74,6 +76,12 @@ def test_central_localization_of_zmod6(z6):
     assert localize(z6, s).target.order == 2
     # q is hit by a minimal prime, so its fiber is non-empty
     assert q in {qm for _, qm in _min_table(z6)}
+
+
+def test_central_localization_refuses_a_non_prime_of_the_centre(z6):
+    # zmod(6) is its own centre, and its zero ideal is not prime
+    with pytest.raises(RingError, match="^central localization requires a prime of the centre$"):
+        central_localize(z6, 1 << z6.zero)
 
 
 def test_central_localization_at_zero_of_a_field():

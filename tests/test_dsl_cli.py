@@ -12,9 +12,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orespec.cli import main
+from orespec.cli import MAX_ORDER, main
 from orespec.dsl import MAX_DEPTH, ParseError, RingExpr, evaluate, parse_ring_expr, render
-from orespec.monomial import DegreeBudgetError
+from orespec.finring import SizeLimitError
 
 from expr_corpus import FIXED_EXPRESSIONS, edited_expressions
 
@@ -99,6 +99,13 @@ def test_parse_error_positions():
     ("quot(zmod(4), gens=[9])", 2,
      "error: quot: element id 9 is out of range for zmod(4) of order 4"),
     ("zmod(40)", 3, "budget exceeded: zmod(40) has order 40 > cap 16"),
+    ("prod(zmod(5), zmod(4))", 3, "budget exceeded: prod(zmod(5), zmod(4)) has order 20 > cap 16"),
+    pytest.param(f"zmod({'9' * 5000})", 2,
+                 "parse error: a number of 5000 digits exceeds 4300 at line 1, column 6",
+                 id="zmod-5000-digits"),
+    pytest.param(f"mono(vars=2, gens=[v{'1' * 5000}])", 2,
+                 "parse error: a number of 5000 digits exceeds 4300 at line 1, column 20",
+                 id="variable-index-5000-digits"),
 ])
 def test_each_refusal_exits_with_its_code_and_message(capsys, text, code, err):
     assert main(["describe", text]) == code
@@ -266,6 +273,40 @@ def test_cli_multsets_classify_rho(capsys):
     assert "ass_l:      [0, 3]" in capsys.readouterr().out
     assert main(["rho", "tri(2, gf(2))"]) == 0
     assert "well-defined on minimals: True" in capsys.readouterr().out
+
+
+def test_cli_localize_refuses_a_set_that_is_not_left_ore(capsys):
+    # ids 1 and 2 of tri(2, gf(2)) are e11 and e12; S = {1, e11} has S * e12 = {e12},
+    # which misses R * e11 = {0, e11}
+    assert main(["localize", "tri(2, gf(2))", "--gens", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: left-ore fails at (2, 1)\n" and captured.out == ""
+
+
+def test_cli_multsets_tags_the_one_sided_denominator_sets(capsys):
+    assert main(["multsets", "tri(2, gf(2))"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "10 multiplicative sets of tri(2, gf(2)):",
+        "  [5]  denominator  ass_l=[0]",
+        "  [1, 5]    ass_l=[0, 4]",
+        "  [3, 5]    ass_l=[0, 6]",
+        "  [4, 5]  left-denominator  ass_l=[0, 1, 2, 3]",
+        "  [5, 6]  left-denominator  ass_l=[0, 1, 2, 3]",
+        "  [5, 7]  denominator  ass_l=[0]",
+        "  [1, 3, 5]    ass_l=[0, 4, 6]",
+        "  [4, 5, 6]  left-denominator  ass_l=[0, 1, 2, 3]",
+        "  [1, 3, 5, 7]    ass_l=[0, 4, 6]",
+        "  [4, 5, 6, 7]  left-denominator  ass_l=[0, 1, 2, 3]",
+    ]
+
+
+def test_cli_engine_fault_exits_as_a_counterexample(capsys, monkeypatch):
+    # an engine cross-check that fails is an engine bug, not a usage error
+    monkeypatch.setattr("orespec.ideals.strongly_nilpotent_mask", lambda r: r.full_mask())
+    assert main(["minprimes", "zmod(12)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("engine error: prime radical: minimal-prime intersection disagrees"
+                            " with the strongly nilpotent elements\n")
 
 
 def test_cli_mono_and_an(capsys):
@@ -452,6 +493,57 @@ def test_cli_verify_fault_seed_defaults_to_zero(capsys):
     assert capsys.readouterr().out == default
 
 
+# seed k corrupts the k-th finite instance of the order-4 corpus (16 of them)
+# and a cell the seed picks
+FAULTS = [
+    ("zmod(2)", "one is not a multiplicative identity at 1"),
+    ("zmod(3)", "left distributivity fails at (0,1,1)"),
+    ("zmod(4)", "left distributivity fails at (0,1,0)"),
+    ("gf(2)", "left distributivity fails at (0,1,0)"),
+    ("gf(3)", "one is not a multiplicative identity at 0"),
+    ("gf(4)", "left distributivity fails at (2,1,2)"),
+    ("prod(zmod(2), zmod(2))", "one is not a multiplicative identity at 0"),
+    ("prod(zmod(2), gf(2))", "right distributivity fails at (1,1,2)"),
+    ("prod(gf(2), gf(2))", "left distributivity fails at (1,1,2)"),
+    ("quot(zmod(4), gens=[0, 2])", "one is not a multiplicative identity at 1"),
+    ("quot(prod(zmod(2), zmod(2)), gens=[0, 1])", "one is not a multiplicative identity at 0"),
+    ("quot(prod(zmod(2), zmod(2)), gens=[0, 2])", "one is not a multiplicative identity at 1"),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(FAULTS)))
+def test_cli_verify_fault_seed_picks_the_table(capsys, seed):
+    argv = ["verify", "--max-order", "4", "--suite", "A11Sep23", "--inject-fault",
+            "--seed", str(seed), "--format", "machine"]
+    assert main(argv) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    found = [(r["theorem_id"], c["provenance"], c["clause"], c["detail"])
+             for r in reports for c in r["counterexamples"]]
+    provenance, detail = FAULTS[seed]
+    assert found == [("axiom-audit", provenance, "axiom-audit", detail)]
+
+
+def test_cli_max_order_is_refused_past_its_limit_before_any_table(capsys, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def no_table(*args, **kwargs):
+        raise Built
+
+    for name in ("make_zmod", "make_gf", "make_matrix_ring", "make_upper_triangular",
+                 "make_product", "make_quotient"):
+        monkeypatch.setattr(f"orespec.dsl.{name}", no_table)
+    monkeypatch.setattr("orespec.cli.build_corpus", no_table)
+    for argv in (["describe", "zmod(2)"], ["ideals", "zmod(2)"], ["minprimes", "zmod(2)"],
+                 ["multsets", "zmod(2)"], ["classify-set", "zmod(2)", "--gens", "1"],
+                 ["localize", "zmod(2)", "--gens", "1"], ["centre", "zmod(2)"],
+                 ["rho", "zmod(2)"], ["verify"]):
+        with pytest.raises(Built):  # the limit itself is accepted
+            main(argv + ["--max-order", str(MAX_ORDER)])
+        assert main(argv + ["--max-order", str(MAX_ORDER + 1)]) == 3
+        assert capsys.readouterr().err == "budget exceeded: --max-order 1025 > 1024\n"
+
+
 def test_cli_zmod_honours_the_order_cap(capsys, monkeypatch):
     def no_table(n, label=None):
         raise AssertionError(f"zmod({n}) table built despite the cap")
@@ -559,7 +651,7 @@ def test_mono_variable_budget_is_checked_before_any_exponent_vector(capsys, monk
 
     monkeypatch.setattr("orespec.dsl._exponent_vector", no_vector)
     text = "mono(vars=2000000, gens=[v1, v2])"
-    with pytest.raises(DegreeBudgetError):
+    with pytest.raises(SizeLimitError, match="2000000 variables > 16"):
         parse_ring_expr(text)
     assert main(["describe", text]) == 3
     assert "2000000 variables > 16" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from orespec.dsl import evaluate
 from orespec.finring import (
-    InvalidOrderError,
+    RingError,
     RingHom,
     RingTable,
     SizeLimitError,
@@ -56,7 +56,7 @@ def test_zmod_matches_modular_arithmetic():
 
 
 def test_zmod_rejects_tiny_orders():
-    with pytest.raises(InvalidOrderError):
+    with pytest.raises(RingError, match="zmod order must be >= 2, got 1"):
         make_zmod(1)
 
 
@@ -165,6 +165,14 @@ def test_quotient_by_zero_is_the_ring(z12):
     q, hom = make_quotient(z12, 1 << z12.zero)
     assert _content(q) == _content(z12)
     assert hom.map == tuple(range(12))
+
+
+def test_quotient_refuses_a_one_sided_ideal_and_the_whole_ring(t2f2):
+    # R * e11 = {0, e11} is a left ideal; e11 * e12 = e12 lies outside it
+    with pytest.raises(RingError, match="^quotient requires a two-sided ideal$"):
+        make_quotient(t2f2, mask_of([0, T2_E11]))
+    with pytest.raises(RingError, match="^cannot quotient by the whole ring$"):
+        make_quotient(t2f2, t2f2.full_mask())
 
 
 def test_quotient_of_triangular_by_radical_is_commutative(t2f2):

@@ -26,6 +26,9 @@ from orespec.harness import (
     run_suite,
 )
 
+from test_fail_paths import CFG, CLAUSE_LIES, LIES, _lie
+from test_fail_paths import _corpus as _fail_path_corpus
+
 SMALL = CorpusConfig(order_cap=6)
 
 
@@ -181,12 +184,58 @@ def test_explain_renders_recipe_and_witness(small_corpus):
     assert corpus[0].provenance in text
     assert "axiom-audit" in text
     assert "audit:" in text and "units:" not in text  # the corrupted table, not a rebuild
-    assert explain(reports[1], 0, corpus, SMALL) == "no counterexamples"
-    with pytest.raises(IndexError):
+    with pytest.raises(RingError, match="^--explain A11Sep23:0: A11Sep23 has 0 counterexamples$"):
+        explain(reports[1], 0, corpus, SMALL)
+    with pytest.raises(RingError,
+                       match="^--explain axiom-audit:5: axiom-audit has 1 counterexamples$"):
         explain(reports[0], 5, corpus, SMALL)
     # the serialized witness reparses to the identical instance expression
     cx = reports[0].counterexamples[0]
     assert parse_ring_expr(cx.provenance) == corpus[0].expr
+
+
+def test_fault_injection_refuses_a_non_finite_instance(capsys):
+    text = "mono(vars=2, gens=[v1])"
+    with pytest.raises(RingError, match="^fault injection targets finite instances$"):
+        inject_table_fault(Instance("monomial", text, parse_ring_expr(text)), SMALL)
+    # at order cap 1 the corpus has no finite instance, and seed 0 picks its first
+    assert main(["verify", "--max-order", "1", "--inject-fault"]) == 2
+    assert capsys.readouterr().err == "error: fault injection targets finite instances\n"
+
+
+def _explained(monkeypatch, case_id, lies, cid):
+    """explain's text for the first counterexample of cid when the fail-path
+    case case_id (from lies) makes an engine function lie."""
+    case = next(case for case in lies if case.id == case_id)
+    _lie(monkeypatch, case.values[0])
+    corpus = _fail_path_corpus()
+    report = run_suite(corpus, (cid,), CFG)[1]
+    return explain(report, 0, corpus, CFG).splitlines()
+
+
+def test_explain_renders_a_finite_counterexample_with_its_objects(monkeypatch):
+    assert _explained(monkeypatch, "prime_exponent", CLAUSE_LIES, "aA29Sep23") == [
+        "check:      aA29Sep23",
+        "instance:   zmod(4)",
+        "clause:     minimal-prime product exponent within order",
+        "detail:     ideal=[0]",
+        "order:      4",
+        "units:      [1, 3]",
+        "min primes: [[0, 2]]",
+        "den sets:   2",
+        "  S=[1] ass=[0] target_order=4 localized_minimals=[[0, 2]]",
+        "  S=[1, 3] ass=[0] target_order=4 localized_minimals=[[0, 2]]",
+    ]
+
+
+def test_explain_renders_a_monomial_counterexample_with_its_object(monkeypatch):
+    assert _explained(monkeypatch, "min_primes_monomial", LIES, "4Jul10") == [
+        "check:      4Jul10",
+        "instance:   mono(vars=2, gens=[v1])",
+        "clause:     localized monomial units are the inverted-variable fractions",
+        "detail:     exp=(-2, -2)",
+        "object:     CommMonomialRing(vars=2, gens=['v1'])",
+    ]
 
 
 def test_text_rendering_mentions_every_check(small_corpus):

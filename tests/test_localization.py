@@ -7,6 +7,7 @@ from orespec import checks, localization
 from orespec.checks import decide
 from orespec.dsl import evaluate, parse_ring_expr
 from orespec.finring import (
+    RingError,
     additive_span,
     bits,
     canonical,
@@ -23,7 +24,6 @@ from orespec.ideals import LEFT, all_ideal_masks, ideal_closure_mask, ideal_sum_
 from orespec.localization import (
     EXHAUSTIVE_MULT_ORDER,
     MultSet,
-    NotInAssError,
     ZeroAbsorbedError,
     ass_l_realizable_masks,
     check_A11_equivalence,
@@ -192,8 +192,6 @@ def test_localize_normal_is_memoised_per_generator_mask(z12):
 
 
 def test_localize_normal_rejects_non_normal_generators(t2f2):
-    from orespec.finring import RingError
-
     with pytest.raises(RingError):
         localize_normal(t2f2, mask_of([T2_E11]))
 
@@ -209,6 +207,11 @@ def test_largest_sets(z12, z6):
     assert t_l(prime, 1).mask == largest_regular_set(prime).mask
 
 
+def test_t_l_refuses_an_ideal_that_is_not_prime(z6):
+    with pytest.raises(RingError, match="^t_l is defined at prime ideals$"):
+        t_l(z6, 1 << z6.zero)  # 2 * 3 = 0 in zmod(6)
+
+
 def test_largest_set_assoc_and_unrealizable_ideals(z6, z12):
     three = mask_of([0, 3])
     smax = largest_set_assoc(z6, three)
@@ -216,7 +219,8 @@ def test_largest_set_assoc_and_unrealizable_ideals(z6, z12):
     assert classify_set(smax).ass_l_mask == three
     two = mask_of([0, 2, 4, 6, 8, 10])
     assert two not in ass_l_realizable_masks(z12)
-    with pytest.raises(NotInAssError):
+    with pytest.raises(RingError,
+                       match=r"ideal \[0, 2, 4, 6, 8, 10\] is not an attained vanishing ideal"):
         largest_set_assoc(z12, two)
 
 

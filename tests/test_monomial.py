@@ -6,15 +6,13 @@ import pytest
 from orespec import monomial as mono
 from orespec.cli import main
 from orespec.dsl import parse_ring_expr
-from orespec.finring import bits, interning, mask_of, memo, subsets
+from orespec.finring import RingError, SizeLimitError, bits, interning, mask_of, memo, subsets
 from orespec.harness import CorpusConfig, Instance, build_corpus, run_suite
 from orespec.monomial import (
     AnAlgebra,
     AnPrime,
     CollapsedLocalizationError,
-    DegreeBudgetError,
     NCMonomial,
-    UnitIdealError,
     all_squarefree_ideals,
     an_build,
     an_localize_normal,
@@ -90,8 +88,30 @@ def test_min_primes_match_the_brute_force_oracle():
 
 
 def test_unit_ideal_is_rejected():
-    with pytest.raises(UnitIdealError):
+    with pytest.raises(RingError, match="a constant generator makes the ideal improper"):
         min_primes_monomial(make_monomial_ring(2, [(0, 0)]))
+
+
+def test_a_monomial_ring_needs_a_variable_and_exponent_vectors_of_its_width():
+    with pytest.raises(RingError, match="^need at least one variable$"):
+        make_monomial_ring(0, [])
+    with pytest.raises(RingError, match=r"^bad exponent vector \(1, -1\)$"):
+        make_monomial_ring(2, [(1, -1)])
+    with pytest.raises(RingError, match=r"^bad exponent vector \(1,\)$"):
+        make_monomial_ring(2, [(1,)])
+
+
+def test_the_pairing_algebra_refuses_generators_and_sets_out_of_range():
+    a = an_build(1, 4)  # x1..x3 (one paired letter, two spares) and z1
+    for i in (0, a.letters + 1):
+        with pytest.raises(RingError, match=f"^x index {i} out of range$"):
+            an_x(a, i)
+    for i in (0, 2):
+        with pytest.raises(RingError, match=f"^z index {i} out of range$"):
+            an_z(a, i)
+    for variables in ((), (2,)):
+        with pytest.raises(RingError, match="^invert a non-empty subset of the paired indices$"):
+            an_localize_normal(a, variables)
 
 
 def test_saturation_strips_exponents():
@@ -563,7 +583,7 @@ def test_the_class_heads_are_the_first_members_in_enumeration_order():
         for d in range(1, 9):
             try:
                 admitted.append(an_build(n, d))
-            except DegreeBudgetError:
+            except SizeLimitError:
                 pass
         firsts = {}
         for m in an_monomials(admitted[-1]):
@@ -669,7 +689,7 @@ def test_an_budget_is_checked_before_any_enumeration(capsys, monkeypatch):
     monkeypatch.setattr(mono, "_an_class_representatives", no_enumeration)
     assert main(["an", "verify", "--n", "4", "--degree", "8"]) == 3
     assert "2566955 monomials" in capsys.readouterr().err
-    with pytest.raises(DegreeBudgetError):
+    with pytest.raises(SizeLimitError, match=r"an\(n=3\) has 583355 monomials of degree <= 8"):
         an_build(3, 8)
     assert an_build(3, 7).degree_bound == 7
 

@@ -121,3 +121,29 @@ def test_only_the_intern_helpers_read_the_intern_table():
                for n in ast.walk(node))
     }
     assert readers == {"finring.py:interning", "finring.py:interned"}
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_exception_class_is_caught_by_name_or_carries_data():
+    # one class per exit code: a subclass earns its place when some handler
+    # tells it apart from its base, or when it stores more than its message
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    classes = [n for t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)]
+    exceptions = {"Exception"}
+    for _ in classes:  # a base may be defined after its subclass is met
+        exceptions |= {c.name for c in classes if {_name(b) for b in c.bases} & exceptions}
+    assert {"RingError", "ParseError"} <= exceptions
+    caught = {
+        _name(t)
+        for tree in trees for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.type
+        for t in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type])
+    }
+    idle = [
+        c.name for c in classes if c.name in exceptions and c.name not in caught
+        and not any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and _name(n.value) == "self" for n in ast.walk(c))
+    ]
+    assert idle == []
